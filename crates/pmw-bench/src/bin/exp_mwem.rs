@@ -38,7 +38,7 @@
 //! `--trace <path>` to additionally stream that run as a JSONL trace
 //! (render it with the `run_report` binary).
 
-use pmw_bench::{header, probe_json, thread_axis, threads_axis_json, trace_path};
+use pmw_bench::{header, probe_json, trace_path};
 use pmw_core::{DenseBackend, Mwem};
 use pmw_data::workload::random_implicit_marginals;
 use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointSource};
@@ -515,23 +515,7 @@ fn main() {
         "# dense/sampled crossover: sampled first beats the dense extrapolation at log2_x={crossover}"
     );
 
-    // Thread axis: the sampled run re-timed at each forced worker count
-    // (fixed chunk boundaries — identical answers, only wall time moves).
-    let axis = thread_axis();
     let machine_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "# thread axis (log2_x={}, budget={}, machine threads={machine_threads})",
-        scale.error_size, scale.budget
-    );
-    header(&["threads", "sampled_per_round_ns"]);
-    let mut thread_rows = Vec::new();
-    for &t in &axis {
-        let run = pmw_data::par::with_threads(t, || {
-            run_sampled(&scale, scale.error_size, 0, run_seed, false)
-        });
-        pmw_bench::row(&format!("{t}"), &[run.per_round_ns]);
-        thread_rows.push((t, run.per_round_ns));
-    }
 
     // Probed mirror of the sampled run at the shared size (untimed):
     // per-phase latency for the artifact, plus a JSONL trace when
@@ -574,25 +558,14 @@ fn main() {
     }
     let probe_summary = summary_probe.finish();
 
-    let thread_baseline = thread_rows[0].1;
-    let thread_scaling: Vec<String> = thread_rows
-        .iter()
-        .map(|(t, ns)| {
-            format!(
-                "    {{\"threads\": {t}, \"sampled_per_round_ns\": {ns:.1}, \
-                 \"speedup_vs_1thread\": {:.2}}}",
-                thread_baseline / ns
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"mwem_scaling\",\n  \"rounds\": {},\n  \"queries\": {},\n  \
          \"budget\": {},\n  \"mwem_n\": {},\n  \"epsilon\": {},\n  \"beta\": {:e},\n  \
          \"smoke\": {smoke},\n  \"workload\": \"width-2 implicit marginals\",\n  \
          \"resample_every\": {},\n  \"dense_ref_log2_x\": {},\n  \
          \"dense_ns_per_elem_ref\": {:.4},\n  \"crossover_log2_x\": {crossover},\n  \
-         \"machine_threads\": {machine_threads},\n  \"threads_axis\": {},\n  \
-         \"sizes\": [\n{}\n  ],\n  \"thread_scaling\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
+         \"machine_threads\": {machine_threads},\n  \
+         \"sizes\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
         scale.rounds,
         scale.queries,
         scale.budget,
@@ -602,9 +575,7 @@ fn main() {
         scale.resample_every,
         scale.error_size,
         dense_ns_per_elem,
-        threads_axis_json(&axis),
         size_rows.join(",\n"),
-        thread_scaling.join(",\n"),
         probe_json(&probe_summary)
     );
     std::fs::write("BENCH_mwem.json", &json).expect("write BENCH_mwem.json");

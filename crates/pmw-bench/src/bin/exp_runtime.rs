@@ -24,6 +24,12 @@
 //! seconds-long CI variant (small sizes, few reps) that still writes a
 //! schema-complete artifact.
 //!
+//! The **thread axis** re-times the certificate sweep at the largest size
+//! with the sweep worker count forced to each listed value, and reports
+//! `speedup_vs_1thread` from it. It is the only thread axis any artifact
+//! carries: the sampled backend's pool sweeps are serial at every worker
+//! count, so there is nothing else for the axis to measure.
+//!
 //! A final **probed mirror run** (untimed, largest size) replays the
 //! kernel-3 workload under a live [`SummaryProbe`] and lands its
 //! per-phase latency table in the artifact's `"probe"` object; pass
@@ -291,13 +297,12 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     rows
 }
 
-/// One thread-axis row: the two representative parallel sweeps — the
-/// Θ(|X|) certificate kernel (universe axis) and the pooled sampled round
-/// (pool axis) — re-timed with the worker count forced to `threads`. The
-/// chunk boundaries are fixed independently of the worker count, so these
-/// rows measure pure scheduling: the numbers they produce are bit-for-bit
-/// the serial row's.
-fn measure_thread_row(log2_x: usize, budget: usize, rounds: usize, threads: usize) -> (f64, f64) {
+/// One thread-axis row: the Θ(|X|) certificate kernel, ns per element,
+/// re-timed with the worker count forced to `threads`. The chunk
+/// boundaries are fixed independently of the worker count, so the row
+/// measures pure scheduling: the numbers it produces are bit-for-bit the
+/// serial row's.
+fn measure_thread_row(log2_x: usize, threads: usize) -> f64 {
     pmw_data::par::with_threads(threads, || {
         let dim = log2_x;
         let m = 1usize << log2_x;
@@ -317,26 +322,7 @@ fn measure_thread_row(log2_x: usize, budget: usize, rounds: usize, threads: usiz
             )
             .unwrap();
         });
-        let mut rng = StdRng::seed_from_u64(99 + log2_x as u64);
-        let mut sampled = SampledBackend::new(
-            UniversePoints(cube),
-            SampledConfig {
-                budget,
-                ..SampledConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let start = Instant::now();
-        for t in 0..rounds {
-            let (loss, t_o, t_h, eta) = axis_round(dim, t);
-            sampled.record_borrowed(&loss, &t_o, &t_h, eta).unwrap();
-            black_box(sampled.certificate_mean(&loss, &t_o, &t_h).unwrap());
-        }
-        (
-            cert_ns / m as f64,
-            start.elapsed().as_nanos() as f64 / rounds as f64,
-        )
+        cert_ns / m as f64
     })
 }
 
@@ -394,20 +380,18 @@ fn main() {
         }
     }
 
-    // Thread axis: the representative parallel sweeps re-timed at each
-    // forced worker count. The chunked reductions use fixed boundaries,
-    // so every row computes identical bits — only the wall time moves.
+    // Thread axis: the certificate sweep re-timed at each forced worker
+    // count. The chunked reductions use fixed boundaries, so every row
+    // computes identical bits — only the wall time moves.
     let thread_counts = thread_axis();
     let thread_size = *sizes.last().unwrap();
-    println!(
-        "# thread axis (log2_x={thread_size}, budget={axis_budget}, machine threads={threads})"
-    );
-    header(&["threads", "certificate_ns_per_elem", "sampled_round_ns"]);
+    println!("# thread axis (log2_x={thread_size}, machine threads={threads})");
+    header(&["threads", "certificate_ns_per_elem", "speedup_vs_1thread"]);
     let mut thread_rows = Vec::new();
     for &t in &thread_counts {
-        let (cert, round) = measure_thread_row(thread_size, axis_budget, axis_rounds, t);
-        row(&format!("{t}"), &[cert, round]);
-        thread_rows.push((t, cert, round));
+        let cert = measure_thread_row(thread_size, t);
+        thread_rows.push((t, cert));
+        row(&format!("{t}"), &[cert, thread_rows[0].1 / cert]);
     }
 
     // Probed mirror run at the largest measured size: per-phase latency
@@ -472,14 +456,14 @@ fn main() {
             )
         })
         .collect();
-    let thread_baseline = thread_rows[0].2;
+    let thread_baseline = thread_rows[0].1;
     let thread_scaling: Vec<String> = thread_rows
         .iter()
-        .map(|(t, cert, round)| {
+        .map(|(t, cert)| {
             format!(
                 "    {{\"threads\": {t}, \"certificate_ns_per_elem\": {cert:.3}, \
-                 \"sampled_round_ns\": {round:.1}, \"speedup_vs_1thread\": {:.2}}}",
-                thread_baseline / round
+                 \"speedup_vs_1thread\": {:.2}}}",
+                thread_baseline / cert
             )
         })
         .collect();

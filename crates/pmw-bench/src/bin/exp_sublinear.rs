@@ -46,7 +46,7 @@
 //! (render it with the `run_report` binary).
 
 use pmw_bench::schema::extract_numbers;
-use pmw_bench::{header, mean_std, probe_json, row, thread_axis, threads_axis_json, trace_path};
+use pmw_bench::{header, mean_std, probe_json, row, trace_path};
 use pmw_core::update::dual_certificate;
 use pmw_core::{OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, Histogram, PointSource, Universe};
@@ -523,22 +523,7 @@ fn main() {
         );
     }
 
-    // Thread axis: the pooled round re-timed at each forced worker count
-    // (fixed chunk boundaries — identical bits, only wall time moves).
-    let axis = thread_axis();
     let machine_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "# thread axis (log2_x={error_size}, budget={budget}, machine threads={machine_threads})"
-    );
-    header(&["threads", "per_round_ns"]);
-    let mut thread_rows = Vec::new();
-    for &t in &axis {
-        let r = pmw_data::par::with_threads(t, || {
-            measure_sublinear(error_size, rounds.min(12), budget, false)
-        });
-        row(&format!("{t}"), &[r.per_round_ns]);
-        thread_rows.push((t, r.per_round_ns));
-    }
 
     // Long-horizon t-axis: the same pooled round driven t rounds deep,
     // uncompacted vs checkpoint-folded at the resample cadence. The
@@ -707,29 +692,16 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let thread_baseline = thread_rows[0].1;
-    let thread_scaling: Vec<String> = thread_rows
-        .iter()
-        .map(|(t, ns)| {
-            format!(
-                "    {{\"threads\": {t}, \"per_round_ns\": {ns:.1}, \
-                 \"speedup_vs_1thread\": {:.2}}}",
-                thread_baseline / ns
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"sublinear_scaling\",\n  \"budget\": {budget},\n  \
          \"rounds\": {rounds},\n  \"beta\": 1e-6,\n  \"parallel\": {parallel},\n  \
-         \"machine_threads\": {machine_threads},\n  \"threads_axis\": {},\n  \
+         \"machine_threads\": {machine_threads},\n  \
          \"smoke\": {smoke},\n  \"mechanism_n\": {mech_n},\n  \
          \"mechanism_queries\": {mech_queries},\n  \
          \"dense_ref_source\": \"{dense_ref_source}\",\n  \
-         \"sizes\": [\n{}\n  ],\n  \"thread_scaling\": [\n{}\n  ],\n  \
+         \"sizes\": [\n{}\n  ],\n  \
          \"t_axis\": {},\n  \"long_horizon\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
-        threads_axis_json(&axis),
         size_rows.join(",\n"),
-        thread_scaling.join(",\n"),
         t_axis_json,
         horizon_json.join(",\n"),
         probe_json(&probe_summary)

@@ -102,7 +102,7 @@ pub fn mw_update_reference(weights: &mut [f64], u: &[f64], eta: f64) {
     }
 }
 
-/// The worker counts every perf artifact reports per-thread-count rows
+/// The worker counts `BENCH_runtime.json` reports per-thread-count rows
 /// for: the serial baseline, a 2-worker point, and — when the machine has
 /// more cores — the full core count. The rows are measured in-process by
 /// forcing each count through [`pmw_data::par::with_threads`], so the

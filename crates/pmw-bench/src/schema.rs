@@ -59,11 +59,11 @@ fn require_non_negative(json: &str, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate the thread axis every perf artifact carries: a
-/// `"threads_axis"` array listing the serial baseline plus at least one
-/// multi-worker count, with a per-thread-count row (`"threads": <t>`) for
-/// each listed count. The rows are measured in-process with the worker
-/// count forced, so the axis exists even on single-core runners.
+/// Validate the thread axis of the runtime artifact: a `"threads_axis"`
+/// array listing the serial baseline plus at least one multi-worker count,
+/// with a per-thread-count row (`"threads": <t>`) for each listed count.
+/// The rows are measured in-process with the worker count forced, so the
+/// axis exists even on single-core runners.
 fn require_thread_axis(json: &str) -> Result<(), String> {
     let pos = json
         .find("\"threads_axis\":")
@@ -191,7 +191,6 @@ pub fn validate_bench_runtime(json: &str) -> Result<(), String> {
         }
     }
     require_thread_axis(json)?;
-    require_positive(json, "sampled_round_ns")?;
     require_probe_columns(json)
 }
 
@@ -282,7 +281,6 @@ pub fn validate_bench_sublinear(json: &str) -> Result<(), String> {
             ));
         }
     }
-    require_thread_axis(json)?;
     require_t_axis(json)?;
     require_probe_columns(json)
 }
@@ -347,7 +345,6 @@ pub fn validate_bench_mwem(json: &str) -> Result<(), String> {
     if !has_key(json, "crossover_log2_x") {
         return Err("missing \"crossover_log2_x\"".into());
     }
-    require_thread_axis(json)?;
     require_probe_columns(json)
 }
 
@@ -495,10 +492,8 @@ mod tests {
           ],
           "threads_axis": [1, 2],
           "thread_scaling": [
-            {"threads": 1, "certificate_ns_per_elem": 2.0, "sampled_round_ns": 800.0,
-             "speedup_vs_1thread": 1.0},
-            {"threads": 2, "certificate_ns_per_elem": 1.1, "sampled_round_ns": 430.0,
-             "speedup_vs_1thread": 1.86}
+            {"threads": 1, "certificate_ns_per_elem": 2.0, "speedup_vs_1thread": 1.0},
+            {"threads": 2, "certificate_ns_per_elem": 1.1, "speedup_vs_1thread": 1.82}
           ],
           "probe": {
             "mechanism": "online_pmw", "probed_rounds": 6,
@@ -569,11 +564,6 @@ mod tests {
              "radius_wins_hoeffding": 0, "radius_wins_ess": 20,
              "radius_wins_bernstein": 30}
           ],
-          "threads_axis": [1, 2],
-          "thread_scaling": [
-            {"threads": 1, "per_round_ns": 100000.0, "speedup_vs_1thread": 1.0},
-            {"threads": 2, "per_round_ns": 52000.0, "speedup_vs_1thread": 1.92}
-          ],
           "t_axis": [50, 500],
           "long_horizon": [
             {"t": 50, "per_round_ns_flat": 52000.0, "per_round_ns_uncompacted": 64000.0,
@@ -625,11 +615,6 @@ mod tests {
         assert!(validate_bench_sublinear(&negative_resamples).is_err());
         let no_wins = json.replace("\"radius_wins_ess\": 20,", "");
         assert!(validate_bench_sublinear(&no_wins).is_err());
-        // The thread axis is part of the contract.
-        let no_axis = json.replace("\"threads_axis\": [1, 2],", "");
-        assert!(validate_bench_sublinear(&no_axis)
-            .unwrap_err()
-            .contains("threads_axis"));
         // ... and so is the long-horizon axis: the t_axis array, one row
         // per listed horizon, and both per-round columns.
         let no_t_axis = json.replace("\"t_axis\": [50, 500],", "");
@@ -671,11 +656,6 @@ mod tests {
              "calibration_ratio": 20.0,
              "radius_wins_hoeffding": 0, "radius_wins_ess": 20,
              "radius_wins_bernstein": 30}
-          ],
-          "threads_axis": [1, 2],
-          "thread_scaling": [
-            {"threads": 1, "per_round_ns": 100000.0, "speedup_vs_1thread": 1.0},
-            {"threads": 2, "per_round_ns": 52000.0, "speedup_vs_1thread": 1.92}
           ],
           "t_axis": [50, 500],
           "long_horizon": [
@@ -730,11 +710,6 @@ mod tests {
              "radius_wins_hoeffding": 0, "radius_wins_ess": 20,
              "radius_wins_bernstein": 30}
           ],
-          "threads_axis": [1, 2],
-          "thread_scaling": [
-            {"threads": 1, "per_round_ns": 100000.0, "speedup_vs_1thread": 1.0},
-            {"threads": 2, "per_round_ns": 52000.0, "speedup_vs_1thread": 1.92}
-          ],
           "t_axis": [50, 500],
           "long_horizon": [
             {"t": 50, "per_round_ns_flat": 52000.0, "per_round_ns_uncompacted": 64000.0,
@@ -771,11 +746,6 @@ mod tests {
           "resample_every": 4, "dense_ref_log2_x": 16,
           "dense_ns_per_elem_ref": 3.2,
           "crossover_log2_x": 26,
-          "threads_axis": [1, 2],
-          "thread_scaling": [
-            {"threads": 1, "sampled_per_round_ns": 900000.0, "speedup_vs_1thread": 1.0},
-            {"threads": 2, "sampled_per_round_ns": 470000.0, "speedup_vs_1thread": 1.91}
-          ],
           "sizes": [
             {"log2_x": 16, "universe": 65536,
              "sampled_per_round_ns": 900000.0,
@@ -844,11 +814,6 @@ mod tests {
         assert!(validate_bench_mwem(&no_crossover)
             .unwrap_err()
             .contains("crossover"));
-        // The thread axis is part of the contract.
-        let no_axis = json.replace("\"threads_axis\": [1, 2],", "");
-        assert!(validate_bench_mwem(&no_axis)
-            .unwrap_err()
-            .contains("threads_axis"));
         // A runtime artifact is not a MWEM artifact.
         assert!(validate_bench_mwem("{\"experiment\": \"runtime_scaling\"}").is_err());
     }

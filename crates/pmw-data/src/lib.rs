@@ -46,8 +46,7 @@ pub use dataset::Dataset;
 pub use error::DataError;
 pub use histogram::Histogram;
 pub use logweight::{
-    gumbel_max_among, gumbel_max_index, gumbel_max_slice, standard_gumbel, LogWeightFn,
-    PointLogWeights,
+    gumbel_max_among, gumbel_max_index, standard_gumbel, LogWeightFn, PointLogWeights,
 };
 pub use matrix::PointMatrix;
 pub use source::{BigBitCube, PointSource, UniversePoints};

@@ -137,69 +137,6 @@ pub fn gumbel_max_index<W: LogWeightFn + ?Sized, R: Rng + ?Sized>(w: &W, rng: &m
         .0
 }
 
-/// [`gumbel_max_index`] over a materialized log-weight slice, with the
-/// argmax sweep chunked by a [`ChunkPlan`](crate::par::ChunkPlan).
-///
-/// The Gumbel keys are drawn **sequentially in index order** (skipping `-∞`
-/// entries without consuming a draw, exactly like [`gumbel_max_index`]), so
-/// the RNG stream is identical to the streaming sampler; only the argmax
-/// over the buffered keys is parallelized. Ties and the first-max-wins rule
-/// resolve in index order in both paths, so for the same `rng` state this
-/// returns the same index as `gumbel_max_index(&log_w, rng)` — bit-for-bit,
-/// at any thread count.
-///
-/// # Panics
-/// Panics when every log-weight is `-∞` or the slice is empty, matching
-/// [`gumbel_max_index`].
-pub fn gumbel_max_slice<R: Rng + ?Sized>(
-    log_w: &[f64],
-    plan: crate::par::ChunkPlan,
-    rng: &mut R,
-) -> usize {
-    debug_assert_eq!(plan.len(), log_w.len(), "plan/slice length mismatch");
-    let mut keys = vec![f64::NEG_INFINITY; log_w.len()];
-    for (key, &lw) in keys.iter_mut().zip(log_w) {
-        debug_assert!(!lw.is_nan(), "log-weight must not be NaN");
-        if lw != f64::NEG_INFINITY {
-            *key = lw + standard_gumbel(rng);
-        }
-    }
-    let best = crate::par::plan_fold(
-        plan,
-        &keys,
-        |offset, chunk| {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &key) in chunk.iter().enumerate() {
-                // Mask on the *input* being -∞ (not the key), so a finite
-                // weight whose key underflows still competes, exactly as in
-                // the streaming sampler.
-                if log_w[offset + i] == f64::NEG_INFINITY {
-                    continue;
-                }
-                if best.is_none_or(|(_, b)| key > b) {
-                    best = Some((offset + i, key));
-                }
-            }
-            best
-        },
-        // Strict `>` keeps the earlier chunk's entry on ties: combined in
-        // chunk order this is exactly the global first-max-wins scan.
-        |a, b| match (a, b) {
-            (Some(x), Some(y)) => {
-                if y.1 > x.1 {
-                    Some(y)
-                } else {
-                    Some(x)
-                }
-            }
-            (x, None) => x,
-            (None, y) => y,
-        },
-    );
-    best.expect("gumbel_max_slice needs at least one finite log-weight")
-        .0
-}
-
 /// [`gumbel_max_index`] restricted to an explicit candidate set: an exact
 /// draw from `w(x)/Σ_{y ∈ candidates} w(y)`.
 ///
@@ -305,34 +242,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(35);
         assert_eq!(gumbel_max_among(&h, &[0, 2], &mut rng), None);
         assert!(gumbel_max_among(&h, &[], &mut rng).is_none());
-    }
-
-    #[test]
-    fn gumbel_max_slice_matches_streaming_sampler_bit_for_bit() {
-        use crate::par::{with_threads, ChunkPlan};
-        // Ragged lengths, -∞ holes, and several grains: the buffered
-        // sampler must consume the identical RNG stream and return the
-        // identical index as the streaming one, at every thread count.
-        for (len, grain) in [(5usize, 2usize), (193, 64), (1000, 64), (2048, 256)] {
-            let mut log_w: Vec<f64> = (0..len).map(|i| -((i % 17) as f64) * 0.25).collect();
-            log_w[len / 3] = f64::NEG_INFINITY;
-            log_w[2 * len / 3] = f64::NEG_INFINITY;
-            let plan = ChunkPlan::with_grain(len, grain);
-            for seed in 0..20u64 {
-                let mut rng_a = StdRng::seed_from_u64(seed);
-                let mut rng_b = StdRng::seed_from_u64(seed);
-                let streaming = gumbel_max_index(log_w.as_slice(), &mut rng_a);
-                let buffered = gumbel_max_slice(&log_w, plan, &mut rng_b);
-                assert_eq!(buffered, streaming, "len {len} grain {grain} seed {seed}");
-                // Both samplers must leave the RNG in the same state.
-                assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
-                for t in [2usize, 8] {
-                    let mut rng_t = StdRng::seed_from_u64(seed);
-                    let threaded = with_threads(t, || gumbel_max_slice(&log_w, plan, &mut rng_t));
-                    assert_eq!(threaded, streaming, "threads {t} seed {seed}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -45,6 +45,11 @@
 //! [`SamplingAccountant`] ledger, alongside — not inside — the privacy
 //! accountant: sampling public state is free in privacy but not in
 //! accuracy.
+//!
+//! Every pool sweep is a plain serial loop in slot order, whatever the
+//! `parallel` feature or the sweep worker count: a 2048-slot sweep takes
+//! about 1.4 µs on one core, well under the 11–13 µs it costs to hand one
+//! job to a parked worker and wait for it, so splitting it only loses.
 
 use crate::error::SketchError;
 use crate::health::PoolHealth;
@@ -52,8 +57,7 @@ use crate::log::{CompactionPolicy, RoundUpdate, UpdateLog};
 use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
 use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
-use pmw_data::par::{plan_fold, plan_fold_mut, plan_for_each_mut, ChunkPlan};
-use pmw_data::{gumbel_max_slice, Histogram, PointMatrix, PointQuery};
+use pmw_data::{gumbel_max_index, Histogram, PointMatrix, PointQuery};
 use pmw_dp::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
     hoeffding_radius, uncovered_mass_bound, RadiusBound, SamplingAccountant,
@@ -186,62 +190,6 @@ pub struct MaxEstimate {
     pub beta: f64,
 }
 
-/// Chunk grain for pool-axis sweeps. Pool sweeps do real per-element work
-/// (loss gradients, `O(t·d)` log replay), so they parallelize profitably at
-/// much smaller chunks than the universe-sized elementwise passes behind
-/// [`pmw_data::par::PAR_THRESHOLD`]; 256 splits the default 2048-candidate
-/// escalation pools eight ways while leaving every ≤256-budget test pool a
-/// single chunk (whose accumulation order is unchanged from the historical
-/// sequential sweep).
-const POOL_GRAIN: usize = 256;
-
-/// The SNIS accumulator of one moment sweep: the estimate Σŵ·f plus the
-/// weight/value second moments (Σŵ², Σŵ²f, Σŵ²f²) the adaptive bounds read.
-/// Merging is elementwise addition, applied strictly in chunk order.
-#[derive(Debug, Clone, Copy, Default)]
-struct MomentAcc {
-    value: f64,
-    w_sq: f64,
-    w_sq_f: f64,
-    w_sq_f_sq: f64,
-}
-
-impl MomentAcc {
-    fn merge(self, other: Self) -> Self {
-        Self {
-            value: self.value + other.value,
-            w_sq: self.w_sq + other.w_sq,
-            w_sq_f: self.w_sq_f + other.w_sq_f,
-            w_sq_f_sq: self.w_sq_f_sq + other.w_sq_f_sq,
-        }
-    }
-}
-
-/// One chunk of the SNIS moment sweep: evaluate `f` on every
-/// positive-weight slot of the block (slots are global: `offset + i`) and
-/// accumulate the four moments in slot order. The single kernel both the
-/// sequential (`FnMut`) and parallel (`Fn` per chunk) estimate paths run,
-/// which is what makes their floats identical.
-fn chunk_moments<E>(
-    offset: usize,
-    block: &[f64],
-    dim: usize,
-    w: &[f64],
-    f: &mut impl FnMut(usize, &[f64]) -> Result<f64, E>,
-) -> Result<MomentAcc, E> {
-    let mut acc = MomentAcc::default();
-    for (i, (point, wi)) in block.chunks_exact(dim).zip(w).enumerate() {
-        if *wi > 0.0 {
-            let fv = f(offset + i, point)?;
-            acc.value += wi * fv;
-            acc.w_sq += wi * wi;
-            acc.w_sq_f += wi * wi * fv;
-            acc.w_sq_f_sq += wi * wi * fv * fv;
-        }
-    }
-    Ok(acc)
-}
-
 /// The borrowed read-state shared by the live [`SampledBackend`] and its
 /// published [`SampledSnapshot`]s: the pool triple plus the scalar
 /// parameters every SNIS estimate and concentration bound reads. Keeping
@@ -261,11 +209,6 @@ struct SketchReadView<'a> {
     fold_drift: f64,
     beta: f64,
     max_usable_radius: f64,
-    /// The pool's fixed chunk layout, hoisted once per pool size and shared
-    /// by every sweep (SNIS, moments, payoffs, replay, Gumbel argmax) so
-    /// all reductions run in the same chunk order — bit-for-bit identical
-    /// across thread counts and across the `parallel` feature.
-    plan: ChunkPlan,
 }
 
 impl SketchReadView<'_> {
@@ -277,36 +220,22 @@ impl SketchReadView<'_> {
     /// (softmax of the cached log-weights) plus the shifted normalizer
     /// mean `B̂' = (1/m)Σ exp(log w_i − shift)` and the shift itself.
     fn snis(&self) -> (Vec<f64>, f64, f64) {
-        // Chunked max (associative, so chunking cannot change the result),
-        // then a fused exp-and-sum pass whose partial sums combine in the
-        // plan's fixed chunk order, then an elementwise normalize.
-        let shift = plan_fold(
-            self.plan,
-            self.pool_log_w,
-            |_, chunk| chunk.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
-            f64::max,
-        );
-        let mut w = vec![0.0; self.pool_log_w.len()];
-        let total = plan_fold_mut(
-            self.plan,
-            &mut w,
-            |offset, chunk| {
-                let mut sum = 0.0;
-                for (v, &lw) in chunk.iter_mut().zip(&self.pool_log_w[offset..]) {
-                    *v = (lw - shift).exp();
-                    sum += *v;
-                }
-                sum
-            },
-            |a, b| a + b,
-        );
+        let shift = self
+            .pool_log_w
+            .iter()
+            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        let mut total = 0.0;
+        let mut w = Vec::with_capacity(self.pool_log_w.len());
+        for &lw in self.pool_log_w {
+            let v = (lw - shift).exp();
+            total += v;
+            w.push(v);
+        }
         debug_assert!(total > 0.0 && total.is_finite());
         let mean_shifted = total / w.len() as f64;
-        plan_for_each_mut(self.plan, &mut w, |_, chunk| {
-            for v in chunk {
-                *v /= total;
-            }
-        });
+        for v in &mut w {
+            *v /= total;
+        }
         (w, mean_shifted, shift)
     }
 
@@ -337,11 +266,9 @@ impl SketchReadView<'_> {
     /// Generic over the error type so the live path keeps surfacing
     /// [`SketchError`] while snapshot reads surface [`PmwError`] directly.
     ///
-    /// Sequential (the closure is `FnMut`, the shape the [`MeanFn`] trait
-    /// route hands us), but iterating the plan's chunks in chunk order —
-    /// the exact accumulation the parallel sibling
-    /// [`Self::estimate_mean_par`] reproduces, so both paths agree
-    /// bit-for-bit.
+    /// One pass over the positive-weight slots in slot order accumulates
+    /// the estimate Σŵ·f plus the weight/value second moments (Σŵ², Σŵ²f,
+    /// Σŵ²f²) the adaptive bounds read.
     fn estimate_mean<E: From<SketchError>>(
         &self,
         ledger: &Mutex<SamplingAccountant>,
@@ -350,80 +277,16 @@ impl SketchReadView<'_> {
         mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
     ) -> Result<Estimate, E> {
         let (w, mean_shifted, shift) = self.snis();
-        let dim = self.pool_points.dim();
-        let mut acc: Option<MomentAcc> = None;
-        for i in 0..self.plan.n_chunks() {
-            let (lo, hi) = self.plan.bounds(i);
-            let block = self.pool_points.row_block(lo, hi);
-            let part = chunk_moments(lo, block, dim, &w[lo..hi], &mut f)?;
-            acc = Some(match acc {
-                None => part,
-                Some(prev) => prev.merge(part),
-            });
+        let (mut value, mut w_sq, mut w_sq_f, mut w_sq_f_sq) = (0.0, 0.0, 0.0, 0.0);
+        for (slot, (point, &wi)) in self.pool_points.iter().zip(&w).enumerate() {
+            if wi > 0.0 {
+                let fv = f(slot, point)?;
+                value += wi * fv;
+                w_sq += wi * wi;
+                w_sq_f += wi * wi * fv;
+                w_sq_f_sq += wi * wi * fv * fv;
+            }
         }
-        self.finish_estimate(
-            ledger,
-            label,
-            scale,
-            acc.unwrap_or_default(),
-            mean_shifted,
-            shift,
-        )
-    }
-
-    /// Parallel sibling of [`Self::estimate_mean`]: the per-point closure
-    /// is `Fn + Sync` and receives a per-chunk gradient scratch, so chunks
-    /// evaluate concurrently. Per-chunk moments combine **in chunk order**
-    /// (first error in chunk order wins), making the result bit-for-bit
-    /// identical to the sequential path at any thread count.
-    fn estimate_mean_par<E>(
-        &self,
-        ledger: &Mutex<SamplingAccountant>,
-        label: &'static str,
-        scale: f64,
-        f: impl Fn(usize, &[f64], &mut Vec<f64>) -> Result<f64, E> + Sync,
-    ) -> Result<Estimate, E>
-    where
-        E: From<SketchError> + Send,
-    {
-        let (w, mean_shifted, shift) = self.snis();
-        let dim = self.pool_points.dim();
-        let flat = self.pool_points.as_flat();
-        let acc = plan_fold(
-            self.plan,
-            &w,
-            |offset, wc| {
-                let block = &flat[offset * dim..(offset + wc.len()) * dim];
-                let mut grad = Vec::new();
-                let mut g = |slot: usize, point: &[f64]| f(slot, point, &mut grad);
-                chunk_moments(offset, block, dim, wc, &mut g)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x.merge(y)),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        )?;
-        self.finish_estimate(ledger, label, scale, acc, mean_shifted, shift)
-    }
-
-    /// The minimum-of-three-bounds tail shared by the sequential and
-    /// parallel moment sweeps.
-    fn finish_estimate<E: From<SketchError>>(
-        &self,
-        ledger: &Mutex<SamplingAccountant>,
-        label: &'static str,
-        scale: f64,
-        acc: MomentAcc,
-        mean_shifted: f64,
-        shift: f64,
-    ) -> Result<Estimate, E> {
-        let MomentAcc {
-            value,
-            w_sq,
-            w_sq_f,
-            w_sq_f_sq,
-        } = acc;
         // Deterministic fold bias: pool weights distorted by up to
         // `fold_drift` in log-space shift any bounded mean by at most
         // 2·scale·tanh(fold_drift) — a sure (β-free) claim added on top
@@ -507,12 +370,7 @@ impl SketchReadView<'_> {
     fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound, f64) {
         let beta = self.beta;
         let (w, mean_shifted, shift) = self.snis();
-        let w_sq: f64 = plan_fold(
-            self.plan,
-            &w,
-            |_, chunk| chunk.iter().map(|v| v * v).sum::<f64>(),
-            |a, b| a + b,
-        );
+        let w_sq: f64 = w.iter().map(|v| v * v).sum();
         let envelope = self.envelope_radius(scale, beta / 4.0, shift, mean_shifted);
         // ŵ sums to 1, so ESS = 1/Σŵ².
         let ess = effective_sample_size(1.0, w_sq);
@@ -555,7 +413,6 @@ pub struct SampledSnapshot {
     universe_size: usize,
     dim: usize,
     updates: usize,
-    plan: ChunkPlan,
     ledger: Arc<Mutex<SamplingAccountant>>,
 }
 
@@ -570,7 +427,6 @@ impl SampledSnapshot {
             fold_drift: self.fold_drift,
             beta: self.beta,
             max_usable_radius: self.max_usable_radius,
-            plan: self.plan,
         }
     }
 
@@ -625,11 +481,11 @@ impl ReadSnapshot for SampledSnapshot {
         crate::log::validate_query_shape(query, self.universe_size, self.dim)?;
         let (lo, hi) = query.value_bounds();
         let scale = lo.abs().max(hi.abs());
-        let est = self.view().estimate_mean_par::<PmwError>(
+        let est = self.view().estimate_mean::<PmwError>(
             &self.ledger,
             "query-mean",
             scale,
-            |slot, point, _grad| {
+            |slot, point| {
                 crate::log::query_value_at(query, self.pool_indices[slot], point)
                     .map_err(PmwError::from)
             },
@@ -757,11 +613,6 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     /// Round at which a read snapshot was last published (`None` before
     /// the first publication) — drives the `snapshot_age` health gauge.
     published_round: Cell<Option<usize>>,
-    /// Fixed chunk layout of the pool, hoisted here once per pool size
-    /// (construction, growth, restore) and reused by every sweep of every
-    /// round instead of being recomputed per call. Boundaries depend only
-    /// on `(pool size, POOL_GRAIN)`, never on the thread count.
-    plan: ChunkPlan,
 }
 
 /// Everything a failed round must restore: the pool triple, the log
@@ -862,7 +713,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             bufs: RefCell::new((vec![0.0; dim], Vec::new())),
             ledger: Arc::new(Mutex::new(SamplingAccountant::new())),
             published_round: Cell::new(None),
-            plan: ChunkPlan::with_grain(m, POOL_GRAIN),
         })
     }
 
@@ -924,7 +774,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             universe_size: self.source.len(),
             dim: self.source.dim(),
             updates: self.log.len(),
-            plan: self.plan,
             ledger: Arc::clone(&self.ledger),
         })
     }
@@ -1021,38 +870,22 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             });
         }
         // Two passes (evaluate, then apply) so a failed evaluation leaves
-        // the pool untouched. Both passes run chunked over the hoisted pool
-        // plan: payoffs and the log-weight decrement are per-element (no
-        // reduction), so chunking cannot change any value; the first error
-        // in chunk order wins, matching the sequential sweep.
+        // the pool untouched.
         self.probe.span_begin(Phase::PoolSweep);
-        let dim = self.source.dim();
-        let flat = self.pool_points.as_flat();
-        let mut payoffs = vec![0.0; self.pool_log_w.len()];
-        let evaluated = plan_fold_mut(
-            self.plan,
-            &mut payoffs,
-            |offset, chunk| {
-                let mut grad = Vec::new();
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                for (slot, point) in chunk.iter_mut().zip(block.chunks_exact(dim)) {
-                    *slot = update.payoff(point, &mut grad)?;
-                }
-                Ok::<(), SketchError>(())
-            },
-            Result::and,
-        );
-        if let Err(e) = evaluated {
-            self.probe.span_end(Phase::PoolSweep);
-            return Err(e);
-        }
-        let eta = update.eta();
-        plan_for_each_mut(self.plan, &mut self.pool_log_w, |offset, chunk| {
-            for (lw, u) in chunk.iter_mut().zip(&payoffs[offset..]) {
+        let mut grad = Vec::new();
+        let payoffs: Result<Vec<f64>, SketchError> = self
+            .pool_points
+            .iter()
+            .map(|point| update.payoff(point, &mut grad))
+            .collect();
+        if let Ok(payoffs) = &payoffs {
+            let eta = update.eta();
+            for (lw, u) in self.pool_log_w.iter_mut().zip(payoffs) {
                 *lw -= eta * u;
             }
-        });
+        }
         self.probe.span_end(Phase::PoolSweep);
+        payoffs?;
         self.log.push(update);
         // Health sampling: pure arithmetic over the cached log-weights —
         // no RNG, no ledger entry, so default-config runs stay bit-for-bit.
@@ -1100,62 +933,19 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             return Ok(());
         }
         let n = self.source.len();
-        let dim = self.source.dim();
         let m = self.pool_indices.len();
         let indices: Vec<usize> = (0..m).map(|_| rng.random_range(0..n)).collect();
-        let mut flat = vec![0.0; m * dim];
-        let mut log_w = vec![0.0; m];
         self.probe.span_begin(Phase::LogReplay);
-        // Materialize sequentially ([`PointSource`] is not required to
-        // be `Sync`), then replay the `O(t·d)`-per-candidate log sweep
-        // chunked over the flat block. Each log-weight is a
-        // per-candidate value (no cross-candidate reduction), so the
-        // chunked replay is bit-for-bit the sequential one.
-        for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
-            self.source.write_point(idx, row);
-        }
-        let log = &self.log;
-        let checkpoint_missing = log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        // The fold returns whether any candidate missed the checkpoint
-        // panel (had to replay unseeded, inheriting the full folded-drift
-        // distortion bound instead of the panel's tighter one).
-        let replayed = plan_fold_mut(
-            self.plan,
-            &mut log_w,
-            |offset, chunk| {
-                let mut grad = Vec::new();
-                let mut any_unseeded = false;
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                for ((slot, row), &idx) in chunk
-                    .iter_mut()
-                    .zip(block.chunks_exact(dim))
-                    .zip(&indices[offset..])
-                {
-                    let (lw, seeded) = log.log_weight_seeded(idx, row, &mut grad)?;
-                    *slot = lw;
-                    any_unseeded |= !seeded;
-                }
-                Ok::<bool, SketchError>(any_unseeded)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x || y),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        );
+        let replayed = self.replay_candidates(&indices);
         self.probe.span_end(Phase::LogReplay);
-        let any_unseeded = replayed?;
+        let (flat, log_w, missing_drift) = replayed?;
         // All fresh state computed; swap atomically so a failed
         // re-evaluation above leaves the old pool untouched.
-        self.pool_points = PointMatrix::from_flat(flat, dim)
+        self.pool_points = PointMatrix::from_flat(flat, self.source.dim())
             .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
         self.pool_indices = indices;
         self.pool_log_w = log_w;
-        self.pool_missing_drift = if any_unseeded {
-            self.log.folded_drift()
-        } else {
-            checkpoint_missing
-        };
+        self.pool_missing_drift = missing_drift;
         self.last_replay_depth = self.log.retained_len();
         if P::ENABLED {
             self.probe
@@ -1195,83 +985,29 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let n = self.source.len();
         let dim = self.source.dim();
         let m = self.pool_size();
-        // Replay of the fresh candidates runs chunked over their flat
-        // block: each log-weight is an independent `O(t·d)` evaluation, so
-        // the chunked sweep is bit-for-bit the sequential one. Points are
-        // materialized sequentially first ([`PointSource`] is not required
-        // to be `Sync`), and all RNG draws happen up front in the original
-        // order (the replay itself consumes none), keeping the rng stream
-        // identical to the historical interleaved loop.
-        let checkpoint_missing = self.log.checkpoint().map_or(0.0, |c| c.missing_drift());
-        // Returns whether any candidate missed the checkpoint panel and
-        // had to replay unseeded (inheriting the full folded-drift bound).
-        let replay = |flat: &[f64], idxs: &[usize], log_w: &mut [f64], log: &UpdateLog| {
-            plan_fold_mut(
-                ChunkPlan::with_grain(log_w.len(), POOL_GRAIN),
-                log_w,
-                |offset, chunk| {
-                    let mut grad = Vec::new();
-                    let mut any_unseeded = false;
-                    let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                    for ((slot, row), &idx) in chunk
-                        .iter_mut()
-                        .zip(block.chunks_exact(dim))
-                        .zip(&idxs[offset..])
-                    {
-                        let (lw, seeded) = log.log_weight_seeded(idx, row, &mut grad)?;
-                        *slot = lw;
-                        any_unseeded |= !seeded;
-                    }
-                    Ok::<bool, SketchError>(any_unseeded)
-                },
-                |a, b| match (a, b) {
-                    (Ok(x), Ok(y)) => Ok(x || y),
-                    (Err(e), _) => Err(e),
-                    (_, Err(e)) => Err(e),
-                },
-            )
-        };
         if target >= n {
             // The doubled pool would cover the universe: enumerate it once
             // and become exhaustive — every later estimate is exact in
             // sampling (any lossy-fold bias still applies, tracked below).
             let indices: Vec<usize> = (0..n).collect();
-            let mut flat = vec![0.0; n * dim];
-            for (row, &idx) in flat.chunks_exact_mut(dim).zip(&indices) {
-                self.source.write_point(idx, row);
-            }
-            let mut log_w = vec![0.0; n];
-            let any_unseeded = replay(&flat, &indices, &mut log_w, &self.log)?;
+            let (flat, log_w, missing_drift) = self.replay_candidates(&indices)?;
             self.pool_points = PointMatrix::from_flat(flat, dim)
                 .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
             self.pool_indices = indices;
             self.pool_log_w = log_w;
             self.exhaustive = true;
-            self.pool_missing_drift = if any_unseeded {
-                self.log.folded_drift()
-            } else {
-                checkpoint_missing
-            };
+            self.pool_missing_drift = missing_drift;
         } else {
+            // All RNG draws happen up front in the original order (the
+            // replay itself consumes none), keeping the rng stream
+            // identical to the historical interleaved loop.
             let fresh: Vec<usize> = (m..target).map(|_| rng.random_range(0..n)).collect();
-            let mut fresh_flat = vec![0.0; fresh.len() * dim];
-            for (row, &idx) in fresh_flat.chunks_exact_mut(dim).zip(&fresh) {
-                self.source.write_point(idx, row);
-            }
-            let mut fresh_log_w = vec![0.0; fresh.len()];
-            let any_unseeded = replay(&fresh_flat, &fresh, &mut fresh_log_w, &self.log)?;
+            let (fresh_flat, fresh_log_w, fresh_missing) = self.replay_candidates(&fresh)?;
             // The existing slots keep their own distortion bound; the
             // appended ones carry theirs — the pool-wide bound is the max.
-            let fresh_missing = if any_unseeded {
-                self.log.folded_drift()
-            } else {
-                checkpoint_missing
-            };
             self.pool_missing_drift = self.pool_missing_drift.max(fresh_missing);
             let mut flat = Vec::with_capacity(target * dim);
-            for row in self.pool_points.iter() {
-                flat.extend_from_slice(row);
-            }
+            flat.extend_from_slice(self.pool_points.as_flat());
             flat.extend_from_slice(&fresh_flat);
             let mut indices = self.pool_indices.clone();
             indices.extend_from_slice(&fresh);
@@ -1287,8 +1023,40 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             self.probe
                 .gauge(Gauge::ReplayRounds, self.last_replay_depth as f64);
         }
-        self.plan = ChunkPlan::with_grain(self.pool_indices.len(), POOL_GRAIN);
         Ok(())
+    }
+
+    /// Materialize the candidates at `indices` and replay each one's
+    /// log-weight from the newest checkpoint plus the retained log
+    /// ([`UpdateLog::log_weight_seeded`]) — `O(t_retained·d)` per
+    /// candidate. Returns the flat points, the log-weights, and the
+    /// distortion bound they carry: the checkpoint's `missing_drift` when
+    /// every candidate hit its panel, the full folded drift when any had
+    /// to replay unseeded. Mutates nothing, so a failed replay leaves the
+    /// pool untouched.
+    fn replay_candidates(
+        &self,
+        indices: &[usize],
+    ) -> Result<(Vec<f64>, Vec<f64>, f64), SketchError> {
+        let dim = self.source.dim();
+        let mut flat = vec![0.0; indices.len() * dim];
+        for (row, &idx) in flat.chunks_exact_mut(dim).zip(indices) {
+            self.source.write_point(idx, row);
+        }
+        let mut grad = Vec::new();
+        let mut any_unseeded = false;
+        let mut log_w = Vec::with_capacity(indices.len());
+        for (row, &idx) in flat.chunks_exact(dim).zip(indices) {
+            let (lw, seeded) = self.log.log_weight_seeded(idx, row, &mut grad)?;
+            log_w.push(lw);
+            any_unseeded |= !seeded;
+        }
+        let missing_drift = if any_unseeded {
+            self.log.folded_drift()
+        } else {
+            self.log.checkpoint().map_or(0.0, |c| c.missing_drift())
+        };
+        Ok((flat, log_w, missing_drift))
     }
 
     /// [`SampledBackend::resample`] when a refresh is due per
@@ -1422,7 +1190,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let truncated = self.log.truncate(snap.log_len);
         self.pending_events.truncate(snap.events_len);
         let m = self.pool_indices.len();
-        self.plan = ChunkPlan::with_grain(m, POOL_GRAIN);
         if truncated.is_err()
             || self.pool_log_w.len() != m
             || self.pool_points.len() != m
@@ -1610,7 +1377,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             fold_drift: self.pool_missing_drift,
             beta: self.config.beta,
             max_usable_radius: self.config.max_usable_radius,
-            plan: self.plan,
         }
     }
 
@@ -1639,20 +1405,17 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// nothing) and provably never exceeds the envelope-only bound this
     /// backend used to claim.
     ///
-    /// `Fn + Sync` integrands (certificate payoffs, query values) let the
-    /// pool's moment sweep run chunked across cores, with per-chunk
-    /// gradient scratch and chunk-ordered combining — bit-for-bit the
-    /// single-threaded estimate at any thread count. The heavy lifting is
-    /// shared with published snapshots through [`SketchReadView`].
-    fn estimate_mean_par(
+    /// The heavy lifting is shared with published snapshots through
+    /// [`SketchReadView`].
+    fn estimate_mean(
         &self,
         label: &'static str,
         scale: f64,
-        f: impl Fn(usize, &[f64], &mut Vec<f64>) -> Result<f64, SketchError> + Sync,
+        f: impl FnMut(usize, &[f64]) -> Result<f64, SketchError>,
     ) -> Result<Estimate, SketchError> {
         self.ensure_usable()?;
         self.probe.span_begin(Phase::Estimate);
-        let result = self.view().estimate_mean_par(&self.ledger, label, scale, f);
+        let result = self.view().estimate_mean(&self.ledger, label, scale, f);
         self.probe.span_end(Phase::Estimate);
         let est = result?;
         if P::ENABLED {
@@ -1739,9 +1502,9 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             });
         }
         let scale = loss.scale_bound();
-        self.estimate_mean_par("certificate-mean", scale, |_slot, point, grad| {
-            grad.resize(loss.dim(), 0.0);
-            dual_certificate_at(loss, point, theta_oracle, theta_hyp, grad)
+        let mut grad = vec![0.0; loss.dim()];
+        self.estimate_mean("certificate-mean", scale, |_slot, point| {
+            dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
                 .map_err(|_| SketchError::NonFinite("certificate payoff"))
         })
     }
@@ -1757,11 +1520,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         crate::log::validate_query_shape(query, self.source.len(), self.source.dim())?;
         let (lo, hi) = query.value_bounds();
         let scale = lo.abs().max(hi.abs());
-        // Capture only the Sync pieces (not `self`, whose source and
-        // scratch cells need not be shareable across sweep workers).
-        let pool_indices = self.pool_indices.as_slice();
-        self.estimate_mean_par("query-mean", scale, move |slot, point, _grad| {
-            crate::log::query_value_at(query, pool_indices[slot], point)
+        self.estimate_mean("query-mean", scale, |slot, point| {
+            crate::log::query_value_at(query, self.pool_indices[slot], point)
         })
     }
 
@@ -1781,31 +1541,13 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
                 expected: self.source.dim(),
             });
         }
-        // Chunked max over the pool: payoffs are per-element and max is
-        // associative, so the chunked sweep returns exactly the sequential
-        // maximum; the first error in chunk order wins.
-        let dim = self.source.dim();
-        let flat = self.pool_points.as_flat();
-        let value = plan_fold(
-            self.plan,
-            self.pool_log_w.as_slice(),
-            |offset, chunk| {
-                let mut grad = vec![0.0; loss.dim()];
-                let block = &flat[offset * dim..(offset + chunk.len()) * dim];
-                let mut best = f64::NEG_INFINITY;
-                for point in block.chunks_exact(dim) {
-                    let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
-                        .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
-                    best = best.max(u);
-                }
-                Ok::<f64, SketchError>(best)
-            },
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok(x.max(y)),
-                (Err(e), _) => Err(e),
-                (_, Err(e)) => Err(e),
-            },
-        )?;
+        let mut grad = vec![0.0; loss.dim()];
+        let mut value = f64::NEG_INFINITY;
+        for point in self.pool_points.iter() {
+            let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
+                .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
+            value = value.max(u);
+        }
         let (uncovered, beta, bound) = if self.exhaustive {
             (0.0, 0.0, RadiusBound::Exact)
         } else {
@@ -1830,9 +1572,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// the cached pool log-weights — exact for `D̂_t` conditioned on the
     /// pool (exact for `D̂_t` itself when exhaustive). `O(m)`.
     pub fn sample_index(&self, rng: &mut dyn Rng) -> usize {
-        // Keys are drawn sequentially (identical rng stream to the
-        // streaming sampler); only the argmax is chunked over the plan.
-        let slot = gumbel_max_slice(&self.pool_log_w, self.plan, rng);
+        let slot = gumbel_max_index(self.pool_log_w.as_slice(), rng);
         self.pool_indices[slot]
     }
 

@@ -3,6 +3,7 @@
 //! round, for both sketch backends — and stays immutable and sane while
 //! the writer keeps updating, failing, and rolling back around it.
 
+use pmw_core::update::dual_certificate_at;
 use pmw_core::{OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
 use pmw_data::workload::ImplicitQuery;
 use pmw_data::{BooleanCube, Dataset, PointQuery, Universe};
@@ -46,10 +47,11 @@ fn bit_query(bit: usize) -> ImplicitQuery {
 }
 
 /// Bitwise comparison of a snapshot's reads against the live sampled
-/// backend at the same round: query means (value, radius, beta), the
-/// hypothesis minimizer, and the claimed read radius.
+/// backend (over a `dim`-bit cube) at the same round: query means (value,
+/// radius, beta) and the claimed read radius.
 fn assert_sampled_snapshot_matches_live(
     backend: &SampledBackend<UniversePoints<BooleanCube>>,
+    dim: usize,
     round: usize,
 ) {
     let snapshot = backend.publish_snapshot().unwrap();
@@ -57,8 +59,8 @@ fn assert_sampled_snapshot_matches_live(
     assert_eq!(snapshot.universe_size(), backend.universe_size());
     assert_eq!(snapshot.pool_size(), backend.pool_size());
 
-    for bit in 0..DIM {
-        let query = bit_query(bit);
+    for bit in 0..dim {
+        let query = ImplicitQuery::threshold(bit, 0.5, dim).unwrap();
         let live = backend.query_mean(&query as &dyn PointQuery);
         let snap = snapshot.expected_query_value(&query as &dyn PointQuery, None);
         match (live, snap) {
@@ -106,7 +108,7 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
     .unwrap();
 
     // Round 0 (uniform state) and then mid-run after every answer.
-    assert_sampled_snapshot_matches_live(mech.state(), 0);
+    assert_sampled_snapshot_matches_live(mech.state(), DIM, 0);
     let mut snapshots: Vec<(usize, Arc<dyn ReadSnapshot>)> = Vec::new();
     for q in 0..8usize {
         let loss = bit_loss(q % DIM);
@@ -114,7 +116,7 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
             Ok(_) | Err(PmwError::Halted) => {}
             Err(e) => panic!("unexpected error: {e:?}"),
         }
-        assert_sampled_snapshot_matches_live(mech.state(), q + 1);
+        assert_sampled_snapshot_matches_live(mech.state(), DIM, q + 1);
         snapshots.push((mech.updates_used(), mech.state().snapshot().unwrap()));
         if mech.has_halted() {
             break;
@@ -131,6 +133,94 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
             .unwrap();
         assert!(est.value.is_finite() && est.radius >= 0.0);
     }
+}
+
+/// The live certificate mean against the same integrand read through a
+/// published snapshot's `estimate_mean`: value, radius and beta
+/// bit-for-bit.
+fn assert_certificate_matches_live(
+    backend: &SampledBackend<UniversePoints<BooleanCube>>,
+    loss: &LinearQueryLoss,
+    theta: (f64, f64),
+) {
+    let (t_o, t_h) = ([theta.0], [theta.1]);
+    let live = backend.certificate_mean(loss, &t_o, &t_h).unwrap();
+    let snapshot = backend.publish_snapshot().unwrap();
+    let mut grad = vec![0.0; loss.dim()];
+    let snap = snapshot
+        .estimate_mean("certificate-mean", loss.scale_bound(), &mut |_, point| {
+            dual_certificate_at(loss, point, &t_o, &t_h, &mut grad)
+        })
+        .unwrap();
+    assert_eq!(live.value.to_bits(), snap.value.to_bits());
+    assert_eq!(live.radius.to_bits(), snap.radius.to_bits());
+    assert_eq!(live.beta.to_bits(), snap.beta.to_bits());
+}
+
+/// Live-vs-snapshot parity at a real pool size: budget 2048 over a 2^12
+/// universe, so every SNIS sum and moment runs over thousands of slots.
+/// Checked after each of several records, after an explicit resample, and
+/// after an escalation-ladder growth to the whole universe — the last two
+/// rebuild the pool through the log replay.
+#[test]
+fn sampled_snapshot_reads_are_bitwise_live_at_budget_2048() {
+    const BIG: usize = 12;
+    let cube = BooleanCube::new(BIG).unwrap();
+    let loss = |bit: usize| {
+        LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![bit] }, BIG).unwrap()
+    };
+    let update = |bit: usize, t_o: f64, t_h: f64, eta: f64| {
+        RoundUpdate::new(
+            Arc::new(loss(bit)) as Arc<dyn CmLoss>,
+            vec![t_o],
+            vec![t_h],
+            eta,
+        )
+        .unwrap()
+    };
+    let steps = [
+        (0usize, 0.9, 0.4, 0.7),
+        (5, 0.15, 0.6, 0.5),
+        (7, 0.8, 0.2, 0.9),
+        (11, 0.3, 0.55, 0.6),
+    ];
+    let mut rng = StdRng::seed_from_u64(2048);
+    let sk = SampledConfig {
+        budget: 2048,
+        ..SampledConfig::default()
+    };
+    let mut backend = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
+    assert_eq!(backend.pool_size(), 2048);
+    for (i, &(bit, t_o, t_h, eta)) in steps.iter().enumerate() {
+        backend.record(update(bit, t_o, t_h, eta)).unwrap();
+        assert_sampled_snapshot_matches_live(&backend, BIG, i + 1);
+        assert_certificate_matches_live(&backend, &loss(bit), (t_o, t_h));
+    }
+    backend.resample(&mut rng).unwrap();
+    assert_eq!(backend.resamples(), 1);
+    assert_sampled_snapshot_matches_live(&backend, BIG, steps.len());
+    assert_certificate_matches_live(&backend, &loss(3), (0.85, 0.15));
+
+    // The escalation ladder's config at this scale: an unusably tight
+    // threshold and a growth cap past |X|, so the round's emergency
+    // resample fails to help and one doubling reaches the whole universe.
+    let sk = SampledConfig {
+        budget: 2048,
+        max_usable_radius: 1e-9,
+        growth_cap: 1 << 13,
+        ..SampledConfig::default()
+    };
+    let mut ladder = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
+    for &(bit, t_o, t_h, eta) in &steps {
+        ladder.record(update(bit, t_o, t_h, eta)).unwrap();
+    }
+    let q = ImplicitQuery::marginal(vec![0], BIG).unwrap();
+    StateBackend::apply_query_update(&mut ladder, &q, None, 1.0, 0.4, None, &mut rng).unwrap();
+    assert_eq!((ladder.escalations(), ladder.pool_growths()), (1, 1));
+    assert!(ladder.is_exhaustive());
+    assert_eq!(ladder.pool_size(), cube.size());
+    assert_sampled_snapshot_matches_live(&ladder, BIG, steps.len() + 1);
+    assert_certificate_matches_live(&ladder, &loss(3), (0.85, 0.15));
 }
 
 #[test]
@@ -259,7 +349,7 @@ fn writer_faults_never_corrupt_published_snapshots() {
             }
             // Publish from the inner transactional backend: the rolled-
             // back, consistent state — bitwise equal to its live reads.
-            assert_sampled_snapshot_matches_live(mech.state().inner(), q);
+            assert_sampled_snapshot_matches_live(mech.state().inner(), DIM, q);
             let snap: Arc<dyn ReadSnapshot> = mech.state().inner().snapshot().unwrap();
             let readings: Vec<Option<u64>> = (0..DIM)
                 .map(|b| {

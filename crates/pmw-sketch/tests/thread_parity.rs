@@ -1,12 +1,12 @@
-//! Thread-count invariance of every parallelized sweep: a full mixed
-//! scenario (certificate + query rounds, estimates, max sweeps, Gumbel
-//! draws, resamples, snapshot reads, exact lazy sweeps) must produce
-//! **bit-for-bit identical** traces at 1, 2, and 8 threads — the chunked
-//! reductions use fixed boundaries independent of the worker count, so
-//! parallelism is an implementation detail the numbers cannot observe.
+//! Thread-count invariance of every sweep: a full mixed scenario
+//! (certificate + query rounds, estimates, max sweeps, Gumbel draws,
+//! resamples, snapshot reads, exact lazy sweeps) must produce
+//! **bit-for-bit identical** traces at 1, 2, and 8 threads. The lazy
+//! backend's universe-axis replay is chunked with fixed boundaries
+//! independent of the worker count; the sampled backend's pool sweeps are
+//! serial loops in slot order, so the worker count cannot reach them.
 //!
-//! Pool budgets are chosen around the 256-row pool grain to cover the
-//! single-chunk case and ragged tails (384 → 256+128, 600 → 256+256+88).
+//! Pool budgets of 64, 384 and 600 cover one small and two larger pools.
 
 use pmw_core::ReadSnapshot;
 use pmw_data::par::with_threads;
