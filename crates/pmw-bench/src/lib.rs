@@ -1,19 +1,19 @@
-//! Shared plumbing for the experiment binaries and criterion benches.
+//! Shared plumbing for the four artifact-writing experiment binaries
+//! (`exp_runtime`, `exp_sublinear`, `exp_mwem`, `exp_serve`), the
+//! `bench_schema_check` validator and the `run_report` trace renderer.
 //!
-//! Every table and quantitative claim of the paper has one binary in
-//! `src/bin/` (see DESIGN.md §3 for the experiment index); this library
-//! provides the pieces they share: TSV table printing, seeded replication
-//! with mean/std aggregation, and the standard workload constructions
-//! (skewed cube datasets, clustered grid datasets, regression task pools).
+//! The library provides the pieces they share: TSV table printing,
+//! mean/std aggregation, the skewed-cube workload, the seed's dense MW
+//! update kept as the perf reference, the worker-count axis, and the
+//! `"probe"` JSON block every `BENCH_*.json` artifact carries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod schema;
 
-use pmw_data::{BooleanCube, Dataset, GridUniverse};
+use pmw_data::{BooleanCube, Dataset};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Print a TSV header row.
 pub fn header(columns: &[&str]) {
@@ -40,17 +40,6 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Run `f` once per seed and aggregate to (mean, std).
-pub fn replicate(seeds: std::ops::Range<u64>, mut f: impl FnMut(&mut StdRng) -> f64) -> (f64, f64) {
-    let values: Vec<f64> = seeds
-        .map(|s| {
-            let mut rng = StdRng::seed_from_u64(s);
-            f(&mut rng)
-        })
-        .collect();
-    mean_std(&values)
-}
-
 /// A skewed product-distribution dataset over a `dim`-bit cube: odd bits
 /// biased low, even bits high — the standard discriminating instance.
 pub fn skewed_cube_dataset(dim: usize, n: usize, rng: &mut StdRng) -> (BooleanCube, Dataset) {
@@ -61,25 +50,6 @@ pub fn skewed_cube_dataset(dim: usize, n: usize, rng: &mut StdRng) -> (BooleanCu
     let pop = pmw_data::synth::product_population(&cube, &biases).expect("population");
     let data = Dataset::sample_from(&pop, n, rng).expect("sample");
     (cube, data)
-}
-
-/// A one-cluster dataset on a `dim`-dimensional grid scaled so points stay
-/// inside the unit ball — the standard CM-query instance.
-pub fn clustered_grid_dataset(
-    dim: usize,
-    cells: usize,
-    n: usize,
-    rng: &mut StdRng,
-) -> (GridUniverse, Dataset) {
-    let half = 0.55 / (dim as f64).sqrt().max(1.0);
-    let grid = GridUniverse::new(dim, cells, -half, half).expect("grid");
-    let center: Vec<f64> = (0..dim)
-        .map(|i| if i % 2 == 0 { half * 0.7 } else { -half * 0.5 })
-        .collect();
-    let pop = pmw_data::synth::gaussian_mixture_population(&grid, &[center], half * 0.6)
-        .expect("population");
-    let data = Dataset::sample_from(&pop, n, rng).expect("sample");
-    (grid, data)
 }
 
 /// The seed's dense-domain multiplicative-weights update, kept verbatim as
@@ -169,28 +139,10 @@ pub fn probe_json(summary: &pmw_obs::Summary) -> String {
     )
 }
 
-/// Worst-case (max) excess risk of a batch of answers (`None` = unanswered,
-/// skipped).
-pub fn max_risk<L: pmw_losses::CmLoss>(
-    losses: &[L],
-    answers: &[Option<Vec<f64>>],
-    points: &pmw_data::PointMatrix,
-    weights: &[f64],
-) -> f64 {
-    losses
-        .iter()
-        .zip(answers)
-        .filter_map(|(l, a)| {
-            a.as_ref().map(|theta| {
-                pmw_erm::excess_risk(l, points, weights, theta, 800).unwrap_or(f64::NAN)
-            })
-        })
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn mean_std_basics() {
@@ -200,14 +152,6 @@ mod tests {
         let (m1, s1) = mean_std(&[5.0]);
         assert_eq!((m1, s1), (5.0, 0.0));
         assert!(mean_std(&[]).0.is_nan());
-    }
-
-    #[test]
-    fn replicate_is_deterministic() {
-        use rand::RngExt;
-        let a = replicate(0..5, |rng| rng.random::<f64>());
-        let b = replicate(0..5, |rng| rng.random::<f64>());
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -230,17 +174,10 @@ mod tests {
 
     #[test]
     fn workload_constructors_produce_consistent_shapes() {
+        use pmw_data::Universe;
         let mut rng = StdRng::seed_from_u64(1);
         let (cube, data) = skewed_cube_dataset(4, 100, &mut rng);
         assert_eq!(cube.size(), 16);
         assert_eq!(data.len(), 100);
-        let (grid, data) = clustered_grid_dataset(3, 5, 200, &mut rng);
-        assert_eq!(grid.size(), 125);
-        assert_eq!(data.universe_size(), 125);
-        use pmw_data::Universe;
-        for p in &grid.materialize() {
-            let norm: f64 = p.iter().map(|v| v * v).sum::<f64>().sqrt();
-            assert!(norm <= 1.0 + 1e-9);
-        }
     }
 }

@@ -93,6 +93,40 @@ fn require_thread_axis(json: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The least `speedup_vs_1thread` a full parallel runtime artifact may
+/// report at a worker count the machine has cores for. Below it the
+/// chunked certificate sweep loses to the serial one.
+pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
+
+/// Gate the runtime artifact's thread axis on
+/// [`THREAD_SPEEDUP_FLOOR`]. Only artifacts written with
+/// `"smoke": false` and `"parallel": true` are gated: smoke runs time too
+/// little work to tell, and sequential builds have nothing to scale.
+/// Rows with more workers than `machine_threads` measure oversubscription,
+/// not scaling, and pass.
+fn require_thread_speedup(json: &str) -> Result<(), String> {
+    if !json.contains("\"smoke\": false") || !json.contains("\"parallel\": true") {
+        return Ok(());
+    }
+    let machine = *extract_numbers(json, "machine_threads")
+        .first()
+        .ok_or("missing numeric key \"machine_threads\"")?;
+    let threads = extract_numbers(json, "threads");
+    let speedups = extract_numbers(json, "speedup_vs_1thread");
+    if threads.len() != speedups.len() {
+        return Err("every thread_scaling row needs a speedup_vs_1thread".into());
+    }
+    for (t, speedup) in threads.iter().zip(&speedups) {
+        if *t <= machine && *speedup < THREAD_SPEEDUP_FLOOR {
+            return Err(format!(
+                "thread_scaling: {t} workers on {machine} machine threads run at \
+                 {speedup:.2}x the serial sweep (floor {THREAD_SPEEDUP_FLOOR}x)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The growth a sublinear artifact's compacted long-horizon column may
 /// show before the schema check fails: the per-round cost at the largest
 /// horizon must stay within this factor of the smallest-horizon row.
@@ -167,8 +201,9 @@ fn require_probe_columns(json: &str) -> Result<(), String> {
 }
 
 /// Validate `BENCH_runtime.json`: the Θ(|X|) kernel record plus the
-/// backend axis. Checks key presence and that every ns figure is finite
-/// and positive.
+/// backend axis. Checks key presence, that every ns figure is finite
+/// and positive, and that the thread axis scales
+/// ([`THREAD_SPEEDUP_FLOOR`]).
 pub fn validate_bench_runtime(json: &str) -> Result<(), String> {
     if !has_key(json, "experiment") || !json.contains("runtime_scaling") {
         return Err("not a runtime_scaling artifact".into());
@@ -191,6 +226,7 @@ pub fn validate_bench_runtime(json: &str) -> Result<(), String> {
         }
     }
     require_thread_axis(json)?;
+    require_thread_speedup(json)?;
     require_probe_columns(json)
 }
 
@@ -478,6 +514,7 @@ mod tests {
     fn runtime_validator_accepts_a_well_formed_artifact() {
         let json = r#"{
           "experiment": "runtime_scaling",
+          "parallel": true, "machine_threads": 2, "smoke": false,
           "sizes": [
             {"log2_x": 12, "mw_update_ns_per_elem": 1.2,
              "mw_update_with_read_ns_per_elem": 3.4,
@@ -522,6 +559,18 @@ mod tests {
         assert!(validate_bench_runtime(&missing_row)
             .unwrap_err()
             .contains("threads=2"));
+        // A full parallel run must not slow down at a worker count the
+        // machine has cores for; smoke runs and oversubscribed rows pass.
+        let slow = json.replace(
+            "\"speedup_vs_1thread\": 1.82",
+            "\"speedup_vs_1thread\": 0.90",
+        );
+        assert!(validate_bench_runtime(&slow)
+            .unwrap_err()
+            .contains("serial sweep"));
+        validate_bench_runtime(&slow.replace("\"smoke\": false", "\"smoke\": true")).unwrap();
+        let one_core = slow.replace("\"machine_threads\": 2", "\"machine_threads\": 1");
+        validate_bench_runtime(&one_core).unwrap();
     }
 
     #[test]

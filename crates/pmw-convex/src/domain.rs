@@ -148,44 +148,6 @@ impl Domain {
         }
     }
 
-    /// The linear minimization oracle `argmin_{s∈Θ} ⟨g, s⟩` used by
-    /// Frank–Wolfe.
-    pub fn linear_minimizer(&self, g: &[f64]) -> Result<Vec<f64>, ConvexError> {
-        if g.len() != self.dim() {
-            return Err(ConvexError::DimensionMismatch {
-                got: g.len(),
-                expected: self.dim(),
-            });
-        }
-        if !vecmath::all_finite(g) {
-            return Err(ConvexError::NonFinite("linear minimizer input"));
-        }
-        Ok(match *self {
-            Domain::L2Ball { dim, radius } => {
-                let norm = vecmath::norm2(g);
-                if norm == 0.0 {
-                    vec![0.0; dim]
-                } else {
-                    g.iter().map(|&v| -radius * v / norm).collect()
-                }
-            }
-            Domain::Box { lo, hi, .. } => {
-                g.iter().map(|&v| if v > 0.0 { lo } else { hi }).collect()
-            }
-            Domain::Simplex { dim } => {
-                let mut best = 0usize;
-                for i in 1..dim {
-                    if g[i] < g[best] {
-                        best = i;
-                    }
-                }
-                let mut s = vec![0.0; dim];
-                s[best] = 1.0;
-                s
-            }
-        })
-    }
-
     /// A finite grid net over the domain with roughly `per_axis` points per
     /// axis (ball nets are a grid over the bounding box filtered to the
     /// ball). Used by the exponential-mechanism ERM oracle; practical only
@@ -346,49 +308,6 @@ mod tests {
         assert!((Domain::unit_ball(5).unwrap().diameter() - 2.0).abs() < 1e-12);
         assert!((Domain::boxed(4, -1.0, 1.0).unwrap().diameter() - 4.0).abs() < 1e-12);
         assert!((Domain::simplex(3).unwrap().diameter() - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_minimizer_on_ball_opposes_gradient() {
-        let ball = Domain::l2_ball(2, 2.0).unwrap();
-        let s = ball.linear_minimizer(&[3.0, 4.0]).unwrap();
-        assert!((s[0] + 1.2).abs() < 1e-12 && (s[1] + 1.6).abs() < 1e-12);
-        let z = ball.linear_minimizer(&[0.0, 0.0]).unwrap();
-        assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn linear_minimizer_on_box_picks_corners() {
-        let b = Domain::boxed(2, -1.0, 3.0).unwrap();
-        let s = b.linear_minimizer(&[1.0, -2.0]).unwrap();
-        assert_eq!(s, vec![-1.0, 3.0]);
-    }
-
-    #[test]
-    fn linear_minimizer_on_simplex_picks_best_vertex() {
-        let s = Domain::simplex(3).unwrap();
-        let v = s.linear_minimizer(&[0.5, -1.0, 0.0]).unwrap();
-        assert_eq!(v, vec![0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn linear_minimizer_is_optimal_for_its_objective() {
-        let domains = [
-            Domain::unit_ball(3).unwrap(),
-            Domain::boxed(3, -1.0, 1.0).unwrap(),
-            Domain::simplex(3).unwrap(),
-        ];
-        let g = [0.4, -0.7, 0.1];
-        for d in &domains {
-            let s = d.linear_minimizer(&g).unwrap();
-            // Compare against the domain's grid net.
-            let net = d.grid_net(5).unwrap();
-            let best = net
-                .iter()
-                .map(|p| vecmath::dot(&g, p))
-                .fold(f64::INFINITY, f64::min);
-            assert!(vecmath::dot(&g, &s) <= best + 1e-9, "domain {d:?}");
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   simplex ([`domain`]),
 //! * an [`Objective`](objective::Objective#) trait for differentiable (or
 //!   subdifferentiable) convex functions ([`objective`]),
-//! * first-order **solvers**: projected (sub)gradient descent with averaging,
-//!   Frank–Wolfe, and the `O(1/σt)`-step scheme for strongly convex
-//!   objectives ([`solvers`]),
+//! * one first-order **solver**: projected (sub)gradient descent with
+//!   constant, `c/√t` or strongly convex `O(1/σt)` step rules and optional
+//!   averaging ([`solvers`]),
 //! * small dense **vector math** helpers used across the workspace
 //!   ([`vecmath`]).
 
@@ -30,7 +30,4 @@ pub mod vecmath;
 pub use domain::Domain;
 pub use error::ConvexError;
 pub use objective::{Objective, QuadraticObjective};
-pub use solvers::{
-    AcceleratedGradientDescent, FrankWolfe, ProjectedGradientDescent, SolveResult, SolverConfig,
-    StepRule,
-};
+pub use solvers::{ProjectedGradientDescent, SolveResult, SolverConfig, StepRule};

@@ -1,25 +1,16 @@
-//! First-order solvers for constrained convex minimization.
+//! The first-order solver for constrained convex minimization.
 //!
-//! These are the workhorses behind every `argmin_{θ∈Θ}` in the paper: the
-//! hypothesis minimizer `θ̂_t = argmin_θ ℓ(θ; D̂_t)` computed each round of
-//! Figure 3, the true-data minimizer inside the error query
-//! `err_ℓ(D, D̂_t)`, and the non-private core of several ERM oracles.
-//!
-//! * [`ProjectedGradientDescent`] — projected (sub)gradient descent with
-//!   constant, `c/√t`, or strongly-convex `1/(σt)` step rules and optional
-//!   iterate averaging (the standard convergence guarantees for each rule are
-//!   exercised by the tests).
-//! * [`FrankWolfe`] — projection-free conditional gradient with the
-//!   `2/(t+2)` step schedule, using the domain's linear minimization oracle.
-//! * [`AcceleratedGradientDescent`] — Nesterov momentum with adaptive
-//!   restart, the `O(1/t²)` ablation for smooth inner solves.
+//! [`ProjectedGradientDescent`] is the solver behind every `argmin_{θ∈Θ}`
+//! in the paper: the hypothesis minimizer `θ̂_t = argmin_θ ℓ(θ; D̂_t)`
+//! computed each round of Figure 3, the true-data minimizer inside the
+//! error query `err_ℓ(D, D̂_t)`, and the non-private core of several ERM
+//! oracles. It runs projected (sub)gradient descent with constant, `c/√t`,
+//! or strongly-convex `1/(σt)` step rules and optional iterate averaging
+//! (the standard convergence guarantees for each rule are exercised by the
+//! tests).
 
-mod accelerated;
-mod fw;
 mod gd;
 
-pub use accelerated::AcceleratedGradientDescent;
-pub use fw::FrankWolfe;
 pub use gd::ProjectedGradientDescent;
 
 use crate::error::ConvexError;

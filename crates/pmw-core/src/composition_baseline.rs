@@ -10,8 +10,8 @@
 //! across the declared `k` queries with strong composition
 //! (`ε₀ = ε/√(8k·ln(2/δ))`, `δ₀ = δ/2k`) and answer each query with the
 //! single-query oracle at the per-query budget. Its error grows like
-//! `k^{1/2}` in the oracle's `1/ε₀` term — the curve `exp_crossover`
-//! measures against PMW's `log k`.
+//! `k^{1/2}` in the oracle's `1/ε₀` term, against PMW's `log k`
+//! ([`crate::theory::crossover_k`] locates the crossover).
 
 use crate::error::PmwError;
 use pmw_data::{Dataset, Histogram, PointMatrix, Universe};

@@ -31,7 +31,8 @@
 //!   error query runs over dataset support rows and the universe is never
 //!   materialized, so the whole loop is flat in `|X|`.
 //! * [`theory`] — every quantitative formula from Table 1 and
-//!   Theorems 3.1/3.8, used by the benches to plot measured-vs-predicted.
+//!   Theorems 3.1/3.8; the mechanism takes its round count and learning
+//!   rate from here, and its tests check Lemma 3.4's regret bound.
 //! * [`game`] — the sample accuracy game of Figure 1 (Definition 2.4).
 
 #![warn(missing_docs)]

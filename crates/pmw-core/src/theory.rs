@@ -1,10 +1,10 @@
 //! Every quantitative formula from the paper, in one auditable place.
 //!
-//! The benches print these next to measured values so EXPERIMENTS.md can
-//! record paper-vs-measured for each of Table 1's rows and the theorems.
-//! Constants follow the paper exactly where it gives them (Figure 3,
-//! Theorem 3.8, Theorem 3.1); the `Õ(·)` rows of Table 1 are implemented
-//! with constant 1 and serve as *shape* predictors.
+//! The mechanism derives its round count and learning rate from here, and
+//! this module's tests check Lemma 3.4's regret bound against measured
+//! multiplicative-weights runs. Constants follow the paper exactly where it
+//! gives them (Figure 3, Theorem 3.8, Theorem 3.1); the `Õ(·)` rows of
+//! Table 1 are implemented with constant 1 and serve as *shape* predictors.
 
 /// The Figure-3 round bound `T = 64·S²·log|X| / α²`.
 pub fn rounds_bound(scale_s: f64, log_universe: f64, alpha: f64) -> f64 {
@@ -14,9 +14,9 @@ pub fn rounds_bound(scale_s: f64, log_universe: f64, alpha: f64) -> f64 {
 /// The multiplicative-weights learning rate. The paper writes
 /// `η = √(log|X|/T)`; we use the `1/S`-normalized variant
 /// `η = √(log|X|/T)/S` under which Lemma 3.4's bound
-/// `2S√(log|X|/T)` holds verbatim for payoffs in `[−S, S]`
-/// (DESIGN.md substitution 6). At the Figure-3 `T` both agree up to the
-/// explicit `1/S`: `η = α/(8S²)·S = α/(8S)`.
+/// `2S√(log|X|/T)` holds verbatim for payoffs in `[−S, S]` (the
+/// unnormalized rate only gives it for `S = 1`). At the Figure-3 `T` both
+/// agree up to the explicit `1/S`: `η = α/(8S²)·S = α/(8S)`.
 pub fn learning_rate(scale_s: f64, log_universe: f64, rounds: f64) -> f64 {
     (log_universe / rounds).sqrt() / scale_s
 }
@@ -136,6 +136,40 @@ mod tests {
         // At the optimal eta the regret bound is 2S*sqrt(log|X|/T).
         let bound = mw_regret_bound(s, logx, t);
         assert!((eta * s * s * 2.0 - bound).abs() < 1e-12);
+    }
+
+    #[test]
+    fn adversarial_mw_regret_stays_within_lemma_3_4() {
+        // Lemma 3.4: for payoffs u_t in [-S, S]^X, MW at
+        // eta = learning_rate(S, ln|X|, T) has average regret
+        // (1/T)·Σ_t <u_t, D̂_t - D> <= 2S·sqrt(ln|X|/T). Each round plays
+        // the payoff that maximizes its own term: +S where the hypothesis
+        // overweights the target, -S where it underweights.
+        let s = 1.0;
+        for log2_x in [4usize, 8] {
+            let m = 1usize << log2_x;
+            let mut weights = vec![0.1 / m as f64; m];
+            weights[m / 3] = 0.9;
+            let target = pmw_data::Histogram::from_weights(weights).unwrap();
+            let log_x = (m as f64).ln();
+            for rounds in [16usize, 256] {
+                let eta = learning_rate(s, log_x, rounds as f64);
+                let mut hyp = pmw_data::Histogram::uniform(m).unwrap();
+                let mut regret = 0.0;
+                for _ in 0..rounds {
+                    let (h, d) = (hyp.weights(), target.weights());
+                    let u: Vec<f64> = (0..m).map(|x| if h[x] >= d[x] { s } else { -s }).collect();
+                    regret += (0..m).map(|x| u[x] * (h[x] - d[x])).sum::<f64>();
+                    hyp.mw_update(&u, eta).unwrap();
+                }
+                let measured = regret / rounds as f64;
+                let bound = mw_regret_bound(s, log_x, rounds as f64);
+                assert!(
+                    measured > 0.0 && measured <= bound,
+                    "|X| = {m}, T = {rounds}: regret {measured} vs bound {bound}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The transcript records what an observer of the mechanism's *outputs*
 //! could see — outcomes, answers, update counts — plus (when the config's
-//! `diagnostics` flag is set) the non-private error-query values used by the
-//! accuracy experiments (E7/E8 in DESIGN.md).
+//! `diagnostics` flag is set) the non-private error-query values and
+//! certificate gaps that the Claim 3.5 test in `tests/end_to_end.rs` checks.
 
 /// How a query was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -337,8 +337,8 @@ impl Histogram {
             .sum::<f64>()
     }
 
-    /// The multiplicative weights update of Figure 3 (sign corrected; see
-    /// DESIGN.md §1 substitution 5):
+    /// The multiplicative weights update of Figure 3, its sign fixed by
+    /// Claim 3.5's payoff as explained below:
     ///
     /// `D̂_{t+1}(x) ∝ exp(−η·u(x)) · D̂_t(x)`
     ///

@@ -10,9 +10,10 @@
 //!   the Gumbel-max trick ([`exponential`]),
 //! * **composition**: basic and the strong composition theorem of Dwork,
 //!   Rothblum and Vadhan (\[DRV10\], restated as Theorem 3.10 in the paper),
-//!   plus the paper's specific budget-splitting rules ([`composition`]), a
-//!   ledger-style [`accountant`], and a zCDP accountant as an extension
-//!   ([`zcdp`]),
+//!   plus the paper's specific budget-splitting rules ([`composition`]), and
+//!   a ledger-style [`accountant`],
+//! * the zCDP calibration [`zcdp::rho_for_budget`] that noisy gradient
+//!   descent uses to set its per-step noise ([`zcdp`]),
 //! * the **online sparse vector algorithm** of Section 3.1 / Theorem 3.1:
 //!   AboveThreshold with `T` restarts and the threshold-game guarantee
 //!   ([`sparse_vector`]).
@@ -25,7 +26,6 @@ pub mod composition;
 pub mod error;
 pub mod exponential;
 pub mod mechanisms;
-pub mod numeric_sparse;
 pub mod sampler;
 pub mod sampling;
 pub mod sharded;
@@ -37,7 +37,6 @@ pub use composition::PrivacyBudget;
 pub use error::DpError;
 pub use exponential::ExponentialMechanism;
 pub use mechanisms::{GaussianMechanism, LaplaceMechanism};
-pub use numeric_sparse::{NumericSparse, NumericSvOutcome};
 pub use sampling::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
     hoeffding_radius, uncovered_mass_bound, RadiusBound, SamplingAccountant, SamplingRecord,

@@ -22,7 +22,8 @@ pub struct LaplaceMechanism {
 
 impl LaplaceMechanism {
     /// Mechanism for statistics with L1 sensitivity `sensitivity`, at pure
-    /// privacy level `ε`.
+    /// privacy level `ε`. Rejects inputs whose scale `Δ/ε` underflows to 0
+    /// or overflows.
     pub fn new(sensitivity: f64, epsilon: f64) -> Result<Self, DpError> {
         if !sensitivity.is_finite() || sensitivity <= 0.0 {
             return Err(DpError::InvalidParameter("sensitivity must be positive"));
@@ -30,10 +31,17 @@ impl LaplaceMechanism {
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return Err(DpError::InvalidBudget("epsilon must be positive"));
         }
-        Ok(Self {
+        let mech = Self {
             sensitivity,
             epsilon,
-        })
+        };
+        let scale = mech.scale();
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(DpError::InvalidParameter(
+                "noise scale must be finite and positive",
+            ));
+        }
+        Ok(mech)
     }
 
     /// Noise scale `b = Δ/ε`.
@@ -71,7 +79,8 @@ pub struct GaussianMechanism {
 impl GaussianMechanism {
     /// Mechanism for statistics with L2 sensitivity `sensitivity` at
     /// approximate privacy level `(ε, δ)`, `δ > 0`, `ε ≤ 1` for the classical
-    /// calibration to be valid.
+    /// calibration to be valid. Rejects inputs whose `σ` underflows to 0 or
+    /// overflows.
     pub fn new(sensitivity: f64, budget: PrivacyBudget) -> Result<Self, DpError> {
         if !sensitivity.is_finite() || sensitivity <= 0.0 {
             return Err(DpError::InvalidParameter("sensitivity must be positive"));
@@ -81,10 +90,17 @@ impl GaussianMechanism {
                 "gaussian mechanism requires delta > 0",
             ));
         }
-        Ok(Self {
+        let mech = Self {
             sensitivity,
             budget,
-        })
+        };
+        let sigma = mech.sigma();
+        if !(sigma.is_finite() && sigma > 0.0) {
+            return Err(DpError::InvalidParameter(
+                "noise sigma must be finite and positive",
+            ));
+        }
+        Ok(mech)
     }
 
     /// Noise level `σ = Δ·√(2·ln(1.25/δ))/ε`.
@@ -158,6 +174,9 @@ mod tests {
     fn laplace_mechanism_validates() {
         assert!(LaplaceMechanism::new(0.0, 1.0).is_err());
         assert!(LaplaceMechanism::new(1.0, 0.0).is_err());
+        // Δ/ε = 1e-330 rounds to 0.0, and a zero scale releases the input.
+        assert!(LaplaceMechanism::new(1e-320, 1e10).is_err());
+        assert!(LaplaceMechanism::new(1e300, 1e-300).is_err());
         let m = LaplaceMechanism::new(0.5, 2.0).unwrap();
         assert!((m.scale() - 0.25).abs() < 1e-12);
         assert_eq!(m.budget().epsilon(), 2.0);
@@ -196,6 +215,11 @@ mod tests {
         let expect = 2.0 * (2.0 * (1.25e5f64).ln()).sqrt();
         assert!((m.sigma() - expect).abs() < 1e-9);
         assert!(GaussianMechanism::new(1.0, PrivacyBudget::pure(1.0).unwrap()).is_err());
+        // σ underflows to 0.0 or overflows to infinity.
+        let tight = PrivacyBudget::new(1e10, 1e-6).unwrap();
+        assert!(GaussianMechanism::new(1e-320, tight).is_err());
+        let loose = PrivacyBudget::new(1e-300, 1e-6).unwrap();
+        assert!(GaussianMechanism::new(1e300, loose).is_err());
     }
 
     #[test]

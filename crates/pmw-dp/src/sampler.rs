@@ -24,9 +24,13 @@ pub fn uniform_open01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 ///
 /// This is the noise of the Laplace mechanism \[DMNS06\] and of the
 /// AboveThreshold components inside the sparse vector algorithm (§3.1).
+///
+/// # Panics
+/// Panics unless `scale > 0`, in every build profile: a zero scale would
+/// release its input unperturbed.
 #[inline]
 pub fn laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
-    debug_assert!(scale > 0.0, "laplace scale must be positive");
+    assert!(scale > 0.0, "laplace scale must be positive");
     let u = uniform_open01(rng) - 0.5;
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
@@ -40,17 +44,23 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// One draw from `N(0, sigma²)`.
+///
+/// # Panics
+/// Panics unless `sigma > 0`, in every build profile.
 #[inline]
 pub fn gaussian<R: Rng + ?Sized>(sigma: f64, rng: &mut R) -> f64 {
-    debug_assert!(sigma > 0.0, "gaussian sigma must be positive");
+    assert!(sigma > 0.0, "gaussian sigma must be positive");
     sigma * standard_normal(rng)
 }
 
 /// One draw from the exponential distribution with the given `scale`
 /// (mean `scale`), via inverse CDF.
+///
+/// # Panics
+/// Panics unless `scale > 0`, in every build profile.
 #[inline]
 pub fn exponential<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
-    debug_assert!(scale > 0.0, "exponential scale must be positive");
+    assert!(scale > 0.0, "exponential scale must be positive");
     -scale * uniform_open01(rng).ln()
 }
 
@@ -168,6 +178,24 @@ mod tests {
         assert!(draws.iter().all(|&x| x >= 0.0));
         assert!((mean - scale).abs() < 0.02, "mean {mean}");
         assert!((var - scale * scale).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn degenerate_scales_panic_in_every_build() {
+        // A `#[should_panic]` test stops at its first panic, so drive all
+        // nine (sampler, scale) pairs through `catch_unwind` instead.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let samplers: [fn(f64, &mut StdRng) -> f64; 3] = [laplace, gaussian, exponential];
+        let mut rng = StdRng::seed_from_u64(18);
+        for (name, draw) in ["laplace", "gaussian", "exponential"]
+            .into_iter()
+            .zip(samplers)
+        {
+            for scale in [0.0, -1.0, f64::NAN] {
+                let drawn = catch_unwind(AssertUnwindSafe(|| draw(scale, &mut rng)));
+                assert!(drawn.is_err(), "{name}({scale}) returned {drawn:?}");
+            }
+        }
     }
 
     #[test]

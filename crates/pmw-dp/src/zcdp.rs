@@ -1,13 +1,11 @@
-//! Zero-concentrated differential privacy (zCDP) accounting — an extension.
+//! Zero-concentrated differential privacy (zCDP) calibration.
 //!
 //! The paper composes with \[DRV10\] (Theorem 3.10). Later work showed that
 //! tracking composition in the `ρ`-zCDP calculus (Bun–Steinke 2016) is both
-//! simpler and tighter for Gaussian-noise mechanisms. We include it as the
-//! "future work" accountant the paper's framework plugs into unchanged:
+//! simpler and tighter for Gaussian-noise mechanisms. Noisy gradient descent
+//! (`pmw_erm::NoisyGdOracle`) calibrates its per-step noise this way, using
+//! two facts:
 //!
-//! * Gaussian mechanism with noise `σ` on a `Δ`-sensitive statistic is
-//!   `(Δ²/2σ²)`-zCDP;
-//! * `(ε, 0)`-DP implies `(ε²/2)`-zCDP;
 //! * zCDP composes additively: `ρ = Σ ρᵢ`;
 //! * `ρ`-zCDP implies `(ρ + 2√(ρ·ln(1/δ)), δ)`-DP for every `δ > 0`.
 
@@ -32,143 +30,16 @@ pub fn rho_for_budget(budget: PrivacyBudget) -> Result<f64, DpError> {
     Ok(sqrt_rho * sqrt_rho)
 }
 
-/// Additive zCDP ledger.
-#[derive(Debug, Default, Clone)]
-pub struct ZcdpAccountant {
-    rho: f64,
-    events: usize,
-}
-
-impl ZcdpAccountant {
-    /// An empty ledger (`ρ = 0`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a mechanism that is `ρ`-zCDP.
-    pub fn spend_rho(&mut self, rho: f64) -> Result<(), DpError> {
-        if !rho.is_finite() || rho < 0.0 {
-            return Err(DpError::InvalidParameter("rho must be finite and >= 0"));
-        }
-        self.rho += rho;
-        self.events += 1;
-        Ok(())
-    }
-
-    /// Record a Gaussian mechanism release (`Δ`-sensitive, noise `σ`):
-    /// `ρ = Δ²/(2σ²)`.
-    pub fn spend_gaussian(&mut self, sensitivity: f64, sigma: f64) -> Result<(), DpError> {
-        if !(sensitivity > 0.0 && sigma > 0.0) {
-            return Err(DpError::InvalidParameter(
-                "sensitivity and sigma must be positive",
-            ));
-        }
-        self.spend_rho(sensitivity * sensitivity / (2.0 * sigma * sigma))
-    }
-
-    /// Record a pure `(ε, 0)`-DP mechanism: `ρ = ε²/2`.
-    pub fn spend_pure(&mut self, epsilon: f64) -> Result<(), DpError> {
-        if epsilon <= 0.0 {
-            return Err(DpError::InvalidParameter("epsilon must be positive"));
-        }
-        self.spend_rho(epsilon * epsilon / 2.0)
-    }
-
-    /// Accumulated `ρ`.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// Number of recorded events.
-    pub fn events(&self) -> usize {
-        self.events
-    }
-
-    /// Convert to `(ε, δ)`-DP at the chosen `δ`:
-    /// `ε = ρ + 2√(ρ·ln(1/δ))`.
-    pub fn to_approx_dp(&self, delta: f64) -> Result<PrivacyBudget, DpError> {
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(DpError::InvalidBudget("delta must lie in (0, 1)"));
-        }
-        if self.rho == 0.0 {
-            return Err(DpError::InvalidParameter("empty zCDP ledger"));
-        }
-        let eps = self.rho + 2.0 * (self.rho * (1.0 / delta).ln()).sqrt();
-        PrivacyBudget::new(eps, delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::composition::{per_step_budget_for, strong_composition};
-
-    #[test]
-    fn spends_validate() {
-        let mut z = ZcdpAccountant::new();
-        assert!(z.spend_rho(-1.0).is_err());
-        assert!(z.spend_gaussian(0.0, 1.0).is_err());
-        assert!(z.spend_pure(0.0).is_err());
-        assert!(z.spend_gaussian(1.0, 2.0).is_ok());
-        assert!((z.rho() - 0.125).abs() < 1e-12);
-        assert_eq!(z.events(), 1);
-    }
-
-    #[test]
-    fn composition_is_additive() {
-        let mut z = ZcdpAccountant::new();
-        for _ in 0..10 {
-            z.spend_pure(0.1).unwrap();
-        }
-        assert!((z.rho() - 10.0 * 0.005).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conversion_formula_matches() {
-        let mut z = ZcdpAccountant::new();
-        z.spend_rho(0.05).unwrap();
-        let b = z.to_approx_dp(1e-6).unwrap();
-        let expect = 0.05 + 2.0 * (0.05f64 * (1e6f64).ln()).sqrt();
-        assert!((b.epsilon() - expect).abs() < 1e-12);
-        assert!(z.to_approx_dp(0.0).is_err());
-    }
-
-    #[test]
-    fn zcdp_is_at_least_as_tight_as_drv10_for_gaussian_chains() {
-        // Compose 200 Gaussian releases; compare zCDP total against the
-        // DRV10-based bound at the same per-step (eps0, delta0) calibration.
-        let total = PrivacyBudget::new(1.0, 1e-6).unwrap();
-        let t = 200usize;
-        let step = per_step_budget_for(total, t).unwrap();
-        // Each step realized as a pure-DP mechanism with eps0.
-        let mut z = ZcdpAccountant::new();
-        for _ in 0..t {
-            z.spend_pure(step.epsilon()).unwrap();
-        }
-        let zcdp_eps = z.to_approx_dp(total.delta()).unwrap().epsilon();
-        let drv_eps = strong_composition(step, t, total.delta() / 2.0)
-            .unwrap()
-            .epsilon();
-        assert!(
-            zcdp_eps <= drv_eps * 1.05,
-            "zCDP {zcdp_eps} should not be much worse than DRV10 {drv_eps}"
-        );
-    }
-
-    #[test]
-    fn empty_ledger_cannot_convert() {
-        let z = ZcdpAccountant::new();
-        assert!(z.to_approx_dp(1e-6).is_err());
-    }
 
     #[test]
     fn rho_for_budget_round_trips_through_conversion() {
         let budget = PrivacyBudget::new(0.7, 1e-7).unwrap();
         let rho = rho_for_budget(budget).unwrap();
-        let mut z = ZcdpAccountant::new();
-        z.spend_rho(rho).unwrap();
-        let back = z.to_approx_dp(budget.delta()).unwrap();
-        assert!((back.epsilon() - budget.epsilon()).abs() < 1e-9);
+        let back = rho + 2.0 * (rho * (1.0 / budget.delta()).ln()).sqrt();
+        assert!((back - budget.epsilon()).abs() < 1e-9);
         assert!(rho_for_budget(PrivacyBudget::pure(1.0).unwrap()).is_err());
     }
 }

@@ -3,8 +3,8 @@
 //! \[JT14\] show that for unconstrained generalized linear models the
 //! single-query sample complexity needs **no dependence on the ambient
 //! dimension `d`** — `n = Õ(1/(α₀²ε₀))`. We reproduce that property with a
-//! *data-independent Johnson–Lindenstrauss reduction* (DESIGN.md
-//! substitution 2):
+//! *data-independent Johnson–Lindenstrauss reduction*, a substitute for
+//! \[JT14\]'s own algorithm that reuses the noisy-GD oracle:
 //!
 //! 1. sample a random Gaussian map `Φ ∈ R^{m×d}`, `Φ_ij ~ N(0, 1/m)`,
 //!    **before looking at the data** — so conditioning on `Φ` preserves any
@@ -21,7 +21,7 @@
 //! `m = O(log(#points)/α²)`, so the lifted model's excess risk exceeds the
 //! projected optimum by only `O(L·α)`: the whole pipeline has error
 //! independent of the ambient `d`, which is the property Table 1 row 3
-//! needs and the property `exp_table1_glm` measures.
+//! needs.
 
 use crate::error::ErmError;
 use crate::noisy_gd::NoisyGdOracle;

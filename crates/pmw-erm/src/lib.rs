@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | [`NoisyGdOracle`] | noisy gradient descent, \[BST14\]-style (Thm 4.1) | Lipschitz, bounded | `Õ(√d/(nε₀))` |
 //! | [`OutputPerturbationOracle`] | output perturbation (Thm 4.5 setting) | σ-strongly convex | `Õ(√d/(σ n ε₀))` in distance |
-//! | [`JlGlmOracle`] | dimension-independent GLM oracle (Thm 4.3 role, via data-independent Johnson–Lindenstrauss; DESIGN.md substitution 2) | GLM | `Õ(1/(α₀ n ε₀))`, no `d` |
+//! | [`JlGlmOracle`] | dimension-independent GLM oracle (Thm 4.3 role, via data-independent Johnson–Lindenstrauss in place of \[JT14\]'s algorithm) | GLM | `Õ(1/(α₀ n ε₀))`, no `d` |
 //! | [`ObjectivePerturbationOracle`] | \[CMS11\]/\[KST12\] objective perturbation | smooth | `Õ(√d/(nε₀))` |
 //! | [`NetExponentialOracle`] | exponential mechanism over a Θ-net | any | `Õ(d·log/(nε₀))`, low-d only |
 //! | [`ExactOracle`] | non-private baseline | any | 0 (no privacy) |

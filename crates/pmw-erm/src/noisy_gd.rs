@@ -4,13 +4,12 @@
 //! Each iteration releases the average gradient through the Gaussian
 //! mechanism (L2 sensitivity `2L/n` for an `L`-Lipschitz loss averaged over
 //! `n` rows), steps, and projects back onto `Θ`. The `T` gradient releases
-//! are calibrated through the **zCDP accountant** (`pmw_dp::zcdp`): the
+//! are calibrated in zCDP (`pmw_dp::zcdp::rho_for_budget`): the
 //! `(ε₀, δ₀)` target converts to a `ρ` budget, each step gets `ρ/T`, so
 //! `σ = (2L/n)·√(T/(2ρ))` — a `~√(8·ln(1/δ))` noise saving over splitting
 //! the budget with \[DRV10\] strong composition (the paper's Section 3.4.1
-//! bookkeeping remains valid: zCDP composition is at least as strong; this
-//! is the "tighter accountant" extension flagged in DESIGN.md). The returned
-//! point is the iterate average.
+//! bookkeeping remains valid: zCDP composition is at least as strong). The
+//! returned point is the iterate average.
 //!
 //! Excess risk scales as `Õ(√d·√T/(nε₀)) + O(1/√T)`: more iterations reduce
 //! optimization error but add noise, reproducing \[BST14\]'s `√d/(nε₀)` shape
@@ -50,7 +49,7 @@ impl NoisyGdOracle {
     }
 
     /// The noise level each gradient release receives for a given loss,
-    /// dataset size and budget (exposed for the benches): with total zCDP
+    /// dataset size and budget: with total zCDP
     /// budget `rho`, each of the `T` steps uses `sigma = Delta*sqrt(T/2rho)`.
     pub fn per_step_sigma(
         &self,

@@ -11,8 +11,8 @@
 //! regularization term. Requires a *smooth* loss (the Hessian bound is what
 //! controls the density ratio).
 //!
-//! Included as the third classical single-query oracle so the oracle
-//! benches can compare all of Section 4.2's options on equal footing.
+//! Included as the third classical single-query oracle so all of
+//! Section 4.2's options are available on equal footing.
 
 use crate::error::ErmError;
 use crate::oracle::{validate_inputs, ErmOracle};

@@ -1,7 +1,7 @@
 //! ε-audit smoke over a **sketch-backed** mechanism.
 //!
-//! The E9 privacy audits (`exp_privacy_audit`) run the Monte-Carlo ε̂
-//! lower bound against the dense mechanisms; this test points the same
+//! The privacy audits in `tests/privacy.rs` run the Monte-Carlo ε̂ lower
+//! bound against the dense mechanisms; this test points the same
 //! estimator at `OnlinePmw` running on a `SampledBackend`. The sketch adds
 //! *public* randomness (pool draws, refreshes) and claimed-radius
 //! arithmetic on top of the private core — none of which may leak: the

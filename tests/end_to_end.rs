@@ -171,6 +171,74 @@ fn hypothesis_converges_toward_data_in_kl() {
     );
 }
 
+#[test]
+fn certificate_gap_dominates_error_on_every_update() {
+    // Claim 3.5 with an exact oracle: every update's payoff u_t satisfies
+    // <u_t, D̂_t - D> >= err_ℓ(D, D̂_t) - α/4, across loss families.
+    let mut rng = StdRng::seed_from_u64(7);
+    let grid = GridUniverse::new(2, 5, -0.55, 0.55).unwrap();
+    let dataset = clustered_dataset_2d(&grid, 4000, &mut rng);
+    let alpha = 0.08;
+    let config = PmwConfig::builder(4.0, 1e-6, alpha)
+        .k(30)
+        .scale(1.0)
+        .rounds_override(12)
+        .solver_iters(400)
+        .diagnostics(true)
+        .build()
+        .unwrap();
+    let mut mech = OnlinePmw::with_oracle(
+        config,
+        &grid,
+        dataset,
+        pmw::erm::ExactOracle::default(),
+        &mut rng,
+    )
+    .unwrap();
+
+    let mut losses: Vec<Box<dyn CmLoss>> = Vec::new();
+    for j in 0..10 {
+        losses.push(Box::new(
+            LinearQueryLoss::new(
+                pmw::losses::PointPredicate::Threshold {
+                    coord: j % 2,
+                    threshold: [-0.2, 0.0, 0.15][j % 3],
+                },
+                2,
+            )
+            .unwrap(),
+        ));
+    }
+    for task in catalog::random_regression_tasks(2, 10, LinkFn::Squared, &mut rng).unwrap() {
+        losses.push(Box::new(task));
+    }
+    for loss in &losses {
+        if mech.answer(loss.as_ref(), &mut rng).is_err() {
+            break;
+        }
+    }
+
+    let mut checked = 0;
+    for r in mech.transcript().records() {
+        if r.outcome == QueryOutcome::FromOracle {
+            let err = r
+                .error_query_value
+                .expect("diagnostics record the error query");
+            let gap = r
+                .certificate_gap
+                .expect("diagnostics record the certificate gap");
+            assert!(
+                gap >= err - alpha / 4.0 - 1e-6,
+                "update {:?} ({}): gap {gap} < err {err} - alpha/4",
+                r.update_round,
+                r.loss_name
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "the workload should force at least one update");
+}
+
 fn clustered_dataset_2d(grid: &GridUniverse, n: usize, rng: &mut StdRng) -> Dataset {
     // One tight cluster: threshold-query answers differ strongly from the
     // uniform hypothesis.
