@@ -6,11 +6,11 @@
 //! binary drives the **same** [`Mwem`] engine through both state
 //! representations:
 //!
-//! * **dense** — `run_with_backend` over a materialized `BooleanCube` +
-//!   `DenseBackend`, measured at the largest size where that is cheap
+//! * **dense** — `run_with_backend` over a materialized `BooleanCube`
+//!   (`DataSide::from_universe`) + `DenseBackend`, measured at the largest size where that is cheap
 //!   (`2^16` full, `2^12` smoke) and extrapolated per-element beyond;
-//! * **sampled** — `run_with_source` over a `BigBitCube` point source +
-//!   `SampledBackend` (pool budget `m`): implicit width-2 marginal
+//! * **sampled** — `run_with_source_probed` over a `BigBitCube` point
+//!   source + `SampledBackend` (pool budget `m`): implicit width-2 marginal
 //!   queries, data side on the dataset's ≤ n support rows, per-round cost
 //!   `O(k·m·d + n·d)` — flat in `|X|` through `2^26`, where the dense
 //!   path cannot even materialize.
@@ -39,7 +39,7 @@
 //! (render it with the `run_report` binary).
 
 use pmw_bench::{header, probe_json, trace_path};
-use pmw_core::{DenseBackend, Mwem};
+use pmw_core::{DataSide, DenseBackend, Mwem};
 use pmw_data::workload::random_implicit_marginals;
 use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointSource};
 use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe, SummaryProbe};
@@ -149,7 +149,7 @@ struct SampledRun {
 }
 
 /// One sampled run at the given round count; returns total wall time so
-/// the caller can difference out the shared one-time setup (`run_with_source`
+/// the caller can difference out the shared one-time setup (the run
 /// builds the dataset truths in `O(k·n·d)` before the first round).
 fn sampled_total<P: Probe>(
     scale: &Scale,
@@ -331,8 +331,9 @@ fn dense_total(scale: &Scale, log2_x: usize, run_seed: u64, rounds: usize) -> (f
     let mwem = Mwem::new(rounds, 1.0).expect("mwem");
     let mut rng = StdRng::seed_from_u64(run_seed);
     let start = Instant::now();
+    let data = DataSide::from_universe(&cube, &dataset).expect("dense data side");
     let run = mwem
-        .run_with_backend(&queries, &cube, &dataset, scale.epsilon, state, &mut rng)
+        .run_with_backend(&queries, &data, scale.epsilon, state, &mut rng)
         .expect("dense mwem run");
     let elapsed = start.elapsed().as_nanos() as f64;
     (

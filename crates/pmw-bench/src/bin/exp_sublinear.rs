@@ -21,8 +21,8 @@
 //! trade-off, quantified.
 //!
 //! On top of the backend axis, a **mechanism axis** drives the complete
-//! Figure-3 `answer` loop through `OnlinePmw::with_point_source` (row-based
-//! data side over the dataset's support, `SampledBackend` state, no
+//! Figure-3 `answer` loop through `OnlinePmw::with_backend` over
+//! `DataSide::from_source` (row-based data side over the dataset's support, `SampledBackend` state, no
 //! universe materialization) at every size — the per-answer cost is flat
 //! in `|X|`, which is the whole-mechanism sublinearity claim.
 //!
@@ -48,7 +48,7 @@
 use pmw_bench::schema::extract_numbers;
 use pmw_bench::{header, mean_std, probe_json, row, trace_path};
 use pmw_core::update::dual_certificate;
-use pmw_core::{OnlinePmw, PmwConfig, PmwError, StateBackend};
+use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, Histogram, PointSource, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
@@ -230,7 +230,7 @@ struct MechanismReport {
 }
 
 /// The full-mechanism axis: `OnlinePmw::answer` end to end at
-/// `|X| = 2^log2_x` on the point-source construction — row-based data
+/// `|X| = 2^log2_x` over `DataSide::from_source` — row-based data
 /// side (n-row dataset, ≤ n support rows), `SampledBackend` state at the
 /// given pool budget, `ExactOracle` as `A′` (so the measured cost is the
 /// mechanism's, not a specific private oracle's). Rotating single-bit
@@ -285,10 +285,9 @@ fn measure_mechanism<P: Probe>(
         .solver_iters(80)
         .build()
         .expect("config");
-    let mut mech = OnlinePmw::with_point_source(
+    let mut mech = OnlinePmw::with_backend(
         config,
-        &source,
-        &dataset,
+        DataSide::from_source(&source, &dataset).expect("support rows"),
         ExactOracle::default(),
         backend,
         &mut rng,
@@ -452,7 +451,7 @@ fn main() {
         "# E12: sublinear state maintenance (budget={budget}, rounds={rounds}, \
          dense reference {dense_ref:.3} ns/elem from {dense_ref_source})"
     );
-    println!("# mechanism axis: full OnlinePmw::answer via with_point_source (n={mech_n}, k={mech_queries}, ExactOracle)");
+    println!("# mechanism axis: full OnlinePmw::answer via DataSide::from_source (n={mech_n}, k={mech_queries}, ExactOracle)");
     header(&[
         "log2_X",
         "per_round_us",

@@ -6,10 +6,10 @@
 //! (finite, positive). The CI bench-smoke job runs these checks through
 //! the `bench_schema_check` binary after regenerating both artifacts.
 
-/// Every number appearing as `"key": <number>` in `json`, in order.
-/// Numbers are parsed as Rust `f64` literals (integer, decimal, scientific,
-/// `inf`/`NaN` never appear in valid artifacts and simply fail the parse).
-pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
+/// The value after every `"key":` in `json`, in order, cut to its leading
+/// run of number characters — empty for `null`, `NaN`, strings and
+/// objects, which never parse.
+fn number_tokens<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
     let needle = format!("\"{key}\":");
     let mut out = Vec::new();
     let mut rest = json;
@@ -19,11 +19,36 @@ pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
         let end = trimmed
             .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
             .unwrap_or(trimmed.len());
-        if let Ok(v) = trimmed[..end].parse::<f64>() {
-            out.push(v);
-        }
+        out.push(&trimmed[..end]);
     }
     out
+}
+
+/// Every number appearing as `"key": <number>` in `json`, in order.
+/// Numbers are parsed as Rust `f64` literals (integer, decimal,
+/// scientific); occurrences holding anything else are skipped.
+pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
+    number_tokens(json, key)
+        .into_iter()
+        .filter_map(|t| t.parse().ok())
+        .collect()
+}
+
+/// Every value of `"key"`, failing when the key is missing or when any
+/// occurrence holds something other than a number (`NaN`, `null`, …), so
+/// a bad row cannot hide among good ones.
+fn require_numbers(json: &str, key: &str) -> Result<Vec<f64>, String> {
+    let tokens = number_tokens(json, key);
+    if tokens.is_empty() {
+        return Err(format!("missing numeric key \"{key}\""));
+    }
+    tokens
+        .into_iter()
+        .map(|t| {
+            t.parse()
+                .map_err(|_| format!("key \"{key}\" holds a non-number"))
+        })
+        .collect()
 }
 
 /// True when `"key":` appears anywhere in the document.
@@ -32,11 +57,7 @@ pub fn has_key(json: &str, key: &str) -> bool {
 }
 
 fn require_positive(json: &str, key: &str) -> Result<(), String> {
-    let values = extract_numbers(json, key);
-    if values.is_empty() {
-        return Err(format!("missing numeric key \"{key}\""));
-    }
-    for v in values {
+    for v in require_numbers(json, key)? {
         if !v.is_finite() || v <= 0.0 {
             return Err(format!(
                 "key \"{key}\" has non-finite/non-positive value {v}"
@@ -47,11 +68,7 @@ fn require_positive(json: &str, key: &str) -> Result<(), String> {
 }
 
 fn require_non_negative(json: &str, key: &str) -> Result<(), String> {
-    let values = extract_numbers(json, key);
-    if values.is_empty() {
-        return Err(format!("missing numeric key \"{key}\""));
-    }
-    for v in values {
+    for v in require_numbers(json, key)? {
         if !v.is_finite() || v < 0.0 {
             return Err(format!("key \"{key}\" has non-finite/negative value {v}"));
         }
@@ -508,6 +525,30 @@ mod tests {
         assert!(extract_numbers(json, "missing").is_empty());
         assert!(has_key(json, "b"));
         assert!(!has_key(json, "missing"));
+    }
+
+    #[test]
+    fn required_columns_reject_non_numeric_rows() {
+        let json = r#"{"rows": [{"ns": 5.0}, {"ns": 7.0}]}"#;
+        require_positive(json, "ns").unwrap();
+        require_non_negative(json, "ns").unwrap();
+        for bad in ["NaN", "null", "\"7\""] {
+            let broken = json.replace("7.0", bad);
+            assert!(require_positive(&broken, "ns").is_err(), "{bad}");
+            assert!(require_non_negative(&broken, "ns").is_err(), "{bad}");
+        }
+        // The committed MWEM artifact passes; one bad row fails it.
+        let committed = include_str!("../../../BENCH_mwem.json");
+        validate_bench_mwem(committed).unwrap();
+        let key = "\"sampled_per_round_ns\": ";
+        let start = committed.find(key).expect("per-round column") + key.len();
+        let len = committed[start..]
+            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .expect("row continues");
+        for bad in ["NaN", "null"] {
+            let broken = format!("{}{bad}{}", &committed[..start], &committed[start + len..]);
+            assert!(validate_bench_mwem(&broken).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! `k^{1/2}` in the oracle's `1/ε₀` term, against PMW's `log k`
 //! ([`crate::theory::crossover_k`] locates the crossover).
 
+use crate::data::DataSide;
 use crate::error::PmwError;
-use pmw_data::{Dataset, Histogram, PointMatrix, Universe};
+use pmw_data::{Dataset, Universe};
 use pmw_dp::composition::per_step_budget_for;
 use pmw_dp::{Accountant, PrivacyBudget};
 use pmw_erm::{ErmOracle, OracleChoice};
@@ -24,9 +25,7 @@ use rand::Rng;
 /// Answer each query independently under strong composition.
 pub struct CompositionMechanism<O: ErmOracle = OracleChoice> {
     oracle: O,
-    points: PointMatrix,
-    data: Histogram,
-    n: usize,
+    data: DataSide,
     k: usize,
     per_query_budget: PrivacyBudget,
     queries_answered: usize,
@@ -57,11 +56,7 @@ impl<O: ErmOracle> CompositionMechanism<O> {
         if k == 0 {
             return Err(PmwError::InvalidConfig("k must be >= 1"));
         }
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
+        let data = DataSide::from_universe(universe, &dataset)?;
         let per_query_budget = if k == 1 {
             budget
         } else {
@@ -69,9 +64,7 @@ impl<O: ErmOracle> CompositionMechanism<O> {
         };
         Ok(Self {
             oracle,
-            points: universe.materialize(),
-            data: dataset.histogram(),
-            n: dataset.len(),
+            data,
             k,
             per_query_budget,
             queries_answered: 0,
@@ -91,9 +84,9 @@ impl<O: ErmOracle> CompositionMechanism<O> {
         }
         let theta = self.oracle.solve(
             loss,
-            &self.points,
+            self.data.points(),
             self.data.weights(),
-            self.n,
+            self.data.n(),
             self.per_query_budget,
             rng,
         )?;

@@ -24,12 +24,16 @@
 //!   independently by a single-query oracle under strong composition,
 //!   costing `√k` instead of `log k`.
 //! * [`state`] — the state-backend seam ([`StateBackend`]/[`DenseBackend`]):
-//!   both mechanisms are generic over how `D̂_t` is represented, which is
+//!   every mechanism is generic over how `D̂_t` is represented, which is
 //!   what lets the `pmw-sketch` crate swap in sublinear-time sketched state.
-//!   With the point-source constructions ([`OnlinePmw::with_point_source`],
-//!   [`OfflinePmw::run_with_source`]) the data side is sublinear too: the
-//!   error query runs over dataset support rows and the universe is never
-//!   materialized, so the whole loop is flat in `|X|`.
+//! * [`data`] — the one data-side type, [`DataSide`]: the dataset as its
+//!   histogram over the materialized universe, or as its ≤ n support rows
+//!   ([`DataSide::from_source`]), which never materializes the universe.
+//!   Each mechanism keeps a dense convenience constructor plus one generic
+//!   entry taking a `DataSide` and a backend ([`OnlinePmw::with_backend`],
+//!   [`LinearPmw::with_backend`], [`OfflinePmw::run_with_backend`],
+//!   [`Mwem::run_with_backend`]); with support rows and a sketching backend
+//!   the whole loop is flat in `|X|`.
 //! * [`theory`] — every quantitative formula from Table 1 and
 //!   Theorems 3.1/3.8; the mechanism takes its round count and learning
 //!   rate from here, and its tests check Lemma 3.4's regret bound.
@@ -40,6 +44,7 @@
 
 pub mod composition_baseline;
 pub mod config;
+pub mod data;
 pub mod error;
 pub mod game;
 pub mod linear;
@@ -52,11 +57,12 @@ pub mod update;
 
 pub use composition_baseline::CompositionMechanism;
 pub use config::{DerivedParams, PmwConfig, PmwConfigBuilder};
+pub use data::DataSide;
 pub use error::PmwError;
 pub use game::{run_accuracy_game, GameOutcome};
-pub use linear::{LinearPmw, Mwem, MwemResult, MwemRun};
-pub use mechanism::{screen_query, OnlinePmw, ScreenContext, ScreenedQuery};
-pub use offline::{OfflineBackendResult, OfflinePmw};
+pub use linear::{LinearPmw, Mwem, MwemRun};
+pub use mechanism::{OnlinePmw, ScreenContext, ScreenedQuery};
+pub use offline::{OfflinePmw, OfflineResult};
 pub use state::{
     BackendEvent, DenseBackend, DenseSnapshot, MeanFn, QueryEstimate, ReadSnapshot, StateBackend,
 };

@@ -19,135 +19,23 @@
 //! [`LinearQuery`] vectors — bit-for-bit the pre-seam behavior, same rng
 //! streams) and the **sublinear** pipeline of *Fast-MWEM: Private Data
 //! Release in Sublinear Time*: implicit (marginal / parity / threshold)
-//! queries over a `pmw_sketch::SampledBackend`, constructed through
-//! [`LinearPmw::with_point_source`] / [`Mwem::run_with_source`], where
-//! neither the universe, the data histogram, nor any query vector is ever
-//! materialized — the data side sweeps the dataset's ≤ n support rows and
-//! the hypothesis side sweeps a Monte-Carlo pool, both flat in `|X|`.
+//! queries over a `pmw_sketch::SampledBackend` and a
+//! [`DataSide::from_source`] data side, where neither the universe, the
+//! data histogram, nor any query vector is ever materialized — the data
+//! side sweeps the dataset's ≤ n support rows and the hypothesis side
+//! sweeps a Monte-Carlo pool, both flat in `|X|`.
 
 use crate::config::PmwConfig;
+use crate::data::DataSide;
 use crate::error::PmwError;
 use crate::state::{eval_query_on_histogram, BackendEvent, DenseBackend, StateBackend};
-use pmw_data::workload::{query_value, LinearQuery, PointQuery};
-use pmw_data::{Dataset, Histogram, PointMatrix, PointSource, Universe};
+use pmw_data::workload::{LinearQuery, PointQuery};
+use pmw_data::{Dataset, Histogram, PointSource};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
 use pmw_dp::{Accountant, ExponentialMechanism, LaplaceMechanism, SparseVector};
 use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
 use std::sync::Arc;
-
-/// The data-side representation of the true query answers `q(D)` — dense
-/// histogram on the classic path, the dataset's support rows on the
-/// sublinear path (mirrors the mechanism-side `DataSide` of
-/// [`crate::OnlinePmw`]).
-enum QueryData {
-    /// Universe-indexed: the Θ(|X|) data histogram, plus the materialized
-    /// universe points when the construction had a [`Universe`] in hand
-    /// (required to evaluate implicit queries densely).
-    Dense {
-        histogram: Histogram,
-        points: Option<PointMatrix>,
-    },
-    /// Row-indexed: only the dataset's ≤ n distinct support rows with
-    /// their empirical weights — `O(n·d)` per query evaluation,
-    /// independent of `|X|`.
-    Rows {
-        universe: usize,
-        indices: Vec<usize>,
-        points: PointMatrix,
-        weights: Vec<f64>,
-    },
-}
-
-impl QueryData {
-    fn from_source<S: PointSource + ?Sized>(
-        dataset: &Dataset,
-        source: &S,
-    ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match point source",
-            ));
-        }
-        let (indices, points, weights) = dataset.support_points_indexed(source)?;
-        Ok(QueryData::Rows {
-            universe: source.len(),
-            indices,
-            points,
-            weights,
-        })
-    }
-
-    fn universe_size(&self) -> usize {
-        match self {
-            QueryData::Dense { histogram, .. } => histogram.len(),
-            QueryData::Rows { universe, .. } => *universe,
-        }
-    }
-
-    /// The materialized universe points, when this data side holds them
-    /// (dense constructions from a [`Universe`] only).
-    fn universe_points(&self) -> Option<&PointMatrix> {
-        match self {
-            QueryData::Dense { points, .. } => points.as_ref(),
-            QueryData::Rows { .. } => None,
-        }
-    }
-
-    /// Validate that `q` is evaluable against this data side (and against
-    /// the hypothesis state, which shares the universe).
-    fn check_query(&self, q: &dyn PointQuery) -> Result<(), PmwError> {
-        if let Some(len) = q.universe_len() {
-            if len != self.universe_size() {
-                return Err(PmwError::LossMismatch("query length != universe size"));
-            }
-            return Ok(());
-        }
-        if let Some(d) = q.point_dim() {
-            return match self {
-                QueryData::Dense {
-                    points: Some(p), ..
-                }
-                | QueryData::Rows { points: p, .. } => {
-                    if p.dim() != d {
-                        Err(PmwError::LossMismatch(
-                            "query point dimension does not match universe points",
-                        ))
-                    } else {
-                        Ok(())
-                    }
-                }
-                QueryData::Dense { points: None, .. } => Err(PmwError::LossMismatch(
-                    "implicit queries need universe points; construct with a universe or point source",
-                )),
-            };
-        }
-        Err(PmwError::LossMismatch(
-            "query supports neither index nor point evaluation",
-        ))
-    }
-
-    /// The true answer `q(D)`.
-    fn evaluate(&self, q: &dyn PointQuery) -> Result<f64, PmwError> {
-        match self {
-            QueryData::Dense { histogram, points } => {
-                eval_query_on_histogram(q, histogram, points.as_ref())
-            }
-            QueryData::Rows {
-                indices,
-                points,
-                weights,
-                ..
-            } => {
-                let mut value = 0.0;
-                for ((&idx, point), &w) in indices.iter().zip(points.iter()).zip(weights) {
-                    value += w * query_value(q, idx, point)?;
-                }
-                Ok(value)
-            }
-        }
-    }
-}
 
 /// Pre-check and collect the owned query handles a retaining backend
 /// needs, **before** any privacy budget is spent — mirrors the
@@ -183,12 +71,13 @@ fn retained_handles(
 ///
 /// Generic over the [`StateBackend`] holding the hypothesis: the default
 /// dense construction ([`LinearPmw::new`]) reproduces the classic pipeline
-/// bit-for-bit; [`LinearPmw::with_point_source`] plus a sketching backend
-/// (e.g. `pmw_sketch::SampledBackend`) answers implicit query workloads at
+/// bit-for-bit; [`LinearPmw::with_backend`] over a
+/// [`DataSide::from_source`] plus a sketching backend (e.g.
+/// `pmw_sketch::SampledBackend`) answers implicit query workloads at
 /// `|X| = 2^26` and beyond with per-answer cost flat in `|X|`.
 pub struct LinearPmw<B: StateBackend = DenseBackend> {
     state: B,
-    data: QueryData,
+    data: DataSide,
     eta: f64,
     k: usize,
     alpha: f64,
@@ -211,25 +100,17 @@ pub struct LinearPmw<B: StateBackend = DenseBackend> {
 impl LinearPmw<DenseBackend> {
     /// Build over a universe of the given size with the dense (exact)
     /// state backend — the classic \[HR10\] pipeline, unchanged. Dense
-    /// [`LinearQuery`] workloads only; implicit queries need the
-    /// point-carrying constructors.
+    /// [`LinearQuery`] workloads only; implicit queries need a
+    /// [`DataSide`] carrying points ([`LinearPmw::with_backend`]).
     pub fn new(
         config: PmwConfig,
         universe_size: usize,
         dataset: &Dataset,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: None,
-        };
+        let data = DataSide::from_histogram(universe_size, dataset)?;
         let state = DenseBackend::new(universe_size)?;
-        Self::build(config, universe_size, dataset.len(), data, state, rng)
+        Self::with_backend(config, data, state, rng)
     }
 
     /// The current hypothesis histogram.
@@ -239,72 +120,27 @@ impl LinearPmw<DenseBackend> {
 }
 
 impl<B: StateBackend> LinearPmw<B> {
-    /// Build with an explicit state backend over a materialized universe.
-    /// The data side stays dense (Θ(|X|) histogram) but carries the
-    /// universe points, so **implicit** queries evaluate on this path too.
-    pub fn with_backend<U: Universe>(
+    /// Build over any data side with an explicit state backend. Both
+    /// public [`DataSide`] forms carry points, so **implicit** queries
+    /// evaluate on either; the support-row form with a sketching backend
+    /// is the fully sublinear construction (implicit queries only — the
+    /// retaining backends reject universe-indexed ones).
+    ///
+    /// Draws exactly the sparse-vector noise from `rng`.
+    pub fn with_backend(
         config: PmwConfig,
-        universe: &U,
-        dataset: &Dataset,
+        data: DataSide,
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: Some(universe.materialize()),
-        };
-        Self::build(config, universe.size(), dataset.len(), data, state, rng)
-    }
-
-    /// Fully sublinear construction: universe points come from `source` on
-    /// demand, only the dataset's ≤ n support rows are materialized, and
-    /// the true answers `q(D)` are `O(n·d)` row sweeps. Requires a
-    /// sketching state backend
-    /// (`!`[`StateBackend::requires_materialized_universe`]) and implicit
-    /// ([`PointQuery::point_dim`]) queries.
-    pub fn with_point_source<S: PointSource + ?Sized>(
-        config: PmwConfig,
-        source: &S,
-        dataset: &Dataset,
-        state: B,
-        rng: &mut dyn Rng,
-    ) -> Result<Self, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        let data = QueryData::from_source(dataset, source)?;
-        Self::build(config, source.len(), dataset.len(), data, state, rng)
-    }
-
-    /// Shared constructor tail. Draws exactly the sparse-vector noise from
-    /// `rng` (the dense path's stream is unchanged).
-    fn build(
-        config: PmwConfig,
-        universe_size: usize,
-        n: usize,
-        data: QueryData,
-        state: B,
-        rng: &mut dyn Rng,
-    ) -> Result<Self, PmwError> {
-        if state.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let derived = config.derive(universe_size)?;
-        let range = config.scale_s;
+        data.check_backend(&state)?;
+        let derived = config.derive(data.universe_size())?;
+        let sensitivity = config.scale_s / data.n() as f64;
         let sv = SparseVector::new(
             SvConfig {
                 max_top: derived.rounds,
                 threshold: config.alpha,
-                sensitivity: range / n as f64,
+                sensitivity,
                 budget: derived.sv_budget,
                 composition: config.sv_composition,
             },
@@ -318,7 +154,7 @@ impl<B: StateBackend> LinearPmw<B> {
             eta: derived.eta,
             k: config.k,
             alpha: config.alpha,
-            laplace: LaplaceMechanism::new(range / n as f64, derived.oracle_budget.epsilon())?,
+            laplace: LaplaceMechanism::new(sensitivity, derived.oracle_budget.epsilon())?,
             rounds: derived.rounds,
             sv,
             queries_answered: 0,
@@ -330,7 +166,7 @@ impl<B: StateBackend> LinearPmw<B> {
     }
 
     /// Answer one linear query (dense [`LinearQuery`] or implicit
-    /// [`pmw_data::ImplicitQuery`], per the construction).
+    /// [`pmw_data::ImplicitQuery`], per the data side).
     ///
     /// On an above-threshold (`⊤`) outcome the sparse-vector top is
     /// consumed inside `process`, so from there the round is burned no
@@ -341,44 +177,12 @@ impl<B: StateBackend> LinearPmw<B> {
     /// Figure-3 mechanism's SV/oracle fix, regression-tested with a
     /// failing-backend stub).
     pub fn answer(&mut self, query: &dyn PointQuery, rng: &mut dyn Rng) -> Result<f64, PmwError> {
-        self.answer_with_probe(query, rng, &NoopProbe)
-    }
-
-    /// [`LinearPmw::answer`], reporting the round through `probe`: one
-    /// round span per query with [`Phase::Estimate`],
-    /// [`Phase::ErrorQuery`], [`Phase::SvScreen`] and (on `⊤` rounds)
-    /// [`Phase::Measure`]/[`Phase::Update`] sub-spans, plus margin and
-    /// budget gauges. `answer` delegates here with the [`NoopProbe`],
-    /// which compiles the instrumentation away.
-    pub fn answer_with_probe<P: Probe>(
-        &mut self,
-        query: &dyn PointQuery,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<f64, PmwError> {
         if self.halted {
             return Err(PmwError::Halted);
         }
         if self.queries_answered >= self.k {
             return Err(PmwError::QueryLimitReached);
         }
-        let round_idx = self.queries_answered;
-        probe.round_begin(round_idx);
-        let mut outcome_label: &'static str = "error";
-        let result = self.answer_round(query, rng, probe, &mut outcome_label);
-        probe.round_end(round_idx, outcome_label);
-        result
-    }
-
-    /// The body of one answered round; `outcome_label` reports how the
-    /// round ended to the probe.
-    fn answer_round<P: Probe>(
-        &mut self,
-        query: &dyn PointQuery,
-        rng: &mut dyn Rng,
-        probe: &P,
-        outcome_label: &mut &'static str,
-    ) -> Result<f64, PmwError> {
         self.data.check_query(query)?;
         // Retaining backends need an owned query handle; obtain it before
         // any sparse-vector round or budget is consumed on an update that
@@ -387,14 +191,10 @@ impl<B: StateBackend> LinearPmw<B> {
             Some(mut handles) => handles.pop(),
             None => None,
         };
-        probe.span_begin(Phase::Estimate);
         let est = self
             .state
             .expected_query_value(query, self.data.universe_points(), rng)?;
-        probe.span_end(Phase::Estimate);
-        probe.span_begin(Phase::ErrorQuery);
         let truth = self.data.evaluate(query)?;
-        probe.span_end(Phase::ErrorQuery);
         let err = (est.value - truth).abs();
         // Radius-aware SV margin: on a sketching backend `est` carries a
         // claimed concentration radius, and a ⊥ must certify that the
@@ -408,28 +208,19 @@ impl<B: StateBackend> LinearPmw<B> {
                 "backend claimed a non-finite or negative estimate radius",
             ));
         }
-        if P::ENABLED {
-            probe.gauge(Gauge::ClaimedRadius, est.radius);
-            probe.gauge(Gauge::SvMargin, err + est.radius);
-        }
-        probe.span_begin(Phase::SvScreen);
         let outcome = match self.sv.process(err + est.radius, rng) {
             Ok(o) => o,
             Err(pmw_dp::DpError::SparseVectorHalted) => {
                 self.halted = true;
-                *outcome_label = "halted";
                 return Err(PmwError::Halted);
             }
             Err(e) => return Err(e.into()),
         };
-        probe.span_end(Phase::SvScreen);
         let answer = match outcome {
             SvOutcome::Bottom => {
                 // A prior failed round may have queued rollback events:
                 // drain on free answers too.
                 self.backend_events.extend(self.state.take_events());
-                probe.counter(Counter::FreeAnswers, 1);
-                *outcome_label = "free";
                 est.value
             }
             SvOutcome::Top => {
@@ -437,35 +228,26 @@ impl<B: StateBackend> LinearPmw<B> {
                 // the SV top is already consumed, and a failing release
                 // may already have leaked its noise.
                 self.accountant.spend("laplace", self.laplace.budget());
-                if P::ENABLED {
-                    if let Ok(total) = self.accountant.basic_total() {
-                        probe.gauge(Gauge::EpsSpent, total.epsilon());
-                        probe.gauge(Gauge::DeltaSpent, total.delta());
-                    }
-                }
-                probe.span_begin(Phase::Measure);
-                let released = self.laplace.release(truth, rng).map_err(PmwError::from);
-                probe.span_end(Phase::Measure);
-                let applied = released.and_then(|measured| {
-                    // Update direction: if the hypothesis overestimates,
-                    // penalize elements where q(x) is large
-                    // (exp(-eta*q)); otherwise boost.
-                    let coeff = if est.value > measured { 1.0 } else { -1.0 };
-                    probe.span_begin(Phase::Update);
-                    let updated = self
-                        .state
-                        .apply_query_update(
-                            query,
-                            retained,
-                            coeff,
-                            self.eta,
-                            self.data.universe_points(),
-                            rng,
-                        )
-                        .map(|()| measured);
-                    probe.span_end(Phase::Update);
-                    updated
-                });
+                let applied = self
+                    .laplace
+                    .release(truth, rng)
+                    .map_err(PmwError::from)
+                    .and_then(|measured| {
+                        // Update direction: if the hypothesis overestimates,
+                        // penalize elements where q(x) is large
+                        // (exp(-eta*q)); otherwise boost.
+                        let coeff = if est.value > measured { 1.0 } else { -1.0 };
+                        self.state
+                            .apply_query_update(
+                                query,
+                                retained,
+                                coeff,
+                                self.eta,
+                                self.data.universe_points(),
+                                rng,
+                            )
+                            .map(|()| measured)
+                    });
                 // The top is spent whatever happened above: burn the round
                 // and mirror SV's halt so the counters stay in sync.
                 self.updates_used += 1;
@@ -478,14 +260,8 @@ impl<B: StateBackend> LinearPmw<B> {
                 // close them with a `RoundRolledBack` marker.
                 self.backend_events.extend(self.state.take_events());
                 match applied {
-                    Ok(measured) => {
-                        probe.counter(Counter::UpdateRounds, 1);
-                        *outcome_label = "update";
-                        measured
-                    }
+                    Ok(measured) => measured,
                     Err(e) => {
-                        probe.counter(Counter::FailedRounds, 1);
-                        *outcome_label = "failed";
                         self.queries_answered += 1;
                         return Err(e);
                     }
@@ -540,28 +316,14 @@ impl<B: StateBackend> LinearPmw<B> {
     }
 }
 
-/// Result of an offline MWEM run on the dense (classic) path.
-#[derive(Debug, Clone)]
-pub struct MwemResult {
-    /// The averaged hypothesis histogram (HLM12 recommend averaging).
-    pub histogram: Histogram,
-    /// Answers to every input query, evaluated on the averaged hypothesis.
-    pub answers: Vec<f64>,
-    /// Indices of the queries selected for measurement each round.
-    pub selected: Vec<usize>,
-    /// The privacy ledger: one exponential-mechanism and one Laplace entry
-    /// per round, auditable against the declared `ε`.
-    pub accountant: Accountant,
-}
-
-/// Result of a backend-generic MWEM run ([`Mwem::run_with_backend`] /
-/// [`Mwem::run_with_source`]).
+/// Result of an MWEM run.
 pub struct MwemRun<B> {
     /// The final state backend (post-processing of private outputs; usable
     /// for synthetic data via [`StateBackend::sample_indices`]).
     pub state: B,
-    /// The averaged hypothesis, when the backend maintains a dense one
-    /// (`None` on sketched state — no `|X|`-sized structure exists).
+    /// The averaged hypothesis (HLM12 recommend averaging), when the
+    /// backend maintains a dense one — always on [`Mwem::run`]; `None` on
+    /// sketched state, where no `|X|`-sized structure exists.
     pub averaged: Option<Histogram>,
     /// Answers to every input query: averaged-hypothesis evaluations on
     /// the dense path, the mean of the per-round hypothesis estimates on
@@ -570,8 +332,8 @@ pub struct MwemRun<B> {
     pub answers: Vec<f64>,
     /// Indices of the queries selected for measurement each round.
     pub selected: Vec<usize>,
-    /// The privacy ledger: per-round exponential-mechanism + Laplace
-    /// entries.
+    /// The privacy ledger: one exponential-mechanism and one Laplace entry
+    /// per round, auditable against the declared `ε`.
     pub accountant: Accountant,
     /// Backend self-maintenance events (adaptive resamples, escalation
     /// rungs) drained after each round, in occurrence order. Empty on
@@ -610,105 +372,35 @@ impl Mwem {
         dataset: &Dataset,
         epsilon: f64,
         rng: &mut dyn Rng,
-    ) -> Result<MwemResult, PmwError> {
-        self.run_probed(queries, dataset, epsilon, rng, &NoopProbe)
-    }
-
-    /// [`Mwem::run`], reporting each round through `probe` (see
-    /// [`Mwem::run_with_backend_probed`] for the emitted signals).
-    pub fn run_probed<P: Probe>(
-        &self,
-        queries: &[LinearQuery],
-        dataset: &Dataset,
-        epsilon: f64,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<MwemResult, PmwError> {
+    ) -> Result<MwemRun<DenseBackend>, PmwError> {
         let m = dataset.universe_size();
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: None,
-        };
-        let state = DenseBackend::new(m)?;
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        let run = self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)?;
-        Ok(MwemResult {
-            histogram: run
-                .averaged
-                .expect("the dense backend maintains a histogram"),
-            answers: run.answers,
-            selected: run.selected,
-            accountant: run.accountant,
-        })
+        let data = DataSide::from_histogram(m, dataset)?;
+        self.run_with_backend(queries, &data, epsilon, DenseBackend::new(m)?, rng)
     }
 
-    /// Backend-generic MWEM over a materialized universe: any
-    /// [`PointQuery`] workload (dense or implicit — the universe points
-    /// are in hand for the data side), any [`StateBackend`].
-    pub fn run_with_backend<U: Universe, Q: PointQuery, B: StateBackend>(
+    /// Backend-generic MWEM over any data side: any [`PointQuery`]
+    /// workload (implicit queries evaluate on the data side's points),
+    /// any [`StateBackend`]. [`DataSide::from_source`] with a sketching
+    /// backend is *Fast-MWEM*: nothing `|X|`-sized is ever allocated, so
+    /// universes past the materialization cap (`pmw_data::BigBitCube`,
+    /// `2^26`+) run at per-round cost flat in `|X|`.
+    pub fn run_with_backend<Q: PointQuery, B: StateBackend>(
         &self,
         queries: &[Q],
-        universe: &U,
-        dataset: &Dataset,
+        data: &DataSide,
         epsilon: f64,
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<MwemRun<B>, PmwError> {
-        self.run_with_backend_probed(queries, universe, dataset, epsilon, state, rng, &NoopProbe)
+        self.engine(queries, data, epsilon, state, rng, &NoopProbe)
     }
 
-    /// [`Mwem::run_with_backend`], reporting each round through `probe`:
-    /// [`Phase::Select`] (exponential mechanism), [`Phase::Measure`]
-    /// (Laplace release), [`Phase::Update`] (MW step) and
-    /// [`Phase::Estimate`] (the post-update score recompute) sub-spans per
-    /// round, the selection-widening radius gauge, and the running ε/δ
-    /// spend. The unprobed entry points delegate here with the
-    /// [`NoopProbe`], which compiles the instrumentation away — dense
-    /// selections and rng streams stay bit-for-bit unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_backend_probed<U: Universe, Q: PointQuery, B: StateBackend, P: Probe>(
-        &self,
-        queries: &[Q],
-        universe: &U,
-        dataset: &Dataset,
-        epsilon: f64,
-        state: B,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<MwemRun<B>, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = QueryData::Dense {
-            histogram: dataset.histogram(),
-            points: Some(universe.materialize()),
-        };
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)
-    }
-
-    /// Fully sublinear MWEM — the *Fast-MWEM* construction: implicit
-    /// queries, a sketching state backend, and a data side holding only
-    /// the dataset's ≤ n support rows. Nothing `|X|`-sized is ever
-    /// allocated, so universes past the materialization cap
-    /// (`pmw_data::BigBitCube`, `2^26`+) run at per-round cost flat in
-    /// `|X|`.
-    pub fn run_with_source<S: PointSource + ?Sized, Q: PointQuery, B: StateBackend>(
-        &self,
-        queries: &[Q],
-        source: &S,
-        dataset: &Dataset,
-        epsilon: f64,
-        state: B,
-        rng: &mut dyn Rng,
-    ) -> Result<MwemRun<B>, PmwError> {
-        self.run_with_source_probed(queries, source, dataset, epsilon, state, rng, &NoopProbe)
-    }
-
-    /// [`Mwem::run_with_source`], reporting each round through `probe`
-    /// (see [`Mwem::run_with_backend_probed`] for the emitted signals).
+    /// [`Mwem::run_with_backend`] over [`DataSide::from_source`]`(source,
+    /// dataset)`, reporting each round through `probe`: [`Phase::Select`]
+    /// (exponential mechanism), [`Phase::Measure`] (Laplace release),
+    /// [`Phase::Update`] (MW step) and [`Phase::Estimate`] (the post-update
+    /// score recompute) sub-spans per round, the selection-widening radius
+    /// gauge, and the running ε/δ spend.
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_source_probed<
         S: PointSource + ?Sized,
@@ -725,26 +417,19 @@ impl Mwem {
         rng: &mut dyn Rng,
         probe: &P,
     ) -> Result<MwemRun<B>, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        let data = QueryData::from_source(dataset, source)?;
-        let qrefs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
-        self.engine(&qrefs, &data, dataset.len(), epsilon, state, rng, probe)
+        let data = DataSide::from_source(source, dataset)?;
+        self.engine(queries, &data, epsilon, state, rng, probe)
     }
 
     /// The shared MWEM engine. On `DenseBackend` this consumes the same
     /// rng stream as the classic implementation (`T × (k` Gumbel draws `+
     /// 1` Laplace draw`)`) and evaluates the same inner products, so dense
-    /// selections are preserved.
-    #[allow(clippy::too_many_arguments)]
-    fn engine<B: StateBackend, P: Probe>(
+    /// selections are preserved. The [`NoopProbe`] compiles the
+    /// instrumentation away.
+    fn engine<Q: PointQuery, B: StateBackend, P: Probe>(
         &self,
-        queries: &[&dyn PointQuery],
-        data: &QueryData,
-        n: usize,
+        queries: &[Q],
+        data: &DataSide,
         epsilon: f64,
         mut state: B,
         rng: &mut dyn Rng,
@@ -756,19 +441,16 @@ impl Mwem {
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(PmwError::InvalidConfig("epsilon must be positive"));
         }
-        if state.universe_size() != data.universe_size() {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        for q in queries {
+        data.check_backend(&state)?;
+        let queries: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
+        for q in &queries {
             data.check_query(*q)?;
         }
         // Retention pre-check before any privacy spend.
-        let shared = retained_handles(queries, &state)?;
+        let shared = retained_handles(&queries, &state)?;
 
         let per_round = epsilon / (2.0 * self.rounds as f64);
-        let sensitivity = self.range / n as f64;
+        let sensitivity = self.range / data.n() as f64;
         let lap = LaplaceMechanism::new(sensitivity, per_round)?;
         let points = data.universe_points();
 
@@ -917,8 +599,7 @@ impl Mwem {
 mod tests {
     use super::*;
     use pmw_data::workload::{random_counting_queries, ImplicitQuery};
-    use pmw_data::BooleanCube;
-    use pmw_data::Universe;
+    use pmw_data::{BooleanCube, PointMatrix, Universe};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1007,9 +688,13 @@ mod tests {
         let data = skewed(&cube, 4000, &mut rng);
         let truth = data.histogram();
         let state = DenseBackend::new(cube.size()).unwrap();
-        let mut mech =
-            LinearPmw::with_backend(linear_config(8, 6, 0.1), &cube, &data, state, &mut rng)
-                .unwrap();
+        let mut mech = LinearPmw::with_backend(
+            linear_config(8, 6, 0.1),
+            DataSide::from_universe(&cube, &data).unwrap(),
+            state,
+            &mut rng,
+        )
+        .unwrap();
         let mut max_err: f64 = 0.0;
         for bit in 0..cube.dim() {
             let q = ImplicitQuery::marginal(vec![bit], 4).unwrap();
@@ -1113,8 +798,7 @@ mod tests {
         let state = FailingUpdateBackend(DenseBackend::new(8).unwrap());
         let mut mech = LinearPmw::with_backend(
             linear_config(40, rounds, 0.05),
-            &cube,
-            &data,
+            DataSide::from_universe(&cube, &data).unwrap(),
             state,
             &mut rng,
         )
@@ -1239,9 +923,13 @@ mod tests {
         let cube = BooleanCube::new(4).unwrap();
         let queries = random_counting_queries(16, 4, &mut rng).unwrap();
         let state = WideRadiusBackend(DenseBackend::new(16).unwrap(), 10.0);
-        let mut mech =
-            LinearPmw::with_backend(linear_config(4, 3, 0.2), &cube, &data, state, &mut rng)
-                .unwrap();
+        let mut mech = LinearPmw::with_backend(
+            linear_config(4, 3, 0.2),
+            DataSide::from_universe(&cube, &data).unwrap(),
+            state,
+            &mut rng,
+        )
+        .unwrap();
         let a = mech.answer(&queries[0], &mut rng).unwrap();
         assert_eq!(
             mech.updates_used(),
@@ -1273,12 +961,12 @@ mod tests {
             queries.push(LinearQuery::new(vec![1.0; 16]).unwrap());
         }
         let mwem = Mwem::new(6, 1.0).unwrap();
+        let dense_data = DataSide::from_universe(&cube, &data).unwrap();
         let mut rng_a = StdRng::seed_from_u64(146);
         let exact = mwem
             .run_with_backend(
                 &queries,
-                &cube,
-                &data,
+                &dense_data,
                 8.0,
                 DenseBackend::new(16).unwrap(),
                 &mut rng_a,
@@ -1289,8 +977,7 @@ mod tests {
         let wide = mwem
             .run_with_backend(
                 &queries,
-                &cube,
-                &data,
+                &dense_data,
                 8.0,
                 WideRadiusBackend(DenseBackend::new(16).unwrap(), 10.0),
                 &mut rng_b,
@@ -1308,8 +995,7 @@ mod tests {
         let mut rng_c = StdRng::seed_from_u64(146);
         let nan = mwem.run_with_backend(
             &queries,
-            &cube,
-            &data,
+            &dense_data,
             8.0,
             WideRadiusBackend(DenseBackend::new(16).unwrap(), f64::NAN),
             &mut rng_c,
@@ -1386,14 +1072,11 @@ mod tests {
             .unwrap()
             .run(&queries, &data, 8.0, &mut rng)
             .unwrap();
+        let histogram = result.averaged.expect("the dense run keeps the average");
         assert_eq!(result.selected[0], 0, "round 1 must pick the planted query");
         // And the learned (averaged) histogram should shift mass toward
         // element 15, well past its uniform share of 1/16.
-        assert!(
-            result.histogram.mass(15) > 0.15,
-            "{}",
-            result.histogram.mass(15)
-        );
+        assert!(histogram.mass(15) > 0.15, "{}", histogram.mass(15));
     }
 
     #[test]
@@ -1441,13 +1124,20 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(777);
         let state = DenseBackend::new(cube.size()).unwrap();
         let generic = mwem
-            .run_with_backend(&queries, &cube, &data, 4.0, state, &mut rng_b)
+            .run_with_backend(
+                &queries,
+                &DataSide::from_universe(&cube, &data).unwrap(),
+                4.0,
+                state,
+                &mut rng_b,
+            )
             .unwrap();
         assert_eq!(classic.selected, generic.selected);
         assert_eq!(classic.answers, generic.answers);
         assert_eq!(classic.accountant.len(), generic.accountant.len());
         let avg = generic.averaged.expect("dense run keeps the average");
-        for (a, b) in classic.histogram.weights().iter().zip(avg.weights()) {
+        let classic_avg = classic.averaged.expect("dense run keeps the average");
+        for (a, b) in classic_avg.weights().iter().zip(avg.weights()) {
             assert_eq!(a, b);
         }
     }
@@ -1467,7 +1157,13 @@ mod tests {
         let rounds = 12;
         let run = Mwem::new(rounds, 1.0)
             .unwrap()
-            .run_with_backend(&queries, &cube, &data, 6.0, state, &mut rng)
+            .run_with_backend(
+                &queries,
+                &DataSide::from_universe(&cube, &data).unwrap(),
+                6.0,
+                state,
+                &mut rng,
+            )
             .unwrap();
         let bit0_truth: f64 = (0..cube.size())
             .filter(|&x| cube.bit(x, 0))

@@ -23,11 +23,12 @@
 //! provided `n ≥ max{n', Õ(S²√(log|X|)·log k/(εα²))}`.
 
 use crate::config::{DerivedParams, PmwConfig};
+use crate::data::DataSide;
 use crate::error::PmwError;
 use crate::state::{DenseBackend, ReadSnapshot, StateBackend};
 use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
 use pmw_convex::Objective;
-use pmw_data::{Dataset, Histogram, PointMatrix, PointSource, Universe};
+use pmw_data::{Dataset, Histogram, PointMatrix, Universe};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
 use pmw_dp::{Accountant, SparseVector};
 use pmw_erm::{ErmOracle, OracleChoice};
@@ -37,58 +38,11 @@ use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
 use std::sync::Arc;
 
-/// The data-side representation of the error query `err_ℓ(D, D̂_t)`: the
-/// weighted point set every data-touching step (the `θ*` solve, the
-/// objective evaluations, the ERM oracle, the diagnostics gap) sweeps.
-enum DataSide {
-    /// Universe-indexed: the materialized `PointMatrix` plus the Θ(|X|)
-    /// data histogram — the original dense path, bit-for-bit.
-    Dense {
-        points: PointMatrix,
-        histogram: Histogram,
-    },
-    /// Row-indexed: only the dataset's ≤ n distinct support rows with
-    /// their empirical weights — `O(n·d)` per sweep, independent of `|X|`.
-    Rows {
-        points: PointMatrix,
-        weights: Vec<f64>,
-    },
-}
-
-impl DataSide {
-    fn points(&self) -> &PointMatrix {
-        match self {
-            DataSide::Dense { points, .. } | DataSide::Rows { points, .. } => points,
-        }
-    }
-
-    fn weights(&self) -> &[f64] {
-        match self {
-            DataSide::Dense { histogram, .. } => histogram.weights(),
-            DataSide::Rows { weights, .. } => weights,
-        }
-    }
-
-    fn histogram(&self) -> Option<&Histogram> {
-        match self {
-            DataSide::Dense { histogram, .. } => Some(histogram),
-            DataSide::Rows { .. } => None,
-        }
-    }
-
-    fn universe_points(&self) -> Option<&PointMatrix> {
-        match self {
-            DataSide::Dense { points, .. } => Some(points),
-            DataSide::Rows { .. } => None,
-        }
-    }
-}
-
 /// The result of the pure read phase of one round: everything the
 /// sparse-vector screen and the (serialized) commit phase need, computed
 /// against an immutable [`ReadSnapshot`] with **no RNG draws and no state
-/// mutation**. Produced by [`screen_query`] / [`OnlinePmw::screen`];
-/// consumed by [`OnlinePmw::commit_top`] (or answered directly on `⊥`).
+/// mutation**. Produced by [`ScreenContext::screen`]; consumed by
+/// [`OnlinePmw::commit_top_with_probe`] (or answered directly on `⊥`).
 #[derive(Debug, Clone)]
 pub struct ScreenedQuery {
     theta_hat: Vec<f64>,
@@ -128,29 +82,56 @@ impl ScreenedQuery {
     }
 }
 
-/// The pure read phase of one Figure-3 round, runnable by any thread
-/// holding a published snapshot: solve `θ̂` against the frozen hypothesis,
-/// evaluate the error query `err_ℓ(D, D̂)` over the data-side rows, and
-/// collect the backend's read margin. Consumes no RNG and mutates nothing
-/// (sketched snapshots ledger their concentration claims through their
-/// shared sampling ledger, exactly like the live backend's reads).
-pub fn screen_query<P: Probe>(
-    snapshot: &dyn ReadSnapshot,
-    loss: &dyn CmLoss,
-    points: &PointMatrix,
-    weights: &[f64],
+/// Everything the pure read phase needs besides the snapshot and the
+/// loss — the per-analyst handle state of a serving layer. Obtained from
+/// [`OnlinePmw::screen_context`]; it shares the mechanism's [`DataSide`]
+/// behind an `Arc`, so cloning a context is O(1).
+#[derive(Clone)]
+pub struct ScreenContext {
+    data: Arc<DataSide>,
     solver_iters: usize,
     scale_s: f64,
+    sv_config: SvConfig,
+}
+
+impl ScreenContext {
+    /// Screen `loss` against `snapshot` — the pure read phase of one
+    /// Figure-3 round, runnable by any thread holding a published
+    /// snapshot. Consumes no RNG and mutates nothing (sketched snapshots
+    /// ledger their concentration claims through their shared sampling
+    /// ledger, exactly like the live backend's reads).
+    pub fn screen(
+        &self,
+        snapshot: &dyn ReadSnapshot,
+        loss: &dyn CmLoss,
+    ) -> Result<ScreenedQuery, PmwError> {
+        screen_query(self, snapshot, loss, &NoopProbe)
+    }
+
+    /// The sparse-vector configuration the mechanism screens with — a
+    /// serving layer screening on the analyst side builds its sparse
+    /// vector from this **without re-charging the budget** (the
+    /// mechanism's ledger already carries the single `sparse-vector`
+    /// entry from construction).
+    pub fn sv_config(&self) -> SvConfig {
+        self.sv_config
+    }
+}
+
+/// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
+/// error query `err_ℓ(D, D̂)` over the data-side rows, and collect the
+/// backend's read margin.
+fn screen_query<P: Probe>(
+    ctx: &ScreenContext,
+    snapshot: &dyn ReadSnapshot,
+    loss: &dyn CmLoss,
     probe: &P,
 ) -> Result<ScreenedQuery, PmwError> {
-    if loss.point_dim() != points.dim() {
-        return Err(PmwError::LossMismatch(
-            "loss point dimension does not match universe",
-        ));
-    }
+    ctx.data.check_loss(loss)?;
+    let (points, weights) = (ctx.data.points(), ctx.data.weights());
     // (1) Hypothesis minimizer theta-hat, against the frozen state.
     probe.span_begin(Phase::HypothesisSolve);
-    let theta_hat = snapshot.hypothesis_minimizer(loss, points, solver_iters)?;
+    let theta_hat = snapshot.hypothesis_minimizer(loss, points, ctx.solver_iters)?;
     probe.span_end(Phase::HypothesisSolve);
 
     // (2) The error query q_j(D) = err_l(D, D-hat_t), evaluated over
@@ -158,7 +139,7 @@ pub fn screen_query<P: Probe>(
     // path, the dataset's support rows (O(n·d)) on the row path.
     probe.span_begin(Phase::ErrorQuery);
     let data_obj = WeightedObjective::new(loss, points, weights)?;
-    let theta_star = minimize_weighted(loss, points, weights, solver_iters)?;
+    let theta_star = minimize_weighted(loss, points, weights, ctx.solver_iters)?;
     let query_value = (data_obj.value(&theta_hat) - data_obj.value(&theta_star)).max(0.0);
     probe.span_end(Phase::ErrorQuery);
 
@@ -166,7 +147,7 @@ pub fn screen_query<P: Probe>(
     // read radius: θ̂ was solved against an *estimated* hypothesis, so a
     // ⊥ must certify the error query below α even after discounting the
     // sketch's read uncertainty. Exact backends claim radius 0.
-    let read_margin = snapshot.read_radius(scale_s);
+    let read_margin = snapshot.read_radius(ctx.scale_s);
     // A corrupted margin (NaN/∞/negative) would silently poison the
     // sparse-vector comparison; refuse loudly before any budget or
     // noise draw is consumed, leaving the round un-burned.
@@ -183,57 +164,6 @@ pub fn screen_query<P: Probe>(
     })
 }
 
-/// An owned, `Send + Sync` copy of everything [`screen_query`] needs
-/// besides the snapshot and the loss — the per-analyst handle state of a
-/// serving layer. Obtained once from [`OnlinePmw::screen_context`]; the
-/// data-side rows are shared behind `Arc`s, so cloning a context is O(1).
-#[derive(Clone)]
-pub struct ScreenContext {
-    points: Arc<PointMatrix>,
-    weights: Arc<Vec<f64>>,
-    solver_iters: usize,
-    scale_s: f64,
-    sv_config: SvConfig,
-}
-
-impl ScreenContext {
-    /// Screen `loss` against `snapshot` — the pure read phase.
-    pub fn screen(
-        &self,
-        snapshot: &dyn ReadSnapshot,
-        loss: &dyn CmLoss,
-    ) -> Result<ScreenedQuery, PmwError> {
-        self.screen_with_probe(snapshot, loss, &NoopProbe)
-    }
-
-    /// [`ScreenContext::screen`] with phase spans reported through `probe`.
-    pub fn screen_with_probe<P: Probe>(
-        &self,
-        snapshot: &dyn ReadSnapshot,
-        loss: &dyn CmLoss,
-        probe: &P,
-    ) -> Result<ScreenedQuery, PmwError> {
-        screen_query(
-            snapshot,
-            loss,
-            &self.points,
-            &self.weights,
-            self.solver_iters,
-            self.scale_s,
-            probe,
-        )
-    }
-
-    /// The sparse-vector configuration the mechanism screens with — a
-    /// serving layer screening on the analyst side builds its sparse
-    /// vector from this **without re-charging the budget** (the
-    /// mechanism's ledger already carries the single `sparse-vector`
-    /// entry from construction).
-    pub fn sv_config(&self) -> SvConfig {
-        self.sv_config
-    }
-}
-
 /// The Figure-3 mechanism. Construct once per dataset, then [`answer`]
 /// queries interactively; the analyst may choose each loss adaptively based
 /// on previous answers (the accuracy game of Figure 1).
@@ -244,24 +174,24 @@ impl ScreenContext {
 /// certificate expectation, MW update, synthetic sampling) cost
 /// independent of `|X|` (construct with [`OnlinePmw::with_backend`]).
 ///
-/// The data side is sublinear too: constructed through
-/// [`OnlinePmw::with_point_source`], the mechanism never materializes the
-/// universe or a `|X|`-sized data histogram — the error query
-/// `err_ℓ(D, D̂_t)` is evaluated as a row-weighted objective over the
-/// dataset's ≤ n support rows (`O(n·d)` per query), and universe points
-/// are fetched on demand through the [`PointSource`] seam only for those
-/// rows. With a sketching backend such as `pmw_sketch::SampledBackend`,
-/// the **whole** `answer` loop then runs at `|X| = 2^26` and beyond
-/// (`exp_sublinear`'s mechanism axis measures it flat in `|X|`).
+/// The data side is sublinear too: given a [`DataSide::from_source`], the
+/// mechanism never materializes the universe or a `|X|`-sized data
+/// histogram — the error query `err_ℓ(D, D̂_t)` is evaluated as a
+/// row-weighted objective over the dataset's ≤ n support rows (`O(n·d)`
+/// per query). With a sketching backend such as
+/// `pmw_sketch::SampledBackend`, the **whole** `answer` loop then runs at
+/// `|X| = 2^26` and beyond (`exp_sublinear`'s mechanism axis measures it
+/// flat in `|X|`).
 ///
 /// [`answer`]: OnlinePmw::answer
 pub struct OnlinePmw<O: ErmOracle = OracleChoice, B: StateBackend = DenseBackend> {
     config: PmwConfig,
     derived: DerivedParams,
     oracle: O,
-    data: DataSide,
+    /// The data side and screen parameters, shared with every
+    /// [`OnlinePmw::screen_context`].
+    ctx: ScreenContext,
     state: B,
-    n: usize,
     sv: SparseVector,
     update_round: usize,
     queries_answered: usize,
@@ -283,8 +213,9 @@ impl OnlinePmw<OracleChoice, DenseBackend> {
 }
 
 impl<O: ErmOracle> OnlinePmw<O, DenseBackend> {
-    /// Build with an explicit single-query oracle `A′` and the default
-    /// dense (exact) state backend.
+    /// Build with an explicit single-query oracle `A′`, the dense data side
+    /// ([`DataSide::from_universe`]) and the default dense (exact) state
+    /// backend.
     pub fn with_oracle<U: Universe>(
         config: PmwConfig,
         universe: &U,
@@ -292,8 +223,12 @@ impl<O: ErmOracle> OnlinePmw<O, DenseBackend> {
         oracle: O,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
+        // State first: with the data side allocated first, online-glm
+        // answers measured ~9% slower (heap placement of the sweep
+        // buffers, same instructions).
         let state = DenseBackend::new(universe.size())?;
-        Self::with_backend(config, universe, dataset, oracle, state, rng)
+        let data = DataSide::from_universe(universe, &dataset)?;
+        Self::with_backend(config, data, oracle, state, rng)
     }
 
     /// The current hypothesis histogram `D̂_t` — safe to release (it is a
@@ -305,105 +240,26 @@ impl<O: ErmOracle> OnlinePmw<O, DenseBackend> {
 }
 
 impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
-    /// Build with an explicit oracle **and** state backend — the seam that
-    /// lets the mechanism run on sketched (sublinear) hypothesis state.
-    /// The data side stays dense (materialized universe + Θ(|X|) data
-    /// histogram); use [`OnlinePmw::with_point_source`] for the fully
-    /// sublinear construction.
-    pub fn with_backend<U: Universe>(
-        config: PmwConfig,
-        universe: &U,
-        dataset: Dataset,
-        oracle: O,
-        state: B,
-        rng: &mut dyn Rng,
-    ) -> Result<Self, PmwError> {
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        let data = DataSide::Dense {
-            points: universe.materialize(),
-            histogram: dataset.histogram(),
-        };
-        Self::build(
-            config,
-            universe.size(),
-            dataset.len(),
-            data,
-            oracle,
-            state,
-            rng,
-        )
-    }
-
-    /// Fully sublinear construction: universe points come from `source`
-    /// **on demand** — only the dataset's ≤ n distinct support rows are
-    /// ever materialized (`O(n·d)`), never a `|X|`-row matrix or a
-    /// `|X|`-sized data histogram — and the data-side error query is
-    /// evaluated over those rows. Requires a state backend that holds its
-    /// own point representation
-    /// (`!`[`StateBackend::requires_materialized_universe`], e.g.
-    /// `pmw_sketch::SampledBackend`); the dense backend needs the full
-    /// universe and is rejected up front.
-    ///
-    /// This is the construction for universes past the materialization
-    /// cap (`pmw_data::BigBitCube` reaches `2^26` and beyond): per-answer
+    /// Build over any data side with an explicit oracle **and** state
+    /// backend — the seam that lets the mechanism run on sketched
+    /// (sublinear) hypothesis state. With [`DataSide::from_source`] and a
+    /// sketching backend nothing `|X|`-sized is ever allocated: per-answer
     /// cost is `O(n·d + m·d)` at pool budget `m`, flat in `|X|`.
-    pub fn with_point_source<S: PointSource + ?Sized>(
+    ///
+    /// Draws exactly the sparse-vector noise from `rng`.
+    pub fn with_backend(
         config: PmwConfig,
-        source: &S,
-        dataset: &Dataset,
-        oracle: O,
-        state: B,
-        rng: &mut dyn Rng,
-    ) -> Result<Self, PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source construction needs a sketching backend",
-            ));
-        }
-        if dataset.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match point source",
-            ));
-        }
-        let (points, weights) = dataset.support_points(source)?;
-        let data = DataSide::Rows { points, weights };
-        Self::build(
-            config,
-            source.len(),
-            dataset.len(),
-            data,
-            oracle,
-            state,
-            rng,
-        )
-    }
-
-    /// Shared tail of both constructors; `universe_size` is `|X|` however
-    /// the universe is represented. Draws exactly the sparse-vector noise
-    /// from `rng` (the dense path's stream is unchanged).
-    fn build(
-        config: PmwConfig,
-        universe_size: usize,
-        n: usize,
         data: DataSide,
         oracle: O,
         state: B,
         rng: &mut dyn Rng,
     ) -> Result<Self, PmwError> {
-        if state.universe_size() != universe_size {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let derived = config.derive(universe_size)?;
+        data.check_backend(&state)?;
+        let derived = config.derive(data.universe_size())?;
         let sv_config = SvConfig {
             max_top: derived.rounds,
             threshold: config.alpha,
-            sensitivity: 3.0 * config.scale_s / n as f64,
+            sensitivity: 3.0 * config.scale_s / data.n() as f64,
             budget: derived.sv_budget,
             composition: config.sv_composition,
         };
@@ -411,12 +267,16 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         let mut accountant = Accountant::new();
         accountant.spend("sparse-vector", derived.sv_budget);
         Ok(Self {
-            data,
+            ctx: ScreenContext {
+                data: Arc::new(data),
+                solver_iters: config.solver_iters,
+                scale_s: config.scale_s,
+                sv_config,
+            },
             state,
             config,
             derived,
             oracle,
-            n,
             sv,
             update_round: 0,
             queries_answered: 0,
@@ -461,6 +321,22 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         result
     }
 
+    /// Check `loss` against the data side and, for backends that retain
+    /// losses (lazy update logs), obtain the owned handle — up front,
+    /// before any privacy budget or sparse vector round is consumed on an
+    /// update that could never be recorded. The clone is handed to
+    /// `apply_update`, so retention-requiring backends pay exactly one
+    /// clone per round.
+    fn retain(&self, loss: &dyn CmLoss) -> Result<Option<Arc<dyn CmLoss>>, PmwError> {
+        self.ctx.data.check_loss(loss)?;
+        if !self.state.requires_shared_loss() {
+            return Ok(None);
+        }
+        loss.clone_shared().map(Some).ok_or(PmwError::LossMismatch(
+            "this state backend requires a loss supporting clone_shared",
+        ))
+    }
+
     /// The body of one answered round; `outcome_label` reports how the
     /// round ended to the probe (every early `?` return leaves it at
     /// `"error"`).
@@ -471,28 +347,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         probe: &P,
         outcome_label: &mut &'static str,
     ) -> Result<Vec<f64>, PmwError> {
-        if loss.point_dim() != self.data.points().dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match universe",
-            ));
-        }
-        // Backends that retain losses (lazy update logs) need an owned
-        // handle; obtain it up front, before any privacy budget or sparse
-        // vector round is consumed on an update that could never be
-        // recorded. The clone is kept and handed to `apply_update`, so
-        // retention-requiring backends pay exactly one clone per round.
-        let retained = if self.state.requires_shared_loss() {
-            match loss.clone_shared() {
-                Some(shared) => Some(shared),
-                None => {
-                    return Err(PmwError::LossMismatch(
-                        "this state backend requires a loss supporting clone_shared",
-                    ))
-                }
-            }
-        } else {
-            None
-        };
+        let retained = self.retain(loss)?;
 
         // Read phase: publish a snapshot of the current state and screen
         // against it — the same seam a concurrent serving layer uses, so
@@ -501,15 +356,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         // round, and consume no RNG, so the rng stream and every outcome
         // are bit-for-bit the pre-split mechanism's.
         let snapshot = self.state.snapshot()?;
-        let screened = screen_query(
-            snapshot.as_ref(),
-            loss,
-            self.data.points(),
-            self.data.weights(),
-            self.config.solver_iters,
-            self.config.scale_s,
-            probe,
-        )?;
+        let screened = screen_query(&self.ctx, snapshot.as_ref(), loss, probe)?;
         drop(snapshot);
 
         // Screen through the sparse vector algorithm — the first (and on
@@ -565,7 +412,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// oracle answer + dual-certificate MW update + all round
     /// bookkeeping. Shared by the in-process `⊤` branch of
     /// [`OnlinePmw::answer`] and the serving layer's writer loop
-    /// ([`OnlinePmw::commit_top`]).
+    /// ([`OnlinePmw::commit_top_with_probe`]).
     fn commit_top_inner<P: Probe>(
         &mut self,
         loss: &dyn CmLoss,
@@ -576,6 +423,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         outcome_label: &mut &'static str,
     ) -> Result<Vec<f64>, PmwError> {
         let diagnostics = self.config.diagnostics;
+        let data = &self.ctx.data;
         // The sparse vector consumed its top *before* this phase runs,
         // so from here the round is burned no matter how the oracle or
         // the update fares: every exit path below must advance
@@ -603,9 +451,9 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
                 .oracle
                 .solve(
                     loss,
-                    self.data.points(),
-                    self.data.weights(),
-                    self.n,
+                    data.points(),
+                    data.weights(),
+                    data.n(),
                     self.derived.oracle_budget,
                     rng,
                 )
@@ -627,25 +475,19 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         }
         probe.span_begin(Phase::Update);
         let applied = match solved {
-            Ok(theta_t) => {
-                let gap_weights = if diagnostics {
-                    Some(self.data.weights())
-                } else {
-                    None
-                };
-                self.state
-                    .apply_update(
-                        loss,
-                        retained,
-                        self.data.points(),
-                        &theta_t,
-                        &screened.theta_hat,
-                        self.derived.eta,
-                        gap_weights,
-                        rng,
-                    )
-                    .map(|gap| (theta_t, gap))
-            }
+            Ok(theta_t) => self
+                .state
+                .apply_update(
+                    loss,
+                    retained,
+                    data.points(),
+                    &theta_t,
+                    &screened.theta_hat,
+                    self.derived.eta,
+                    diagnostics.then(|| data.weights()),
+                    rng,
+                )
+                .map(|gap| (theta_t, gap)),
             Err(e) => Err(e),
         };
         probe.span_end(Phase::Update);
@@ -712,60 +554,19 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         self.state.snapshot()
     }
 
-    /// The pure read phase of one round against `snapshot`: no RNG, no
-    /// state change, safe from any thread. See [`screen_query`].
-    pub fn screen(
-        &self,
-        snapshot: &dyn ReadSnapshot,
-        loss: &dyn CmLoss,
-    ) -> Result<ScreenedQuery, PmwError> {
-        screen_query(
-            snapshot,
-            loss,
-            self.data.points(),
-            self.data.weights(),
-            self.config.solver_iters,
-            self.config.scale_s,
-            &NoopProbe,
-        )
-    }
-
-    /// An owned, thread-shareable copy of the screen-phase inputs (data
-    /// rows + weights behind `Arc`s, solver/scale/SV parameters) — what a
-    /// serving layer hands each analyst so screens run without borrowing
-    /// the mechanism.
+    /// The screen-phase inputs (the data side, shared behind an `Arc`,
+    /// plus the solver/scale/SV parameters) — what a serving layer hands
+    /// each analyst so screens run without borrowing the mechanism.
     pub fn screen_context(&self) -> ScreenContext {
-        ScreenContext {
-            points: Arc::new(self.data.points().clone()),
-            weights: Arc::new(self.data.weights().to_vec()),
-            solver_iters: self.config.solver_iters,
-            scale_s: self.config.scale_s,
-            sv_config: SvConfig {
-                max_top: self.derived.rounds,
-                threshold: self.config.alpha,
-                sensitivity: 3.0 * self.config.scale_s / self.n as f64,
-                budget: self.derived.sv_budget,
-                composition: self.config.sv_composition,
-            },
-        }
+        self.ctx.clone()
     }
 
-    /// Commit an above-threshold screened query: the serialized write
-    /// phase (oracle solve + MW update + ledger/transcript bookkeeping),
-    /// for callers that ran the sparse-vector screen externally (the
-    /// serving layer's writer loop). The caller must already have
-    /// consumed an SV `⊤` for this query — the budget accounting assumes
-    /// at most `T` commits ever happen.
-    pub fn commit_top(
-        &mut self,
-        loss: &dyn CmLoss,
-        screened: &ScreenedQuery,
-        rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.commit_top_with_probe(loss, screened, rng, &NoopProbe)
-    }
-
-    /// [`OnlinePmw::commit_top`] reporting through `probe`.
+    /// Commit an above-threshold screened query, reporting through
+    /// `probe`: the serialized write phase (oracle solve + MW update +
+    /// ledger/transcript bookkeeping), for callers that ran the
+    /// sparse-vector screen externally (the serving layer's writer loop).
+    /// The caller must already have consumed an SV `⊤` for this query —
+    /// the budget accounting assumes at most `T` commits ever happen.
     pub fn commit_top_with_probe<P: Probe>(
         &mut self,
         loss: &dyn CmLoss,
@@ -779,23 +580,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         if self.queries_answered >= self.config.k {
             return Err(PmwError::QueryLimitReached);
         }
-        if loss.point_dim() != self.data.points().dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match universe",
-            ));
-        }
-        let retained = if self.state.requires_shared_loss() {
-            match loss.clone_shared() {
-                Some(shared) => Some(shared),
-                None => {
-                    return Err(PmwError::LossMismatch(
-                        "this state backend requires a loss supporting clone_shared",
-                    ))
-                }
-            }
-        } else {
-            None
-        };
+        let retained = self.retain(loss)?;
         let mut label: &'static str = "error";
         self.commit_top_inner(loss, retained, screened, rng, probe, &mut label)
     }
@@ -826,35 +611,35 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         &self.derived
     }
 
-    /// The materialized universe points (public information), when the
-    /// mechanism holds them — dense constructions only. Point-source
-    /// constructions never materialize the universe and return `None`.
+    /// The materialized universe points (public information), on the
+    /// dense data side; `None` on the support-row form, which never
+    /// materializes the universe.
     pub fn universe_points(&self) -> Option<&PointMatrix> {
-        self.data.universe_points()
+        self.ctx.data.universe_points()
     }
 
-    /// The **raw private** Θ(|X|) data histogram, when the mechanism holds
-    /// one (dense constructions only; the point-source path keeps no
-    /// `|X|`-sized data structure). For curator-side diagnostics (e.g.
-    /// measuring true excess risk in the accuracy game) only — never
-    /// release anything derived from it without going through a mechanism.
+    /// The **raw private** Θ(|X|) data histogram, on the dense data side
+    /// (the support-row form keeps no `|X|`-sized data structure). For
+    /// curator-side diagnostics (e.g. measuring true excess risk in the
+    /// accuracy game) only — never release anything derived from it
+    /// without going through a mechanism.
     pub fn data_histogram(&self) -> Option<&Histogram> {
-        self.data.histogram()
+        self.ctx.data.histogram()
     }
 
     /// The **raw private** data-side point set: the universe matrix with
-    /// histogram weights on the dense path, the dataset's support rows
-    /// with empirical weights on the point-source path. Together with
+    /// histogram weights on the dense form, the dataset's support rows
+    /// with empirical weights on the row form. Together with
     /// [`OnlinePmw::data_weights`] this evaluates any empirical objective
-    /// exactly on either path. Curator-side diagnostics only — same
+    /// exactly on either form. Curator-side diagnostics only — same
     /// warning as [`OnlinePmw::data_histogram`].
     pub fn data_points(&self) -> &PointMatrix {
-        self.data.points()
+        self.ctx.data.points()
     }
 
     /// The weights paired with [`OnlinePmw::data_points`] (they sum to 1).
     pub fn data_weights(&self) -> &[f64] {
-        self.data.weights()
+        self.ctx.data.weights()
     }
 
     /// The configuration.
@@ -1493,8 +1278,7 @@ mod tests {
         let state = WideReadBackend(DenseBackend::new(8).unwrap());
         let mut mech = OnlinePmw::with_backend(
             config(6, 4, 0.2),
-            &cube,
-            data,
+            DataSide::from_universe(&cube, &data).unwrap(),
             ExactOracle::default(),
             state,
             &mut rng,
@@ -1579,10 +1363,9 @@ mod tests {
         let source = pmw_data::UniversePoints(cube);
         let state = DenseBackend::new(8).unwrap();
         assert!(matches!(
-            OnlinePmw::with_point_source(
+            OnlinePmw::with_backend(
                 config(4, 2, 0.3),
-                &source,
-                &dataset,
+                DataSide::from_source(&source, &dataset).unwrap(),
                 ExactOracle::default(),
                 state,
                 &mut rng,

@@ -10,33 +10,23 @@
 //! "the offline variant contains the main novel ideas".
 
 use crate::config::PmwConfig;
+use crate::data::DataSide;
 use crate::error::PmwError;
-use crate::state::{DenseBackend, StateBackend};
+use crate::state::{BackendEvent, DenseBackend, StateBackend};
 use pmw_convex::Objective;
-use pmw_data::{Dataset, Histogram, PointMatrix, PointSource, Universe};
+use pmw_data::{Dataset, Universe};
 use pmw_dp::{Accountant, ExponentialMechanism, PrivacyBudget};
 use pmw_erm::{ErmOracle, OracleChoice};
 use pmw_losses::traits::minimize_weighted;
 use pmw_losses::{CmLoss, WeightedObjective};
-use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
+use std::sync::Arc;
 
-/// Result of an offline PMW run.
+/// Result of an offline PMW run. [`OfflinePmw::run_with_backend`] leaves
+/// the final hypothesis (releasable synthetic data) in the caller's state
+/// backend, e.g. [`DenseBackend::hypothesis`].
 #[derive(Debug, Clone)]
 pub struct OfflineResult {
-    /// One answer per input loss, from the final hypothesis.
-    pub answers: Vec<Vec<f64>>,
-    /// The final hypothesis histogram (releasable synthetic data).
-    pub histogram: Histogram,
-    /// Which loss was selected for measurement each round.
-    pub selected: Vec<usize>,
-}
-
-/// Result of an offline run on a caller-supplied [`StateBackend`]
-/// (sketching backends keep their state internal rather than exposing a
-/// dense histogram; read synthetic data off the backend afterwards).
-#[derive(Debug, Clone)]
-pub struct OfflineBackendResult {
     /// One answer per input loss, from the final hypothesis state.
     pub answers: Vec<Vec<f64>>,
     /// Which loss was selected for measurement each round.
@@ -44,7 +34,7 @@ pub struct OfflineBackendResult {
     /// Backend self-maintenance events (adaptive resamples, escalation
     /// rungs) drained after each round, in occurrence order. Empty on
     /// exact backends.
-    pub backend_events: Vec<crate::state::BackendEvent>,
+    pub backend_events: Vec<BackendEvent>,
 }
 
 /// Offline PMW for CM queries.
@@ -53,21 +43,16 @@ pub struct OfflinePmw<O: ErmOracle = OracleChoice> {
     oracle: O,
 }
 
-impl OfflinePmw<OracleChoice> {
-    /// Build with the automatic oracle.
-    pub fn new(config: PmwConfig) -> Self {
-        Self::with_oracle(config, OracleChoice::Auto)
-    }
-}
-
 impl<O: ErmOracle> OfflinePmw<O> {
-    /// Build with an explicit oracle.
+    /// Build with an explicit oracle ([`OracleChoice::Auto`] picks one
+    /// from each loss's metadata).
     pub fn with_oracle(config: PmwConfig, oracle: O) -> Self {
         Self { config, oracle }
     }
 
     /// Run `T` selection/measure/update rounds over the full loss workload
-    /// and answer every query from the final hypothesis.
+    /// on the dense data side and state backend, and answer every query
+    /// from the final hypothesis.
     ///
     /// Budget split: `ε/2` across the `T` exponential-mechanism selections
     /// (each `ε/2T`, pure), `(ε/2, δ)` across the `T` oracle calls exactly
@@ -79,174 +64,33 @@ impl<O: ErmOracle> OfflinePmw<O> {
         dataset: &Dataset,
         rng: &mut dyn Rng,
     ) -> Result<(OfflineResult, Accountant), PmwError> {
-        self.run_probed(losses, universe, dataset, rng, &NoopProbe)
-    }
-
-    /// [`OfflinePmw::run`] with an observation [`Probe`]. With
-    /// [`NoopProbe`] this is the exact same computation (same rng stream,
-    /// same answers); a live probe sees per-round spans
-    /// (`hypothesis_solve`/`select`/`oracle_solve`/`update`), budget
-    /// gauges, and retry counters.
-    pub fn run_probed<U: Universe, P: Probe>(
-        &self,
-        losses: &[&dyn CmLoss],
-        universe: &U,
-        dataset: &Dataset,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<(OfflineResult, Accountant), PmwError> {
-        // Reject a degenerate universe up front: letting it reach the
-        // backend construction used to surface as a misleading "backend
-        // universe size does not match" error.
-        if universe.size() == 0 {
-            return Err(PmwError::InvalidConfig(
-                "universe must contain at least one element",
-            ));
-        }
+        let data = DataSide::from_universe(universe, dataset)?;
         let mut state = DenseBackend::new(universe.size())?;
-        let (result, accountant) =
-            self.run_with_backend_probed(losses, universe, dataset, &mut state, rng, probe)?;
-        Ok((
-            OfflineResult {
-                answers: result.answers,
-                histogram: state.into_hypothesis(),
-                selected: result.selected,
-            },
-            accountant,
-        ))
+        self.run_with_backend(losses, &data, &mut state, rng)
     }
 
-    /// [`OfflinePmw::run`] on a caller-supplied [`StateBackend`] — the seam
-    /// that lets the offline rounds maintain `D̂_t` in a sketched
-    /// (sublinear) representation. The backend is left holding the final
-    /// hypothesis state.
-    pub fn run_with_backend<U: Universe, B: StateBackend>(
+    /// [`OfflinePmw::run`] over any data side on a caller-supplied
+    /// [`StateBackend`] — the seam that lets the offline rounds maintain
+    /// `D̂_t` in a sketched (sublinear) representation. With
+    /// [`DataSide::from_source`] and e.g. `pmw_sketch::SampledBackend` the
+    /// whole offline run is sublinear in `|X|`. The backend is left holding
+    /// the final hypothesis state.
+    pub fn run_with_backend<B: StateBackend>(
         &self,
         losses: &[&dyn CmLoss],
-        universe: &U,
-        dataset: &Dataset,
+        data: &DataSide,
         state: &mut B,
         rng: &mut dyn Rng,
-    ) -> Result<(OfflineBackendResult, Accountant), PmwError> {
-        self.run_with_backend_probed(losses, universe, dataset, state, rng, &NoopProbe)
-    }
-
-    /// [`OfflinePmw::run_with_backend`] with an observation [`Probe`].
-    pub fn run_with_backend_probed<U: Universe, B: StateBackend, P: Probe>(
-        &self,
-        losses: &[&dyn CmLoss],
-        universe: &U,
-        dataset: &Dataset,
-        state: &mut B,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<(OfflineBackendResult, Accountant), PmwError> {
-        // Fail before the Θ(|X|) materialization below, not after.
+    ) -> Result<(OfflineResult, Accountant), PmwError> {
         if losses.is_empty() {
             return Err(PmwError::InvalidConfig("need at least one loss"));
         }
-        if dataset.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match universe",
-            ));
-        }
-        if state.universe_size() != universe.size() {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let points = universe.materialize();
-        let data = dataset.histogram();
-        self.run_rounds(
-            losses,
-            &points,
-            data.weights(),
-            dataset.len(),
-            universe.size(),
-            state,
-            rng,
-            probe,
-        )
-    }
-
-    /// [`OfflinePmw::run_with_backend`] without universe materialization:
-    /// the data side is the dataset's ≤ n support rows fetched on demand
-    /// through `source` (`O(n·d)` per score/solve, independent of `|X|`).
-    /// Requires a backend holding its own point representation
-    /// (`!`[`StateBackend::requires_materialized_universe`]) — together
-    /// with e.g. `pmw_sketch::SampledBackend` the whole offline run is
-    /// sublinear in `|X|`.
-    pub fn run_with_source<S: PointSource + ?Sized, B: StateBackend>(
-        &self,
-        losses: &[&dyn CmLoss],
-        source: &S,
-        dataset: &Dataset,
-        state: &mut B,
-        rng: &mut dyn Rng,
-    ) -> Result<(OfflineBackendResult, Accountant), PmwError> {
-        self.run_with_source_probed(losses, source, dataset, state, rng, &NoopProbe)
-    }
-
-    /// [`OfflinePmw::run_with_source`] with an observation [`Probe`].
-    pub fn run_with_source_probed<S: PointSource + ?Sized, B: StateBackend, P: Probe>(
-        &self,
-        losses: &[&dyn CmLoss],
-        source: &S,
-        dataset: &Dataset,
-        state: &mut B,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<(OfflineBackendResult, Accountant), PmwError> {
-        if state.requires_materialized_universe() {
-            return Err(PmwError::InvalidConfig(
-                "this state backend sweeps a materialized universe; point-source runs need a sketching backend",
-            ));
-        }
-        if dataset.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "dataset universe size does not match point source",
-            ));
-        }
-        if state.universe_size() != source.len() {
-            return Err(PmwError::LossMismatch(
-                "state backend universe size does not match universe",
-            ));
-        }
-        let (points, weights) = dataset.support_points(source)?;
-        self.run_rounds(
-            losses,
-            &points,
-            &weights,
-            dataset.len(),
-            source.len(),
-            state,
-            rng,
-            probe,
-        )
-    }
-
-    /// The shared selection/measure/update rounds over an arbitrary
-    /// data-side point set (`data_points`/`data_weights` are the universe
-    /// histogram on the dense path, the dataset support on the row path).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rounds<B: StateBackend, P: Probe>(
-        &self,
-        losses: &[&dyn CmLoss],
-        data_points: &PointMatrix,
-        data_weights: &[f64],
-        n: usize,
-        universe_size: usize,
-        state: &mut B,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<(OfflineBackendResult, Accountant), PmwError> {
-        if losses.is_empty() {
-            return Err(PmwError::InvalidConfig("need at least one loss"));
-        }
+        data.check_backend(state)?;
+        let (data_points, data_weights, n) = (data.points(), data.weights(), data.n());
         // Loss-retaining backends need owned handles; obtain them for the
         // whole workload before any budget is spent (one clone per loss,
         // shared across rounds via `Arc`).
-        let retained: Option<Vec<std::sync::Arc<dyn CmLoss>>> = if state.requires_shared_loss() {
+        let retained: Option<Vec<Arc<dyn CmLoss>>> = if state.requires_shared_loss() {
             let mut handles = Vec::with_capacity(losses.len());
             for loss in losses {
                 handles.push(loss.clone_shared().ok_or(PmwError::LossMismatch(
@@ -257,7 +101,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
         } else {
             None
         };
-        let derived = self.config.derive(universe_size)?;
+        let derived = self.config.derive(data.universe_size())?;
         let rounds = derived.rounds;
         let em_epsilon = self.config.budget.epsilon() / (2.0 * rounds as f64);
         let em_sensitivity = 3.0 * self.config.scale_s / n as f64;
@@ -275,105 +119,74 @@ impl<O: ErmOracle> OfflinePmw<O> {
             opt_values.push(obj.value(&theta_star));
         }
 
-        for t in 0..rounds {
-            probe.round_begin(t);
-            let round_result = (|| -> Result<(), PmwError> {
-                // Score every loss: err_l(D, hypothesis).
-                let mut scores = Vec::with_capacity(losses.len());
-                let mut hyp_minimizers = Vec::with_capacity(losses.len());
-                probe.span_begin(Phase::HypothesisSolve);
-                for (loss, &opt) in losses.iter().zip(&opt_values) {
-                    let theta_hat = state.hypothesis_minimizer(
-                        *loss,
-                        data_points,
-                        self.config.solver_iters,
-                        rng,
-                    )?;
-                    let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
-                    scores.push((obj.value(&theta_hat) - opt).max(0.0));
-                    hyp_minimizers.push(theta_hat);
-                }
-                probe.span_end(Phase::HypothesisSolve);
-                // Radius-aware selection, as in the online mechanisms: every
-                // score was computed from a θ̂ solved against the (possibly
-                // sketched) hypothesis, so the EM sensitivity is widened by
-                // the backend's claimed read radius for this round's state.
-                // Exact backends claim 0, leaving the dense selection (and
-                // its rng stream) bit-for-bit unchanged.
-                let widen = state.read_radius(self.config.scale_s);
-                // A corrupted widening (NaN/∞/negative) would silently break
-                // the selection guarantee; refuse loudly before any spend.
-                if !widen.is_finite() || widen < 0.0 {
-                    return Err(PmwError::Degraded(
-                        "backend claimed a non-finite or negative read margin",
-                    ));
-                }
-                if P::ENABLED {
-                    probe.gauge(Gauge::ClaimedRadius, widen);
-                }
-                probe.span_begin(Phase::Select);
-                let em = ExponentialMechanism::new(em_sensitivity + widen, em_epsilon)?;
-                let idx = em.select(&scores, rng)?;
-                probe.span_end(Phase::Select);
-                accountant.spend("em-select", PrivacyBudget::pure(em_epsilon)?);
-                selected.push(idx);
-
-                // Same in-round retry policy as the online mechanism
-                // (`PmwConfig::oracle_retries`, default 0).
-                let mut attempts = 0;
-                probe.span_begin(Phase::OracleSolve);
-                let solved = loop {
-                    let result = self.oracle.solve(
-                        losses[idx],
-                        data_points,
-                        data_weights,
-                        n,
-                        derived.oracle_budget,
-                        rng,
-                    );
-                    if result.is_ok() || attempts >= self.config.oracle_retries {
-                        break result;
-                    }
-                    attempts += 1;
-                };
-                probe.span_end(Phase::OracleSolve);
-                if attempts > 0 {
-                    probe.counter(Counter::OracleRetries, attempts as u64);
-                }
-                let theta_t = solved?;
-                accountant.spend("erm-oracle", derived.oracle_budget);
-                if P::ENABLED {
-                    if let Ok(total) = accountant.basic_total() {
-                        probe.gauge(Gauge::EpsSpent, total.epsilon());
-                        probe.gauge(Gauge::DeltaSpent, total.delta());
-                    }
-                }
-                probe.span_begin(Phase::Update);
-                let applied = state.apply_update(
-                    losses[idx],
-                    retained.as_ref().map(|handles| handles[idx].clone()),
+        for _ in 0..rounds {
+            // Score every loss: err_l(D, hypothesis).
+            let mut scores = Vec::with_capacity(losses.len());
+            let mut hyp_minimizers = Vec::with_capacity(losses.len());
+            for (loss, &opt) in losses.iter().zip(&opt_values) {
+                let theta_hat = state.hypothesis_minimizer(
+                    *loss,
                     data_points,
-                    &theta_t,
-                    &hyp_minimizers[idx],
-                    derived.eta,
-                    None,
+                    self.config.solver_iters,
+                    rng,
+                )?;
+                let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
+                scores.push((obj.value(&theta_hat) - opt).max(0.0));
+                hyp_minimizers.push(theta_hat);
+            }
+            // Radius-aware selection, as in the online mechanisms: every
+            // score was computed from a θ̂ solved against the (possibly
+            // sketched) hypothesis, so the EM sensitivity is widened by
+            // the backend's claimed read radius for this round's state.
+            // Exact backends claim 0, leaving the dense selection (and
+            // its rng stream) bit-for-bit unchanged.
+            let widen = state.read_radius(self.config.scale_s);
+            // A corrupted widening (NaN/∞/negative) would silently break
+            // the selection guarantee; refuse loudly before any spend.
+            if !widen.is_finite() || widen < 0.0 {
+                return Err(PmwError::Degraded(
+                    "backend claimed a non-finite or negative read margin",
+                ));
+            }
+            let em = ExponentialMechanism::new(em_sensitivity + widen, em_epsilon)?;
+            let idx = em.select(&scores, rng)?;
+            accountant.spend("em-select", PrivacyBudget::pure(em_epsilon)?);
+            selected.push(idx);
+
+            // Same in-round retry policy as the online mechanism
+            // (`PmwConfig::oracle_retries`, default 0).
+            let mut attempts = 0;
+            let theta_t = loop {
+                let result = self.oracle.solve(
+                    losses[idx],
+                    data_points,
+                    data_weights,
+                    n,
+                    derived.oracle_budget,
                     rng,
                 );
-                probe.span_end(Phase::Update);
-                // Drain before propagating a failure: a transactional
-                // backend preserves the escalations that caused the
-                // failure across its rollback, and they must reach the
-                // run's event log even when the round errors out.
-                backend_events.extend(state.take_events());
-                applied?;
-                Ok(())
-            })();
-            if let Err(e) = round_result {
-                probe.round_end(t, "failed");
-                return Err(e);
-            }
-            probe.counter(Counter::UpdateRounds, 1);
-            probe.round_end(t, "update");
+                if result.is_ok() || attempts >= self.config.oracle_retries {
+                    break result;
+                }
+                attempts += 1;
+            }?;
+            accountant.spend("erm-oracle", derived.oracle_budget);
+            let applied = state.apply_update(
+                losses[idx],
+                retained.as_ref().map(|handles| handles[idx].clone()),
+                data_points,
+                &theta_t,
+                &hyp_minimizers[idx],
+                derived.eta,
+                None,
+                rng,
+            );
+            // Drain before propagating a failure: a transactional
+            // backend preserves the escalations that caused the
+            // failure across its rollback, and they must reach the
+            // run's event log even when the round errors out.
+            backend_events.extend(state.take_events());
+            applied?;
         }
 
         // Answer everything from the final hypothesis.
@@ -387,7 +200,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
             )?);
         }
         Ok((
-            OfflineBackendResult {
+            OfflineResult {
                 answers,
                 selected,
                 backend_events,
@@ -400,7 +213,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmw_data::BooleanCube;
+    use pmw_data::{BooleanCube, PointMatrix};
     use pmw_erm::{excess_risk, ExactOracle};
     use pmw_losses::{LinearQueryLoss, PointPredicate};
     use rand::rngs::StdRng;

@@ -417,10 +417,10 @@ pub trait StateBackend {
     /// universe** `PointMatrix` (the dense Θ(|X|) path) and therefore need
     /// the `points` argument to enumerate all of `X`. Sketching backends
     /// that hold their own point representation return `false`, which is
-    /// what lets the mechanisms' point-source constructors
-    /// (`OnlinePmw::with_point_source`, `OfflinePmw::run_with_source`)
-    /// hand them only the dataset's support rows and never materialize
-    /// the universe.
+    /// what lets the mechanisms run them over a support-row data side
+    /// ([`DataSide::from_source`](crate::DataSide::from_source)), handing
+    /// them only the dataset's support rows without ever materializing the
+    /// universe; the mechanisms reject a `true` backend on that data side.
     fn requires_materialized_universe(&self) -> bool {
         true
     }
@@ -464,11 +464,6 @@ impl DenseBackend {
     /// The hypothesis histogram `D̂_t`.
     pub fn hypothesis(&self) -> &Histogram {
         &self.hypothesis
-    }
-
-    /// Consume the backend, returning the final hypothesis.
-    pub fn into_hypothesis(self) -> Histogram {
-        self.hypothesis
     }
 }
 

@@ -155,21 +155,11 @@ impl Dataset {
 
     /// Materialize only the support rows as a weighted point set, fetching
     /// each distinct point once through `source` — `O(n·d)` time and
-    /// memory, independent of `|X|`. The returned weights are the
-    /// empirical distribution restricted to the support (they sum to 1),
-    /// so `(points, weights)` is a drop-in data-side representation for
-    /// weighted objectives and ERM oracles.
-    pub fn support_points<S: PointSource + ?Sized>(
-        &self,
-        source: &S,
-    ) -> Result<(PointMatrix, Vec<f64>), DataError> {
-        let (_, points, weights) = self.support_points_indexed(source)?;
-        Ok((points, weights))
-    }
-
-    /// [`Dataset::support_points`] keeping the support's universe indices
-    /// too — for consumers that evaluate **universe-indexed** queries over
-    /// the support rows (the linear-query mechanisms' row-based data side).
+    /// memory, independent of `|X|`. Returns the support's universe
+    /// indices (ascending), the rows, and the empirical distribution
+    /// restricted to the support (the weights sum to 1): a drop-in data
+    /// side for weighted objectives, ERM oracles and universe-indexed
+    /// queries alike.
     pub fn support_points_indexed<S: PointSource + ?Sized>(
         &self,
         source: &S,
@@ -278,20 +268,22 @@ mod tests {
     fn support_points_match_histogram_masses_on_support() {
         let cube = BooleanCube::new(3).unwrap();
         let d = Dataset::from_indices(8, vec![5, 0, 5, 3]).unwrap();
-        let (pts, w) = d
-            .support_points(&crate::UniversePoints(cube.clone()))
+        let (idx, pts, w) = d
+            .support_points_indexed(&crate::UniversePoints(cube.clone()))
             .unwrap();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts.dim(), 3);
         let h = d.histogram();
-        let (idx, _) = d.support();
+        assert_eq!(idx, d.support().0);
         for (slot, &x) in idx.iter().enumerate() {
             assert_eq!(pts.row(slot), cube.point(x).as_slice());
             assert!((w[slot] - h.mass(x)).abs() < 1e-15, "x={x}");
         }
         // Mismatched source size is rejected.
         let small = BooleanCube::new(2).unwrap();
-        assert!(d.support_points(&crate::UniversePoints(small)).is_err());
+        assert!(d
+            .support_points_indexed(&crate::UniversePoints(small))
+            .is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! sides of the mechanism consume it: the `pmw-sketch` state backends pull
 //! pool points through it, and the mechanisms' row-based data path
 //! materializes only a dataset's support rows through it (see
-//! [`crate::Dataset::support_points`]).
+//! [`crate::Dataset::support_points_indexed`]).
 
 use crate::error::DataError;
 use crate::matrix::PointMatrix;

@@ -25,13 +25,21 @@ pub struct ExponentialMechanism {
 impl ExponentialMechanism {
     /// Mechanism for score functions with sensitivity `sensitivity` (the max
     /// change of any candidate's score between adjacent datasets), at pure
-    /// privacy level `ε`.
+    /// privacy level `ε`. Rejects inputs whose score coefficient `ε/2Δ`
+    /// overflows: [`ExponentialMechanism::select`] would then compare
+    /// infinities and return a fixed index, neither a sample nor the
+    /// argmax.
     pub fn new(sensitivity: f64, epsilon: f64) -> Result<Self, DpError> {
         if !sensitivity.is_finite() || sensitivity <= 0.0 {
             return Err(DpError::InvalidParameter("sensitivity must be positive"));
         }
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return Err(DpError::InvalidBudget("epsilon must be positive"));
+        }
+        if !(epsilon / (2.0 * sensitivity)).is_finite() {
+            return Err(DpError::InvalidParameter(
+                "epsilon/(2·sensitivity) must be finite",
+            ));
         }
         Ok(Self {
             sensitivity,
@@ -118,6 +126,16 @@ mod tests {
         assert!(ExponentialMechanism::new(0.0, 1.0).is_err());
         assert!(ExponentialMechanism::new(1.0, -1.0).is_err());
         assert!(ExponentialMechanism::new(1.0, 1.0).is_ok());
+    }
+
+    #[test]
+    fn overflowing_score_coefficient_is_rejected() {
+        // ε/2Δ = 5e309 overflows: `select` would compare infinities and
+        // return index 1 of [0, 1, 2] on every seed.
+        assert!(matches!(
+            ExponentialMechanism::new(1e-10, 1e300),
+            Err(DpError::InvalidParameter(_))
+        ));
     }
 
     #[test]

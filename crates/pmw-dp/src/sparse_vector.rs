@@ -83,6 +83,14 @@ impl SparseVector {
             SvComposition::Basic => config.budget.epsilon() / config.max_top as f64,
             SvComposition::Strong => per_step_budget_for(config.budget, config.max_top)?.epsilon(),
         };
+        // The threshold and query noise scales: one underflowing to 0
+        // panics the sampler, one overflowing drowns every comparison.
+        let usable = |scale: f64| scale.is_finite() && scale > 0.0;
+        if !usable(2.0 * config.sensitivity / eps1) || !usable(4.0 * config.sensitivity / eps1) {
+            return Err(DpError::InvalidParameter(
+                "sparse vector noise scales 2Δ/ε₁ and 4Δ/ε₁ must be finite and positive",
+            ));
+        }
         let mut sv = Self {
             config,
             eps1,
@@ -212,6 +220,26 @@ mod tests {
         let mut c = config(3, 1e-4);
         c.sensitivity = 0.0;
         assert!(SparseVector::new(c, &mut rng).is_err());
+    }
+
+    #[test]
+    fn degenerate_noise_scales_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(47);
+        // 2Δ/ε₁ = 1e-323/8 underflows to 0, which would panic the
+        // threshold draw inside the Laplace sampler.
+        let mut c = config(1, 5e-324);
+        c.budget = PrivacyBudget::pure(8.0).unwrap();
+        c.composition = SvComposition::Basic;
+        assert!(matches!(
+            SparseVector::new(c, &mut rng),
+            Err(DpError::InvalidParameter(_))
+        ));
+        // 2Δ/ε₁ and 4Δ/ε₁ overflow, which would start the run with
+        // infinite threshold noise.
+        assert!(matches!(
+            SparseVector::new(config(3, 1e308), &mut rng),
+            Err(DpError::InvalidParameter(_))
+        ));
     }
 
     #[test]

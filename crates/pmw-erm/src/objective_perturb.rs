@@ -94,9 +94,16 @@ impl ErmOracle for ObjectivePerturbationOracle {
         let eps = budget.epsilon();
         let sigma_b = (2.0 * loss.lipschitz() / nf) * (2.0 * (1.25 / budget.delta()).ln()).sqrt()
             / (eps / 2.0);
+        // A σ_b that is NaN or underflows to 0 would release the
+        // (near-)unperturbed minimizer; an infinite one, pure noise.
+        if !(sigma_b.is_finite() && sigma_b > 0.0) {
+            return Err(ErmError::InvalidParameter(
+                "objective perturbation noise scale must be finite and positive",
+            ));
+        }
         let lambda = 4.0 * smooth / (nf * eps);
         let b: Vec<f64> = (0..loss.dim())
-            .map(|_| pmw_dp::sampler::gaussian(sigma_b.max(f64::MIN_POSITIVE), rng))
+            .map(|_| pmw_dp::sampler::gaussian(sigma_b, rng))
             .collect();
         let base = WeightedObjective::new(loss, points, weights)?;
         let perturbed = PerturbedObjective {
@@ -160,6 +167,47 @@ mod tests {
         assert!(ObjectivePerturbationOracle::default()
             .solve(&loss, &pts, &w, 100, budget, &mut rng)
             .is_err());
+    }
+
+    /// A smooth loss with corrupt (NaN) Lipschitz metadata.
+    struct NanLipschitz(LogisticLoss);
+
+    impl CmLoss for NanLipschitz {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn domain(&self) -> &pmw_convex::Domain {
+            self.0.domain()
+        }
+        fn point_dim(&self) -> usize {
+            self.0.point_dim()
+        }
+        fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
+            self.0.loss(theta, x)
+        }
+        fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
+            self.0.gradient(theta, x, out)
+        }
+        fn lipschitz(&self) -> f64 {
+            f64::NAN
+        }
+        fn smoothness(&self) -> Option<f64> {
+            self.0.smoothness()
+        }
+    }
+
+    #[test]
+    fn rejects_a_degenerate_noise_scale() {
+        // σ_b is NaN here; clamping it to a tiny positive scale would
+        // release the same unperturbed θ on every seed.
+        let loss = NanLipschitz(LogisticLoss::new(1).unwrap());
+        let (pts, w) = data();
+        let mut rng = StdRng::seed_from_u64(97);
+        let budget = PrivacyBudget::new(1.0, 1e-6).unwrap();
+        assert!(matches!(
+            ObjectivePerturbationOracle::default().solve(&loss, &pts, &w, 100, budget, &mut rng),
+            Err(ErmError::InvalidParameter(_))
+        ));
     }
 
     #[test]

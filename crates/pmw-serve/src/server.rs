@@ -225,6 +225,7 @@ where
         let writer = std::thread::spawn(move || {
             Writer {
                 mech,
+                ctx,
                 sv,
                 rng,
                 cell: writer_cell,
@@ -268,6 +269,8 @@ where
 /// sparse vector, and the RNG.
 struct Writer<O: ErmOracle, B: StateBackend, P: Probe> {
     mech: OnlinePmw<O, B>,
+    /// The mechanism's screen context, for writer-side re-screens.
+    ctx: ScreenContext,
     sv: SparseVector,
     rng: StdRng,
     cell: Arc<SnapshotCell>,
@@ -363,7 +366,7 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                 let rescreened = self
                     .mech
                     .snapshot()
-                    .and_then(|snap| self.mech.screen(snap.as_ref(), req.loss.as_ref()));
+                    .and_then(|snap| self.ctx.screen(snap.as_ref(), req.loss.as_ref()));
                 match rescreened {
                     Ok(screened) => {
                         req.screened = screened;

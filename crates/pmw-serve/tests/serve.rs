@@ -1,7 +1,7 @@
 //! Serving-layer integration tests: sequential parity, concurrent
 //! multi-analyst runs, tenant-share enforcement, and ledger audits.
 
-use pmw_core::{OnlinePmw, PmwConfig, PmwError};
+use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError};
 use pmw_data::{BooleanCube, Dataset, Universe};
 use pmw_dp::PrivacyBudget;
 use pmw_erm::ExactOracle;
@@ -143,8 +143,7 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
             SampledBackend::new(UniversePoints(cube.clone()), sk_config, &mut rng).unwrap();
         OnlinePmw::with_backend(
             config(10, 3, 0.05),
-            &cube,
-            data.clone(),
+            DataSide::from_universe(&cube, &data).unwrap(),
             ExactOracle::default(),
             backend,
             &mut rng,
@@ -165,7 +164,7 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
         // claims in the β ledger) before the writer's halted check.
         let step = base
             .snapshot()
-            .and_then(|snap| base.screen(snap.as_ref(), loss as &dyn CmLoss));
+            .and_then(|snap| ctx.screen(snap.as_ref(), loss as &dyn CmLoss));
         let screened = match step {
             Ok(s) => s,
             Err(e) => {
@@ -186,7 +185,9 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
         };
         let result = match outcome {
             pmw_dp::SvOutcome::Bottom => Ok(screened.theta_hat().to_vec()),
-            pmw_dp::SvOutcome::Top => base.commit_top(loss, &screened, &mut rng),
+            pmw_dp::SvOutcome::Top => {
+                base.commit_top_with_probe(loss, &screened, &mut rng, &pmw_obs::NoopProbe)
+            }
         };
         expected.push(fmt_result(&result));
     }

@@ -13,7 +13,7 @@
 //! the sketched path), not marginal ones.
 
 use pmw_attacks::EpsilonAudit;
-use pmw_core::{OnlinePmw, PmwConfig};
+use pmw_core::{DataSide, OnlinePmw, PmwConfig};
 use pmw_data::{BooleanCube, Dataset};
 use pmw_losses::{LinearQueryLoss, PointPredicate};
 use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
@@ -55,8 +55,7 @@ fn sketch_backed_online_pmw_audit_stays_below_declared_epsilon() {
         .unwrap();
         let mut mech = OnlinePmw::with_backend(
             config,
-            &cube,
-            data.clone(),
+            DataSide::from_universe(&cube, data).unwrap(),
             pmw_erm::NoisyGdOracle::new(5).unwrap(),
             backend,
             r,

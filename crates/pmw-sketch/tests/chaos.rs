@@ -15,7 +15,7 @@
 //!   completely, the pool stays internally consistent, and the fail-closed
 //!   poison guard never trips under recoverable faults.
 
-use pmw_core::{BackendEvent, OnlinePmw, PmwConfig, PmwError, StateBackend};
+use pmw_core::{BackendEvent, DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, ImplicitQuery, QueryPredicate};
 use pmw_erm::ExactOracle;
 use pmw_losses::{LinearQueryLoss, PointPredicate};
@@ -147,8 +147,7 @@ fn online_pmw_invariants_hold_under_every_seeded_fault_plan() {
             .unwrap();
         let mut mech = OnlinePmw::with_backend(
             config,
-            &cube,
-            data.clone(),
+            DataSide::from_universe(&cube, &data).unwrap(),
             FaultyOracle::new(ExactOracle::default(), plan.oracle),
             FaultyBackend::new(backend, plan),
             &mut rng,
@@ -248,8 +247,7 @@ fn linear_pmw_invariants_hold_under_every_seeded_fault_plan() {
             .unwrap();
         let mut mech = LinearPmw::with_backend(
             config,
-            &cube,
-            &data,
+            DataSide::from_universe(&cube, &data).unwrap(),
             FaultyBackend::new(backend, plan),
             &mut rng,
         )
@@ -360,8 +358,7 @@ fn resample_fault_mid_mechanism_burns_the_round_and_rolls_back_the_backend() {
         .unwrap();
     let mut mech = OnlinePmw::with_backend(
         config,
-        &cube,
-        data,
+        DataSide::from_universe(&cube, &data).unwrap(),
         ExactOracle::default(),
         backend,
         &mut rng,
@@ -463,8 +460,7 @@ fn online_pmw_invariants_hold_with_compaction_under_fault_plans() {
             .unwrap();
         let mut mech = OnlinePmw::with_backend(
             config,
-            &cube,
-            data.clone(),
+            DataSide::from_universe(&cube, &data).unwrap(),
             FaultyOracle::new(ExactOracle::default(), plan.oracle),
             FaultyBackend::new(backend, plan),
             &mut rng,

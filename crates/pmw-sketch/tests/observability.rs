@@ -12,7 +12,7 @@
 //!   [`StateBackend::take_events`] in execution order, on successful and
 //!   failed rounds alike.
 
-use pmw_core::{BackendEvent, OnlinePmw, PmwConfig, PmwError, StateBackend};
+use pmw_core::{BackendEvent, DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, ImplicitQuery};
 use pmw_erm::ExactOracle;
 use pmw_losses::{LinearQueryLoss, PointPredicate};
@@ -69,8 +69,7 @@ fn probed_run_is_bit_for_bit_identical_to_the_unprobed_run() {
         SampledBackend::new(UniversePoints(cube.clone()), sampled_config(), &mut rng_a).unwrap();
     let mut mech_a = OnlinePmw::with_backend(
         config(),
-        &cube,
-        dataset(),
+        DataSide::from_universe(&cube, &dataset()).unwrap(),
         ExactOracle::default(),
         backend_a,
         &mut rng_a,
@@ -96,8 +95,7 @@ fn probed_run_is_bit_for_bit_identical_to_the_unprobed_run() {
     .unwrap();
     let mut mech_b = OnlinePmw::with_backend(
         config(),
-        &cube,
-        dataset(),
+        DataSide::from_universe(&cube, &dataset()).unwrap(),
         ExactOracle::default(),
         backend_b,
         &mut rng_b,

@@ -4,7 +4,7 @@
 //! the writer keeps updating, failing, and rolling back around it.
 
 use pmw_core::update::dual_certificate_at;
-use pmw_core::{OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
+use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
 use pmw_data::workload::ImplicitQuery;
 use pmw_data::{BooleanCube, Dataset, PointQuery, Universe};
 use pmw_erm::ExactOracle;
@@ -99,8 +99,7 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
     let backend = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
     let mut mech = OnlinePmw::with_backend(
         config(0.05),
-        &cube,
-        dataset(),
+        DataSide::from_universe(&cube, &dataset()).unwrap(),
         ExactOracle::default(),
         backend,
         &mut rng,
@@ -330,8 +329,7 @@ fn writer_faults_never_corrupt_published_snapshots() {
         };
         let mut mech = OnlinePmw::with_backend(
             config(0.2),
-            &cube,
-            data.clone(),
+            DataSide::from_universe(&cube, &data).unwrap(),
             FaultyOracle::new(ExactOracle::default(), plan.oracle),
             FaultyBackend::new(backend, plan),
             &mut rng,

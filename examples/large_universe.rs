@@ -111,8 +111,8 @@ fn main() {
     );
 
     // --- Not just the state backend: the *whole* Figure-3 mechanism runs
-    // past the materialization cap. The point-source construction keeps
-    // the data side on the dataset's support rows (O(n·d)) and fetches
+    // past the materialization cap. `DataSide::from_source` keeps the
+    // data side on the dataset's support rows (O(n·d)) and fetches
     // universe points on demand, so OnlinePmw::answer works at 2^26. ---
     let big_bits = 26usize;
     let big = BigBitCube::new(big_bits).expect("big cube");
@@ -145,10 +145,9 @@ fn main() {
         .solver_iters(100)
         .build()
         .expect("config");
-    let mut mech = pmw::core::OnlinePmw::with_point_source(
+    let mut mech = pmw::core::OnlinePmw::with_backend(
         config,
-        &big,
-        &dataset,
+        pmw::core::DataSide::from_source(&big, &dataset).expect("support rows"),
         pmw::erm::ExactOracle::default(),
         state,
         &mut rng,

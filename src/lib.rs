@@ -65,8 +65,8 @@ pub mod prelude {
     pub use pmw_attacks::{EpsilonAudit, ReconstructionAttack};
     pub use pmw_convex::{Domain, SolverConfig};
     pub use pmw_core::{
-        CompositionMechanism, DenseBackend, LinearPmw, Mwem, OfflinePmw, OnlinePmw, PmwConfig,
-        StateBackend, Transcript,
+        CompositionMechanism, DataSide, DenseBackend, LinearPmw, Mwem, OfflinePmw, OnlinePmw,
+        PmwConfig, StateBackend, Transcript,
     };
     pub use pmw_data::{
         BooleanCube, Dataset, EnumeratedUniverse, GridUniverse, Histogram, LabeledGridUniverse,

@@ -186,8 +186,7 @@ fn online_mechanism_on_exhaustive_sampled_backend_matches_dense() {
     assert!(sampled.is_exhaustive());
     let mut sketch_mech = OnlinePmw::with_backend(
         config(),
-        &cube,
-        data_b,
+        DataSide::from_universe(&cube, &data_b).unwrap(),
         pmw::erm::ExactOracle::default(),
         sampled,
         &mut rng_b,
@@ -249,7 +248,12 @@ fn offline_mechanism_on_exhaustive_sampled_backend_matches_dense() {
     )
     .unwrap();
     let (sketch_result, sketch_acc) = off
-        .run_with_backend(&refs, &cube, &data, &mut backend, &mut rng_b)
+        .run_with_backend(
+            &refs,
+            &DataSide::from_universe(&cube, &data).unwrap(),
+            &mut backend,
+            &mut rng_b,
+        )
         .unwrap();
 
     assert_eq!(dense_result.selected, sketch_result.selected);
@@ -314,8 +318,7 @@ fn unretainable_loss_fails_before_spending_budget() {
     .unwrap();
     let mut mech = OnlinePmw::with_backend(
         config,
-        &cube,
-        data,
+        DataSide::from_universe(&cube, &data).unwrap(),
         pmw::erm::ExactOracle::default(),
         sampled,
         &mut rng,
@@ -361,7 +364,8 @@ fn unretainable_loss_fails_before_spending_budget() {
         &mut rng,
     )
     .unwrap();
-    let result = off.run_with_backend(&refs, &cube, &data, &mut backend, &mut rng);
+    let data = DataSide::from_universe(&cube, &data).unwrap();
+    let result = off.run_with_backend(&refs, &data, &mut backend, &mut rng);
     assert!(matches!(result, Err(pmw::core::PmwError::LossMismatch(_))));
     assert_eq!(backend.updates_recorded(), 0);
 }

@@ -54,9 +54,10 @@ fn exhaustive_pool_mwem_reproduces_dense_selections_and_answers() {
     let mwem = Mwem::new(8, 1.0).unwrap();
 
     let mut dense_rng = StdRng::seed_from_u64(99);
+    let dense_data = DataSide::from_universe(&cube, &data).unwrap();
     let dense_state = DenseBackend::new(cube.size()).unwrap();
     let dense = mwem
-        .run_with_backend(&queries, &cube, &data, epsilon, dense_state, &mut dense_rng)
+        .run_with_backend(&queries, &dense_data, epsilon, dense_state, &mut dense_rng)
         .unwrap();
 
     let mut sampled_rng = StdRng::seed_from_u64(99);
@@ -65,8 +66,7 @@ fn exhaustive_pool_mwem_reproduces_dense_selections_and_answers() {
     let sampled = mwem
         .run_with_backend(
             &queries,
-            &cube,
-            &data,
+            &dense_data,
             epsilon,
             sampled_state,
             &mut sampled_rng,
@@ -109,8 +109,7 @@ fn exhaustive_pool_linear_pmw_matches_dense() {
     let mut dense_rng = StdRng::seed_from_u64(77);
     let mut dense = LinearPmw::with_backend(
         config.clone(),
-        &cube,
-        &data,
+        DataSide::from_universe(&cube, &data).unwrap(),
         DenseBackend::new(cube.size()).unwrap(),
         &mut dense_rng,
     )
@@ -118,8 +117,7 @@ fn exhaustive_pool_linear_pmw_matches_dense() {
     let mut sampled_rng = StdRng::seed_from_u64(77);
     let mut sampled = LinearPmw::with_backend(
         config,
-        &cube,
-        &data,
+        DataSide::from_universe(&cube, &data).unwrap(),
         exhaustive_sampled(&cube, 6),
         &mut sampled_rng,
     )
@@ -171,7 +169,13 @@ fn mwem_point_source_smoke_at_2_pow_20() {
     .unwrap();
     let run = Mwem::new(rounds, 1.0)
         .unwrap()
-        .run_with_source(&queries, &source, &data, epsilon, backend, &mut rng)
+        .run_with_backend(
+            &queries,
+            &DataSide::from_source(&source, &data).unwrap(),
+            epsilon,
+            backend,
+            &mut rng,
+        )
         .unwrap();
 
     assert_eq!(run.answers.len(), 8);
@@ -210,8 +214,7 @@ fn sampled_backends_reject_dense_queries_up_front() {
     let state = exhaustive_sampled(&cube, 7);
     match Mwem::new(3, 1.0).unwrap().run_with_backend(
         &dense_queries,
-        &cube,
-        &data,
+        &DataSide::from_universe(&cube, &data).unwrap(),
         1.0,
         state,
         &mut rng,
@@ -229,8 +232,7 @@ fn sampled_backends_reject_dense_queries_up_front() {
             .rounds_override(2)
             .build()
             .unwrap(),
-        &cube,
-        &data,
+        DataSide::from_universe(&cube, &data).unwrap(),
         exhaustive_sampled(&cube, 8),
         &mut rng,
     )
@@ -244,14 +246,14 @@ fn sampled_backends_reject_dense_queries_up_front() {
 }
 
 /// The online linear mechanism end-to-end at `|X| = 2^20` through
-/// `with_point_source`: SV screening, Laplace measurement and query
+/// a support-row data side: SV screening, Laplace measurement and query
 /// updates all on sketched state, flat in `|X|`.
 #[test]
 fn linear_pmw_point_source_smoke_at_2_pow_20() {
     let log2_x = 20usize;
     let source = BigBitCube::new(log2_x).unwrap();
     let mut rng = StdRng::seed_from_u64(65);
-    let data = skewed_rows(source.len(), 4000, &mut rng);
+    let dataset = skewed_rows(source.len(), 4000, &mut rng);
     let budget = 1024;
     let backend = SampledBackend::new(
         source,
@@ -269,7 +271,8 @@ fn linear_pmw_point_source_smoke_at_2_pow_20() {
         .build()
         .unwrap();
     let declared = config.budget;
-    let mut mech = LinearPmw::with_point_source(config, &source, &data, backend, &mut rng).unwrap();
+    let data = DataSide::from_source(&source, &dataset).unwrap();
+    let mut mech = LinearPmw::with_backend(config, data, backend, &mut rng).unwrap();
 
     // Ask the skewed-bit marginal repeatedly (truth ~0.9, uniform ~0.5):
     // the SV must fire and the update must pull answers toward the truth.
@@ -331,7 +334,13 @@ fn mwem_with_pool_refresh_stays_consistent() {
     let rounds = 6;
     let run = Mwem::new(rounds, 1.0)
         .unwrap()
-        .run_with_source(&queries, &source, &data, 3.0, backend, &mut rng)
+        .run_with_backend(
+            &queries,
+            &DataSide::from_source(&source, &data).unwrap(),
+            3.0,
+            backend,
+            &mut rng,
+        )
         .unwrap();
     assert_eq!(run.state.resamples(), rounds / 2);
     assert_eq!(run.state.rounds(), rounds);

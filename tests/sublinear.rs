@@ -1,5 +1,5 @@
 //! Full-mechanism sublinearity: the `answer` loop and the offline rounds
-//! through the point-source construction — no materialized universe, no
+//! over a support-row `DataSide` — no materialized universe, no
 //! Θ(|X|) data histogram, universes past the dense cap.
 
 use pmw::core::{OfflinePmw, OnlinePmw, PmwError};
@@ -58,10 +58,9 @@ fn full_answer_loop_runs_at_2_pow_26_without_materializing_the_universe() {
         &mut rng,
     )
     .unwrap();
-    let mut mech = OnlinePmw::with_point_source(
+    let mut mech = OnlinePmw::with_backend(
         config(8, 4, 0.05),
-        &source,
-        &dataset,
+        DataSide::from_source(&source, &dataset).unwrap(),
         pmw::erm::ExactOracle::default(),
         backend,
         &mut rng,
@@ -132,10 +131,9 @@ fn point_source_mechanism_smoke_at_2_pow_20() {
         &mut rng,
     )
     .unwrap();
-    let mut mech = OnlinePmw::with_point_source(
+    let mut mech = OnlinePmw::with_backend(
         config(12, 4, 0.22),
-        &source,
-        &dataset,
+        DataSide::from_source(&source, &dataset).unwrap(),
         pmw::erm::ExactOracle::default(),
         backend,
         &mut rng,
@@ -157,7 +155,7 @@ fn point_source_mechanism_smoke_at_2_pow_20() {
     assert_eq!(mech.accountant().len(), 1 + mech.updates_used());
 }
 
-/// Offline rounds on a `SampledBackend` through `run_with_source` agree
+/// Offline rounds on a `SampledBackend` over support rows agree
 /// with the dense offline run at small |X| (exhaustive pool: the sketch
 /// degrades to exact state; the row-based data side evaluates the same
 /// empirical distribution over the support instead of the histogram).
@@ -196,7 +194,12 @@ fn offline_point_source_parity_with_dense_at_small_universe() {
     .unwrap();
     assert!(backend.is_exhaustive());
     let (row_result, row_acc) = off
-        .run_with_source(&refs, &source, &data, &mut backend, &mut rng_b)
+        .run_with_backend(
+            &refs,
+            &DataSide::from_source(&source, &data).unwrap(),
+            &mut backend,
+            &mut rng_b,
+        )
         .unwrap();
 
     assert_eq!(dense_result.selected, row_result.selected);
@@ -209,7 +212,12 @@ fn offline_point_source_parity_with_dense_at_small_universe() {
     // materialized universe the path exists to avoid.
     let mut dense_state = pmw::core::DenseBackend::new(16).unwrap();
     assert!(matches!(
-        off.run_with_source(&refs, &source, &data, &mut dense_state, &mut rng_b),
+        off.run_with_backend(
+            &refs,
+            &DataSide::from_source(&source, &data).unwrap(),
+            &mut dense_state,
+            &mut rng_b,
+        ),
         Err(PmwError::InvalidConfig(_))
     ));
 }
@@ -230,10 +238,9 @@ fn accuracy_game_on_point_source_mechanism() {
         &mut rng,
     )
     .unwrap();
-    let mut mech = OnlinePmw::with_point_source(
+    let mut mech = OnlinePmw::with_backend(
         config(6, 4, 0.1),
-        &source,
-        &dataset,
+        DataSide::from_source(&source, &dataset).unwrap(),
         pmw::erm::ExactOracle::default(),
         backend,
         &mut rng,
