@@ -56,7 +56,14 @@ impl ErmOracle for NetExponentialOracle {
         let net = loss.domain().grid_net(self.per_axis)?;
         let objective = WeightedObjective::new(loss, points, weights)?;
         let scores: Vec<f64> = net.iter().map(|theta| -objective.value(theta)).collect();
-        let sensitivity = loss.scale_bound().max(f64::MIN_POSITIVE) / n as f64;
+        let sensitivity = loss.scale_bound() / n as f64;
+        // A NaN, zero or negative bound has no valid sensitivity; a
+        // near-zero one would release the argmax with no noise at all.
+        if !(sensitivity.is_finite() && sensitivity > 0.0) {
+            return Err(ErmError::InvalidParameter(
+                "net exponential mechanism sensitivity must be finite and positive",
+            ));
+        }
         let mech = ExponentialMechanism::new(sensitivity, budget.epsilon())?;
         let idx = mech.select(&scores, rng)?;
         Ok(net[idx].clone())
@@ -70,8 +77,8 @@ impl ErmOracle for NetExponentialOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::excess_risk;
-    use pmw_losses::{HingeLoss, SquaredLoss};
+    use crate::oracle::{excess_risk, NanLipschitz};
+    use pmw_losses::{HingeLoss, LogisticLoss, SquaredLoss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -79,6 +86,23 @@ mod tests {
     fn constructor_validates() {
         assert!(NetExponentialOracle::new(1).is_err());
         assert!(NetExponentialOracle::new(5).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_corrupt_loss_bound() {
+        // Clamping a NaN bound made the sensitivity ~1e-308, so the
+        // mechanism returned the same net point on every seed.
+        let loss = NanLipschitz(LogisticLoss::new(1).unwrap());
+        let pts = PointMatrix::from_rows(vec![vec![0.5, 1.0], vec![-0.5, -1.0]]).unwrap();
+        let w = vec![0.5, 0.5];
+        let mut rng = StdRng::seed_from_u64(114);
+        for (n, eps) in [(1, 1.0), (100, 0.01)] {
+            let budget = PrivacyBudget::pure(eps).unwrap();
+            assert!(matches!(
+                NetExponentialOracle::default().solve(&loss, &pts, &w, n, budget, &mut rng),
+                Err(ErmError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

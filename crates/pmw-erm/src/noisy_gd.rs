@@ -51,6 +51,8 @@ impl NoisyGdOracle {
     /// The noise level each gradient release receives for a given loss,
     /// dataset size and budget: with total zCDP
     /// budget `rho`, each of the `T` steps uses `sigma = Delta*sqrt(T/2rho)`.
+    /// Fails closed unless `sigma` is finite and positive, which rejects a
+    /// Lipschitz bound that is NaN, infinite, zero or negative.
     pub fn per_step_sigma(
         &self,
         lipschitz: f64,
@@ -58,8 +60,16 @@ impl NoisyGdOracle {
         budget: PrivacyBudget,
     ) -> Result<f64, ErmError> {
         let rho = rho_for_budget(budget)?;
-        let sensitivity = 2.0 * lipschitz.max(f64::MIN_POSITIVE) / n as f64;
-        Ok(sensitivity * (self.iterations as f64 / (2.0 * rho)).sqrt())
+        let sensitivity = 2.0 * lipschitz / n as f64;
+        let sigma = sensitivity * (self.iterations as f64 / (2.0 * rho)).sqrt();
+        // A σ that is NaN or underflows to 0 would release the (near-)
+        // noiseless gradients; an infinite one, pure noise.
+        if !(sigma.is_finite() && sigma > 0.0) {
+            return Err(ErmError::InvalidParameter(
+                "noisy gradient descent noise scale must be finite and positive",
+            ));
+        }
+        Ok(sigma)
     }
 }
 
@@ -116,7 +126,7 @@ impl ErmOracle for NoisyGdOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::excess_risk;
+    use crate::oracle::{excess_risk, NanLipschitz};
     use pmw_losses::{LogisticLoss, SquaredLoss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,6 +213,27 @@ mod tests {
         let s1 = oracle.per_step_sigma(1.0, 100, budget).unwrap();
         let s2 = oracle.per_step_sigma(1.0, 1000, budget).unwrap();
         assert!((s1 / s2 - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rejects_a_corrupt_lipschitz_bound() {
+        // Clamping a NaN bound gave σ = 1.8e-308, which released the same
+        // θ on every seed.
+        let loss = NanLipschitz(LogisticLoss::new(1).unwrap());
+        let (pts, w) = regression_data(10);
+        let mut rng = StdRng::seed_from_u64(76);
+        let budget = PrivacyBudget::new(1.0, 1e-6).unwrap();
+        let oracle = NoisyGdOracle::default();
+        assert!(matches!(
+            oracle.solve(&loss, &pts, &w, 100, budget, &mut rng),
+            Err(ErmError::InvalidParameter(_))
+        ));
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            assert!(matches!(
+                oracle.per_step_sigma(bad, 100, budget),
+                Err(ErmError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl ErmOracle for ObjectivePerturbationOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::excess_risk;
+    use crate::oracle::{excess_risk, NanLipschitz};
     use pmw_losses::{HingeLoss, LogisticLoss, SquaredLoss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -167,33 +167,6 @@ mod tests {
         assert!(ObjectivePerturbationOracle::default()
             .solve(&loss, &pts, &w, 100, budget, &mut rng)
             .is_err());
-    }
-
-    /// A smooth loss with corrupt (NaN) Lipschitz metadata.
-    struct NanLipschitz(LogisticLoss);
-
-    impl CmLoss for NanLipschitz {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn domain(&self) -> &pmw_convex::Domain {
-            self.0.domain()
-        }
-        fn point_dim(&self) -> usize {
-            self.0.point_dim()
-        }
-        fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
-            self.0.loss(theta, x)
-        }
-        fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
-            self.0.gradient(theta, x, out)
-        }
-        fn lipschitz(&self) -> f64 {
-            f64::NAN
-        }
-        fn smoothness(&self) -> Option<f64> {
-            self.0.smoothness()
-        }
     }
 
     #[test]

@@ -146,6 +146,36 @@ impl ErmOracle for OracleChoice {
     }
 }
 
+/// A smooth logistic loss with corrupt (NaN) Lipschitz metadata, which
+/// every noise-calibrating oracle must refuse rather than clamp.
+#[cfg(test)]
+pub(crate) struct NanLipschitz(pub(crate) pmw_losses::LogisticLoss);
+
+#[cfg(test)]
+impl CmLoss for NanLipschitz {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn domain(&self) -> &pmw_convex::Domain {
+        self.0.domain()
+    }
+    fn point_dim(&self) -> usize {
+        self.0.point_dim()
+    }
+    fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
+        self.0.loss(theta, x)
+    }
+    fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
+        self.0.gradient(theta, x, out)
+    }
+    fn lipschitz(&self) -> f64 {
+        f64::NAN
+    }
+    fn smoothness(&self) -> Option<f64> {
+        self.0.smoothness()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,6 +53,7 @@ pub mod health;
 pub mod lazy;
 pub mod log;
 pub mod sampled;
+mod snis;
 pub mod source;
 
 pub use error::SketchError;

@@ -50,10 +50,16 @@
 //! `parallel` feature or the sweep worker count: a 2048-slot sweep takes
 //! about 1.4 µs on one core, well under the 11–13 µs it costs to hand one
 //! job to a parked worker and wait for it, so splitting it only loses.
+//! The normalized SNIS weights are not swept per read at all: they are
+//! derived state of the pool's log-weights, computed by the first read
+//! after a write and shared by every later read of that state. Published
+//! snapshots and the rollback checkpoint carry them together with the
+//! log-weights.
 
 use crate::error::SketchError;
 use crate::health::PoolHealth;
 use crate::log::{CompactionPolicy, RoundUpdate, UpdateLog};
+use crate::snis::LogWeights;
 use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
 use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
@@ -195,10 +201,15 @@ pub struct MaxEstimate {
 /// parameters every SNIS estimate and concentration bound reads. Keeping
 /// the estimator bodies here — and only here — is what makes a snapshot's
 /// answers bit-for-bit identical to the live backend's at the same round.
+///
+/// The log-weights arrive as [`LogWeights`], which normalizes them at most
+/// once per pool state: every read through any view of one state shares
+/// the same SNIS weights, and each read still makes its own pass over the
+/// pool in slot order.
 struct SketchReadView<'a> {
     pool_indices: &'a [usize],
     pool_points: &'a PointMatrix,
-    pool_log_w: &'a [f64],
+    pool_log_w: &'a LogWeights,
     exhaustive: bool,
     drift_bound: f64,
     /// The distortion bound (in log-weight) the pool's cached values
@@ -214,29 +225,6 @@ struct SketchReadView<'a> {
 impl SketchReadView<'_> {
     fn pool_size(&self) -> usize {
         self.pool_indices.len()
-    }
-
-    /// Normalized self-normalized-importance-sampling weights of the pool
-    /// (softmax of the cached log-weights) plus the shifted normalizer
-    /// mean `B̂' = (1/m)Σ exp(log w_i − shift)` and the shift itself.
-    fn snis(&self) -> (Vec<f64>, f64, f64) {
-        let shift = self
-            .pool_log_w
-            .iter()
-            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        let mut total = 0.0;
-        let mut w = Vec::with_capacity(self.pool_log_w.len());
-        for &lw in self.pool_log_w {
-            let v = (lw - shift).exp();
-            total += v;
-            w.push(v);
-        }
-        debug_assert!(total > 0.0 && total.is_finite());
-        let mean_shifted = total / w.len() as f64;
-        for v in &mut w {
-            *v /= total;
-        }
-        (w, mean_shifted, shift)
     }
 
     /// The drift-envelope ratio bound shared by every estimate and read
@@ -276,9 +264,9 @@ impl SketchReadView<'_> {
         scale: f64,
         mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
     ) -> Result<Estimate, E> {
-        let (w, mean_shifted, shift) = self.snis();
+        let snis = self.pool_log_w.snis();
         let (mut value, mut w_sq, mut w_sq_f, mut w_sq_f_sq) = (0.0, 0.0, 0.0, 0.0);
-        for (slot, (point, &wi)) in self.pool_points.iter().zip(&w).enumerate() {
+        for (slot, (point, &wi)) in self.pool_points.iter().zip(&snis.weights).enumerate() {
             if wi > 0.0 {
                 let fv = f(slot, point)?;
                 value += wi * fv;
@@ -311,7 +299,7 @@ impl SketchReadView<'_> {
             let beta = self.beta;
             // Candidate 1 (β/2, split again over numerator/normalizer):
             // the worst-case drift-envelope ratio bound.
-            let envelope = self.envelope_radius(scale, beta / 4.0, shift, mean_shifted);
+            let envelope = self.envelope_radius(scale, beta / 4.0, snis.shift, snis.mean_shifted);
             // Candidate 2 (β/4): Hoeffding at the realized effective
             // sample size with the integrand's own range — the drift
             // envelope replaced by the weight spread the pool exhibits.
@@ -369,9 +357,9 @@ impl SketchReadView<'_> {
     /// claimed-vs-envelope.
     fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound, f64) {
         let beta = self.beta;
-        let (w, mean_shifted, shift) = self.snis();
-        let w_sq: f64 = w.iter().map(|v| v * v).sum();
-        let envelope = self.envelope_radius(scale, beta / 4.0, shift, mean_shifted);
+        let snis = self.pool_log_w.snis();
+        let w_sq: f64 = snis.weights.iter().map(|v| v * v).sum();
+        let envelope = self.envelope_radius(scale, beta / 4.0, snis.shift, snis.mean_shifted);
         // ŵ sums to 1, so ESS = 1/Σŵ².
         let ess = effective_sample_size(1.0, w_sq);
         let r_ess = ess_radius(2.0 * scale, ess, beta / 2.0).unwrap_or(f64::INFINITY);
@@ -393,16 +381,19 @@ impl SketchReadView<'_> {
 /// The pool triple is **cloned** at publish time (`O(m·d)` — the same
 /// order as the round update that preceded it), so writer-side faults
 /// after publication (failed rounds, rollbacks, poisoning, pool
-/// corruption) can never reach an already-published snapshot. The
-/// sampling ledger, by contrast, is **shared** (`Arc`) with the live
-/// backend: concentration claims made by snapshot reads land in the same
-/// union-bound record as the live backend's, in arrival order, so the
-/// accuracy accounting stays complete no matter which path served a read.
+/// corruption) can never reach an already-published snapshot. The clone
+/// carries the pool's SNIS weights when a read has already computed them;
+/// otherwise the snapshot's first read computes them once for all of its
+/// readers. The sampling ledger, by contrast, is **shared** (`Arc`) with
+/// the live backend: concentration claims made by snapshot reads land in
+/// the same union-bound record as the live backend's, in arrival order, so
+/// the accuracy accounting stays complete no matter which path served a
+/// read.
 #[derive(Debug, Clone)]
 pub struct SampledSnapshot {
     pool_indices: Vec<usize>,
     pool_points: PointMatrix,
-    pool_log_w: Vec<f64>,
+    pool_log_w: LogWeights,
     exhaustive: bool,
     drift_bound: f64,
     /// Lossy-fold distortion bound carried by the frozen pool weights —
@@ -464,11 +455,10 @@ impl ReadSnapshot for SampledSnapshot {
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
         // cloned pool points — identical floats to the live backend's
         // solve at the publish round.
-        let (weights, _, _) = self.view().snis();
         Ok(minimize_weighted(
             loss,
             &self.pool_points,
-            &weights,
+            &self.pool_log_w.snis().weights,
             solver_iters,
         )?)
     }
@@ -566,7 +556,7 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     log: UpdateLog,
     pool_indices: Vec<usize>,
     pool_points: PointMatrix,
-    pool_log_w: Vec<f64>,
+    pool_log_w: LogWeights,
     exhaustive: bool,
     resamples: usize,
     /// Health-triggered refreshes ([`SampledConfig::ess_floor`]), a subset
@@ -615,13 +605,14 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     published_round: Cell<Option<usize>>,
 }
 
-/// Everything a failed round must restore: the pool triple, the log
+/// Everything a failed round must restore: the pool triple (the
+/// log-weights with their SNIS weights, if a read computed them), the log
 /// length, the exhaustive flag and every health counter. Taken before a
 /// round's first mutation, dropped on success.
 struct PoolSnapshot {
     pool_indices: Vec<usize>,
     pool_points: PointMatrix,
-    pool_log_w: Vec<f64>,
+    pool_log_w: LogWeights,
     log_len: usize,
     exhaustive: bool,
     resamples: usize,
@@ -686,7 +677,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
         let pool_points = PointMatrix::from_flat(flat, dim)
             .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-        let pool_log_w = vec![0.0; pool_indices.len()];
+        let pool_log_w = LogWeights::new(vec![0.0; pool_indices.len()]);
         let m = pool_indices.len();
         Ok(Self {
             source,
@@ -843,7 +834,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// `O(m)` pass, degenerate-pool safe (see [`PoolHealth`]).
     pub fn health(&self) -> PoolHealth {
         PoolHealth::from_log_weights(
-            &self.pool_log_w,
+            self.pool_log_w.as_slice(),
             (self.log.drift_bound() - self.drift_at_refresh).max(0.0),
             self.rounds_since_refresh,
         )
@@ -880,7 +871,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             .collect();
         if let Ok(payoffs) = &payoffs {
             let eta = update.eta();
-            for (lw, u) in self.pool_log_w.iter_mut().zip(payoffs) {
+            for (lw, u) in self.pool_log_w.values_mut().iter_mut().zip(payoffs) {
                 *lw -= eta * u;
             }
         }
@@ -944,7 +935,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.pool_points = PointMatrix::from_flat(flat, self.source.dim())
             .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
         self.pool_indices = indices;
-        self.pool_log_w = log_w;
+        self.pool_log_w = LogWeights::new(log_w);
         self.pool_missing_drift = missing_drift;
         self.last_replay_depth = self.log.retained_len();
         if P::ENABLED {
@@ -994,7 +985,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             self.pool_points = PointMatrix::from_flat(flat, dim)
                 .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
             self.pool_indices = indices;
-            self.pool_log_w = log_w;
+            self.pool_log_w = LogWeights::new(log_w);
             self.exhaustive = true;
             self.pool_missing_drift = missing_drift;
         } else {
@@ -1011,12 +1002,12 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             flat.extend_from_slice(&fresh_flat);
             let mut indices = self.pool_indices.clone();
             indices.extend_from_slice(&fresh);
-            let mut log_w = self.pool_log_w.clone();
+            let mut log_w = self.pool_log_w.as_slice().to_vec();
             log_w.extend_from_slice(&fresh_log_w);
             self.pool_points = PointMatrix::from_flat(flat, dim)
                 .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
             self.pool_indices = indices;
-            self.pool_log_w = log_w;
+            self.pool_log_w = LogWeights::new(log_w);
         }
         self.last_replay_depth = self.log.retained_len();
         if P::ENABLED {
@@ -1101,7 +1092,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let round = self.log.len();
         let receipt = self.log.compact(
             &self.pool_indices,
-            &self.pool_log_w,
+            self.pool_log_w.as_slice(),
             self.pool_missing_drift,
         )?;
         if receipt.folded_rounds == 0 {
@@ -1191,7 +1182,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.pending_events.truncate(snap.events_len);
         let m = self.pool_indices.len();
         if truncated.is_err()
-            || self.pool_log_w.len() != m
+            || self.pool_log_w.as_slice().len() != m
             || self.pool_points.len() != m
             || self.log.len() != snap.log_len
             || !self.log.drift_bound().is_finite()
@@ -1354,13 +1345,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             }
         }
         Ok(())
-    }
-
-    /// Normalized self-normalized-importance-sampling weights of the pool
-    /// (softmax of the cached log-weights) plus the shifted normalizer
-    /// mean `B̂' = (1/m)Σ exp(log w_i − shift)` and the shift itself.
-    fn snis(&self) -> (Vec<f64>, f64, f64) {
-        self.view().snis()
     }
 
     /// The borrowed read-state shared by the live backend and its
@@ -1615,11 +1599,10 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         // Minimize over the pooled empirical hypothesis: SNIS weights on
         // cached pool points. Exhaustive pools make this the exact dense
         // solve.
-        let (weights, _, _) = self.snis();
         Ok(minimize_weighted(
             loss,
             &self.pool_points,
-            &weights,
+            &self.pool_log_w.snis().weights,
             solver_iters,
         )?)
     }
@@ -2101,7 +2084,7 @@ mod tests {
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2202,7 +2185,7 @@ mod tests {
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
             assert!((dense.log_weight(idx) - exact).abs() < 1e-12, "idx {idx}");
@@ -2250,7 +2233,7 @@ mod tests {
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2401,7 +2384,7 @@ mod tests {
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2426,7 +2409,7 @@ mod tests {
         .unwrap();
         let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
         let before_indices = sketch.pool_indices.clone();
-        let before_log_w = sketch.pool_log_w.clone();
+        let before_log_w = sketch.pool_log_w.as_slice().to_vec();
         let err = StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng)
             .unwrap_err();
         assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
@@ -2436,7 +2419,7 @@ mod tests {
         // explicit rollback marker.
         assert_eq!(sketch.rounds(), 0);
         assert_eq!(sketch.pool_indices, before_indices);
-        assert_eq!(sketch.pool_log_w, before_log_w);
+        assert_eq!(sketch.pool_log_w.as_slice(), before_log_w);
         assert!(!sketch.is_poisoned());
         let events = StateBackend::take_events(&mut sketch);
         assert!(
@@ -2501,7 +2484,7 @@ mod tests {
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
-                (sketch.pool_log_w[slot] - exact).abs() < 1e-12,
+                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
                 "slot {slot}"
             );
         }
@@ -2516,6 +2499,183 @@ mod tests {
             .iter()
             .any(|r| r.label == "emergency-resample"));
         assert!(ledger.records().iter().any(|r| r.label == "pool-growth"));
+    }
+
+    /// The reads that depend on the pool's SNIS weights, as bits: the
+    /// query mean's value and radius, the unit-scale read radius and the
+    /// hypothesis minimizer.
+    fn snapshot_read_bits(
+        snap: &dyn ReadSnapshot,
+        query: &dyn PointQuery,
+        loss: &dyn CmLoss,
+        points: &PointMatrix,
+    ) -> Vec<u64> {
+        let est = snap.expected_query_value(query, None).unwrap();
+        let theta = snap.hypothesis_minimizer(loss, points, 8).unwrap();
+        [est.value, est.radius, snap.read_radius(1.0)]
+            .into_iter()
+            .chain(theta)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// After a write, the live backend, a snapshot published before any
+    /// read and one published after the live reads must all read exactly
+    /// what a fresh normalization of the current log-weights reads. The
+    /// live reads also leave the weights cached for the next write.
+    fn assert_reads_fresh(sketch: &SampledBackend<UniversePoints<BooleanCube>>, step: &str) {
+        use pmw_data::workload::ImplicitQuery;
+        let dim = sketch.source.dim();
+        let query = ImplicitQuery::marginal(vec![0], dim).unwrap();
+        let loss = bit_loss(1, dim);
+        let points = &sketch.pool_points;
+        let before_read = sketch.publish_snapshot().unwrap();
+        let mut reference = sketch.publish_snapshot().unwrap();
+        reference.pool_log_w = LogWeights::new(sketch.pool_log_w.as_slice().to_vec());
+        let expected = snapshot_read_bits(&reference, &query, &loss, points);
+
+        let est = sketch.query_mean(&query).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let theta = StateBackend::hypothesis_minimizer(sketch, &loss, points, 8, &mut rng).unwrap();
+        let live: Vec<u64> = [est.value, est.radius, sketch.read_radius(1.0)]
+            .into_iter()
+            .chain(theta)
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(live, expected, "{step}: live backend");
+        let after_read = sketch.publish_snapshot().unwrap();
+        for (snap, when) in [(before_read, "before"), (after_read, "after")] {
+            assert_eq!(
+                snapshot_read_bits(&snap, &query, &loss, points),
+                expected,
+                "{step}: snapshot published {when} a read"
+            );
+        }
+    }
+
+    /// One round of the bit-0 marginal through the backend seam.
+    fn marginal_round(
+        sketch: &mut SampledBackend<UniversePoints<BooleanCube>>,
+        coeff: f64,
+        eta: f64,
+        rng: &mut StdRng,
+    ) -> Result<(), PmwError> {
+        use pmw_data::workload::ImplicitQuery;
+        let q = ImplicitQuery::marginal(vec![0], sketch.source.dim()).unwrap();
+        StateBackend::apply_query_update(sketch, &q, None, coeff, eta, None, rng)
+    }
+
+    #[test]
+    fn cached_snis_weights_never_go_stale() {
+        use pmw_data::workload::ImplicitQuery;
+        let sketch_on = |dim: usize, config: SampledConfig, seed: u64| {
+            let cube = BooleanCube::new(dim).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            SampledBackend::new(UniversePoints(cube), config, &mut rng).unwrap()
+        };
+        // A stream apart from every construction seed below, so resamples
+        // draw pools of their own.
+        let mut rng = StdRng::seed_from_u64(5);
+
+        // `record`, a manual resample, `compact_now`, a cadence resample.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 64,
+                resample_every: 2,
+                ..SampledConfig::default()
+            },
+            67,
+        );
+        assert_reads_fresh(&sketch, "construction");
+        let q = Arc::new(ImplicitQuery::marginal(vec![0], 10).unwrap()) as Arc<dyn PointQuery>;
+        sketch
+            .record(RoundUpdate::query(q, 1.0, 0.5).unwrap())
+            .unwrap();
+        assert_reads_fresh(&sketch, "record");
+        sketch.resample(&mut rng).unwrap();
+        assert_reads_fresh(&sketch, "manual resample");
+        sketch.compact_now().unwrap();
+        assert_eq!(sketch.compactions(), 1);
+        assert_reads_fresh(&sketch, "compact_now");
+        marginal_round(&mut sketch, -1.0, 0.5, &mut rng).unwrap();
+        assert_eq!(sketch.resamples(), 2);
+        assert_reads_fresh(&sketch, "cadence resample");
+
+        // An adaptive resample: one violent round sinks ESS/m below 0.9.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 128,
+                ess_floor: 0.9,
+                ..SampledConfig::default()
+            },
+            47,
+        );
+        assert_reads_fresh(&sketch, "construction");
+        marginal_round(&mut sketch, 1.0, 8.0, &mut rng).unwrap();
+        assert_eq!(sketch.adaptive_resamples(), 1);
+        assert_reads_fresh(&sketch, "adaptive resample");
+
+        // An emergency resample, then one doubling that stops short of the
+        // universe. The claimed radius is linear in the round's scale
+        // |coeff|, so this coefficient puts the 32-slot pool 20% above the
+        // threshold and the 64-slot pool below it.
+        let threshold = 4.0;
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 32,
+                max_usable_radius: threshold,
+                growth_cap: 64,
+                ..SampledConfig::default()
+            },
+            71,
+        );
+        assert_reads_fresh(&sketch, "construction");
+        let coeff = 1.2 * threshold / sketch.claimed_read_radius(1.0);
+        marginal_round(&mut sketch, coeff, 0.01, &mut rng).unwrap();
+        assert_eq!((sketch.escalations(), sketch.pool_growths()), (1, 1));
+        assert_eq!(sketch.pool_size(), 64);
+        assert!(!sketch.is_exhaustive());
+        assert_reads_fresh(&sketch, "emergency resample and pool growth");
+
+        // Growth to exhaustive. Estimates fail loudly above the tiny
+        // threshold before the round, so only the margin read runs first.
+        let mut sketch = sketch_on(
+            3,
+            SampledConfig {
+                budget: 4,
+                max_usable_radius: 1e-9,
+                growth_cap: 64,
+                ..SampledConfig::default()
+            },
+            59,
+        );
+        sketch.read_radius(1.0);
+        marginal_round(&mut sketch, 1.0, 0.4, &mut rng).unwrap();
+        assert!(sketch.is_exhaustive());
+        assert_reads_fresh(&sketch, "growth to exhaustive");
+
+        // A round rolled back after the ladder read the radius: scale 100
+        // stays far above the threshold after the emergency resample.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 32,
+                max_usable_radius: threshold,
+                ..SampledConfig::default()
+            },
+            73,
+        );
+        marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
+        assert_reads_fresh(&sketch, "round before the rollback");
+        let before = sketch.pool_log_w.as_slice().to_vec();
+        let err = marginal_round(&mut sketch, 100.0, 0.01, &mut rng).unwrap_err();
+        assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
+        assert_eq!(sketch.escalations(), 0, "the escalation rolled back");
+        assert_eq!(sketch.pool_log_w.as_slice(), before);
+        assert_reads_fresh(&sketch, "rollback");
     }
 
     #[test]
