@@ -99,7 +99,8 @@ impl ScreenContext {
     /// Figure-3 round, runnable by any thread holding a published
     /// snapshot. Consumes no RNG and mutates nothing (sketched snapshots
     /// ledger their concentration claims through their shared sampling
-    /// ledger, exactly like the live backend's reads).
+    /// ledger, exactly like the live backend's reads). Forks the error
+    /// query's `θ*` solve under the same rule as [`OnlinePmw::answer`].
     pub fn screen(
         &self,
         snapshot: &dyn ReadSnapshot,
@@ -118,9 +119,26 @@ impl ScreenContext {
     }
 }
 
+/// Data-side solve size, in point-iterations (data-side points ×
+/// `solver_iters`), from which the read phase solves the error query's
+/// `θ*` on a second thread while the caller solves `θ̂`. On a
+/// 2-core VM a scoped spawn and join costs about 40 µs, and a fused GLM
+/// solve at `d = 10` about 12.5 ns per point-iteration (traced online-glm
+/// hypothesis solve, 1024 points × 100 iterations): a 2^16 solve takes
+/// about 800 µs, so the fork costs about 5% of the solve it takes off the
+/// caller's thread.
+const FORK_POINT_ITERS: usize = 1 << 16;
+
 /// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
 /// error query `err_ℓ(D, D̂)` over the data-side rows, and collect the
 /// backend's read margin.
+///
+/// With more than one sweep worker ([`pmw_data::par::threads`]) and a
+/// data-side solve of at least [`FORK_POINT_ITERS`], the error query's
+/// `θ*` is solved on a scoped second thread while this thread solves `θ̂`.
+/// The two solves are independent and deterministic, so the outcome is
+/// bit-for-bit the serial one; every probe span stays on this thread, and
+/// `θ̂`'s error still takes precedence over `θ*`'s.
 fn screen_query<P: Probe>(
     ctx: &ScreenContext,
     snapshot: &dyn ReadSnapshot,
@@ -130,16 +148,33 @@ fn screen_query<P: Probe>(
     ctx.data.check_loss(loss)?;
     let (points, weights) = (ctx.data.points(), ctx.data.weights());
     // (1) Hypothesis minimizer theta-hat, against the frozen state.
-    probe.span_begin(Phase::HypothesisSolve);
-    let theta_hat = snapshot.hypothesis_minimizer(loss, points, ctx.solver_iters)?;
-    probe.span_end(Phase::HypothesisSolve);
-
+    let solve_hat = || -> Result<Vec<f64>, PmwError> {
+        let theta_hat = snapshot.hypothesis_minimizer(loss, points, ctx.solver_iters)?;
+        probe.span_end(Phase::HypothesisSolve);
+        probe.span_begin(Phase::ErrorQuery);
+        Ok(theta_hat)
+    };
     // (2) The error query q_j(D) = err_l(D, D-hat_t), evaluated over
     // the data-side point set: the universe histogram on the dense
     // path, the dataset's support rows (O(n·d)) on the row path.
-    probe.span_begin(Phase::ErrorQuery);
+    let solve_star = || minimize_weighted(loss, points, weights, ctx.solver_iters);
+    let fork = pmw_data::par::threads() > 1
+        && points.len().saturating_mul(ctx.solver_iters) >= FORK_POINT_ITERS;
+    probe.span_begin(Phase::HypothesisSolve);
+    let (theta_hat, theta_star) = if fork {
+        std::thread::scope(|s| {
+            let star = s.spawn(solve_star);
+            let theta_hat = solve_hat();
+            let theta_star = star.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            (theta_hat, theta_star)
+        })
+    } else {
+        let theta_hat = solve_hat()?;
+        (Ok(theta_hat), solve_star())
+    };
+    let theta_hat = theta_hat?;
+    let theta_star = theta_star?;
     let data_obj = WeightedObjective::new(loss, points, weights)?;
-    let theta_star = minimize_weighted(loss, points, weights, ctx.solver_iters)?;
     let query_value = (data_obj.value(&theta_hat) - data_obj.value(&theta_star)).max(0.0);
     probe.span_end(Phase::ErrorQuery);
 
@@ -289,6 +324,13 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// Answer one CM query. Errors with [`PmwError::Halted`] once the `T`
     /// update slots are spent and with [`PmwError::QueryLimitReached`] past
     /// the declared `k`.
+    ///
+    /// When more than one sweep worker is available
+    /// ([`pmw_data::par::threads`]) and the data-side solve reaches 2^16
+    /// point-iterations (data-side points × `solver_iters`), the error
+    /// query's `θ*` is solved on a scoped second thread while this thread
+    /// solves `θ̂`. Every answer, transcript record, ledger entry and rng
+    /// draw is bit-for-bit the serial one.
     pub fn answer(&mut self, loss: &dyn CmLoss, rng: &mut dyn Rng) -> Result<Vec<f64>, PmwError> {
         self.answer_with_probe(loss, rng, &NoopProbe)
     }
@@ -1372,6 +1414,130 @@ mod tests {
             ),
             Err(PmwError::InvalidConfig(_))
         ));
+    }
+
+    /// Every round and span event, with the thread that reported it.
+    #[derive(Default)]
+    struct EventLog(std::cell::RefCell<Vec<(String, std::thread::ThreadId)>>);
+
+    impl EventLog {
+        fn push(&self, event: String) {
+            let thread = std::thread::current().id();
+            self.0.borrow_mut().push((event, thread));
+        }
+    }
+
+    impl Probe for EventLog {
+        fn round_begin(&self, round: usize) {
+            self.push(format!("round {round}"));
+        }
+        fn round_end(&self, round: usize, outcome: &'static str) {
+            self.push(format!("end {round} {outcome}"));
+        }
+        fn span_begin(&self, phase: Phase) {
+            self.push(format!("begin {phase}"));
+        }
+        fn span_end(&self, phase: Phase) {
+            self.push(format!("end {phase}"));
+        }
+    }
+
+    /// What one run of the fork test observed, as bits.
+    struct Observed {
+        answers: Vec<Vec<u64>>,
+        error_queries: Vec<Option<u64>>,
+        ledger: Vec<(String, u64, u64)>,
+        next_draw: u64,
+        events: Vec<String>,
+        updates: usize,
+    }
+
+    #[test]
+    fn forked_error_query_solve_is_bit_identical_to_the_serial_one() {
+        use pmw_losses::catalog::{random_classification_tasks, random_regression_tasks};
+        use pmw_losses::LinkFn;
+        use rand::RngExt;
+
+        if cfg!(feature = "parallel") {
+            assert_eq!(pmw_data::par::with_threads(2, pmw_data::par::threads), 2);
+        }
+        let cube = BooleanCube::scaled(10).unwrap();
+        let run = |threads: usize| {
+            pmw_data::par::with_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(171);
+                let data = skewed_dataset(&cube, 20_000, &mut rng);
+                let config = PmwConfig::builder(2.0, 1e-6, 0.05)
+                    .k(24)
+                    .rounds_override(6)
+                    .solver_iters(100)
+                    .diagnostics(true)
+                    .build()
+                    .unwrap();
+                let mut mech = OnlinePmw::new(config, &cube, data, &mut rng).unwrap();
+                assert!(mech.data_points().len() * 100 >= FORK_POINT_ITERS);
+                let mut tasks = random_regression_tasks(10, 3, LinkFn::Squared, &mut rng).unwrap();
+                let classify = random_classification_tasks(10, 3, LinkFn::Logistic, &mut rng);
+                tasks.extend(classify.unwrap());
+                let probe = EventLog::default();
+                let answers = (0..18)
+                    .map(|j| {
+                        let theta = mech
+                            .answer_with_probe(&tasks[j % tasks.len()], &mut rng, &probe)
+                            .unwrap();
+                        theta.iter().map(|v| v.to_bits()).collect()
+                    })
+                    .collect();
+                let error_queries = mech
+                    .transcript()
+                    .records()
+                    .iter()
+                    .map(|r| r.error_query_value.map(f64::to_bits))
+                    .collect();
+                let ledger = mech
+                    .accountant()
+                    .entries()
+                    .iter()
+                    .map(|e| {
+                        let (eps, delta) = (e.budget.epsilon(), e.budget.delta());
+                        (e.label.clone(), eps.to_bits(), delta.to_bits())
+                    })
+                    .collect();
+                // Every span stays on the calling thread, forked or not.
+                let caller = std::thread::current().id();
+                let events = probe
+                    .0
+                    .into_inner()
+                    .into_iter()
+                    .map(|(event, thread)| {
+                        assert_eq!(thread, caller, "{event} reported off the calling thread");
+                        event
+                    })
+                    .collect();
+                Observed {
+                    answers,
+                    error_queries,
+                    ledger,
+                    next_draw: rng.random(),
+                    events,
+                    updates: mech.updates_used(),
+                }
+            })
+        };
+        let (serial, forked) = (run(1), run(2));
+        // The mix has both free and update rounds.
+        let updates = serial.updates;
+        assert!(
+            updates > 0 && updates < serial.answers.len(),
+            "{updates} updates"
+        );
+        assert_eq!(serial.answers, forked.answers, "answers");
+        assert_eq!(
+            serial.error_queries, forked.error_queries,
+            "error query values"
+        );
+        assert_eq!(serial.ledger, forked.ledger, "ledger");
+        assert_eq!(serial.next_draw, forked.next_draw, "next rng draw");
+        assert_eq!(serial.events, forked.events, "span sequence");
     }
 
     #[test]

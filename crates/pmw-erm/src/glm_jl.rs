@@ -107,11 +107,12 @@ impl ErmOracle for JlGlmOracle {
         //    in the flat row-major layout (stride m + 1).
         let mut projected_flat: Vec<f64> = Vec::with_capacity(points.len() * (m + 1));
         for x in points {
-            let (features, y) = loss
-                .glm_example(x)
-                .ok_or(ErmError::UnsupportedLoss("JL oracle requires glm_example"))?;
+            let y = loss
+                .glm_label(x)
+                .ok_or(ErmError::UnsupportedLoss("JL oracle requires glm_label"))?;
+            let features = &x[..d];
             let start = projected_flat.len();
-            projected_flat.extend(phi.iter().map(|row| vecmath::dot(row, &features)));
+            projected_flat.extend(phi.iter().map(|row| vecmath::dot(row, features)));
             let z = &mut projected_flat[start..];
             let norm = vecmath::norm2(z);
             if norm > 1.0 {

@@ -117,8 +117,8 @@ impl CmLoss for TargetLoss {
         Some(self.link)
     }
 
-    fn glm_example(&self, x: &[f64]) -> Option<(Vec<f64>, f64)> {
-        Some((x.to_vec(), self.label(x)))
+    fn glm_label(&self, x: &[f64]) -> Option<f64> {
+        Some(self.label(x))
     }
 
     fn clone_shared(&self) -> Option<std::sync::Arc<dyn CmLoss>> {

@@ -150,9 +150,8 @@ impl CmLoss for GlmLoss {
         Some(self.link)
     }
 
-    fn glm_example(&self, x: &[f64]) -> Option<(Vec<f64>, f64)> {
-        let (features, y) = self.split(x);
-        Some((features.to_vec(), y))
+    fn glm_label(&self, x: &[f64]) -> Option<f64> {
+        Some(x[self.dim])
     }
 
     fn clone_shared(&self) -> Option<std::sync::Arc<dyn CmLoss>> {
@@ -206,9 +205,7 @@ macro_rules! concrete_glm {
             fn smoothness(&self) -> Option<f64> { self.inner.smoothness() }
             fn is_glm(&self) -> bool { true }
             fn glm_link(&self) -> Option<LinkFn> { self.inner.glm_link() }
-            fn glm_example(&self, x: &[f64]) -> Option<(Vec<f64>, f64)> {
-                self.inner.glm_example(x)
-            }
+            fn glm_label(&self, x: &[f64]) -> Option<f64> { self.inner.glm_label(x) }
             fn clone_shared(&self) -> Option<std::sync::Arc<dyn CmLoss>> {
                 Some(std::sync::Arc::new(self.clone()))
             }
@@ -300,8 +297,8 @@ impl CmLoss for HuberLoss {
     fn glm_link(&self) -> Option<LinkFn> {
         self.inner.glm_link()
     }
-    fn glm_example(&self, x: &[f64]) -> Option<(Vec<f64>, f64)> {
-        self.inner.glm_example(x)
+    fn glm_label(&self, x: &[f64]) -> Option<f64> {
+        self.inner.glm_label(x)
     }
     fn clone_shared(&self) -> Option<std::sync::Arc<dyn CmLoss>> {
         Some(std::sync::Arc::new(self.clone()))

@@ -15,6 +15,7 @@
 //! with zero per-point allocation.
 
 use crate::error::LossError;
+use crate::link::LinkFn;
 use pmw_convex::solvers::{ProjectedGradientDescent, SolverConfig};
 use pmw_convex::{vecmath, Domain, Objective};
 use pmw_data::PointMatrix;
@@ -95,15 +96,19 @@ pub trait CmLoss: Send + Sync {
 
     /// For GLM losses, the scalar link `φ` with
     /// `ℓ(θ; x) = φ(⟨θ, features⟩, label)`; `None` otherwise.
-    fn glm_link(&self) -> Option<crate::link::LinkFn> {
+    fn glm_link(&self) -> Option<LinkFn> {
         None
     }
 
-    /// For GLM losses, extract the `(features, label)` pair from a raw
-    /// universe point; `None` for non-GLMs. The dimension-independent GLM
-    /// oracle (Theorem 4.3's role) uses this to project features while
-    /// keeping labels fixed.
-    fn glm_example(&self, _x: &[f64]) -> Option<(Vec<f64>, f64)> {
+    /// For GLM losses, the label `y` of a raw universe point `x`, so that
+    /// `ℓ(θ; x) = φ(⟨θ, x[..dim()]⟩, y)`: a GLM's features are always the
+    /// point's first [`CmLoss::dim`] coordinates. `None` for non-GLMs.
+    ///
+    /// [`WeightedObjective`] computes every point's label once per
+    /// objective and then runs one fused pass per gradient; the
+    /// dimension-independent GLM oracle (Theorem 4.3's role) projects the
+    /// features while keeping the labels fixed.
+    fn glm_label(&self, _x: &[f64]) -> Option<f64> {
         None
     }
 
@@ -160,10 +165,20 @@ pub fn certificate_sweep(
 /// The averaged loss `f(θ) = Σ_i w_i·ℓ(θ; x_i)` over weighted points — the
 /// paper's `ℓ_D(θ)` with `D` a histogram, or the empirical risk with uniform
 /// weights over dataset rows.
+///
+/// For a GLM loss ([`CmLoss::glm_link`] and [`CmLoss::glm_label`] both
+/// `Some`) the objective computes every point's label once, at
+/// construction; `gradient` and `value` are then one fused pass each,
+/// `Σ w·φ′(⟨θ,x⟩, y)·x` and `Σ w·φ(⟨θ,x⟩, y)`, with no `dyn` call and no
+/// label recomputation per point. The fused pass keeps the per-point path's float order, so every
+/// value, gradient and solver iterate is bit-for-bit the same. Other losses
+/// go through [`CmLoss::loss`] and [`CmLoss::gradient`] per point.
 pub struct WeightedObjective<'a, L: CmLoss + ?Sized> {
     loss: &'a L,
     points: &'a PointMatrix,
     weights: &'a [f64],
+    /// The GLM link and every point's label; `None` for non-GLM losses.
+    glm: Option<(LinkFn, Vec<f64>)>,
     grad_buf: std::cell::RefCell<Vec<f64>>,
 }
 
@@ -195,39 +210,17 @@ impl<'a, L: CmLoss + ?Sized> WeightedObjective<'a, L> {
                 "weights must be finite and non-negative",
             ));
         }
+        let glm = loss.glm_link().and_then(|link| {
+            let labels: Option<Vec<f64>> = points.iter().map(|x| loss.glm_label(x)).collect();
+            labels.map(|labels| (link, labels))
+        });
         Ok(Self {
             loss,
             points,
             weights,
+            glm,
             grad_buf: std::cell::RefCell::new(vec![0.0; loss.dim()]),
         })
-    }
-
-    /// Fused per-row pass: the objective value **and** the averaged
-    /// gradient at `theta` in one sweep over the weighted points, written
-    /// into `grad_out` (length `dim()`), returning the value.
-    ///
-    /// Utility for consumers that need both quantities at the same `θ`
-    /// (function-value stopping rules, certified-progress checks): one
-    /// sweep instead of two. The stock solvers evaluate value and
-    /// gradient at *different* iterates, so nothing in the workspace's
-    /// hot loops calls this today — it exists for row-objective callers
-    /// (the data side is ≤ n support rows on the point-source path,
-    /// where the sweep is the whole cost).
-    pub fn value_and_gradient(&self, theta: &[f64], grad_out: &mut [f64]) -> f64 {
-        grad_out.fill(0.0);
-        let mut buf = self.grad_buf.borrow_mut();
-        let mut value = 0.0;
-        for (x, &w) in self.points.iter().zip(self.weights) {
-            if w > 0.0 {
-                value += w * self.loss.loss(theta, x);
-                self.loss.gradient(theta, x, &mut buf);
-                for (o, g) in grad_out.iter_mut().zip(buf.iter()) {
-                    *o += w * g;
-                }
-            }
-        }
-        value
     }
 }
 
@@ -237,6 +230,17 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
     }
 
     fn value(&self, theta: &[f64]) -> f64 {
+        if let Some((link, labels)) = &self.glm {
+            let d = self.loss.dim();
+            return self
+                .points
+                .iter()
+                .zip(self.weights)
+                .zip(labels)
+                .filter(|((_, &w), _)| w > 0.0)
+                .map(|((x, &w), &y)| w * link.value(vecmath::dot(theta, &x[..d]), y))
+                .sum();
+        }
         self.points
             .iter()
             .zip(self.weights)
@@ -247,6 +251,19 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
 
     fn gradient(&self, theta: &[f64], out: &mut [f64]) {
         out.fill(0.0);
+        if let Some((link, labels)) = &self.glm {
+            let d = self.loss.dim();
+            for ((x, &w), &y) in self.points.iter().zip(self.weights).zip(labels) {
+                if w > 0.0 {
+                    let features = &x[..d];
+                    let dphi = link.derivative(vecmath::dot(theta, features), y);
+                    for (o, f) in out.iter_mut().zip(features) {
+                        *o += w * (dphi * f);
+                    }
+                }
+            }
+            return;
+        }
         let mut buf = self.grad_buf.borrow_mut();
         for (x, &w) in self.points.iter().zip(self.weights) {
             if w > 0.0 {
@@ -283,16 +300,15 @@ pub fn default_solver_config<L: CmLoss + ?Sized>(
     loss: &L,
     max_iters: usize,
 ) -> Result<SolverConfig, LossError> {
+    // The bounds go to `SolverConfig` unclamped: its finite-and-positive
+    // checks reject corrupt metadata, where a clamp would turn a NaN bound
+    // into a huge step and an `Ok` far from the minimizer.
     let config = if let Some(smooth) = loss.smoothness() {
-        SolverConfig::smooth(smooth.max(1e-9), max_iters)?
+        SolverConfig::smooth(smooth, max_iters)?
     } else if loss.strong_convexity() > 0.0 {
         SolverConfig::strongly_convex(loss.strong_convexity(), max_iters)?
     } else {
-        SolverConfig::subgradient(
-            loss.lipschitz().max(1e-9),
-            loss.domain().diameter(),
-            max_iters,
-        )?
+        SolverConfig::subgradient(loss.lipschitz(), loss.domain().diameter(), max_iters)?
     };
     Ok(config)
 }
@@ -347,25 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_value_and_gradient_matches_separate_passes() {
-        let loss = SquaredLoss::new(2).unwrap();
-        let pts = matrix(vec![
-            vec![0.5, -0.5, 1.0],
-            vec![-1.0, 0.3, -1.0],
-            vec![0.2, 0.9, 0.4],
-        ]);
-        let obj = WeightedObjective::new(&loss, &pts, &[0.2, 0.0, 0.8]).unwrap();
-        let theta = [0.4, -0.6];
-        let mut fused = vec![0.0; 2];
-        let value = obj.value_and_gradient(&theta, &mut fused);
-        assert!((value - obj.value(&theta)).abs() < 1e-15);
-        let separate = obj.gradient_vec(&theta);
-        for (a, b) in fused.iter().zip(&separate) {
-            assert!((a - b).abs() < 1e-15, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn minimize_weighted_solves_one_dim_regression() {
         // Data: y = 0.8*x exactly; squared loss recovers theta ~ 0.8.
         let loss = SquaredLoss::new(1).unwrap();
@@ -398,6 +395,145 @@ mod tests {
         let loss = SquaredLoss::new(2).unwrap();
         let c = default_solver_config(&loss, 100).unwrap();
         assert!(matches!(c.step, pmw_convex::StepRule::Constant(_)));
+    }
+
+    /// `inner` without its GLM structure, so [`WeightedObjective`] takes the
+    /// per-point path. With `nan_bound`, the bound the solver steps by —
+    /// the smoothness of a smooth loss, the Lipschitz constant otherwise —
+    /// reads NaN.
+    struct PerPoint<'a> {
+        inner: &'a dyn CmLoss,
+        nan_bound: bool,
+    }
+
+    impl CmLoss for PerPoint<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn domain(&self) -> &Domain {
+            self.inner.domain()
+        }
+        fn point_dim(&self) -> usize {
+            self.inner.point_dim()
+        }
+        fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
+            self.inner.loss(theta, x)
+        }
+        fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
+            self.inner.gradient(theta, x, out)
+        }
+        fn lipschitz(&self) -> f64 {
+            if self.nan_bound && self.inner.smoothness().is_none() {
+                f64::NAN
+            } else {
+                self.inner.lipschitz()
+            }
+        }
+        fn smoothness(&self) -> Option<f64> {
+            let nan = self.nan_bound;
+            self.inner
+                .smoothness()
+                .map(|s| if nan { f64::NAN } else { s })
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_glm_pass_is_bit_identical_to_the_per_point_path() {
+        use crate::catalog::TargetLoss;
+        use crate::glm::GlmLoss;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(17);
+        // Features in [-0.6, 0.6]; the labeled rows' last coordinate is
+        // the label.
+        let mut rows = |cols: usize| {
+            let row = |_| (0..cols).map(|_| rng.random::<f64>() * 1.2 - 0.6).collect();
+            matrix((0..40).map(row).collect())
+        };
+        let (labeled, unlabeled) = (rows(4), rows(3));
+        // Every fourth point carries zero weight.
+        let w: Vec<f64> = (0..40)
+            .map(|i| if i % 4 == 0 { 0.0 } else { rng.random::<f64>() })
+            .collect();
+
+        let mut cases: Vec<(Box<dyn CmLoss>, &PointMatrix)> = Vec::new();
+        for link in [
+            LinkFn::Squared,
+            LinkFn::Logistic,
+            LinkFn::Hinge,
+            LinkFn::Absolute,
+            LinkFn::Huber { delta: 0.5 },
+        ] {
+            cases.push((Box::new(GlmLoss::new(link, 3).unwrap()), &labeled));
+        }
+        let dir = vec![0.3, -0.8, 0.5];
+        for link in [LinkFn::Squared, LinkFn::Huber { delta: 0.3 }] {
+            let task = TargetLoss::regression(dir.clone(), link).unwrap();
+            cases.push((Box::new(task), &unlabeled));
+        }
+        for link in [LinkFn::Logistic, LinkFn::Hinge] {
+            let task = TargetLoss::classification(dir.clone(), link).unwrap();
+            cases.push((Box::new(task), &unlabeled));
+        }
+
+        let thetas = [[0.0, 0.0, 0.0], [0.4, -0.2, 0.7], [-0.9, 0.1, 0.3]];
+        for (loss, pts) in &cases {
+            let name = loss.name();
+            let per_point_loss = PerPoint {
+                inner: loss.as_ref(),
+                nan_bound: false,
+            };
+            let fused = WeightedObjective::new(loss.as_ref(), pts, &w).unwrap();
+            let per_point = WeightedObjective::new(&per_point_loss, pts, &w).unwrap();
+            assert!(fused.glm.is_some() && per_point.glm.is_none(), "{name}");
+            for theta in &thetas {
+                assert_eq!(
+                    fused.value(theta).to_bits(),
+                    per_point.value(theta).to_bits(),
+                    "{name}: value at {theta:?}"
+                );
+                assert_eq!(
+                    bits(&fused.gradient_vec(theta)),
+                    bits(&per_point.gradient_vec(theta)),
+                    "{name}: gradient at {theta:?}"
+                );
+            }
+            let a = minimize_weighted(loss.as_ref(), pts, &w, 60).unwrap();
+            let b = minimize_weighted(&per_point_loss, pts, &w, 60).unwrap();
+            assert_eq!(bits(&a), bits(&b), "{name}: minimizer");
+        }
+    }
+
+    #[test]
+    fn nan_smoothness_fails_closed() {
+        // A clamp like `smooth.max(1e-9)` maps NaN to 1e-9: a 1e9 step and
+        // an `Ok` far from the minimizer.
+        let inner = SquaredLoss::new(2).unwrap();
+        let loss = PerPoint {
+            inner: &inner,
+            nan_bound: true,
+        };
+        let pts = matrix(vec![vec![0.5, -0.5, 1.0], vec![-1.0, 0.3, -1.0]]);
+        assert!(default_solver_config(&loss, 100).is_err());
+        assert!(minimize_weighted(&loss, &pts, &[0.5, 0.5], 100).is_err());
+    }
+
+    #[test]
+    fn nan_lipschitz_fails_closed_on_the_subgradient_branch() {
+        let inner = crate::glm::AbsoluteLoss::new(2).unwrap();
+        let loss = PerPoint {
+            inner: &inner,
+            nan_bound: true,
+        };
+        assert!(loss.smoothness().is_none());
+        let pts = matrix(vec![vec![0.5, -0.5, 1.0], vec![-1.0, 0.3, -1.0]]);
+        assert!(default_solver_config(&loss, 100).is_err());
+        assert!(minimize_weighted(&loss, &pts, &[0.5, 0.5], 100).is_err());
     }
 
     #[test]
