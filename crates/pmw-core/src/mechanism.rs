@@ -30,7 +30,7 @@ use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
 use pmw_convex::Objective;
 use pmw_data::{Dataset, Histogram, PointMatrix, Universe};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
-use pmw_dp::{Accountant, SparseVector};
+use pmw_dp::{Accountant, DpError, SparseVector};
 use pmw_erm::{ErmOracle, OracleChoice};
 use pmw_losses::traits::minimize_weighted;
 use pmw_losses::{CmLoss, WeightedObjective};
@@ -121,12 +121,14 @@ impl ScreenContext {
 
 /// Data-side solve size, in point-iterations (data-side points ×
 /// `solver_iters`), from which the read phase solves the error query's
-/// `θ*` on a second thread while the caller solves `θ̂`. On a
-/// 2-core VM a scoped spawn and join costs about 40 µs, and a fused GLM
-/// solve at `d = 10` about 12.5 ns per point-iteration (traced online-glm
-/// hypothesis solve, 1024 points × 100 iterations): a 2^16 solve takes
-/// about 800 µs, so the fork costs about 5% of the solve it takes off the
-/// caller's thread.
+/// `θ*` on a second thread while the caller solves `θ̂`. On a 2-core VM a
+/// scoped spawn and join of an empty closure costs 40–50 µs (medians of
+/// 2000 over four runs), and a GLM solve at `d = 10` 5.4–7.3 ns per
+/// point-iteration (`minimize_weighted`, squared and logistic links, 1024
+/// points × 100 iterations): a 2^16 solve takes 350–480 µs, so the fork
+/// costs 8–14% of the solve it takes off the caller's thread. It would stop
+/// paying between about 5,500 and 9,300 point-iterations, where the solve
+/// costs what the spawn does.
 const FORK_POINT_ITERS: usize = 1 << 16;
 
 /// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
@@ -175,7 +177,7 @@ fn screen_query<P: Probe>(
     let theta_hat = theta_hat?;
     let theta_star = theta_star?;
     let data_obj = WeightedObjective::new(loss, points, weights)?;
-    let query_value = (data_obj.value(&theta_hat) - data_obj.value(&theta_star)).max(0.0);
+    let query_value = error_query_value(data_obj.value(&theta_hat), data_obj.value(&theta_star))?;
     probe.span_end(Phase::ErrorQuery);
 
     // On sketched state the SV margin is widened by the backend's claimed
@@ -197,6 +199,20 @@ fn screen_query<P: Probe>(
         read_margin,
         snapshot_updates: snapshot.updates_recorded(),
     })
+}
+
+/// The error query `err_ℓ(D, D̂) = ℓ_D(θ̂) − ℓ_D(θ*)` from the data
+/// objective's values at `θ̂` and at its minimizer `θ*`, floored at 0 (the
+/// iterative `θ*` can land a hair above `θ̂`). A non-finite difference is
+/// refused before any noise is drawn: `f64::max` reads NaN as 0, a perfect
+/// hypothesis, which the sparse vector would screen ⊥ and the exponential
+/// mechanism would never select.
+pub(crate) fn error_query_value(at_hat: f64, at_star: f64) -> Result<f64, PmwError> {
+    let error = at_hat - at_star;
+    if !error.is_finite() {
+        return Err(PmwError::Dp(DpError::NonFinite("error query value")));
+    }
+    Ok(error.max(0.0))
 }
 
 /// The Figure-3 mechanism. Construct once per dataset, then [`answer`]
@@ -726,6 +742,36 @@ mod tests {
     use pmw_losses::{LinearQueryLoss, PointPredicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn non_finite_error_query_is_refused() {
+        // `(hat - star).max(0.0)` reads each of these as a perfect
+        // hypothesis (0) or an unbounded error (∞).
+        let inf = f64::INFINITY;
+        for (hat, star) in [
+            (f64::NAN, 0.1),
+            (0.1, f64::NAN),
+            (inf, 0.1),
+            (-inf, 0.1),
+            (0.1, -inf),
+            (0.1, inf),
+            (inf, inf),
+        ] {
+            assert!(
+                matches!(
+                    error_query_value(hat, star),
+                    Err(PmwError::Dp(DpError::NonFinite(_)))
+                ),
+                "{hat} - {star}"
+            );
+        }
+        // Finite differences keep their bits, floored at 0.
+        assert_eq!(
+            error_query_value(0.3, 0.1).unwrap().to_bits(),
+            (0.3f64 - 0.1).to_bits()
+        );
+        assert_eq!(error_query_value(0.1, 0.1 + 1e-12).unwrap().to_bits(), 0);
+    }
 
     fn config(k: usize, rounds: usize, alpha: f64) -> PmwConfig {
         PmwConfig::builder(2.0, 1e-6, alpha)

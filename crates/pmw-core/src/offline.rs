@@ -12,6 +12,7 @@
 use crate::config::PmwConfig;
 use crate::data::DataSide;
 use crate::error::PmwError;
+use crate::mechanism::error_query_value;
 use crate::state::{BackendEvent, DenseBackend, StateBackend};
 use pmw_convex::Objective;
 use pmw_data::{Dataset, Universe};
@@ -131,7 +132,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
                     rng,
                 )?;
                 let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
-                scores.push((obj.value(&theta_hat) - opt).max(0.0));
+                scores.push(error_query_value(obj.value(&theta_hat), opt)?);
                 hyp_minimizers.push(theta_hat);
             }
             // Radius-aware selection, as in the online mechanisms: every
