@@ -2,16 +2,17 @@
 //!
 //! Reads `BENCH_runtime.json`, `BENCH_sublinear.json` and
 //! `BENCH_mwem.json` from the working directory (or the paths given as
-//! arguments, in that order) and checks the schema each is contracted to
-//! carry: required keys present, every ns-per-element / per-round figure
-//! finite and positive, the backend axis complete, the answer-error
-//! columns populated, and the probed-run phase table present. A fourth
+//! arguments, in that order), parses each, and checks every row by path
+//! (`pmw_bench::schema`): required keys present, every ns-per-element /
+//! per-round figure finite and positive, the backend axis complete, the
+//! answer-error columns populated, and the probed-run phase table. A fourth
 //! argument names a JSONL run trace to validate against the pmw-obs v1
 //! schema; `bench_schema_check --trace <path>` validates only the trace
 //! (the observability CI job, which regenerates no bench artifacts), and
 //! `bench_schema_check --serve <path>` validates only a
 //! `BENCH_serve.json` serving artifact (the serving CI job).
-//! Exits nonzero with a diagnostic on the first violation.
+//! Exits nonzero on the first violation, naming the row and key
+//! (`sizes[2].log2_x`) or the byte where a file stops being JSON.
 
 use pmw_bench::schema::{
     validate_bench_mwem, validate_bench_runtime, validate_bench_serve, validate_bench_sublinear,

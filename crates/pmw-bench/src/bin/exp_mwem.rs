@@ -33,16 +33,16 @@
 //! `--smoke` for the seconds-long CI variant.
 //!
 //! A final **probed mirror run** at the shared size (untimed) replays the
-//! sampled run under a live [`SummaryProbe`] and lands its per-phase
+//! sampled run under a live [`SummaryProbe`](pmw_obs::SummaryProbe) and lands its per-phase
 //! latency table in the artifact's `"probe"` object; pass
 //! `--trace <path>` to additionally stream that run as a JSONL trace
 //! (render it with the `run_report` binary).
 
-use pmw_bench::{header, probe_json, trace_path};
+use pmw_bench::{header, probed_run, write_artifact};
 use pmw_core::{DataSide, DenseBackend, Mwem};
 use pmw_data::workload::random_implicit_marginals;
 use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointSource};
-use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe, SummaryProbe};
+use pmw_obs::{json_object, Json, NoopProbe, Probe};
 use pmw_sketch::{SampledBackend, SampledConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -419,7 +419,15 @@ fn main() {
         let extrapolated = dense_ns_per_elem * universe;
         let speedup = extrapolated / sampled.per_round_ns;
         speedups.push((log2_x, speedup));
-        let (err_fields, err_cells) = if log2_x == scale.error_size {
+        let mut size_row = vec![
+            ("log2_x", log2_x.into()),
+            ("universe", (1u64 << log2_x).into()),
+            ("sampled_per_round_ns", sampled.per_round_ns.into()),
+            ("dense_extrapolated_round_ns", extrapolated.into()),
+            ("speedup_vs_dense_extrapolation", speedup.into()),
+            ("mwem_answers", sampled.answers.len().into()),
+        ];
+        let err_cells = if log2_x == scale.error_size {
             let (mean, max) = err_stats(&sampled.answers, &dense.answers);
             let matches = sampled
                 .selected
@@ -427,30 +435,27 @@ fn main() {
                 .zip(&dense.selected)
                 .filter(|(a, b)| a == b)
                 .count();
-            (
-                format!(
-                    ",\n     \"dense_per_round_ns\": {:.1}, \"answer_err_vs_dense_mean\": {mean:.6}, \
-                     \"answer_err_vs_dense_max\": {max:.6}, \"selection_matches\": {matches},\n     \
-                     \"answer_err_vs_truth_mean\": {truth_err_reused:.6}, \
-                     \"answer_err_vs_truth_resampled_mean\": {truth_err_refreshed:.6}, \
-                     \"resamples\": {},\n     \
-                     \"claimed_radius_mean\": {claimed:.6}, \"realized_err_mean\": {realized:.6},\n     \
-                     \"radius_wins_hoeffding\": {wh}, \"radius_wins_ess\": {we}, \
-                     \"radius_wins_bernstein\": {wb}",
-                    dense.per_round_ns,
-                    refreshed.resamples,
-                    claimed = sampled.probe.map_or(sampled.claimed_radius_mean, |p| p.0),
-                    realized = sampled
-                        .probe
-                        .map_or(mean, |p| p.1),
-                    wh = sampled.radius_wins.0,
-                    we = sampled.radius_wins.1,
-                    wb = sampled.radius_wins.2,
+            let (claimed, realized) = sampled.probe.unwrap_or((sampled.claimed_radius_mean, mean));
+            size_row.extend([
+                ("dense_per_round_ns", dense.per_round_ns.into()),
+                ("answer_err_vs_dense_mean", mean.into()),
+                ("answer_err_vs_dense_max", max.into()),
+                ("selection_matches", matches.into()),
+                ("answer_err_vs_truth_mean", truth_err_reused.into()),
+                (
+                    "answer_err_vs_truth_resampled_mean",
+                    truth_err_refreshed.into(),
                 ),
-                (mean, max, matches as f64),
-            )
+                ("resamples", refreshed.resamples.into()),
+                ("claimed_radius_mean", claimed.into()),
+                ("realized_err_mean", realized.into()),
+                ("radius_wins_hoeffding", sampled.radius_wins.0.into()),
+                ("radius_wins_ess", sampled.radius_wins.1.into()),
+                ("radius_wins_bernstein", sampled.radius_wins.2.into()),
+            ]);
+            (mean, max, matches as f64)
         } else {
-            (String::new(), (-1.0, -1.0, -1.0))
+            (-1.0, -1.0, -1.0)
         };
         pmw_bench::row(
             &format!("{log2_x}"),
@@ -463,18 +468,7 @@ fn main() {
                 err_cells.2,
             ],
         );
-        size_rows.push(format!(
-            "    {{\"log2_x\": {log2_x}, \"universe\": {}, \
-             \"sampled_per_round_ns\": {:.1},\n     \
-             \"dense_extrapolated_round_ns\": {:.1}, \
-             \"speedup_vs_dense_extrapolation\": {:.1}, \
-             \"mwem_answers\": {}{err_fields}}}",
-            1u128 << log2_x,
-            sampled.per_round_ns,
-            extrapolated,
-            speedup,
-            sampled.answers.len(),
-        ));
+        size_rows.push(Json::object(size_row));
     }
     println!(
         "# sampled per-round time is flat in |X| (the pool never touches the other 2^d - m points)"
@@ -511,7 +505,7 @@ fn main() {
     let crossover = speedups
         .iter()
         .find(|(_, s)| *s > 1.0)
-        .map_or("null".to_string(), |(l, _)| l.to_string());
+        .map_or(Json::Null, |&(l, _)| l.into());
     println!(
         "# dense/sampled crossover: sampled first beats the dense extrapolation at log2_x={crossover}"
     );
@@ -525,60 +519,35 @@ fn main() {
         "exp_mwem sampled log2_x={} T={} k={} budget={}",
         scale.error_size, scale.rounds, scale.queries, scale.budget
     );
-    let summary_probe = SummaryProbe::new("mwem", &detail);
-    match trace_path() {
-        Some(path) => {
-            let jsonl = JsonlTraceProbe::create(&path).expect("create trace file");
-            let tee = (&jsonl, &summary_probe);
-            tee.run_start("mwem", &detail);
-            sampled_total(
-                &scale,
-                scale.error_size,
-                0,
-                run_seed,
-                scale.rounds,
-                false,
-                &tee,
-            );
-            tee.run_end();
-            assert_eq!(jsonl.finish(), 0, "trace write errors");
-            println!("# wrote {path}");
-        }
-        None => {
-            summary_probe.run_start("mwem", &detail);
-            sampled_total(
-                &scale,
-                scale.error_size,
-                0,
-                run_seed,
-                scale.rounds,
-                false,
-                &summary_probe,
-            );
-        }
-    }
-    let probe_summary = summary_probe.finish();
+    let probe = probed_run!("mwem", &detail, |probe| {
+        sampled_total(
+            &scale,
+            scale.error_size,
+            0,
+            run_seed,
+            scale.rounds,
+            false,
+            probe,
+        )
+    });
 
-    let json = format!(
-        "{{\n  \"experiment\": \"mwem_scaling\",\n  \"rounds\": {},\n  \"queries\": {},\n  \
-         \"budget\": {},\n  \"mwem_n\": {},\n  \"epsilon\": {},\n  \"beta\": {:e},\n  \
-         \"smoke\": {smoke},\n  \"workload\": \"width-2 implicit marginals\",\n  \
-         \"resample_every\": {},\n  \"dense_ref_log2_x\": {},\n  \
-         \"dense_ns_per_elem_ref\": {:.4},\n  \"crossover_log2_x\": {crossover},\n  \
-         \"machine_threads\": {machine_threads},\n  \
-         \"sizes\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
-        scale.rounds,
-        scale.queries,
-        scale.budget,
-        scale.n,
-        scale.epsilon,
-        SampledConfig::default().beta,
-        scale.resample_every,
-        scale.error_size,
-        dense_ns_per_elem,
-        size_rows.join(",\n"),
-        probe_json(&probe_summary)
-    );
-    std::fs::write("BENCH_mwem.json", &json).expect("write BENCH_mwem.json");
-    println!("# wrote BENCH_mwem.json");
+    let artifact = json_object! {
+        "experiment": "mwem_scaling",
+        "rounds": scale.rounds,
+        "queries": scale.queries,
+        "budget": scale.budget,
+        "mwem_n": scale.n,
+        "epsilon": scale.epsilon,
+        "beta": SampledConfig::default().beta,
+        "smoke": smoke,
+        "workload": "width-2 implicit marginals",
+        "resample_every": scale.resample_every,
+        "dense_ref_log2_x": scale.error_size,
+        "dense_ns_per_elem_ref": dense_ns_per_elem,
+        "crossover_log2_x": crossover,
+        "machine_threads": machine_threads,
+        "sizes": Json::Array(size_rows),
+        "probe": probe,
+    };
+    write_artifact("BENCH_mwem.json", &artifact);
 }

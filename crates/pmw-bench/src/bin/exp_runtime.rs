@@ -31,21 +31,20 @@
 //! count, so there is nothing else for the axis to measure.
 //!
 //! A final **probed mirror run** (untimed, largest size) replays the
-//! kernel-3 workload under a live [`SummaryProbe`] and lands its
+//! kernel-3 workload under a live [`SummaryProbe`](pmw_obs::SummaryProbe) and lands its
 //! per-phase latency table in the artifact's `"probe"` object; pass
 //! `--trace <path>` to additionally stream that run as a JSONL trace
 //! (render it with the `run_report` binary).
 
 use pmw_bench::{
-    header, mw_update_reference, probe_json, row, skewed_cube_dataset, thread_axis,
-    threads_axis_json, trace_path,
+    header, mw_update_reference, probed_run, row, skewed_cube_dataset, thread_axis, write_artifact,
 };
 use pmw_core::update::dual_certificate_into;
 use pmw_core::{DenseBackend, OnlinePmw, PmwConfig, StateBackend};
 use pmw_data::{BooleanCube, Histogram, PointMatrix, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
-use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe, SummaryProbe};
+use pmw_obs::{json_object, Json, NoopProbe, Probe};
 use pmw_sketch::{LazyLogBackend, RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -65,20 +64,9 @@ fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / reps as f64
 }
 
-struct SizeReport {
-    log2_x: usize,
-    point_dim: usize,
-    mw_update_ns_per_elem: f64,
-    mw_update_with_read_ns_per_elem: f64,
-    mw_update_reference_ns_per_elem: f64,
-    mw_update_speedup: f64,
-    mw_update_with_read_speedup: f64,
-    certificate_ns_per_elem: f64,
-    end_to_end_round_ns_per_elem: f64,
-}
-
-/// Kernel timings at `|X| = 2^log2_x` over the `log2_x`-bit boolean cube.
-fn measure(log2_x: usize) -> SizeReport {
+/// Kernel timings at `|X| = 2^log2_x` over the `log2_x`-bit boolean cube:
+/// printed as a TSV row and returned as the artifact's `sizes` row.
+fn measure(log2_x: usize) -> Json {
     let m = 1usize << log2_x;
     let dim = log2_x;
     let mut rng = StdRng::seed_from_u64(42 + log2_x as u64);
@@ -123,20 +111,33 @@ fn measure(log2_x: usize) -> SizeReport {
     // --- Kernel 3: a full online round (oracle solve + sweep + update). ---
     let round_ns = online_round_run(dim, &mut rng, &NoopProbe);
 
-    SizeReport {
-        log2_x,
-        point_dim: dim,
-        mw_update_ns_per_elem: mw_ns / m as f64,
-        mw_update_with_read_ns_per_elem: mw_read_ns / m as f64,
-        mw_update_reference_ns_per_elem: ref_ns / m as f64,
+    let per_elem = |ns: f64| ns / m as f64;
+    row(
+        &format!("{log2_x}"),
+        &[
+            per_elem(mw_ns),
+            per_elem(mw_read_ns),
+            per_elem(ref_ns),
+            ref_ns / mw_ns,
+            per_elem(cert_ns),
+            per_elem(round_ns),
+        ],
+    );
+    json_object! {
+        "log2_x": log2_x,
+        "universe": m,
+        "point_dim": dim,
+        "mw_update_ns_per_elem": per_elem(mw_ns),
+        "mw_update_with_read_ns_per_elem": per_elem(mw_read_ns),
+        "mw_update_reference_ns_per_elem": per_elem(ref_ns),
         // Burst regime: updates with normalization deferred (the acceptance
         // metric). The with_read variant is the steady-state comparison —
         // OnlinePmw reads weights() once per round, so the deferred
         // log-sum-exp pass is paid there.
-        mw_update_speedup: ref_ns / mw_ns,
-        mw_update_with_read_speedup: ref_ns / mw_read_ns,
-        certificate_ns_per_elem: cert_ns / m as f64,
-        end_to_end_round_ns_per_elem: round_ns / m as f64,
+        "mw_update_speedup": ref_ns / mw_ns,
+        "mw_update_with_read_speedup": ref_ns / mw_read_ns,
+        "certificate_ns_per_elem": per_elem(cert_ns),
+        "end_to_end_round_ns_per_elem": per_elem(round_ns),
     }
 }
 
@@ -177,21 +178,6 @@ fn online_round_run<P: Probe>(dim: usize, rng: &mut StdRng, probe: &P) -> f64 {
     start.elapsed().as_nanos() as f64 / answered.max(1) as f64
 }
 
-/// One backend-axis measurement: a state-maintenance round (update +
-/// representative read) plus a point-level read, per backend flavor.
-struct BackendAxisRow {
-    backend: &'static str,
-    log2_x: usize,
-    /// One MW round through the backend: update + one full state read of
-    /// the kind the backend supports (dense: weights sweep; lazy: record
-    /// only — reads are point-level by design; sampled: pooled record +
-    /// certificate-mean estimate).
-    round_ns: f64,
-    /// One point-level read (dense: cached mass lookup; lazy: O(t·d)
-    /// log-weight evaluation; sampled: one Gumbel-max sample, O(m)).
-    point_read_ns: f64,
-}
-
 /// Rotating linear-query round parameters, shared by every backend so the
 /// axis compares representations, not workloads.
 fn axis_round(dim: usize, t: usize) -> (LinearQueryLoss, [f64; 1], [f64; 1], f64) {
@@ -206,14 +192,33 @@ fn axis_round(dim: usize, t: usize) -> (LinearQueryLoss, [f64; 1], [f64; 1], f64
     (loss, [0.1 + 0.8 * frac], [0.9 - 0.8 * frac], 0.05)
 }
 
-/// Backend-axis timings at `|X| = 2^log2_x`.
-fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<BackendAxisRow> {
+/// Backend-axis timings at `|X| = 2^log2_x`, printed as TSV rows and
+/// returned as the artifact's `backend_axis` rows. Per backend flavor,
+/// `round_ns` is one MW round: the update plus one full state read of the
+/// kind the backend supports (dense: weights sweep; lazy: record only,
+/// since reads are point-level by design; sampled: pooled record plus a
+/// certificate-mean estimate). `point_read_ns` is one point-level read
+/// (dense: cached mass lookup; lazy: O(t·d) log-weight evaluation;
+/// sampled: one Gumbel-max sample, O(m)).
+fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Json> {
     let dim = log2_x;
     let m = 1usize << log2_x;
     let cube = BooleanCube::new(dim).unwrap();
     let points = cube.materialize();
     let mut rng = StdRng::seed_from_u64(7 + log2_x as u64);
+    let reads = 1024usize;
     let mut rows = Vec::new();
+    // Ends the point-read timing started at `reads_start`, then records.
+    let mut push_row = |backend: &str, round_ns: f64, reads_start: Instant| {
+        let point_read_ns = reads_start.elapsed().as_nanos() as f64 / reads as f64;
+        row(&format!("{backend}\t{log2_x}"), &[round_ns, point_read_ns]);
+        rows.push(json_object! {
+            "backend": backend,
+            "log2_x": log2_x,
+            "round_ns": round_ns,
+            "point_read_ns": point_read_ns,
+        });
+    };
 
     // Dense: Θ(|X|) certificate sweep + MW update + deferred weights read.
     let mut dense = DenseBackend::new(m).unwrap();
@@ -227,16 +232,10 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     }
     let dense_round = start.elapsed().as_nanos() as f64 / rounds as f64;
     let start = Instant::now();
-    let reads = 1024usize;
     for i in 0..reads {
         black_box(dense.hypothesis().mass(i % m));
     }
-    rows.push(BackendAxisRow {
-        backend: "dense",
-        log2_x,
-        round_ns: dense_round,
-        point_read_ns: start.elapsed().as_nanos() as f64 / reads as f64,
-    });
+    push_row("dense", dense_round, start);
 
     // Lazy: O(1) record; point reads re-evaluate the O(t·d) log.
     let mut lazy = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
@@ -259,12 +258,7 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     for i in 0..reads {
         black_box(lazy.log_weight_of(i % m).unwrap());
     }
-    rows.push(BackendAxisRow {
-        backend: "lazy",
-        log2_x,
-        round_ns: lazy_round,
-        point_read_ns: start.elapsed().as_nanos() as f64 / reads as f64,
-    });
+    push_row("lazy", lazy_round, start);
 
     // Sampled: O(budget·d) pooled round (record + certificate estimate).
     let mut sampled = SampledBackend::new(
@@ -287,12 +281,7 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Back
     for _ in 0..reads {
         black_box(sampled.sample_index(&mut rng));
     }
-    rows.push(BackendAxisRow {
-        backend: "sampled",
-        log2_x,
-        round_ns: sampled_round,
-        point_read_ns: start.elapsed().as_nanos() as f64 / reads as f64,
-    });
+    push_row("sampled", sampled_round, start);
 
     rows
 }
@@ -346,22 +335,7 @@ fn main() {
     } else {
         &[12, 14, 16, 18, 20]
     };
-    let mut reports = Vec::new();
-    for &log2_x in sizes {
-        let r = measure(log2_x);
-        row(
-            &format!("{log2_x}"),
-            &[
-                r.mw_update_ns_per_elem,
-                r.mw_update_with_read_ns_per_elem,
-                r.mw_update_reference_ns_per_elem,
-                r.mw_update_speedup,
-                r.certificate_ns_per_elem,
-                r.end_to_end_round_ns_per_elem,
-            ],
-        );
-        reports.push(r);
-    }
+    let size_rows: Vec<Json> = sizes.iter().map(|&log2_x| measure(log2_x)).collect();
     println!("# ns/element should stabilize: time is linear in |X|");
 
     // Backend axis: the same state-maintenance round through each
@@ -369,16 +343,10 @@ fn main() {
     let (axis_rounds, axis_budget) = if smoke { (4, 256) } else { (12, 2048) };
     println!("# backend axis (round = update + representative read, budget={axis_budget})");
     header(&["backend", "log2_X", "round_ns", "point_read_ns"]);
-    let mut axis = Vec::new();
-    for &log2_x in sizes {
-        for r in measure_backend_axis(log2_x, axis_rounds, axis_budget) {
-            row(
-                &format!("{}\t{}", r.backend, r.log2_x),
-                &[r.round_ns, r.point_read_ns],
-            );
-            axis.push(r);
-        }
-    }
+    let axis: Vec<Json> = sizes
+        .iter()
+        .flat_map(|&log2_x| measure_backend_axis(log2_x, axis_rounds, axis_budget))
+        .collect();
 
     // Thread axis: the certificate sweep re-timed at each forced worker
     // count. The chunked reductions use fixed boundaries, so every row
@@ -388,10 +356,16 @@ fn main() {
     println!("# thread axis (log2_x={thread_size}, machine threads={threads})");
     header(&["threads", "certificate_ns_per_elem", "speedup_vs_1thread"]);
     let mut thread_rows = Vec::new();
+    let mut serial = None;
     for &t in &thread_counts {
         let cert = measure_thread_row(thread_size, t);
-        thread_rows.push((t, cert));
-        row(&format!("{t}"), &[cert, thread_rows[0].1 / cert]);
+        let speedup = *serial.get_or_insert(cert) / cert;
+        row(&format!("{t}"), &[cert, speedup]);
+        thread_rows.push(json_object! {
+            "threads": t,
+            "certificate_ns_per_elem": cert,
+            "speedup_vs_1thread": speedup,
+        });
     }
 
     // Probed mirror run at the largest measured size: per-phase latency
@@ -400,85 +374,22 @@ fn main() {
     // the only one a probe observes.
     let trace_size = *sizes.last().unwrap();
     let detail = format!("exp_runtime dense round log2_x={trace_size} k=6");
-    let summary_probe = SummaryProbe::new("online_pmw", &detail);
     let mut probe_rng = StdRng::seed_from_u64(42 + trace_size as u64);
-    match trace_path() {
-        Some(path) => {
-            let jsonl = JsonlTraceProbe::create(&path).expect("create trace file");
-            let tee = (&jsonl, &summary_probe);
-            tee.run_start("online_pmw", &detail);
-            online_round_run(trace_size, &mut probe_rng, &tee);
-            tee.run_end();
-            assert_eq!(jsonl.finish(), 0, "trace write errors");
-            println!("# wrote {path}");
-        }
-        None => {
-            summary_probe.run_start("online_pmw", &detail);
-            online_round_run(trace_size, &mut probe_rng, &summary_probe);
-        }
-    }
-    let probe_summary = summary_probe.finish();
+    let probe = probed_run!("online_pmw", &detail, |probe| {
+        online_round_run(trace_size, &mut probe_rng, probe)
+    });
 
-    // Machine-readable record (hand-rolled JSON: the workspace is offline
-    // and vendors no serde).
-    let sizes: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"log2_x\": {}, \"universe\": {}, \"point_dim\": {}, \
-                 \"mw_update_ns_per_elem\": {:.3}, \
-                 \"mw_update_with_read_ns_per_elem\": {:.3}, \
-                 \"mw_update_reference_ns_per_elem\": {:.3}, \
-                 \"mw_update_speedup\": {:.2}, \
-                 \"mw_update_with_read_speedup\": {:.2}, \
-                 \"certificate_ns_per_elem\": {:.3}, \
-                 \"end_to_end_round_ns_per_elem\": {:.3}}}",
-                r.log2_x,
-                1usize << r.log2_x,
-                r.point_dim,
-                r.mw_update_ns_per_elem,
-                r.mw_update_with_read_ns_per_elem,
-                r.mw_update_reference_ns_per_elem,
-                r.mw_update_speedup,
-                r.mw_update_with_read_speedup,
-                r.certificate_ns_per_elem,
-                r.end_to_end_round_ns_per_elem,
-            )
-        })
-        .collect();
-    let axis_rows: Vec<String> = axis
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"backend\": \"{}\", \"log2_x\": {}, \"round_ns\": {:.1}, \
-                 \"point_read_ns\": {:.1}}}",
-                r.backend, r.log2_x, r.round_ns, r.point_read_ns
-            )
-        })
-        .collect();
-    let thread_baseline = thread_rows[0].1;
-    let thread_scaling: Vec<String> = thread_rows
-        .iter()
-        .map(|(t, cert)| {
-            format!(
-                "    {{\"threads\": {t}, \"certificate_ns_per_elem\": {cert:.3}, \
-                 \"speedup_vs_1thread\": {:.2}}}",
-                thread_baseline / cert
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"runtime_scaling\",\n  \"units\": \"ns_per_element\",\n  \
-         \"parallel\": {parallel},\n  \"machine_threads\": {threads},\n  \
-         \"threads_axis\": {},\n  \"smoke\": {smoke},\n  \
-         \"sizes\": [\n{}\n  ],\n  \"backend_axis\": [\n{}\n  ],\n  \
-         \"thread_scaling\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
-        threads_axis_json(&thread_counts),
-        sizes.join(",\n"),
-        axis_rows.join(",\n"),
-        thread_scaling.join(",\n"),
-        probe_json(&probe_summary)
-    );
-    std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");
-    println!("# wrote BENCH_runtime.json");
+    let artifact = json_object! {
+        "experiment": "runtime_scaling",
+        "units": "ns_per_element",
+        "parallel": parallel,
+        "machine_threads": threads,
+        "threads_axis": Json::Array(thread_counts.iter().map(|&t| t.into()).collect()),
+        "smoke": smoke,
+        "sizes": Json::Array(size_rows),
+        "backend_axis": Json::Array(axis),
+        "thread_scaling": Json::Array(thread_rows),
+        "probe": probe,
+    };
+    write_artifact("BENCH_runtime.json", &artifact);
 }

@@ -21,11 +21,11 @@
 //! reports one round per served request plus per-analyst `serve_analyst`
 //! notes, which the `run_report` binary renders as a serving section.
 
-use pmw_bench::{header, row, skewed_cube_dataset, trace_path};
+use pmw_bench::{header, row, skewed_cube_dataset, trace_path, write_artifact};
 use pmw_core::{OnlinePmw, PmwConfig};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
-use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe};
+use pmw_obs::{json_object, Json, JsonlTraceProbe, NoopProbe, Probe};
 use pmw_serve::{PmwServer, ServeConfig, ServeStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +55,6 @@ fn step_loss(analyst: usize, j: usize, dim: usize) -> LinearQueryLoss {
 }
 
 struct ScaleRow {
-    analysts: usize,
     requests: u64,
     qps: f64,
     latency_p50_ns: u64,
@@ -118,7 +117,6 @@ fn serve_run<P: Probe + Send + 'static>(
 
     let requests = latencies.len() as u64;
     ScaleRow {
-        analysts,
         requests,
         qps: requests as f64 / elapsed.max(1e-9),
         latency_p50_ns: percentile_ns(&mut latencies, 0.50),
@@ -155,6 +153,8 @@ fn main() {
         let r = serve_run(analysts, queries, dim, n, 42, NoopProbe);
         let free: u64 = r.stats.per_analyst.iter().map(|a| a.free).sum();
         let updates: u64 = r.stats.per_analyst.iter().map(|a| a.updates).sum();
+        let failed: u64 = r.stats.per_analyst.iter().map(|a| a.failed).sum();
+        let rejected: u64 = r.stats.per_analyst.iter().map(|a| a.rejected).sum();
         row(
             &format!("{analysts}"),
             &[
@@ -167,7 +167,21 @@ fn main() {
                 r.stats.wait_p99_ns() as f64,
             ],
         );
-        rows.push(r);
+        rows.push(json_object! {
+            "analysts": analysts,
+            "requests": r.requests,
+            "qps": r.qps,
+            "latency_p50_ns": r.latency_p50_ns,
+            "latency_p99_ns": r.latency_p99_ns,
+            "free": free,
+            "updates": updates,
+            "failed": failed,
+            "rejected": rejected,
+            "halted_replies": r.stats.halted_replies,
+            "batches": r.stats.batches,
+            "rescreens": r.stats.rescreens,
+            "writer_wait_p99_ns": r.stats.wait_p99_ns(),
+        });
     }
     println!("# scaling is qualified on a multi-core runner; machine_threads above is the record");
 
@@ -180,41 +194,12 @@ fn main() {
         println!("# wrote {path}");
     }
 
-    let scaling: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let free: u64 = r.stats.per_analyst.iter().map(|a| a.free).sum();
-            let updates: u64 = r.stats.per_analyst.iter().map(|a| a.updates).sum();
-            let failed: u64 = r.stats.per_analyst.iter().map(|a| a.failed).sum();
-            let rejected: u64 = r.stats.per_analyst.iter().map(|a| a.rejected).sum();
-            format!(
-                "    {{\"analysts\": {}, \"requests\": {}, \"qps\": {:.1}, \
-                 \"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \
-                 \"free\": {}, \"updates\": {}, \"failed\": {}, \"rejected\": {}, \
-                 \"halted_replies\": {}, \"batches\": {}, \"rescreens\": {}, \
-                 \"writer_wait_p99_ns\": {}}}",
-                r.analysts,
-                r.requests,
-                r.qps,
-                r.latency_p50_ns,
-                r.latency_p99_ns,
-                free,
-                updates,
-                failed,
-                rejected,
-                r.stats.halted_replies,
-                r.stats.batches,
-                r.stats.rescreens,
-                r.stats.wait_p99_ns(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"serve_scaling\",\n  \"machine_threads\": {machine_threads},\n  \
-         \"smoke\": {smoke},\n  \"queries_per_analyst\": {queries},\n  \
-         \"scaling\": [\n{}\n  ]\n}}\n",
-        scaling.join(",\n")
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("# wrote BENCH_serve.json");
+    let artifact = json_object! {
+        "experiment": "serve_scaling",
+        "machine_threads": machine_threads,
+        "smoke": smoke,
+        "queries_per_analyst": queries,
+        "scaling": Json::Array(rows),
+    };
+    write_artifact("BENCH_serve.json", &artifact);
 }

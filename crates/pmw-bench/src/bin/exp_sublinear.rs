@@ -40,19 +40,19 @@
 //!
 //! A final **probed mirror run** of the mechanism axis (untimed, `2^20`
 //! full / largest smoke size) replays the `answer` loop under a live
-//! [`SummaryProbe`] — backend pool sweeps included — and lands its
-//! per-phase latency table in the artifact's `"probe"` object; pass
-//! `--trace <path>` to additionally stream that run as a JSONL trace
-//! (render it with the `run_report` binary).
+//! [`SummaryProbe`](pmw_obs::SummaryProbe) — backend pool sweeps
+//! included — and lands its per-phase latency table in the artifact's
+//! `"probe"` object; pass `--trace <path>` to additionally stream that run
+//! as a JSONL trace (render it with the `run_report` binary).
 
-use pmw_bench::schema::extract_numbers;
-use pmw_bench::{header, mean_std, probe_json, row, trace_path};
+use pmw_bench::schema::runtime_dense_ns_per_elem;
+use pmw_bench::{header, mean_std, probed_run, row, write_artifact};
 use pmw_core::update::dual_certificate;
 use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, Histogram, PointSource, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
-use pmw_obs::{JsonlTraceProbe, NoopProbe, Probe, SummaryProbe};
+use pmw_obs::{json_object, Json, NoopProbe, Probe};
 use pmw_sketch::{BigBitCube, CompactionPolicy, RoundUpdate, SampledBackend, SampledConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -113,7 +113,6 @@ impl Calibration {
 }
 
 struct SizeReport {
-    log2_x: usize,
     per_round_ns: f64,
     /// Sampled-vs-dense certificate-estimate calibration (sizes with a
     /// dense reference only).
@@ -209,24 +208,9 @@ fn measure_sublinear(log2_x: usize, rounds: usize, budget: usize, with_dense: bo
     drop(ledger);
 
     SizeReport {
-        log2_x,
         per_round_ns: elapsed_ns as f64 / rounds as f64,
         error_column,
     }
-}
-
-struct MechanismReport {
-    per_answer_ns: f64,
-    answers: usize,
-    updates: usize,
-    support: usize,
-    /// Pool-health columns from the backend's own monitor: the smallest
-    /// effective sample size observed across rounds, and how often the
-    /// robustness machinery fired (adaptive resamples on ESS collapse,
-    /// escalations on unusable claimed radii).
-    ess_min: f64,
-    adaptive_resamples: usize,
-    escalations: usize,
 }
 
 /// The full-mechanism axis: `OnlinePmw::answer` end to end at
@@ -235,7 +219,8 @@ struct MechanismReport {
 /// given pool budget, `ExactOracle` as `A′` (so the measured cost is the
 /// mechanism's, not a specific private oracle's). Rotating single-bit
 /// queries with bit 0 skewed: the mix of free (⊥) and update (⊤) rounds
-/// the mechanism actually serves.
+/// the mechanism actually serves. Returns the mean ns per answer and the
+/// artifact's mechanism columns.
 fn measure_mechanism<P: Probe>(
     log2_x: usize,
     queries: usize,
@@ -243,7 +228,7 @@ fn measure_mechanism<P: Probe>(
     n: usize,
     compaction: (usize, CompactionPolicy),
     probe: &P,
-) -> MechanismReport {
+) -> (f64, Vec<(&'static str, Json)>) {
     let (resample_every, policy) = compaction;
     let dim = log2_x;
     let source = BigBitCube::new(dim).expect("cube source");
@@ -320,19 +305,26 @@ fn measure_mechanism<P: Probe>(
             Err(e) => panic!("mechanism answer failed: {e}"),
         }
     }
+    let per_answer_ns = elapsed_ns as f64 / answers.max(1) as f64;
     let state = mech.state();
-    MechanismReport {
-        per_answer_ns: elapsed_ns as f64 / answers.max(1) as f64,
-        answers,
-        updates: mech.updates_used(),
-        support,
-        // min_ess starts at +inf; with zero update rounds the pool is
-        // untouched, so its full size is the honest figure (and the JSON
-        // artifact must stay finite).
-        ess_min: state.min_ess().min(state.pool_size() as f64),
-        adaptive_resamples: state.adaptive_resamples(),
-        escalations: state.escalations(),
-    }
+    let columns = vec![
+        ("mechanism_per_answer_ns", per_answer_ns.into()),
+        ("mechanism_answers", answers.into()),
+        ("mechanism_updates", mech.updates_used().into()),
+        ("mechanism_support_rows", support.into()),
+        // Pool health from the backend's own monitor: the least ESS seen
+        // (min_ess starts at +inf; with zero update rounds the pool is
+        // untouched, so its full size is the honest, finite figure), and
+        // how often the robustness machinery fired (adaptive resamples on
+        // ESS collapse, escalations on unusable claimed radii).
+        (
+            "ess_min",
+            state.min_ess().min(state.pool_size() as f64).into(),
+        ),
+        ("adaptive_resamples", state.adaptive_resamples().into()),
+        ("escalations", state.escalations().into()),
+    ];
+    (per_answer_ns, columns)
 }
 
 /// One long-horizon measurement: per-round cost and end-of-run log shape
@@ -406,17 +398,17 @@ fn measure_long_horizon(
 }
 
 /// Dense per-element round cost (certificate sweep + update + read): from
-/// `BENCH_runtime.json`'s largest size when available, else self-measured
-/// at `2^14`.
+/// `BENCH_runtime.json`'s largest size when the file exists, else
+/// self-measured at `2^14`. A runtime artifact that cannot be read is an
+/// error, not a reason to measure.
 fn dense_ns_per_elem(rounds: usize) -> (f64, &'static str) {
-    if let Ok(json) = std::fs::read_to_string("BENCH_runtime.json") {
-        let cert = extract_numbers(&json, "certificate_ns_per_elem");
-        let update = extract_numbers(&json, "mw_update_with_read_ns_per_elem");
-        if let (Some(c), Some(u)) = (cert.last(), update.last()) {
-            if c.is_finite() && u.is_finite() && *c > 0.0 && *u > 0.0 {
-                return (c + u, "BENCH_runtime.json");
-            }
-        }
+    match std::fs::read_to_string("BENCH_runtime.json") {
+        Ok(text) => match runtime_dense_ns_per_elem(&text) {
+            Ok(ns) => return (ns, "BENCH_runtime.json"),
+            Err(e) => panic!("BENCH_runtime.json: {e}"),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => panic!("BENCH_runtime.json: {e}"),
     }
     // Self-measured fallback: one dense round at 2^14.
     let dim = 14usize;
@@ -466,10 +458,11 @@ fn main() {
     // The error column runs the dense mirror too, so it is collected at
     // the largest size both paths can afford (2^16 full, 2^12 smoke).
     let error_size = if smoke { 12 } else { 16 };
-    let mut entries = Vec::new();
+    let mut size_rows = Vec::new();
+    let mut calibration = None;
     for &log2_x in sizes {
         let r = measure_sublinear(log2_x, rounds, budget, log2_x == error_size);
-        let m = measure_mechanism(
+        let (per_answer_ns, mechanism_columns) = measure_mechanism(
             log2_x,
             mech_queries,
             budget,
@@ -497,17 +490,41 @@ fn main() {
                 r.per_round_ns / 1e3,
                 extrapolated / 1e3,
                 speedup,
-                m.per_answer_ns / 1e3,
+                per_answer_ns / 1e3,
                 em,
                 ex,
                 rm,
             ],
         );
-        entries.push((r, m, extrapolated, speedup));
+        let mut size_row = vec![
+            ("log2_x", log2_x.into()),
+            ("universe", (1u64 << log2_x).into()),
+            ("point_dim", log2_x.into()),
+            ("per_round_ns", r.per_round_ns.into()),
+            ("dense_ns_per_elem_ref", dense_ref.into()),
+            ("dense_extrapolated_round_ns", extrapolated.into()),
+            ("speedup_vs_dense_extrapolation", speedup.into()),
+        ];
+        size_row.extend(mechanism_columns);
+        if let Some(cal) = &r.error_column {
+            size_row.extend([
+                ("answer_error_mean", cal.realized_err_mean.into()),
+                ("answer_error_max", cal.realized_err_max.into()),
+                ("claimed_radius_mean", cal.claimed_radius_mean.into()),
+                ("realized_err_mean", cal.realized_err_mean.into()),
+                ("envelope_radius_mean", cal.envelope_radius_mean.into()),
+                ("calibration_ratio", cal.ratio().into()),
+                ("radius_wins_hoeffding", cal.wins_hoeffding.into()),
+                ("radius_wins_ess", cal.wins_ess.into()),
+                ("radius_wins_bernstein", cal.wins_bernstein.into()),
+            ]);
+        }
+        size_rows.push(Json::object(size_row));
+        calibration = calibration.or(r.error_column);
     }
     println!("# per-round time is flat in |X|: the sketch never touches the other 2^d - m points");
     println!("# mechanism per-answer time is flat too: the data side sweeps only the dataset's support rows");
-    if let Some(cal) = entries.iter().find_map(|(r, ..)| r.error_column.as_ref()) {
+    if let Some(cal) = calibration {
         println!(
             "# calibration at 2^{error_size}: claimed radius {:.4} over realized err {:.4} = {:.0}x \
              (envelope bound alone: {:.3} = {:.0}x); bound wins ess={} bernstein={} hoeffding={}",
@@ -565,7 +582,16 @@ fn main() {
                 full.replay_depth as f64,
             ],
         );
-        horizon_rows.push((t, flat, full));
+        horizon_rows.push(json_object! {
+            "t": t,
+            "per_round_ns_flat": flat.per_round_ns,
+            "per_round_ns_uncompacted": full.per_round_ns,
+            "compactions": flat.compactions,
+            "checkpoints": flat.checkpoints,
+            "retained_rounds": flat.retained_rounds,
+            "replay_depth_flat": flat.replay_depth,
+            "replay_depth_uncompacted": full.replay_depth,
+        });
     }
     println!("# compacted per-round cost is flat in t; the uncompacted replay grows with the log");
 
@@ -584,127 +610,32 @@ fn main() {
         "exp_sublinear mechanism axis log2_x={trace_size} budget={budget} \
          k={mech_queries} n={mech_n}"
     );
-    let summary_probe = SummaryProbe::new("online_pmw", &detail);
-    match trace_path() {
-        Some(path) => {
-            let jsonl = JsonlTraceProbe::create(&path).expect("create trace file");
-            let tee = (&jsonl, &summary_probe);
-            tee.run_start("online_pmw", &detail);
-            measure_mechanism(
-                trace_size,
-                mech_queries,
-                budget,
-                mech_n,
-                mirror_compaction,
-                &tee,
-            );
-            tee.run_end();
-            assert_eq!(jsonl.finish(), 0, "trace write errors");
-            println!("# wrote {path}");
-        }
-        None => {
-            summary_probe.run_start("online_pmw", &detail);
-            measure_mechanism(
-                trace_size,
-                mech_queries,
-                budget,
-                mech_n,
-                mirror_compaction,
-                &summary_probe,
-            );
-        }
-    }
-    let probe_summary = summary_probe.finish();
+    let probe = probed_run!("online_pmw", &detail, |probe| {
+        measure_mechanism(
+            trace_size,
+            mech_queries,
+            budget,
+            mech_n,
+            mirror_compaction,
+            probe,
+        )
+    });
 
-    let size_rows: Vec<String> = entries
-        .iter()
-        .map(|(r, m, extrapolated, speedup)| {
-            let error_fields = match &r.error_column {
-                Some(cal) => format!(
-                    ",\n     \"answer_error_mean\": {em:.6}, \"answer_error_max\": {ex:.6}, \
-                     \"claimed_radius_mean\": {rm:.6},\n     \
-                     \"realized_err_mean\": {em:.6}, \"envelope_radius_mean\": {env:.6}, \
-                     \"calibration_ratio\": {ratio:.2},\n     \
-                     \"radius_wins_hoeffding\": {wh}, \"radius_wins_ess\": {we}, \
-                     \"radius_wins_bernstein\": {wb}",
-                    em = cal.realized_err_mean,
-                    ex = cal.realized_err_max,
-                    rm = cal.claimed_radius_mean,
-                    env = cal.envelope_radius_mean,
-                    ratio = cal.ratio(),
-                    wh = cal.wins_hoeffding,
-                    we = cal.wins_ess,
-                    wb = cal.wins_bernstein,
-                ),
-                None => String::new(),
-            };
-            format!(
-                "    {{\"log2_x\": {}, \"universe\": {}, \"point_dim\": {}, \
-                 \"per_round_ns\": {:.1},\n     \"dense_ns_per_elem_ref\": {:.3}, \
-                 \"dense_extrapolated_round_ns\": {:.1}, \
-                 \"speedup_vs_dense_extrapolation\": {:.1},\n     \
-                 \"mechanism_per_answer_ns\": {:.1}, \"mechanism_answers\": {}, \
-                 \"mechanism_updates\": {}, \"mechanism_support_rows\": {},\n     \
-                 \"ess_min\": {:.2}, \"adaptive_resamples\": {}, \
-                 \"escalations\": {}{}}}",
-                r.log2_x,
-                1u128 << r.log2_x,
-                r.log2_x,
-                r.per_round_ns,
-                dense_ref,
-                extrapolated,
-                speedup,
-                m.per_answer_ns,
-                m.answers,
-                m.updates,
-                m.support,
-                m.ess_min,
-                m.adaptive_resamples,
-                m.escalations,
-                error_fields,
-            )
-        })
-        .collect();
-    let horizon_json: Vec<String> = horizon_rows
-        .iter()
-        .map(|(t, flat, full)| {
-            format!(
-                "    {{\"t\": {t}, \"per_round_ns_flat\": {:.1}, \
-                 \"per_round_ns_uncompacted\": {:.1},\n     \
-                 \"compactions\": {}, \"checkpoints\": {}, \"retained_rounds\": {},\n     \
-                 \"replay_depth_flat\": {}, \"replay_depth_uncompacted\": {}}}",
-                flat.per_round_ns,
-                full.per_round_ns,
-                flat.compactions,
-                flat.checkpoints,
-                flat.retained_rounds,
-                flat.replay_depth,
-                full.replay_depth,
-            )
-        })
-        .collect();
-    let t_axis_json = format!(
-        "[{}]",
-        t_axis
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"sublinear_scaling\",\n  \"budget\": {budget},\n  \
-         \"rounds\": {rounds},\n  \"beta\": 1e-6,\n  \"parallel\": {parallel},\n  \
-         \"machine_threads\": {machine_threads},\n  \
-         \"smoke\": {smoke},\n  \"mechanism_n\": {mech_n},\n  \
-         \"mechanism_queries\": {mech_queries},\n  \
-         \"dense_ref_source\": \"{dense_ref_source}\",\n  \
-         \"sizes\": [\n{}\n  ],\n  \
-         \"t_axis\": {},\n  \"long_horizon\": [\n{}\n  ],\n  \"probe\": {}\n}}\n",
-        size_rows.join(",\n"),
-        t_axis_json,
-        horizon_json.join(",\n"),
-        probe_json(&probe_summary)
-    );
-    std::fs::write("BENCH_sublinear.json", &json).expect("write BENCH_sublinear.json");
-    println!("# wrote BENCH_sublinear.json");
+    let artifact = json_object! {
+        "experiment": "sublinear_scaling",
+        "budget": budget,
+        "rounds": rounds,
+        "beta": 1e-6,
+        "parallel": parallel,
+        "machine_threads": machine_threads,
+        "smoke": smoke,
+        "mechanism_n": mech_n,
+        "mechanism_queries": mech_queries,
+        "dense_ref_source": dense_ref_source,
+        "sizes": Json::Array(size_rows),
+        "t_axis": Json::Array(t_axis.iter().map(|&t| t.into()).collect()),
+        "long_horizon": Json::Array(horizon_rows),
+        "probe": probe,
+    };
+    write_artifact("BENCH_sublinear.json", &artifact);
 }

@@ -4,8 +4,10 @@
 //!
 //! The library provides the pieces they share: TSV table printing,
 //! mean/std aggregation, the skewed-cube workload, the seed's dense MW
-//! update kept as the perf reference, the worker-count axis, and the
-//! `"probe"` JSON block every `BENCH_*.json` artifact carries.
+//! update kept as the perf reference, the worker-count axis, the
+//! `"probe"` block every `BENCH_*.json` artifact but the serving one
+//! carries, and the artifact writer. Artifacts are [`Json`] values
+//! (`pmw_obs::json`), checked by [`schema`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,6 +15,7 @@
 pub mod schema;
 
 use pmw_data::{BooleanCube, Dataset};
+use pmw_obs::{json_object, Json};
 use rand::rngs::StdRng;
 
 /// Print a TSV header row.
@@ -88,12 +91,6 @@ pub fn thread_axis() -> Vec<usize> {
     axis
 }
 
-/// Render a worker-count axis as the `"threads_axis"` JSON array.
-pub fn threads_axis_json(axis: &[usize]) -> String {
-    let items: Vec<String> = axis.iter().map(|t| t.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
 /// The `--trace <path>` argument shared by the experiment binaries: when
 /// present, the probed mirror run streams its JSONL trace there.
 pub fn trace_path() -> Option<String> {
@@ -103,40 +100,67 @@ pub fn trace_path() -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Render a probed run's rollup as the `"probe"` object the
-/// `BENCH_*.json` artifacts carry: mechanism, round count, outcome tally,
-/// and the per-phase latency table (count/total/p50/p99/max, nanoseconds).
-/// Hand-rolled JSON, like everything else in the offline workspace.
-pub fn probe_json(summary: &pmw_obs::Summary) -> String {
-    let phases: Vec<String> = summary
-        .phases
-        .iter()
-        .map(|(phase, s)| {
-            format!(
-                "      {{\"phase\": \"{}\", \"count\": {}, \"total_ns\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                phase.as_str(),
-                s.count,
-                s.total_ns,
-                s.p50_ns,
-                s.p99_ns,
-                s.max_ns
-            )
-        })
-        .collect();
-    let outcomes: Vec<String> = summary
+/// A probed run's rollup as the `"probe"` object of a `BENCH_*.json`
+/// artifact: mechanism, round count, outcome tally, and the per-phase
+/// latency table (count/total/p50/p99/max, nanoseconds).
+pub fn probe_json(summary: &pmw_obs::Summary) -> Json {
+    let phases = summary.phases.iter().map(|(phase, s)| {
+        json_object! {
+            "phase": phase.as_str(),
+            "count": s.count,
+            "total_ns": s.total_ns,
+            "p50_ns": s.p50_ns,
+            "p99_ns": s.p99_ns,
+            "max_ns": s.max_ns,
+        }
+    });
+    let outcomes = summary
         .outcomes
         .iter()
-        .map(|(o, n)| format!("\"{o}\": {n}"))
-        .collect();
-    format!(
-        "{{\n    \"mechanism\": \"{}\", \"probed_rounds\": {}, \
-         \"outcomes\": {{{}}},\n    \"phases\": [\n{}\n    ]\n  }}",
-        summary.mechanism,
-        summary.rounds,
-        outcomes.join(", "),
-        phases.join(",\n")
-    )
+        .map(|(o, n)| (o.as_str(), (*n).into()));
+    json_object! {
+        "mechanism": summary.mechanism.as_str(),
+        "probed_rounds": summary.rounds,
+        "outcomes": Json::object(outcomes),
+        "phases": Json::Array(phases.collect()),
+    }
+}
+
+/// The probed mirror run every artifact but the serving one carries:
+/// evaluate `$run` once with `$probe` bound to a live `SummaryProbe`, teed
+/// into a JSONL trace at the `--trace <path>` argument when one is given,
+/// and yield the run's [`probe_json`] object. A macro because `$run` is
+/// generic over the probe's type, which a closure cannot be.
+#[macro_export]
+macro_rules! probed_run {
+    ($mechanism:expr, $detail:expr, |$probe:ident| $run:expr) => {{
+        use pmw_obs::Probe as _;
+        let summary = pmw_obs::SummaryProbe::new($mechanism, $detail);
+        match $crate::trace_path() {
+            Some(path) => {
+                let jsonl = pmw_obs::JsonlTraceProbe::create(&path).expect("create trace file");
+                let $probe = &(&jsonl, &summary);
+                $probe.run_start($mechanism, $detail);
+                $run;
+                $probe.run_end();
+                assert_eq!(jsonl.finish(), 0, "trace write errors");
+                println!("# wrote {path}");
+            }
+            None => {
+                let $probe = &summary;
+                $probe.run_start($mechanism, $detail);
+                $run;
+            }
+        }
+        $crate::probe_json(&summary.finish())
+    }};
+}
+
+/// Write `artifact` to `path` in the working directory, indented one row
+/// per line.
+pub fn write_artifact(path: &str, artifact: &Json) {
+    std::fs::write(path, format!("{artifact:#}\n")).expect("write the bench artifact");
+    println!("# wrote {path}");
 }
 
 #[cfg(test)]

@@ -1,113 +1,263 @@
-//! Minimal validation of the machine-readable bench artifacts.
+//! Validation of the machine-readable bench artifacts.
 //!
-//! The workspace is offline (no serde); the experiment binaries hand-roll
-//! their JSON and this module hand-rolls just enough parsing to check it:
-//! key presence and the numeric sanity of every performance figure
-//! (finite, positive). The CI bench-smoke job runs these checks through
-//! the `bench_schema_check` binary after regenerating both artifacts.
+//! Each `BENCH_*.json` artifact is parsed with [`pmw_obs::json`] and
+//! checked against one table of numeric columns by path. A path through an
+//! array of rows (`sizes.log2_x`) checks every row, so a row that lacks a
+//! column fails even when its neighbours carry it, and names the row
+//! (`sizes[2]`). A file that is not JSON fails with the byte where parsing
+//! stopped. The artifact's own gates then compare values within each row.
+//! The CI bench-smoke job runs these checks through the
+//! `bench_schema_check` binary after regenerating the artifacts.
 
-/// The value after every `"key":` in `json`, in order, cut to its leading
-/// run of number characters — empty for `null`, `NaN`, strings and
-/// objects, which never parse.
-fn number_tokens<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let trimmed = rest.trim_start();
-        let end = trimmed
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(trimmed.len());
-        out.push(&trimmed[..end]);
+use pmw_obs::Json;
+
+/// Which values a numeric column may hold.
+#[derive(Clone, Copy)]
+enum Sign {
+    /// Finite and above zero.
+    Positive,
+    /// Finite and at least zero.
+    NonNegative,
+}
+use Sign::{NonNegative, Positive};
+
+/// Numeric columns by dot-separated path from the document root, each with
+/// the values it may hold. A path through an array applies to every row,
+/// and the array must have rows.
+type Columns = &'static [(&'static str, Sign)];
+
+/// The `"probe"` object of a probed mirror run, which every artifact but
+/// the serving one carries.
+const PROBE: Columns = &[
+    ("probe.probed_rounds", Positive),
+    ("probe.phases.count", Positive),
+    ("probe.phases.total_ns", NonNegative),
+    ("probe.phases.p50_ns", NonNegative),
+    ("probe.phases.p99_ns", NonNegative),
+    ("probe.phases.max_ns", NonNegative),
+];
+
+/// `BENCH_runtime.json`: the Θ(|X|) kernels per size, the backend axis and
+/// the thread axis.
+const RUNTIME: Columns = &[
+    ("machine_threads", Positive),
+    ("sizes.log2_x", Positive),
+    ("sizes.mw_update_ns_per_elem", Positive),
+    ("sizes.mw_update_with_read_ns_per_elem", Positive),
+    ("sizes.mw_update_reference_ns_per_elem", Positive),
+    ("sizes.certificate_ns_per_elem", Positive),
+    ("sizes.end_to_end_round_ns_per_elem", Positive),
+    ("backend_axis.log2_x", Positive),
+    ("backend_axis.round_ns", Positive),
+    ("backend_axis.point_read_ns", Positive),
+    ("thread_scaling.certificate_ns_per_elem", Positive),
+    ("thread_scaling.speedup_vs_1thread", Positive),
+];
+
+/// `BENCH_sublinear.json`: the sampled round and the full mechanism per
+/// size (with pool health), and the long-horizon axis.
+const SUBLINEAR: Columns = &[
+    ("budget", Positive),
+    ("rounds", Positive),
+    ("mechanism_n", Positive),
+    ("mechanism_queries", Positive),
+    ("sizes.log2_x", Positive),
+    ("sizes.universe", Positive),
+    ("sizes.per_round_ns", Positive),
+    ("sizes.dense_ns_per_elem_ref", Positive),
+    ("sizes.dense_extrapolated_round_ns", Positive),
+    ("sizes.speedup_vs_dense_extrapolation", Positive),
+    ("sizes.mechanism_per_answer_ns", Positive),
+    ("sizes.mechanism_answers", Positive),
+    ("sizes.mechanism_support_rows", Positive),
+    ("sizes.mechanism_updates", NonNegative),
+    ("sizes.ess_min", NonNegative),
+    ("sizes.adaptive_resamples", NonNegative),
+    ("sizes.escalations", NonNegative),
+    ("long_horizon.per_round_ns_flat", Positive),
+    ("long_horizon.per_round_ns_uncompacted", Positive),
+    ("long_horizon.compactions", NonNegative),
+    ("long_horizon.checkpoints", NonNegative),
+    ("long_horizon.retained_rounds", NonNegative),
+    ("long_horizon.replay_depth_flat", NonNegative),
+    ("long_horizon.replay_depth_uncompacted", NonNegative),
+];
+
+/// The sampled-vs-dense error and calibration columns of the
+/// `BENCH_sublinear.json` size that also runs the dense mirror.
+const SUBLINEAR_CALIBRATION: Columns = &[
+    ("answer_error_mean", NonNegative),
+    ("answer_error_max", NonNegative),
+    ("claimed_radius_mean", NonNegative),
+    ("realized_err_mean", NonNegative),
+    ("envelope_radius_mean", NonNegative),
+    ("calibration_ratio", NonNegative),
+    ("radius_wins_hoeffding", NonNegative),
+    ("radius_wins_ess", NonNegative),
+    ("radius_wins_bernstein", NonNegative),
+];
+
+/// `BENCH_mwem.json`: the sampled MWEM round per size.
+const MWEM: Columns = &[
+    ("rounds", Positive),
+    ("queries", Positive),
+    ("budget", Positive),
+    ("mwem_n", Positive),
+    ("epsilon", Positive),
+    ("dense_ns_per_elem_ref", Positive),
+    ("resample_every", NonNegative),
+    ("sizes.log2_x", Positive),
+    ("sizes.universe", Positive),
+    ("sizes.sampled_per_round_ns", Positive),
+    ("sizes.dense_extrapolated_round_ns", Positive),
+    ("sizes.speedup_vs_dense_extrapolation", Positive),
+    ("sizes.mwem_answers", Positive),
+];
+
+/// The `BENCH_mwem.json` columns of the size shared with the dense run:
+/// the dense round, answer errors vs dense and vs truth (pool reused and
+/// refreshed), and calibration.
+const MWEM_CALIBRATION: Columns = &[
+    ("dense_per_round_ns", Positive),
+    ("answer_err_vs_dense_mean", NonNegative),
+    ("answer_err_vs_dense_max", NonNegative),
+    ("selection_matches", NonNegative),
+    ("answer_err_vs_truth_mean", NonNegative),
+    ("answer_err_vs_truth_resampled_mean", NonNegative),
+    ("resamples", NonNegative),
+    ("claimed_radius_mean", NonNegative),
+    ("realized_err_mean", NonNegative),
+    ("radius_wins_hoeffding", NonNegative),
+    ("radius_wins_ess", NonNegative),
+    ("radius_wins_bernstein", NonNegative),
+];
+
+/// `BENCH_serve.json`: one `scaling` row per analyst count.
+const SERVE: Columns = &[
+    ("machine_threads", Positive),
+    ("queries_per_analyst", Positive),
+    ("scaling.analysts", Positive),
+    ("scaling.requests", Positive),
+    ("scaling.qps", Positive),
+    ("scaling.latency_p50_ns", Positive),
+    ("scaling.latency_p99_ns", Positive),
+    ("scaling.free", NonNegative),
+    ("scaling.updates", NonNegative),
+    ("scaling.failed", NonNegative),
+    ("scaling.rejected", NonNegative),
+    ("scaling.halted_replies", NonNegative),
+    ("scaling.batches", NonNegative),
+    ("scaling.rescreens", NonNegative),
+    ("scaling.writer_wait_p99_ns", NonNegative),
+];
+
+/// The number `value` named `name`, finite and of the given sign.
+fn checked(value: Option<&Json>, name: &str, sign: Sign) -> Result<f64, String> {
+    let value = value.ok_or_else(|| format!("missing numeric key \"{name}\""))?;
+    let x = value
+        .as_number::<f64>()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("key \"{name}\" holds {value}, not a finite number"))?;
+    match sign {
+        Positive if x <= 0.0 => Err(format!("key \"{name}\" is {x}, not positive")),
+        NonNegative if x < 0.0 => Err(format!("key \"{name}\" is negative ({x})")),
+        _ => Ok(x),
     }
-    out
 }
 
-/// Every number appearing as `"key": <number>` in `json`, in order.
-/// Numbers are parsed as Rust `f64` literals (integer, decimal,
-/// scientific); occurrences holding anything else are skipped.
-pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
-    number_tokens(json, key)
-        .into_iter()
-        .filter_map(|t| t.parse().ok())
-        .collect()
+/// The number under `key`, finite and of the given sign.
+fn number(row: &Json, key: &str, sign: Sign) -> Result<f64, String> {
+    checked(row.get(key), key, sign)
 }
 
-/// Every value of `"key"`, failing when the key is missing or when any
-/// occurrence holds something other than a number (`NaN`, `null`, …), so
-/// a bad row cannot hide among good ones.
-fn require_numbers(json: &str, key: &str) -> Result<Vec<f64>, String> {
-    let tokens = number_tokens(json, key);
-    if tokens.is_empty() {
-        return Err(format!("missing numeric key \"{key}\""));
+/// Check the number at dot-separated `path` below `value`, whose own path
+/// in the document is `at`. A path through an array checks every row.
+fn check_path(value: &Json, at: &str, path: &str, sign: Sign) -> Result<(), String> {
+    if let Json::Array(rows) = value {
+        if rows.is_empty() {
+            return Err(format!("\"{at}\" has no rows"));
+        }
+        let mut rows = rows.iter().enumerate();
+        return rows.try_for_each(|(i, row)| check_path(row, &format!("{at}[{i}]"), path, sign));
     }
-    tokens
-        .into_iter()
-        .map(|t| {
-            t.parse()
-                .map_err(|_| format!("key \"{key}\" holds a non-number"))
+    let (key, rest) = path.split_once('.').unwrap_or((path, ""));
+    let at = format!("{at}.{key}");
+    let at = at.trim_start_matches('.');
+    match value.get(key) {
+        Some(inner) if !rest.is_empty() => check_path(inner, at, rest, sign),
+        inner => checked(inner, at, sign).map(drop),
+    }
+}
+
+/// Parse `text` as the `experiment` artifact and check its columns.
+fn check(text: &str, experiment: &str, tables: &[Columns]) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    if doc.get("experiment").and_then(Json::as_str) != Some(experiment) {
+        return Err(format!("not a {experiment} artifact"));
+    }
+    for &(path, sign) in tables.iter().copied().flatten() {
+        check_path(&doc, "", path, sign)?;
+    }
+    Ok(doc)
+}
+
+/// The non-empty array of rows under top-level `key`.
+fn rows_at<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match doc.get(key) {
+        Some(Json::Array(rows)) if !rows.is_empty() => Ok(rows),
+        _ => Err(format!("missing \"{key}\" rows")),
+    }
+}
+
+/// The `sizes` rows that carry `group`, with their index. Each row carries
+/// the group whole or not at all, and at least one row carries it.
+fn group_rows(doc: &Json, group: Columns) -> Result<Vec<(usize, &Json)>, String> {
+    let mut carriers = Vec::new();
+    for (i, row) in rows_at(doc, "sizes")?.iter().enumerate() {
+        if group.iter().any(|(key, _)| row.get(key).is_some()) {
+            for &(key, sign) in group {
+                checked(row.get(key), &format!("sizes[{i}].{key}"), sign)?;
+            }
+            carriers.push((i, row));
+        }
+    }
+    if carriers.is_empty() {
+        return Err(format!("no sizes row carries \"{}\"", group[0].0));
+    }
+    Ok(carriers)
+}
+
+/// The row under `rows_key` for each entry of the integer array `axis`,
+/// matched by the row's `key` value, in axis order; one row per entry.
+fn axis_rows<'a>(
+    doc: &'a Json,
+    axis: &str,
+    rows_key: &str,
+    key: &str,
+) -> Result<Vec<(u64, &'a Json)>, String> {
+    let Some(Json::Array(entries)) = doc.get(axis) else {
+        return Err(format!("missing \"{axis}\" array"));
+    };
+    let rows = rows_at(doc, rows_key)?;
+    if rows.len() != entries.len() {
+        return Err(format!(
+            "{rows_key} has {} rows for {} {axis} entries",
+            rows.len(),
+            entries.len()
+        ));
+    }
+    entries
+        .iter()
+        .map(|entry| {
+            let v = entry
+                .as_number::<u64>()
+                .ok_or_else(|| format!("{axis} holds {entry}, not a count"))?;
+            rows.iter()
+                .find(|row| row.get(key).and_then(Json::as_number::<u64>) == Some(v))
+                .map(|row| (v, row))
+                .ok_or_else(|| format!("no {rows_key} row for {key}={v}"))
         })
         .collect()
-}
-
-/// True when `"key":` appears anywhere in the document.
-pub fn has_key(json: &str, key: &str) -> bool {
-    json.contains(&format!("\"{key}\":"))
-}
-
-fn require_positive(json: &str, key: &str) -> Result<(), String> {
-    for v in require_numbers(json, key)? {
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!(
-                "key \"{key}\" has non-finite/non-positive value {v}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn require_non_negative(json: &str, key: &str) -> Result<(), String> {
-    for v in require_numbers(json, key)? {
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("key \"{key}\" has non-finite/negative value {v}"));
-        }
-    }
-    Ok(())
-}
-
-/// Validate the thread axis of the runtime artifact: a `"threads_axis"`
-/// array listing the serial baseline plus at least one multi-worker count,
-/// with a per-thread-count row (`"threads": <t>`) for each listed count.
-/// The rows are measured in-process with the worker count forced, so the
-/// axis exists even on single-core runners.
-fn require_thread_axis(json: &str) -> Result<(), String> {
-    let pos = json
-        .find("\"threads_axis\":")
-        .ok_or("missing \"threads_axis\"")?;
-    let rest = &json[pos..];
-    let open = rest.find('[').ok_or("\"threads_axis\" is not an array")?;
-    let close = rest[open..]
-        .find(']')
-        .ok_or("unterminated \"threads_axis\"")?
-        + open;
-    let counts: Vec<u64> = rest[open + 1..close]
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    if counts.len() < 2 || !counts.contains(&1) {
-        return Err(
-            "threads_axis must list the serial baseline (1) and at least one \
-             multi-worker count"
-                .into(),
-        );
-    }
-    for t in &counts {
-        if !json.contains(&format!("\"threads\": {t}")) {
-            return Err(format!("no per-thread-count row for threads={t}"));
-        }
-    }
-    Ok(())
 }
 
 /// The least `speedup_vs_1thread` a full parallel runtime artifact may
@@ -115,26 +265,45 @@ fn require_thread_axis(json: &str) -> Result<(), String> {
 /// chunked certificate sweep loses to the serial one.
 pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
 
-/// Gate the runtime artifact's thread axis on
-/// [`THREAD_SPEEDUP_FLOOR`]. Only artifacts written with
-/// `"smoke": false` and `"parallel": true` are gated: smoke runs time too
-/// little work to tell, and sequential builds have nothing to scale.
-/// Rows with more workers than `machine_threads` measure oversubscription,
-/// not scaling, and pass.
-fn require_thread_speedup(json: &str) -> Result<(), String> {
-    if !json.contains("\"smoke\": false") || !json.contains("\"parallel\": true") {
+/// Validate `BENCH_runtime.json`: its columns, the `dense`/`lazy`/`sampled`
+/// backend rows, and a `threads_axis` of the serial baseline plus at least
+/// one multi-worker count, one `thread_scaling` row each. With
+/// `smoke: false` and `parallel: true`, every count up to
+/// `machine_threads` runs at least [`THREAD_SPEEDUP_FLOOR`]× the serial
+/// sweep. Smoke runs time too little work to tell, sequential builds have
+/// nothing to scale, and rows past the machine's threads measure
+/// oversubscription.
+pub fn validate_bench_runtime(text: &str) -> Result<(), String> {
+    let doc = check(text, "runtime_scaling", &[RUNTIME, PROBE])?;
+    let backends = rows_at(&doc, "backend_axis")?;
+    for backend in ["dense", "lazy", "sampled"] {
+        if !backends
+            .iter()
+            .any(|row| row.get("backend").and_then(Json::as_str) == Some(backend))
+        {
+            return Err(format!("backend axis is missing \"{backend}\""));
+        }
+    }
+    let threads = axis_rows(&doc, "threads_axis", "thread_scaling", "threads")?;
+    if threads.len() < 2 || !threads.iter().any(|&(t, _)| t == 1) {
+        return Err(
+            "threads_axis must list the serial baseline (1) and at least one \
+             multi-worker count"
+                .into(),
+        );
+    }
+    let (Some(Json::Bool(smoke)), Some(Json::Bool(parallel))) =
+        (doc.get("smoke"), doc.get("parallel"))
+    else {
+        return Err("\"smoke\" and \"parallel\" must be bools".into());
+    };
+    if *smoke || !parallel {
         return Ok(());
     }
-    let machine = *extract_numbers(json, "machine_threads")
-        .first()
-        .ok_or("missing numeric key \"machine_threads\"")?;
-    let threads = extract_numbers(json, "threads");
-    let speedups = extract_numbers(json, "speedup_vs_1thread");
-    if threads.len() != speedups.len() {
-        return Err("every thread_scaling row needs a speedup_vs_1thread".into());
-    }
-    for (t, speedup) in threads.iter().zip(&speedups) {
-        if *t <= machine && *speedup < THREAD_SPEEDUP_FLOOR {
+    let machine = number(&doc, "machine_threads", Positive)?;
+    for (t, row) in threads {
+        let speedup = number(row, "speedup_vs_1thread", Positive)?;
+        if t as f64 <= machine && speedup < THREAD_SPEEDUP_FLOOR {
             return Err(format!(
                 "thread_scaling: {t} workers on {machine} machine threads run at \
                  {speedup:.2}x the serial sweep (floor {THREAD_SPEEDUP_FLOOR}x)"
@@ -153,100 +322,6 @@ fn require_thread_speedup(json: &str) -> Result<(), String> {
 /// loudly while honest timing jitter passes.
 pub const LONG_HORIZON_FLATNESS_CEILING: f64 = 2.0;
 
-/// Validate the long-horizon axis of a sublinear artifact: a `"t_axis"`
-/// array of at least two increasing round horizons, one `"t"` row per
-/// listed horizon carrying both per-round columns and the end-of-run log
-/// shape, and the compacted column flat in t (within
-/// [`LONG_HORIZON_FLATNESS_CEILING`] of its min-t row).
-fn require_t_axis(json: &str) -> Result<(), String> {
-    let pos = json.find("\"t_axis\":").ok_or("missing \"t_axis\"")?;
-    let rest = &json[pos..];
-    let open = rest.find('[').ok_or("\"t_axis\" is not an array")?;
-    let close = rest[open..].find(']').ok_or("unterminated \"t_axis\"")? + open;
-    let horizons: Vec<u64> = rest[open + 1..close]
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    if horizons.len() < 2 || horizons.windows(2).any(|w| w[0] >= w[1]) {
-        return Err("t_axis must list at least two increasing round horizons".into());
-    }
-    for t in &horizons {
-        if !json.contains(&format!("\"t\": {t}")) {
-            return Err(format!("no long-horizon row for t={t}"));
-        }
-    }
-    for key in ["per_round_ns_flat", "per_round_ns_uncompacted"] {
-        require_positive(json, key)?;
-    }
-    for key in [
-        "compactions",
-        "checkpoints",
-        "retained_rounds",
-        "replay_depth_flat",
-        "replay_depth_uncompacted",
-    ] {
-        require_non_negative(json, key)?;
-    }
-    let flat = extract_numbers(json, "per_round_ns_flat");
-    if flat.len() != horizons.len() {
-        return Err("per_round_ns_flat row count differs from t_axis length".into());
-    }
-    let (first, last) = (flat[0], flat[flat.len() - 1]);
-    if last > LONG_HORIZON_FLATNESS_CEILING * first {
-        return Err(format!(
-            "per_round_ns_flat is not flat in t: {last:.0} ns at t={} vs {first:.0} ns at t={} \
-             (ceiling {LONG_HORIZON_FLATNESS_CEILING}x)",
-            horizons[horizons.len() - 1],
-            horizons[0]
-        ));
-    }
-    Ok(())
-}
-
-/// Validate the `"probe"` object every `BENCH_*.json` artifact carries:
-/// the probed mirror run must have completed rounds and report per-phase
-/// latency percentiles.
-fn require_probe_columns(json: &str) -> Result<(), String> {
-    if !has_key(json, "phases") {
-        return Err("missing probed-run \"phases\" table".into());
-    }
-    require_positive(json, "probed_rounds")?;
-    for key in ["total_ns", "p50_ns", "p99_ns", "max_ns"] {
-        require_non_negative(json, key)?;
-    }
-    require_positive(json, "count")
-}
-
-/// Validate `BENCH_runtime.json`: the Θ(|X|) kernel record plus the
-/// backend axis. Checks key presence, that every ns figure is finite
-/// and positive, and that the thread axis scales
-/// ([`THREAD_SPEEDUP_FLOOR`]).
-pub fn validate_bench_runtime(json: &str) -> Result<(), String> {
-    if !has_key(json, "experiment") || !json.contains("runtime_scaling") {
-        return Err("not a runtime_scaling artifact".into());
-    }
-    for key in [
-        "log2_x",
-        "mw_update_ns_per_elem",
-        "mw_update_with_read_ns_per_elem",
-        "mw_update_reference_ns_per_elem",
-        "certificate_ns_per_elem",
-        "end_to_end_round_ns_per_elem",
-        "round_ns",
-        "point_read_ns",
-    ] {
-        require_positive(json, key)?;
-    }
-    for backend in ["dense", "lazy", "sampled"] {
-        if !json.contains(&format!("\"backend\": \"{backend}\"")) {
-            return Err(format!("backend axis is missing \"{backend}\""));
-        }
-    }
-    require_thread_axis(json)?;
-    require_thread_speedup(json)?;
-    require_probe_columns(json)
-}
-
 /// The largest claimed-radius-to-realized-error ratio a sublinear
 /// artifact may report before the schema check fails. The drift-envelope
 /// bound alone was measured ~600× above the realized error at 2^16; the
@@ -254,214 +329,113 @@ pub fn validate_bench_runtime(json: &str) -> Result<(), String> {
 /// regression back toward envelope-only radii fails CI loudly.
 pub const CALIBRATION_RATIO_CEILING: f64 = 100.0;
 
-/// Validate `BENCH_sublinear.json`: the sublinear-scaling record. Checks
-/// per-round figures, the dense-extrapolation speedup, the
-/// sampled-vs-dense answer-error column, the calibration columns (with
-/// the [`CALIBRATION_RATIO_CEILING`] sanity ceiling), the
-/// full-mechanism axis (per-answer cost of the point-source
-/// `OnlinePmw::answer` loop), and the long-horizon axis (compacted
-/// per-round cost flat in the round count, within
-/// [`LONG_HORIZON_FLATNESS_CEILING`] of the min-t row).
-pub fn validate_bench_sublinear(json: &str) -> Result<(), String> {
-    if !has_key(json, "experiment") || !json.contains("sublinear_scaling") {
-        return Err("not a sublinear_scaling artifact".into());
+/// The claimed radius of `sizes[i]`, once it is checked to lie within
+/// [`CALIBRATION_RATIO_CEILING`] of the row's realized error.
+fn claimed_radius(i: usize, row: &Json) -> Result<f64, String> {
+    let claimed = number(row, "claimed_radius_mean", NonNegative)?;
+    let realized = number(row, "realized_err_mean", NonNegative)?;
+    if realized > 0.0 && claimed / realized > CALIBRATION_RATIO_CEILING {
+        return Err(format!(
+            "sizes[{i}]: claimed radius {claimed} is {:.0}x the realized error \
+             {realized} (ceiling {CALIBRATION_RATIO_CEILING})",
+            claimed / realized
+        ));
     }
-    for key in ["budget", "rounds", "log2_x", "universe"] {
-        require_positive(json, key)?;
-    }
-    for key in [
-        "per_round_ns",
-        "dense_ns_per_elem_ref",
-        "dense_extrapolated_round_ns",
-        "speedup_vs_dense_extrapolation",
-    ] {
-        require_positive(json, key)?;
-    }
-    // The mechanism axis: every size must carry the end-to-end answer
-    // cost plus its workload descriptors.
-    for key in [
-        "mechanism_n",
-        "mechanism_queries",
-        "mechanism_per_answer_ns",
-        "mechanism_answers",
-        "mechanism_support_rows",
-    ] {
-        require_positive(json, key)?;
-    }
-    require_non_negative(json, "mechanism_updates")?;
-    // The pool-health columns: every size must report the minimum ESS the
-    // backend observed and how often the robustness machinery fired.
-    for key in ["ess_min", "adaptive_resamples", "escalations"] {
-        require_non_negative(json, key)?;
-    }
-    for key in [
-        "answer_error_mean",
-        "answer_error_max",
-        "claimed_radius_mean",
-        "realized_err_mean",
-        "envelope_radius_mean",
-        "calibration_ratio",
-        "radius_wins_hoeffding",
-        "radius_wins_ess",
-        "radius_wins_bernstein",
-    ] {
-        require_non_negative(json, key)?;
-    }
-    // Certificate honesty: the claimed radii must stay within the sanity
-    // ceiling of the realized error, and must never exceed the envelope
-    // bound they replaced.
-    let claimed = extract_numbers(json, "claimed_radius_mean");
-    let realized = extract_numbers(json, "realized_err_mean");
-    let envelopes = extract_numbers(json, "envelope_radius_mean");
-    for ((c, r), e) in claimed.iter().zip(&realized).zip(&envelopes) {
-        if *r > 0.0 && c / r > CALIBRATION_RATIO_CEILING {
-            return Err(format!(
-                "claimed radius {c} is {:.0}x the realized error {r} \
-                 (ceiling {CALIBRATION_RATIO_CEILING})",
-                c / r
-            ));
-        }
-        if c > e {
-            return Err(format!(
-                "claimed radius {c} exceeds the drift-envelope bound {e}"
-            ));
-        }
-    }
-    for ratio in extract_numbers(json, "calibration_ratio") {
-        if ratio > CALIBRATION_RATIO_CEILING {
-            return Err(format!(
-                "calibration_ratio {ratio} exceeds ceiling {CALIBRATION_RATIO_CEILING}"
-            ));
-        }
-    }
-    require_t_axis(json)?;
-    require_probe_columns(json)
+    Ok(claimed)
 }
 
-/// Validate `BENCH_mwem.json`: the Fast-MWEM scaling record. Checks the
-/// sampled per-round figures and dense extrapolation at every size, and
-/// the shared-size answer-error columns (vs dense, vs truth, and the
-/// pool-refresh variant).
-pub fn validate_bench_mwem(json: &str) -> Result<(), String> {
-    if !has_key(json, "experiment") || !json.contains("mwem_scaling") {
-        return Err("not a mwem_scaling artifact".into());
-    }
-    for key in [
-        "rounds",
-        "queries",
-        "budget",
-        "mwem_n",
-        "epsilon",
-        "log2_x",
-        "universe",
-        "dense_ns_per_elem_ref",
-        "sampled_per_round_ns",
-        "dense_extrapolated_round_ns",
-        "speedup_vs_dense_extrapolation",
-        "mwem_answers",
-        "dense_per_round_ns",
-    ] {
-        require_positive(json, key)?;
-    }
-    for key in [
-        "resample_every",
-        "answer_err_vs_dense_mean",
-        "answer_err_vs_dense_max",
-        "selection_matches",
-        "answer_err_vs_truth_mean",
-        "answer_err_vs_truth_resampled_mean",
-        "resamples",
-        "claimed_radius_mean",
-        "realized_err_mean",
-        "radius_wins_hoeffding",
-        "radius_wins_ess",
-        "radius_wins_bernstein",
-    ] {
-        require_non_negative(json, key)?;
-    }
-    // The same certificate-honesty ceiling as the sublinear artifact: a
-    // regression back toward envelope-only radii on the MWEM path must
-    // fail CI here too.
-    let claimed = extract_numbers(json, "claimed_radius_mean");
-    let realized = extract_numbers(json, "realized_err_mean");
-    for (c, r) in claimed.iter().zip(&realized) {
-        if *r > 0.0 && c / r > CALIBRATION_RATIO_CEILING {
+/// Validate `BENCH_sublinear.json`: its columns; claimed radii within
+/// [`CALIBRATION_RATIO_CEILING`] of the realized error and never above the
+/// drift-envelope radius; and a `t_axis` of at least two increasing
+/// horizons, one `long_horizon` row each, whose compacted per-round cost
+/// at the largest horizon stays within [`LONG_HORIZON_FLATNESS_CEILING`]
+/// of the smallest.
+pub fn validate_bench_sublinear(text: &str) -> Result<(), String> {
+    let doc = check(text, "sublinear_scaling", &[SUBLINEAR, PROBE])?;
+    for (i, row) in group_rows(&doc, SUBLINEAR_CALIBRATION)? {
+        let claimed = claimed_radius(i, row)?;
+        let envelope = number(row, "envelope_radius_mean", NonNegative)?;
+        if claimed > envelope {
             return Err(format!(
-                "claimed radius {c} is {:.0}x the realized error {r} \
-                 (ceiling {CALIBRATION_RATIO_CEILING})",
-                c / r
+                "sizes[{i}]: claimed radius {claimed} exceeds the drift-envelope bound {envelope}"
+            ));
+        }
+        let ratio = number(row, "calibration_ratio", NonNegative)?;
+        if ratio > CALIBRATION_RATIO_CEILING {
+            return Err(format!(
+                "sizes[{i}]: calibration_ratio {ratio} exceeds ceiling {CALIBRATION_RATIO_CEILING}"
             ));
         }
     }
-    // The dense/sampled crossover column (the smallest size where the
-    // sampled path wins; `null` when it never does).
-    if !has_key(json, "crossover_log2_x") {
-        return Err("missing \"crossover_log2_x\"".into());
+    let horizons = axis_rows(&doc, "t_axis", "long_horizon", "t")?;
+    if horizons.len() < 2 || horizons.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err("t_axis must list at least two increasing round horizons".into());
     }
-    require_probe_columns(json)
+    let (t_first, first) = horizons[0];
+    let (t_last, last) = horizons[horizons.len() - 1];
+    let first = number(first, "per_round_ns_flat", Positive)?;
+    let last = number(last, "per_round_ns_flat", Positive)?;
+    if last > LONG_HORIZON_FLATNESS_CEILING * first {
+        return Err(format!(
+            "per_round_ns_flat is not flat in t: {last:.0} ns at t={t_last} vs {first:.0} ns \
+             at t={t_first} (ceiling {LONG_HORIZON_FLATNESS_CEILING}x)"
+        ));
+    }
+    Ok(())
+}
+
+/// Validate `BENCH_mwem.json`: its columns, claimed radii within
+/// [`CALIBRATION_RATIO_CEILING`] of the realized error, and the
+/// `crossover_log2_x` field (`null` when sampled never wins).
+pub fn validate_bench_mwem(text: &str) -> Result<(), String> {
+    let doc = check(text, "mwem_scaling", &[MWEM, PROBE])?;
+    for (i, row) in group_rows(&doc, MWEM_CALIBRATION)? {
+        claimed_radius(i, row)?;
+    }
+    match doc.get("crossover_log2_x") {
+        Some(Json::Null) => Ok(()),
+        Some(_) => number(&doc, "crossover_log2_x", Positive).map(drop),
+        None => Err("missing \"crossover_log2_x\"".into()),
+    }
 }
 
 /// Validate `BENCH_serve.json`: the multi-analyst serving record. Checks
-/// the scaling rows (positive qps and latency percentiles, with
-/// `p50 ≤ p99` pairwise), the outcome tallies, and that the artifact
-/// records `machine_threads` — qps scaling itself is deliberately NOT
-/// asserted: on a single-core runner every analyst count multiplexes
-/// onto one CPU and the column legitimately reads flat.
-pub fn validate_bench_serve(json: &str) -> Result<(), String> {
-    if !has_key(json, "experiment") || !json.contains("serve_scaling") {
-        return Err("not a serve_scaling artifact".into());
-    }
-    for key in [
-        "machine_threads",
-        "queries_per_analyst",
-        "analysts",
-        "requests",
-        "qps",
-        "latency_p50_ns",
-        "latency_p99_ns",
-    ] {
-        require_positive(json, key)?;
-    }
-    for key in [
-        "free",
-        "updates",
-        "failed",
-        "rejected",
-        "halted_replies",
-        "batches",
-        "rescreens",
-        "writer_wait_p99_ns",
-    ] {
-        require_non_negative(json, key)?;
-    }
-    let p50 = extract_numbers(json, "latency_p50_ns");
-    let p99 = extract_numbers(json, "latency_p99_ns");
-    if p50.len() != p99.len() {
-        return Err("latency_p50_ns/latency_p99_ns row counts differ".into());
-    }
-    for (a, b) in p50.iter().zip(&p99) {
-        if a > b {
-            return Err(format!("latency p50 {a} exceeds p99 {b}"));
+/// every scaling row (positive qps and latency percentiles, with
+/// `p50 ≤ p99`, and outcome tallies that add up to the request count),
+/// and that the artifact records `machine_threads` — qps scaling itself
+/// is deliberately NOT asserted: on a single-core runner every analyst
+/// count multiplexes onto one CPU and the column legitimately reads flat.
+pub fn validate_bench_serve(text: &str) -> Result<(), String> {
+    let doc = check(text, "serve_scaling", &[SERVE])?;
+    for (i, row) in rows_at(&doc, "scaling")?.iter().enumerate() {
+        let get = |key| number(row, key, NonNegative);
+        let (p50, p99) = (get("latency_p50_ns")?, get("latency_p99_ns")?);
+        if p50 > p99 {
+            return Err(format!("scaling[{i}]: latency p50 {p50} exceeds p99 {p99}"));
         }
-    }
-    // Every row must have served every request it issued: outcomes tally
-    // back to the request count.
-    let requests = extract_numbers(json, "requests");
-    let free = extract_numbers(json, "free");
-    let updates = extract_numbers(json, "updates");
-    let failed = extract_numbers(json, "failed");
-    let rejected = extract_numbers(json, "rejected");
-    let halted = extract_numbers(json, "halted_replies");
-    for i in 0..requests.len() {
-        let tally = free[i] + updates[i] + failed[i] + rejected[i] + halted[i];
-        if tally != requests[i] {
+        let tally = ["free", "updates", "failed", "rejected", "halted_replies"]
+            .into_iter()
+            .map(get)
+            .sum::<Result<f64, String>>()?;
+        let requests = get("requests")?;
+        if tally != requests {
             return Err(format!(
-                "row {i}: outcomes tally {tally} != requests {}",
-                requests[i]
+                "scaling[{i}]: outcomes tally {tally} != requests {requests}"
             ));
         }
     }
     Ok(())
+}
+
+/// The dense per-element round cost (certificate sweep plus update with
+/// read) in a `BENCH_runtime.json`, from its largest size: the last
+/// `sizes` row.
+pub fn runtime_dense_ns_per_elem(text: &str) -> Result<f64, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let rows = rows_at(&doc, "sizes")?;
+    let largest = &rows[rows.len() - 1];
+    Ok(number(largest, "certificate_ns_per_elem", Positive)?
+        + number(largest, "mw_update_with_read_ns_per_elem", Positive)?)
 }
 
 /// Validate a JSONL run trace (the `--trace` output of the experiment
@@ -518,26 +492,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn extracts_numbers_in_order() {
-        let json = r#"{"a": 1.5, "b": [{"a": 2e3}, {"a": -4}], "c": 7}"#;
-        assert_eq!(extract_numbers(json, "a"), vec![1.5, 2e3, -4.0]);
-        assert_eq!(extract_numbers(json, "c"), vec![7.0]);
-        assert!(extract_numbers(json, "missing").is_empty());
-        assert!(has_key(json, "b"));
-        assert!(!has_key(json, "missing"));
-    }
-
-    #[test]
     fn required_columns_reject_non_numeric_rows() {
         let json = r#"{"rows": [{"ns": 5.0}, {"ns": 7.0}]}"#;
-        require_positive(json, "ns").unwrap();
-        require_non_negative(json, "ns").unwrap();
-        for bad in ["NaN", "null", "\"7\""] {
-            let broken = json.replace("7.0", bad);
-            assert!(require_positive(&broken, "ns").is_err(), "{bad}");
-            assert!(require_non_negative(&broken, "ns").is_err(), "{bad}");
+        let check = |text: &str, sign| {
+            let doc = Json::parse(text).map_err(|e| e.to_string())?;
+            check_path(&doc, "", "rows.ns", sign)
+        };
+        for sign in [Positive, NonNegative] {
+            check(json, sign).unwrap();
+            for bad in ["NaN", "null", "\"7\""] {
+                assert!(check(&json.replace("7.0", bad), sign).is_err(), "{bad}");
+            }
         }
-        // The committed MWEM artifact passes; one bad row fails it.
+        // The committed artifacts pass; one bad row fails them.
+        validate_bench_runtime(include_str!("../../../BENCH_runtime.json")).unwrap();
+        validate_bench_sublinear(include_str!("../../../BENCH_sublinear.json")).unwrap();
         let committed = include_str!("../../../BENCH_mwem.json");
         validate_bench_mwem(committed).unwrap();
         let key = "\"sampled_per_round_ns\": ";
@@ -549,39 +518,57 @@ mod tests {
             let broken = format!("{}{bad}{}", &committed[..start], &committed[start + len..]);
             assert!(validate_bench_mwem(&broken).is_err(), "{bad}");
         }
+        // A row that lacks a column fails by name, although other rows
+        // carry it.
+        let row = committed.find("{\"log2_x\": 20").expect("2^20 row");
+        let start = row + committed[row..].find(key).expect("per-round column");
+        let end = start + committed[start..].find(", ").expect("row continues") + 2;
+        let missing = format!("{}{}", &committed[..start], &committed[end..]);
+        let err = validate_bench_mwem(&missing).unwrap_err();
+        assert!(err.contains("\"sizes[2].sampled_per_round_ns\""), "{err}");
+        // So does a file cut before its closing brackets.
+        let cut = committed
+            .trim_end()
+            .strip_suffix("}\n}")
+            .expect("closing brackets");
+        let err = validate_bench_mwem(cut).unwrap_err();
+        assert!(err.contains("not JSON"), "{err}");
     }
+
+    /// A well-formed runtime artifact.
+    const RUNTIME_DOC: &str = r#"{
+      "experiment": "runtime_scaling",
+      "parallel": true, "machine_threads": 2, "smoke": false,
+      "sizes": [
+        {"log2_x": 12, "mw_update_ns_per_elem": 1.2,
+         "mw_update_with_read_ns_per_elem": 3.4,
+         "mw_update_reference_ns_per_elem": 6.0,
+         "certificate_ns_per_elem": 2.0,
+         "end_to_end_round_ns_per_elem": 9.0}
+      ],
+      "backend_axis": [
+        {"backend": "dense", "log2_x": 12, "round_ns": 5000.0, "point_read_ns": 2.0},
+        {"backend": "lazy", "log2_x": 12, "round_ns": 90.0, "point_read_ns": 40.0},
+        {"backend": "sampled", "log2_x": 12, "round_ns": 800.0, "point_read_ns": 60.0}
+      ],
+      "threads_axis": [1, 2],
+      "thread_scaling": [
+        {"threads": 1, "certificate_ns_per_elem": 2.0, "speedup_vs_1thread": 1.0},
+        {"threads": 2, "certificate_ns_per_elem": 1.1, "speedup_vs_1thread": 1.82}
+      ],
+      "probe": {
+        "mechanism": "online_pmw", "probed_rounds": 6,
+        "outcomes": {"update": 4, "free": 2},
+        "phases": [
+          {"phase": "hypothesis_solve", "count": 6, "total_ns": 600,
+           "p50_ns": 90, "p99_ns": 200, "max_ns": 210}
+        ]
+      }
+    }"#;
 
     #[test]
     fn runtime_validator_accepts_a_well_formed_artifact() {
-        let json = r#"{
-          "experiment": "runtime_scaling",
-          "parallel": true, "machine_threads": 2, "smoke": false,
-          "sizes": [
-            {"log2_x": 12, "mw_update_ns_per_elem": 1.2,
-             "mw_update_with_read_ns_per_elem": 3.4,
-             "mw_update_reference_ns_per_elem": 6.0,
-             "certificate_ns_per_elem": 2.0,
-             "end_to_end_round_ns_per_elem": 9.0}
-          ],
-          "backend_axis": [
-            {"backend": "dense", "log2_x": 12, "round_ns": 5000.0, "point_read_ns": 2.0},
-            {"backend": "lazy", "log2_x": 12, "round_ns": 90.0, "point_read_ns": 40.0},
-            {"backend": "sampled", "log2_x": 12, "round_ns": 800.0, "point_read_ns": 60.0}
-          ],
-          "threads_axis": [1, 2],
-          "thread_scaling": [
-            {"threads": 1, "certificate_ns_per_elem": 2.0, "speedup_vs_1thread": 1.0},
-            {"threads": 2, "certificate_ns_per_elem": 1.1, "speedup_vs_1thread": 1.82}
-          ],
-          "probe": {
-            "mechanism": "online_pmw", "probed_rounds": 6,
-            "outcomes": {"update": 4, "free": 2},
-            "phases": [
-              {"phase": "hypothesis_solve", "count": 6, "total_ns": 600,
-               "p50_ns": 90, "p99_ns": 200, "max_ns": 210}
-            ]
-          }
-        }"#;
+        let json = RUNTIME_DOC;
         validate_bench_runtime(json).unwrap();
         // The probed-run phase table is part of the contract.
         let no_probe = json.replace("\"probed_rounds\": 6,", "");
@@ -609,6 +596,11 @@ mod tests {
         assert!(validate_bench_runtime(&slow)
             .unwrap_err()
             .contains("serial sweep"));
+        // The gate reads `smoke` as a bool, not as text.
+        let compact = Json::parse(&slow).unwrap().to_string();
+        assert!(validate_bench_runtime(&compact)
+            .unwrap_err()
+            .contains("serial sweep"));
         validate_bench_runtime(&slow.replace("\"smoke\": false", "\"smoke\": true")).unwrap();
         let one_core = slow.replace("\"machine_threads\": 2", "\"machine_threads\": 1");
         validate_bench_runtime(&one_core).unwrap();
@@ -617,18 +609,14 @@ mod tests {
     #[test]
     fn runtime_validator_rejects_bad_values_and_missing_keys() {
         assert!(validate_bench_runtime("{}").is_err());
-        let missing_backend = r#"{"experiment": "runtime_scaling",
-          "log2_x": 12, "mw_update_ns_per_elem": 1.0,
-          "mw_update_with_read_ns_per_elem": 1.0,
-          "mw_update_reference_ns_per_elem": 1.0,
-          "certificate_ns_per_elem": 1.0,
-          "end_to_end_round_ns_per_elem": 1.0,
-          "round_ns": 1.0, "point_read_ns": 1.0,
-          "backend_axis": [{"backend": "dense"}]}"#;
-        let err = validate_bench_runtime(missing_backend).unwrap_err();
+        let missing_backend = RUNTIME_DOC.replace(
+            r#"{"backend": "lazy", "log2_x": 12, "round_ns": 90.0, "point_read_ns": 40.0},"#,
+            "",
+        );
+        let err = validate_bench_runtime(&missing_backend).unwrap_err();
         assert!(err.contains("lazy"), "{err}");
-        let negative = missing_backend.replace(
-            "\"certificate_ns_per_elem\": 1.0",
+        let negative = RUNTIME_DOC.replace(
+            "\"certificate_ns_per_elem\": 2.0",
             "\"certificate_ns_per_elem\": -3.0",
         );
         assert!(validate_bench_runtime(&negative).is_err());
@@ -951,8 +939,20 @@ mod tests {
         let dropped = json.replace("\"free\": 58,", "\"free\": 57,");
         let err = validate_bench_serve(&dropped).unwrap_err();
         assert!(err.contains("tally"), "{err}");
+        // A row without an outcome column fails by row and key.
+        let no_free = json.replace("\"free\": 500, ", "");
+        let err = validate_bench_serve(&no_free).unwrap_err();
+        assert!(err.contains("\"scaling[1].free\""), "{err}");
         // A runtime artifact is not a serving artifact.
         assert!(validate_bench_serve("{\"experiment\": \"runtime_scaling\"}").is_err());
+    }
+
+    #[test]
+    fn dense_reference_reads_the_largest_size_row() {
+        let committed = include_str!("../../../BENCH_runtime.json");
+        let ns = runtime_dense_ns_per_elem(committed).unwrap();
+        assert!((ns - 24.847).abs() < 1e-9, "{ns}");
+        assert!(runtime_dense_ns_per_elem(r#"{"sizes": []}"#).is_err());
     }
 
     /// A well-formed trace as the `JsonlTraceProbe` would stream it.

@@ -25,6 +25,10 @@
 //! is what makes the JSONL round-trip testable: serialize → parse →
 //! identical summary.
 //!
+//! Trace lines are written and read through [`json`], the workspace's one
+//! JSON value, which `pmw-bench` also uses for its `BENCH_*.json`
+//! artifacts.
+//!
 //! # Wiring a probe
 //!
 //! ```
@@ -51,11 +55,13 @@
 //! and all hooks take `&self` (interior mutability inside the concrete
 //! probes), which lets read-only backend methods report through them.
 
+pub mod json;
 mod jsonl;
 mod probe;
 mod summary;
 pub mod trace;
 
+pub use json::Json;
 pub use jsonl::JsonlTraceProbe;
 pub use probe::{Counter, Gauge, NoopProbe, Phase, Probe};
 pub use summary::{GaugeStats, PhaseStats, Summary, SummaryProbe};

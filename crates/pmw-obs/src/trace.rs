@@ -22,11 +22,12 @@
 //! literals for them); finite values use Rust's shortest round-trip
 //! float formatting, so serialize → parse is bit-exact.
 //!
-//! The workspace vendors no JSON library, so both directions are
-//! hand-rolled here against exactly this flat shape — parsers reject
-//! unknown kinds, unknown vocabulary names, and malformed lines with a
-//! positioned [`TraceParseError`].
+//! Lines are written and read through [`crate::json`]. The reader is
+//! strict: it rejects unknown kinds, unknown vocabulary names, and
+//! malformed lines with a [`TraceParseError`].
 
+use crate::json::Json;
+use crate::json_object;
 use crate::probe::{Counter, Gauge, Phase};
 
 /// Current trace schema version, written into every line.
@@ -136,142 +137,78 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Escape a string into a JSON string literal (quotes included).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Format an f64 as a JSON value: shortest round-trip representation for
-/// finite values, quoted `"inf"`/`"-inf"`/`"nan"` otherwise.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
-
 impl TraceEvent {
     /// Serialize to one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"v\":");
-        s.push_str(&TRACE_VERSION.to_string());
-        s.push_str(",\"kind\":");
-        match self {
-            TraceEvent::RunStart { mechanism, detail } => {
-                s.push_str("\"run_start\",\"mechanism\":");
-                push_json_str(&mut s, mechanism);
-                s.push_str(",\"detail\":");
-                push_json_str(&mut s, detail);
-            }
-            TraceEvent::RoundBegin { round } => {
-                s.push_str(&format!("\"round_begin\",\"round\":{round}"));
-            }
-            TraceEvent::RoundEnd { round, outcome, ns } => {
-                s.push_str("\"round_end\",\"round\":");
-                s.push_str(&round.to_string());
-                s.push_str(",\"outcome\":");
-                push_json_str(&mut s, outcome);
-                s.push_str(&format!(",\"ns\":{ns}"));
-            }
-            TraceEvent::Span { phase, round, ns } => {
-                s.push_str(&format!(
-                    "\"span\",\"phase\":\"{}\",\"round\":{round},\"ns\":{ns}",
-                    phase.as_str()
-                ));
-            }
+        let v = TRACE_VERSION;
+        let line = match self {
+            TraceEvent::RunStart { mechanism, detail } => json_object! {
+                "v": v, "kind": "run_start",
+                "mechanism": mechanism.as_str(), "detail": detail.as_str(),
+            },
+            TraceEvent::RoundBegin { round } => json_object! {
+                "v": v, "kind": "round_begin", "round": *round
+            },
+            TraceEvent::RoundEnd { round, outcome, ns } => json_object! {
+                "v": v, "kind": "round_end", "round": *round, "outcome": outcome.as_str(), "ns": *ns
+            },
+            TraceEvent::Span { phase, round, ns } => json_object! {
+                "v": v, "kind": "span", "phase": phase.as_str(), "round": *round, "ns": *ns
+            },
             TraceEvent::Gauge {
                 gauge,
                 round,
                 value,
-            } => {
-                s.push_str(&format!(
-                    "\"gauge\",\"gauge\":\"{}\",\"round\":{round},\"value\":",
-                    gauge.as_str()
-                ));
-                push_json_f64(&mut s, *value);
-            }
+            } => json_object! {
+                "v": v, "kind": "gauge", "gauge": gauge.as_str(), "round": *round, "value": *value
+            },
             TraceEvent::Counter {
                 counter,
                 round,
                 delta,
-            } => {
-                s.push_str(&format!(
-                    "\"counter\",\"counter\":\"{}\",\"round\":{round},\"delta\":{delta}",
-                    counter.as_str()
-                ));
-            }
-            TraceEvent::Note { key, value, round } => {
-                s.push_str("\"note\",\"key\":");
-                push_json_str(&mut s, key);
-                s.push_str(",\"value\":");
-                push_json_str(&mut s, value);
-                s.push_str(&format!(",\"round\":{round}"));
-            }
-            TraceEvent::RunEnd { events } => {
-                s.push_str(&format!("\"run_end\",\"events\":{events}"));
-            }
-        }
-        s.push('}');
-        s
+            } => json_object! {
+                "v": v, "kind": "counter",
+                "counter": counter.as_str(), "round": *round, "delta": *delta,
+            },
+            TraceEvent::Note { key, value, round } => json_object! {
+                "v": v, "kind": "note",
+                "key": key.as_str(), "value": value.as_str(), "round": *round,
+            },
+            TraceEvent::RunEnd { events } => json_object! {
+                "v": v, "kind": "run_end", "events": *events
+            },
+        };
+        line.to_string()
     }
 
     /// Parse one JSONL line back into an event. Strict: unknown kinds,
     /// out-of-vocabulary names, wrong version, and malformed JSON are
     /// errors, not skips.
     pub fn parse_line(line: &str) -> Result<TraceEvent, TraceParseError> {
-        let fields = parse_flat_object(line)?;
-        let get = |name: &'static str| -> Result<&JsonValue, TraceParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or(TraceParseError::MissingField(name))
-        };
-        let get_u64 = |name: &'static str| -> Result<u64, TraceParseError> {
-            match get(name)? {
-                JsonValue::Number(raw) => raw
-                    .parse::<u64>()
-                    .map_err(|_| TraceParseError::BadNumber(name)),
-                JsonValue::String(_) => Err(TraceParseError::BadNumber(name)),
-            }
+        let line = Json::parse(line).map_err(|e| TraceParseError::Malformed(e.what))?;
+        if !matches!(line, Json::Object(_)) {
+            return Err(TraceParseError::Malformed("expected an object"));
+        }
+        let get = |name: &'static str| line.get(name).ok_or(TraceParseError::MissingField(name));
+        let get_u64 = |name: &'static str| {
+            get(name)?
+                .as_number()
+                .ok_or(TraceParseError::BadNumber(name))
         };
         let get_str = |name: &'static str| -> Result<String, TraceParseError> {
-            match get(name)? {
-                JsonValue::String(s) => Ok(s.clone()),
-                JsonValue::Number(_) => Err(TraceParseError::Malformed("expected a string field")),
-            }
+            get(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or(TraceParseError::Malformed("expected a string field"))
         };
-        let get_f64 = |name: &'static str| -> Result<f64, TraceParseError> {
-            match get(name)? {
-                JsonValue::Number(raw) => raw
-                    .parse::<f64>()
-                    .map_err(|_| TraceParseError::BadNumber(name)),
-                JsonValue::String(s) => match s.as_str() {
-                    "inf" => Ok(f64::INFINITY),
-                    "-inf" => Ok(f64::NEG_INFINITY),
-                    "nan" => Ok(f64::NAN),
-                    _ => Err(TraceParseError::BadNumber(name)),
-                },
+        // The one reader of quoted non-finite numbers: gauge values.
+        let get_f64 = |name: &'static str| {
+            let value = get(name)?;
+            match value.as_str() {
+                Some("inf") => Ok(f64::INFINITY),
+                Some("-inf") => Ok(f64::NEG_INFINITY),
+                Some("nan") => Ok(f64::NAN),
+                _ => value.as_number().ok_or(TraceParseError::BadNumber(name)),
             }
         };
 
@@ -293,34 +230,21 @@ impl TraceEvent {
                 outcome: get_str("outcome")?,
                 ns: get_u64("ns")?,
             }),
-            "span" => {
-                let name = get_str("phase")?;
-                let phase = Phase::from_name(&name).ok_or(TraceParseError::UnknownName(name))?;
-                Ok(TraceEvent::Span {
-                    phase,
-                    round: get_u64("round")?,
-                    ns: get_u64("ns")?,
-                })
-            }
-            "gauge" => {
-                let name = get_str("gauge")?;
-                let gauge = Gauge::from_name(&name).ok_or(TraceParseError::UnknownName(name))?;
-                Ok(TraceEvent::Gauge {
-                    gauge,
-                    round: get_u64("round")?,
-                    value: get_f64("value")?,
-                })
-            }
-            "counter" => {
-                let name = get_str("counter")?;
-                let counter =
-                    Counter::from_name(&name).ok_or(TraceParseError::UnknownName(name))?;
-                Ok(TraceEvent::Counter {
-                    counter,
-                    round: get_u64("round")?,
-                    delta: get_u64("delta")?,
-                })
-            }
+            "span" => Ok(TraceEvent::Span {
+                phase: vocab(get_str("phase")?, Phase::from_name)?,
+                round: get_u64("round")?,
+                ns: get_u64("ns")?,
+            }),
+            "gauge" => Ok(TraceEvent::Gauge {
+                gauge: vocab(get_str("gauge")?, Gauge::from_name)?,
+                round: get_u64("round")?,
+                value: get_f64("value")?,
+            }),
+            "counter" => Ok(TraceEvent::Counter {
+                counter: vocab(get_str("counter")?, Counter::from_name)?,
+                round: get_u64("round")?,
+                delta: get_u64("delta")?,
+            }),
             "note" => Ok(TraceEvent::Note {
                 key: get_str("key")?,
                 value: get_str("value")?,
@@ -343,121 +267,9 @@ impl TraceEvent {
     }
 }
 
-/// A parsed flat-JSON scalar.
-enum JsonValue {
-    /// A JSON string, unescaped.
-    String(String),
-    /// A JSON number, kept as its raw token (parsed on demand).
-    Number(String),
-}
-
-/// Parse a single flat JSON object `{"k":v,...}` with string/number
-/// values — exactly the shape the trace schema emits. No nesting, no
-/// arrays, no literals.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, TraceParseError> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::with_capacity(6);
-    if chars.next() != Some('{') {
-        return Err(TraceParseError::Malformed("expected '{'"));
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ => return Err(TraceParseError::Malformed("expected a key string")),
-        }
-        let key = parse_json_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(TraceParseError::Malformed("expected ':'"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::String(parse_json_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let mut raw = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        raw.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Number(raw)
-            }
-            _ => {
-                return Err(TraceParseError::Malformed(
-                    "expected a string or number value",
-                ))
-            }
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err(TraceParseError::Malformed("expected ',' or '}'")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err(TraceParseError::Malformed("trailing content after '}'"));
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(' ' | '\t')) {
-        chars.next();
-    }
-}
-
-/// Parse a JSON string literal (leading quote still in the stream),
-/// unescaping as it goes.
-fn parse_json_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, TraceParseError> {
-    if chars.next() != Some('"') {
-        return Err(TraceParseError::Malformed("expected '\"'"));
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err(TraceParseError::Malformed("unterminated string")),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or(TraceParseError::Malformed("bad \\u escape"))?;
-                        code = code * 16 + d;
-                    }
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or(TraceParseError::Malformed("bad \\u code point"))?,
-                    );
-                }
-                _ => return Err(TraceParseError::Malformed("unknown escape")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
+/// The vocabulary entry `name`, or [`TraceParseError::UnknownName`].
+fn vocab<T>(name: String, from_name: fn(&str) -> Option<T>) -> Result<T, TraceParseError> {
+    from_name(&name).ok_or(TraceParseError::UnknownName(name))
 }
 
 #[cfg(test)]
@@ -512,8 +324,22 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_exactly() {
-        for ev in sample_events() {
+        // Schema v1, byte for byte.
+        let v1 = [
+            r#"{"v":1,"kind":"run_start","mechanism":"online_pmw","detail":"log2_universe=16 \"quoted\"\nnewline\tand\\slash"}"#,
+            r#"{"v":1,"kind":"round_begin","round":0}"#,
+            r#"{"v":1,"kind":"span","phase":"hypothesis_solve","round":0,"ns":12345}"#,
+            r#"{"v":1,"kind":"gauge","gauge":"eps_spent","round":0,"value":0.125}"#,
+            r#"{"v":1,"kind":"gauge","gauge":"claimed_radius","round":0,"value":1e-300}"#,
+            r#"{"v":1,"kind":"gauge","gauge":"drift_bound","round":0,"value":"inf"}"#,
+            r#"{"v":1,"kind":"counter","counter":"oracle_retries","round":0,"delta":2}"#,
+            r#"{"v":1,"kind":"note","key":"bound","value":"bernstein","round":0}"#,
+            r#"{"v":1,"kind":"round_end","round":0,"outcome":"update","ns":99000}"#,
+            r#"{"v":1,"kind":"run_end","events":8}"#,
+        ];
+        for (ev, v1) in sample_events().into_iter().zip(v1) {
             let line = ev.to_json_line();
+            assert_eq!(line, v1);
             let back = TraceEvent::parse_line(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
             assert_eq!(back, ev, "{line}");
             // And serialization is idempotent through a parse.
@@ -579,7 +405,7 @@ mod tests {
     fn strict_parsing_rejects_bad_lines() {
         use TraceParseError as E;
         let cases: &[(&str, E)] = &[
-            ("", E::Malformed("expected '{'")),
+            ("", E::Malformed("expected a value")),
             ("{\"v\":1}", E::MissingField("kind")),
             ("{\"kind\":\"span\"}", E::MissingField("v")),
             ("{\"v\":2,\"kind\":\"run_end\",\"events\":0}", E::Version(2)),
@@ -594,7 +420,7 @@ mod tests {
             ),
             (
                 "{\"v\":1,\"kind\":\"run_end\",\"events\":1} trailing",
-                E::Malformed("trailing content after '}'"),
+                E::Malformed("trailing characters after the value"),
             ),
         ];
         for (line, want) in cases {
