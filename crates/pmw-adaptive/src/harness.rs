@@ -19,7 +19,6 @@ use pmw_core::{OnlinePmw, PmwConfig, PmwError};
 use pmw_data::{BooleanCube, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::CmLoss;
-use pmw_losses::WeightedObjective;
 use rand::Rng;
 
 /// Configuration of one adaptive experiment.
@@ -81,11 +80,9 @@ impl AdaptiveHarness {
             Ok(answer)
         };
         let exact_answer = |loss: &dyn CmLoss| -> Result<f64, PmwError> {
-            let obj = WeightedObjective::new(loss, &points, sample_hist.weights())?;
             // The minimizer of (theta - p)^2/2 over the sample is the mean.
             let theta =
                 pmw_losses::traits::minimize_weighted(loss, &points, sample_hist.weights(), 400)?;
-            let _ = obj;
             Ok(theta[0])
         };
         let phase1 = analyst.phase1_queries()?;

@@ -33,7 +33,8 @@
 //! resample cadence. The uncompacted replay re-walks the whole log — the
 //! latent quadratic — so its per-round cost grows with t, while the
 //! compacted column stays flat; the artifact's `per_round_ns_flat`
-//! column is schema-gated to within 2× of its min-t row.
+//! column, the median of [`FLAT_TRIALS`] trials per horizon, is
+//! schema-gated to within 2× of its min-t row.
 //!
 //! Writes `BENCH_sublinear.json`. Pass `--smoke` for the seconds-long CI
 //! variant (smaller sizes/budget, schema-complete artifact).
@@ -397,6 +398,13 @@ fn measure_long_horizon(
     }
 }
 
+/// Trials per horizon of the compacted column, which reports their median.
+/// It is the gated one: timed once, a smoke horizon (about 11 µs per round
+/// over t = 20 and 100 rounds) read up to 6.8× its t = 20 row on a shared
+/// 2-vCPU host and failed the 2× flatness gate. The uncompacted column is
+/// context, ungated, and stays one trial.
+const FLAT_TRIALS: usize = 5;
+
 /// Dense per-element round cost (certificate sweep + update + read): from
 /// `BENCH_runtime.json`'s largest size when the file exists, else
 /// self-measured at `2^14`. A runtime artifact that cannot be read is an
@@ -552,7 +560,8 @@ fn main() {
     };
     println!(
         "# long-horizon axis (log2_x={h_log2_x}, budget={h_budget}, resample every \
-         {h_resample} rounds, fold cadence EveryK({h_resample}))"
+         {h_resample} rounds, fold cadence EveryK({h_resample}); flat column: median of \
+         {FLAT_TRIALS} trials)"
     );
     header(&[
         "t",
@@ -563,14 +572,15 @@ fn main() {
         "replay_uncompacted",
     ]);
     let mut horizon_rows = Vec::new();
+    let fold = CompactionPolicy::EveryK(h_resample);
     for &t in t_axis {
-        let flat = measure_long_horizon(
-            h_log2_x,
-            t,
-            h_budget,
-            h_resample,
-            CompactionPolicy::EveryK(h_resample),
-        );
+        // The trials are seeded alike, so they differ only in their timings;
+        // the median one stands for the horizon.
+        let mut flats: Vec<HorizonRun> = (0..FLAT_TRIALS)
+            .map(|_| measure_long_horizon(h_log2_x, t, h_budget, h_resample, fold))
+            .collect();
+        flats.sort_by(|a, b| a.per_round_ns.total_cmp(&b.per_round_ns));
+        let flat = &flats[FLAT_TRIALS / 2];
         let full = measure_long_horizon(h_log2_x, t, h_budget, h_resample, CompactionPolicy::Never);
         row(
             &format!("{t}"),

@@ -32,7 +32,6 @@ use pmw_data::{Dataset, Histogram, PointMatrix, Universe};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
 use pmw_dp::{Accountant, DpError, SparseVector};
 use pmw_erm::{ErmOracle, OracleChoice};
-use pmw_losses::traits::minimize_weighted;
 use pmw_losses::{CmLoss, WeightedObjective};
 use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
@@ -120,25 +119,33 @@ impl ScreenContext {
 }
 
 /// Data-side solve size, in point-iterations (data-side points ×
-/// `solver_iters`), from which the read phase solves the error query's
-/// `θ*` on a second thread while the caller solves `θ̂`. On a 2-core VM a
-/// scoped spawn and join of an empty closure costs 40–50 µs (medians of
-/// 2000 over four runs), and a GLM solve at `d = 10` 5.4–7.3 ns per
-/// point-iteration (`minimize_weighted`, squared and logistic links, 1024
-/// points × 100 iterations): a 2^16 solve takes 350–480 µs, so the fork
-/// costs 8–14% of the solve it takes off the caller's thread. It would stop
-/// paying between about 5,500 and 9,300 point-iterations, where the solve
-/// costs what the spawn does.
+/// `solver_iters`), from which the read phase builds the error query's
+/// data objective and solves its `θ*` on a second thread while the caller
+/// solves `θ̂`. The build goes with the solve, so the caller's only
+/// data-side work is one value pass at `θ̂`, after the join.
+///
+/// On a 2-core VM a scoped spawn and join of an empty closure costs
+/// 40–50 µs (medians of 2000 over four runs), and a GLM solve at `d = 10`
+/// 5.4–7.3 ns per point-iteration (`minimize_weighted`, squared and
+/// logistic links, 1024 points × 100 iterations): a 2^16 solve takes
+/// 350–480 µs, so the fork costs 8–14% of the solve it takes off the
+/// caller's thread. It would stop paying between about 5,500 and 9,300
+/// point-iterations, where the solve costs what the spawn does.
 const FORK_POINT_ITERS: usize = 1 << 16;
 
 /// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
 /// error query `err_ℓ(D, D̂)` over the data-side rows, and collect the
 /// backend's read margin.
 ///
+/// The data-side [`WeightedObjective`] is built once per screen. Its solve
+/// reports `ℓ_D(θ*)` with `θ*`, and the same objective then evaluates
+/// `ℓ_D(θ̂)`.
+///
 /// With more than one sweep worker ([`pmw_data::par::threads`]) and a
 /// data-side solve of at least [`FORK_POINT_ITERS`], the error query's
-/// `θ*` is solved on a scoped second thread while this thread solves `θ̂`.
-/// The two solves are independent and deterministic, so the outcome is
+/// objective is built and its `θ*` solved on a scoped second thread while
+/// this thread solves `θ̂`; the objective comes back through the join. The
+/// two solves are independent and deterministic, so the outcome is
 /// bit-for-bit the serial one; every probe span stays on this thread, and
 /// `θ̂`'s error still takes precedence over `θ*`'s.
 fn screen_query<P: Probe>(
@@ -158,26 +165,32 @@ fn screen_query<P: Probe>(
     };
     // (2) The error query q_j(D) = err_l(D, D-hat_t), evaluated over
     // the data-side point set: the universe histogram on the dense
-    // path, the dataset's support rows (O(n·d)) on the row path.
-    let solve_star = || minimize_weighted(loss, points, weights, ctx.solver_iters);
+    // path, the dataset's support rows (O(n·d)) on the row path. The data
+    // objective is built once, by whichever thread solves theta*; the
+    // solve reports l_D(theta*), and the objective comes back for
+    // l_D(theta-hat).
+    let solve_star = || -> Result<_, PmwError> {
+        let data_obj = WeightedObjective::new(loss, points, weights)?;
+        let at_star = data_obj.solve(ctx.solver_iters)?.value;
+        Ok((data_obj, at_star))
+    };
     let fork = pmw_data::par::threads() > 1
         && points.len().saturating_mul(ctx.solver_iters) >= FORK_POINT_ITERS;
     probe.span_begin(Phase::HypothesisSolve);
-    let (theta_hat, theta_star) = if fork {
+    let (theta_hat, star) = if fork {
         std::thread::scope(|s| {
             let star = s.spawn(solve_star);
             let theta_hat = solve_hat();
-            let theta_star = star.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            (theta_hat, theta_star)
+            let star = star.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            (theta_hat, star)
         })
     } else {
         let theta_hat = solve_hat()?;
         (Ok(theta_hat), solve_star())
     };
     let theta_hat = theta_hat?;
-    let theta_star = theta_star?;
-    let data_obj = WeightedObjective::new(loss, points, weights)?;
-    let query_value = error_query_value(data_obj.value(&theta_hat), data_obj.value(&theta_star))?;
+    let (data_obj, at_star) = star?;
+    let query_value = error_query_value(data_obj.value(&theta_hat), at_star)?;
     probe.span_end(Phase::ErrorQuery);
 
     // On sketched state the SV margin is widened by the backend's claimed
@@ -1512,24 +1525,51 @@ mod tests {
             pmw_data::par::with_threads(threads, || {
                 let mut rng = StdRng::seed_from_u64(171);
                 let data = skewed_dataset(&cube, 20_000, &mut rng);
+                // Room for the linear queries' updates: at 6 rounds the run
+                // halts before its 20th answer.
                 let config = PmwConfig::builder(2.0, 1e-6, 0.05)
                     .k(24)
-                    .rounds_override(6)
+                    .rounds_override(12)
                     .solver_iters(100)
                     .diagnostics(true)
                     .build()
                     .unwrap();
                 let mut mech = OnlinePmw::new(config, &cube, data, &mut rng).unwrap();
                 assert!(mech.data_points().len() * 100 >= FORK_POINT_ITERS);
-                let mut tasks = random_regression_tasks(10, 3, LinkFn::Squared, &mut rng).unwrap();
+                let mut tasks: Vec<Box<dyn CmLoss>> = Vec::new();
+                let regress = random_regression_tasks(10, 3, LinkFn::Squared, &mut rng).unwrap();
                 let classify = random_classification_tasks(10, 3, LinkFn::Logistic, &mut rng);
-                tasks.extend(classify.unwrap());
+                for task in regress.into_iter().chain(classify.unwrap()) {
+                    tasks.push(Box::new(task));
+                }
+                // Linear queries take the objective's target pass. The cube's
+                // coordinates are ±1/√10, so bit b is set where x_b ≥ 0.
+                let linear = [
+                    PointPredicate::Threshold {
+                        coord: 0,
+                        threshold: 0.0,
+                    },
+                    PointPredicate::Threshold {
+                        coord: 3,
+                        threshold: 0.0,
+                    },
+                    PointPredicate::Halfspace {
+                        normal: (0..10).map(|b| if b < 2 { 1.0 } else { 0.0 }).collect(),
+                        offset: 0.0,
+                    },
+                    PointPredicate::Linear {
+                        weights: (0..10).map(|b| 0.3 + 0.1 * b as f64).collect(),
+                        offset: 0.5,
+                    },
+                ];
+                for predicate in linear {
+                    tasks.push(Box::new(LinearQueryLoss::new(predicate, 10).unwrap()));
+                }
                 let probe = EventLog::default();
-                let answers = (0..18)
+                let answers = (0..20)
                     .map(|j| {
-                        let theta = mech
-                            .answer_with_probe(&tasks[j % tasks.len()], &mut rng, &probe)
-                            .unwrap();
+                        let task = tasks[j % tasks.len()].as_ref();
+                        let theta = mech.answer_with_probe(task, &mut rng, &probe).unwrap();
                         theta.iter().map(|v| v.to_bits()).collect()
                     })
                     .collect();

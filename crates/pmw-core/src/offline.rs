@@ -18,7 +18,6 @@ use pmw_convex::Objective;
 use pmw_data::{Dataset, Universe};
 use pmw_dp::{Accountant, ExponentialMechanism, PrivacyBudget};
 use pmw_erm::{ErmOracle, OracleChoice};
-use pmw_losses::traits::minimize_weighted;
 use pmw_losses::{CmLoss, WeightedObjective};
 use rand::Rng;
 use std::sync::Arc;
@@ -111,13 +110,11 @@ impl<O: ErmOracle> OfflinePmw<O> {
         let mut backend_events = Vec::new();
 
         // Cache the per-loss optimal value on the true data (one solve per
-        // loss, reused across rounds).
+        // loss, reused across rounds); the solve reports it.
         let mut opt_values = Vec::with_capacity(losses.len());
         for loss in losses {
-            let theta_star =
-                minimize_weighted(*loss, data_points, data_weights, self.config.solver_iters)?;
             let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
-            opt_values.push(obj.value(&theta_star));
+            opt_values.push(obj.solve(self.config.solver_iters)?.value);
         }
 
         for _ in 0..rounds {

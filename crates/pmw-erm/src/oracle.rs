@@ -7,10 +7,10 @@ use crate::net_exp::NetExponentialOracle;
 use crate::noisy_gd::NoisyGdOracle;
 use crate::objective_perturb::ObjectivePerturbationOracle;
 use crate::output_perturb::OutputPerturbationOracle;
+use pmw_convex::Objective;
 use pmw_data::PointMatrix;
 use pmw_dp::PrivacyBudget;
-use pmw_losses::traits::minimize_weighted;
-use pmw_losses::CmLoss;
+use pmw_losses::{CmLoss, WeightedObjective};
 use rand::Rng;
 
 /// A differentially private algorithm answering **one** CM query — the
@@ -72,10 +72,9 @@ pub fn excess_risk(
     theta: &[f64],
     solver_iters: usize,
 ) -> Result<f64, ErmError> {
-    let opt = minimize_weighted(loss, points, weights, solver_iters)?;
-    let obj = pmw_losses::WeightedObjective::new(loss, points, weights)?;
-    use pmw_convex::Objective;
-    Ok((obj.value(theta) - obj.value(&opt)).max(0.0))
+    let obj = WeightedObjective::new(loss, points, weights)?;
+    let opt = obj.solve(solver_iters)?.value;
+    Ok((obj.value(theta) - opt).max(0.0))
 }
 
 /// Runtime-selectable oracle, including an `Auto` mode that picks the

@@ -168,6 +168,12 @@ impl CmLoss for LinearQueryLoss {
         out[0] = theta[0] - self.predicate.evaluate(x);
     }
 
+    /// `p(x)`: the loss is `½(θ − p(x))²`, so a weighted objective
+    /// evaluates the predicate once per point, not on every solver pass.
+    fn quadratic_target(&self, x: &[f64]) -> Option<f64> {
+        Some(self.predicate.evaluate(x))
+    }
+
     /// Loop-fused sweep: `θ` is a scalar, so the payoff is
     /// `direction·(θ_hyp − p(x))` — one predicate evaluation per point,
     /// nothing else. Chunked across cores under the `parallel` feature.

@@ -16,7 +16,7 @@
 
 use crate::error::LossError;
 use crate::link::LinkFn;
-use pmw_convex::solvers::{ProjectedGradientDescent, SolverConfig};
+use pmw_convex::solvers::{ProjectedGradientDescent, SolveResult, SolverConfig};
 use pmw_convex::{vecmath, Domain, Objective};
 use pmw_data::PointMatrix;
 use std::borrow::Cow;
@@ -115,6 +115,22 @@ pub trait CmLoss: Send + Sync {
         None
     }
 
+    /// For a loss `ℓ(θ; x) = ½(θ₀ − t(x))²` over a one-dimensional `θ`, the
+    /// target `t(x)` of a raw universe point `x`; `None` for every other
+    /// loss. A loss that reports it must compute [`CmLoss::loss`] as
+    /// `0.5 * r * r` and [`CmLoss::gradient`] as `r`, for `r = θ₀ − t(x)`.
+    ///
+    /// [`WeightedObjective`] computes the target of every positive-weight
+    /// point once per objective, so a linear query evaluates its predicate
+    /// once per point instead of once per point on every solver pass. A
+    /// wrapper that changes the loss must not forward this hook. It is not
+    /// a GLM hook: [`LinkFn::Squared`] is `(z − y)²/4`, a different
+    /// normalisation, and the oracle choice and the GLM oracles read only
+    /// [`CmLoss::is_glm`], [`CmLoss::glm_link`] and [`CmLoss::glm_label`].
+    fn quadratic_target(&self, _x: &[f64]) -> Option<f64> {
+        None
+    }
+
     /// An owned, shareable handle to this loss — the retention hook for
     /// state backends that must keep the round's loss alive beyond the
     /// `answer` call (the lazy update-log representations of `pmw-sketch`
@@ -178,10 +194,18 @@ pub fn certificate_sweep(
 /// time; the link derivatives `φ′`; and `Σ w·(φ′·x)` in point order. So each
 /// row is read from memory once per call, however many rows there are.
 /// `value` runs the first pass per tile and sums `w·φ(⟨θ,x⟩, y)`. Widths up
-/// to 16 run kernels specialised to their width at compile time. No float
-/// changes its order against the per-point path, so every value, gradient
-/// and solver iterate is bit-for-bit the same. Other losses go through
-/// [`CmLoss::loss`] and [`CmLoss::gradient`] per point.
+/// to 16 run kernels specialised to their width at compile time.
+///
+/// For a loss with a [`CmLoss::quadratic_target`] (a linear query) the
+/// objective computes every positive-weight point's target `t` once, at
+/// construction. `gradient` and `value` are then one pass each over the
+/// (weight, target) pairs in point order, with the per-point path's
+/// expressions: `w·(θ₀ − t)` and `w·(0.5·r·r)` for `r = θ₀ − t`.
+///
+/// On both fast paths no float changes its order against the per-point
+/// path, so every value, gradient and solver iterate is bit-for-bit the
+/// same. Other losses go through [`CmLoss::loss`] and [`CmLoss::gradient`]
+/// per point.
 pub struct WeightedObjective<'a, L: CmLoss + ?Sized> {
     loss: &'a L,
     points: &'a PointMatrix,
@@ -189,6 +213,9 @@ pub struct WeightedObjective<'a, L: CmLoss + ?Sized> {
     /// The GLM passes' rows and labels; `None` for non-GLM losses. Boxed to
     /// keep the objective small for the per-point path.
     glm: Option<Box<GlmRows<'a>>>,
+    /// `(w, t(x))` for every positive-weight row, in point order; `None`
+    /// unless the loss reports a [`CmLoss::quadratic_target`].
+    targets: Option<Vec<(f64, f64)>>,
     grad_buf: RefCell<Vec<f64>>,
 }
 
@@ -224,13 +251,28 @@ impl<'a, L: CmLoss + ?Sized> WeightedObjective<'a, L> {
             .glm_link()
             .and_then(|link| GlmRows::new(loss, link, points, weights))
             .map(Box::new);
+        let targets = glm
+            .is_none()
+            .then(|| quadratic_targets(loss, points, weights))
+            .flatten();
         Ok(Self {
             loss,
             points,
             weights,
             glm,
+            targets,
             grad_buf: RefCell::new(vec![0.0; loss.dim()]),
         })
+    }
+
+    /// Minimize the objective over the loss's domain with the solver
+    /// [`default_solver_config`] derives from the loss metadata. The result
+    /// carries the objective's value at the returned `θ`, so a caller that
+    /// needs `min ℓ_D` evaluates nothing again.
+    pub fn solve(&self, max_iters: usize) -> Result<SolveResult, LossError> {
+        let config = default_solver_config(self.loss, max_iters)?;
+        let solver = ProjectedGradientDescent::new(config)?;
+        Ok(solver.minimize(self, self.loss.domain(), None)?)
     }
 }
 
@@ -242,6 +284,16 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
     fn value(&self, theta: &[f64]) -> f64 {
         if let Some(glm) = &self.glm {
             return glm.value(theta);
+        }
+        if let Some(targets) = &self.targets {
+            let theta = theta[0];
+            return targets
+                .iter()
+                .map(|&(w, t)| {
+                    let r = theta - t;
+                    w * (0.5 * r * r)
+                })
+                .sum();
         }
         self.points
             .iter()
@@ -257,6 +309,13 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
             glm.gradient(theta, out);
             return;
         }
+        if let Some(targets) = &self.targets {
+            let theta = theta[0];
+            for &(w, t) in targets {
+                out[0] += w * (theta - t);
+            }
+            return;
+        }
         let mut buf = self.grad_buf.borrow_mut();
         for (x, &w) in self.points.iter().zip(self.weights) {
             if w > 0.0 {
@@ -267,6 +326,25 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
             }
         }
     }
+}
+
+/// `(w, t(x))` for every positive-weight row, in point order, when the loss
+/// reports a [`CmLoss::quadratic_target`]; `None` otherwise. One call on the
+/// first row decides, before anything is allocated.
+fn quadratic_targets<L: CmLoss + ?Sized>(
+    loss: &L,
+    points: &PointMatrix,
+    weights: &[f64],
+) -> Option<Vec<(f64, f64)>> {
+    if loss.dim() != 1 {
+        return None;
+    }
+    loss.quadratic_target(points.row(0))?;
+    let mut targets = Vec::with_capacity(weights.iter().filter(|&&w| w > 0.0).count());
+    for (x, &w) in points.iter().zip(weights).filter(|(_, &w)| w > 0.0) {
+        targets.push((w, loss.quadratic_target(x)?));
+    }
+    Some(targets)
 }
 
 /// Rows per tile. The GLM passes run one tile at a time, so each row is read
@@ -475,7 +553,8 @@ fn accumulate(tile: &Tile<'_>, dphi: &[f64], acc: &mut [f64]) {
 /// from the loss metadata: constant-step gradient descent when smooth,
 /// averaged subgradient descent otherwise (strong convexity upgrades the
 /// schedule). This is the non-private inner solve PMW performs on hypothesis
-/// histograms every round.
+/// histograms every round: [`WeightedObjective::solve`] on a fresh objective,
+/// returning only `θ`.
 pub fn minimize_weighted<L: CmLoss + ?Sized>(
     loss: &L,
     points: &PointMatrix,
@@ -483,10 +562,7 @@ pub fn minimize_weighted<L: CmLoss + ?Sized>(
     max_iters: usize,
 ) -> Result<Vec<f64>, LossError> {
     let objective = WeightedObjective::new(loss, points, weights)?;
-    let config = default_solver_config(loss, max_iters)?;
-    let solver = ProjectedGradientDescent::new(config)?;
-    let result = solver.minimize(&objective, loss.domain(), None)?;
-    Ok(result.theta)
+    Ok(objective.solve(max_iters)?.theta)
 }
 
 /// The solver configuration [`minimize_weighted`] derives from loss
@@ -636,20 +712,74 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `len`-coordinate draws from `[lo, hi)`, from a generator seeded with
+    /// `seed`.
+    fn uniform_source(seed: u64) -> impl FnMut(usize, f64, f64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        move |len, lo, hi| {
+            (0..len)
+                .map(|_| lo + (hi - lo) * rng.random::<f64>())
+                .collect()
+        }
+    }
+
+    /// The weight layouts of the bit-identity tests, as (rows, weights):
+    /// every weight positive over the first `len - 3..=len` rows, so a GLM
+    /// objective borrows the point matrix; and `len` rows with zero weight
+    /// on the first, the last and 0..=3 more points, so it compacts the kept
+    /// rows. At `len = 2·TILE + 4` the kept rows fill two tiles and part of
+    /// a third (or exactly two) either way, and their counts take every
+    /// residue mod 4.
+    fn weight_layouts(
+        len: usize,
+        uniform: &mut impl FnMut(usize, f64, f64) -> Vec<f64>,
+    ) -> Vec<(usize, Vec<f64>)> {
+        let mut layouts: Vec<(usize, Vec<f64>)> =
+            (len - 3..=len).map(|n| (n, uniform(n, 0.1, 1.1))).collect();
+        for extra in 0..4 {
+            let mut w = uniform(len, 0.1, 1.1);
+            w[0] = 0.0;
+            w[len - 1] = 0.0;
+            for i in 0..extra {
+                w[7 + 9 * i] = 0.0;
+            }
+            layouts.push((len, w));
+        }
+        layouts
+    }
+
+    /// `value` and `gradient` of `fast` are `to_bits`-equal to `per_point`'s
+    /// at every `θ`.
+    fn assert_same_bits(
+        fast: &impl Objective,
+        per_point: &impl Objective,
+        thetas: &[Vec<f64>],
+        case: &str,
+    ) {
+        for theta in thetas {
+            assert_eq!(
+                fast.value(theta).to_bits(),
+                per_point.value(theta).to_bits(),
+                "{case}: value at {theta:?}"
+            );
+            assert_eq!(
+                bits(&fast.gradient_vec(theta)),
+                bits(&per_point.gradient_vec(theta)),
+                "{case}: gradient at {theta:?}"
+            );
+        }
+    }
+
     #[test]
     fn fused_glm_pass_is_bit_identical_to_the_per_point_path() {
         use crate::catalog::TargetLoss;
         use crate::glm::GlmLoss;
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
         use std::collections::BTreeSet;
 
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut uniform = |len: usize, lo: f64, hi: f64| -> Vec<f64> {
-            (0..len)
-                .map(|_| lo + (hi - lo) * rng.random::<f64>())
-                .collect()
-        };
+        let mut uniform = uniform_source(17);
         // (layout is borrowed, kept points mod 4) over every case.
         let mut covered = BTreeSet::new();
         let len = 2 * TILE + 4;
@@ -681,24 +811,7 @@ mod tests {
                 cases.push((Box::new(task), &unlabeled));
             }
 
-            // Every weight positive over the first `len - 3..=len` rows,
-            // so the objective borrows the point matrix; and `len` rows with
-            // zero weight on the first, the last and 0..=3 more points, so it
-            // compacts the kept rows. Either way the kept rows fill two
-            // tiles and part of a third (or exactly two), and their counts
-            // take every residue mod 4.
-            let mut layouts: Vec<(usize, Vec<f64>)> =
-                (len - 3..=len).map(|n| (n, uniform(n, 0.1, 1.1))).collect();
-            for extra in 0..4 {
-                let mut w = uniform(len, 0.1, 1.1);
-                w[0] = 0.0;
-                w[len - 1] = 0.0;
-                for i in 0..extra {
-                    w[7 + 9 * i] = 0.0;
-                }
-                layouts.push((len, w));
-            }
-
+            let layouts = weight_layouts(len, &mut uniform);
             let thetas = [vec![0.0; d], uniform(d, -0.3, 0.3), uniform(d, -0.9, 0.9)];
             for (loss, rows) in &cases {
                 let name = loss.name();
@@ -717,18 +830,7 @@ mod tests {
                     let borrowed = matches!(glm.rows, Cow::Borrowed(_));
                     assert_eq!(borrowed, w.iter().all(|&w| w > 0.0), "{case}");
                     covered.insert((borrowed, glm.labels.len() % 4));
-                    for theta in &thetas {
-                        assert_eq!(
-                            fused.value(theta).to_bits(),
-                            per_point.value(theta).to_bits(),
-                            "{case}: value at {theta:?}"
-                        );
-                        assert_eq!(
-                            bits(&fused.gradient_vec(theta)),
-                            bits(&per_point.gradient_vec(theta)),
-                            "{case}: gradient at {theta:?}"
-                        );
-                    }
+                    assert_same_bits(&fused, &per_point, &thetas, &case);
                     let a = minimize_weighted(loss.as_ref(), &pts, w, 60).unwrap();
                     let b = minimize_weighted(&per_point_loss, &pts, w, 60).unwrap();
                     assert_eq!(bits(&a), bits(&b), "{case}: minimizer");
@@ -736,6 +838,74 @@ mod tests {
             }
         }
         assert_eq!(covered.len(), 8, "{covered:?}");
+    }
+
+    #[test]
+    fn target_pass_is_bit_identical_to_the_per_point_path() {
+        use crate::linear_query::{LinearQueryLoss, PointPredicate};
+
+        let mut uniform = uniform_source(29);
+        let (len, p) = (2 * TILE + 4, 6);
+        // Coordinates in [0, 1], so every predicate splits the rows.
+        let rows = matrix((0..len).map(|_| uniform(p, 0.0, 1.0)).collect());
+        let predicates = [
+            PointPredicate::Halfspace {
+                normal: uniform(p, -1.0, 1.0),
+                offset: 0.1,
+            },
+            PointPredicate::Threshold {
+                coord: 2,
+                threshold: 0.4,
+            },
+            PointPredicate::Conjunction { coords: vec![0, 3] },
+            // Clamped at both ends on some rows, strictly inside on others.
+            PointPredicate::Linear {
+                weights: vec![0.9, -0.9, 0.6, -0.6, 0.3, -0.3],
+                offset: 0.5,
+            },
+        ];
+        let layouts = weight_layouts(len, &mut uniform);
+        // Three θ inside Θ = [0, 1] and one outside it.
+        let thetas = [
+            uniform(1, 0.0, 1.0),
+            uniform(1, 0.0, 1.0),
+            uniform(1, 0.0, 1.0),
+            uniform(1, 1.0, 2.0),
+        ];
+        for predicate in predicates {
+            let loss = LinearQueryLoss::new(predicate, p).unwrap();
+            let hidden = PerPoint {
+                inner: &loss,
+                nan_bound: false,
+            };
+            for (n, w) in &layouts {
+                let pts = PointMatrix::from_flat(rows.row_block(0, *n).to_vec(), p).unwrap();
+                let fast = WeightedObjective::new(&loss, &pts, w).unwrap();
+                let per_point = WeightedObjective::new(&hidden, &pts, w).unwrap();
+                let kept = w.iter().filter(|&&w| w > 0.0).count();
+                let case = format!("{:?}, {kept} of {n} rows kept", loss.predicate());
+                let targets = fast.targets.as_ref().expect("target objective");
+                assert_eq!(targets.len(), kept, "{case}");
+                assert!(
+                    per_point.targets.is_none() && per_point.glm.is_none(),
+                    "{case}"
+                );
+                for t in [0.0, 1.0] {
+                    assert!(
+                        targets.iter().any(|&(_, x)| x == t),
+                        "{case}: no target {t}"
+                    );
+                }
+                if matches!(loss.predicate(), PointPredicate::Linear { .. }) {
+                    let inside = targets.iter().any(|&(_, t)| t > 0.0 && t < 1.0);
+                    assert!(inside, "{case}: no target inside (0, 1)");
+                }
+                assert_same_bits(&fast, &per_point, &thetas, &case);
+                let (a, b) = (fast.solve(60).unwrap(), per_point.solve(60).unwrap());
+                assert_eq!(bits(&a.theta), bits(&b.theta), "{case}: minimizer");
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{case}: minimum");
+            }
+        }
     }
 
     #[test]
