@@ -41,9 +41,9 @@
 use pmw_bench::{header, probed_run, write_artifact};
 use pmw_core::{DataSide, DenseBackend, Mwem};
 use pmw_data::workload::random_implicit_marginals;
-use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointSource};
+use pmw_data::{BigBitCube, BooleanCube, Dataset, ImplicitQuery, PointQuery, PointSource};
 use pmw_obs::{json_object, Json, NoopProbe, Probe};
-use pmw_sketch::{SampledBackend, SampledConfig};
+use pmw_sketch::{exact_query_values, SampledBackend, SampledConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -141,8 +141,9 @@ struct SampledRun {
     radius_wins: (usize, usize, usize),
     /// Final-state calibration probe `(claimed_radius_mean,
     /// realized_err_mean)`: fresh `query_mean` estimates on the run's
-    /// final state paired with the **exact** lazy-log evaluation of the
-    /// same state — per-estimate calibration, not transcript divergence
+    /// final state paired with the **exact** update-log evaluation of the
+    /// same state (`exact_query_values`) — per-estimate calibration, not
+    /// transcript divergence
     /// (the widened EM makes sampled selections diverge from dense, so
     /// `answer_err_vs_dense` measures a different thing).
     probe: Option<(f64, f64)>,
@@ -214,37 +215,20 @@ fn sampled_total<P: Probe>(
     );
     drop(ledger);
     // The calibration probe: exact expected query values of the run's
-    // *own* final state via a streaming two-pass sweep of its retained
-    // update log (the LazyLogBackend evaluation engine — O(|X|·t·d), no
-    // |X|-sized allocation), against fresh estimates of the same state.
-    // This pairs each claimed radius with the estimator error it actually
-    // bounds; it is only affordable at the shared (error) size.
+    // *own* final state, swept from its retained update log by
+    // `exact_query_values` (O(|X|·t·d), no |X|-sized allocation), against
+    // fresh estimates of the same state. This pairs each claimed radius
+    // with the estimator error it actually bounds; it is only affordable
+    // at the shared (error) size.
     let probe = if probe_exact {
         let probe_source = BigBitCube::new(log2_x).expect("probe source");
-        let n = probe_source.len();
-        let mut point = vec![0.0; probe_source.dim()];
-        let mut grad = Vec::new();
-        let log = run.state.log();
-        let mut shift = f64::NEG_INFINITY;
-        for x in 0..n {
-            probe_source.write_point(x, &mut point);
-            shift = shift.max(log.log_weight_at(&point, &mut grad).expect("log weight"));
-        }
-        let mut den = 0.0;
-        let mut nums = vec![0.0; queries.len()];
-        for x in 0..n {
-            probe_source.write_point(x, &mut point);
-            let w = (log.log_weight_at(&point, &mut grad).expect("log weight") - shift).exp();
-            den += w;
-            for (num, q) in nums.iter_mut().zip(&queries) {
-                *num += w * q.evaluate(&point);
-            }
-        }
+        let refs: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
+        let exact = exact_query_values(run.state.log(), &probe_source, &refs).expect("exact sweep");
         let mut err_sum = 0.0;
         let mut radius_sum = 0.0;
-        for (q, num) in queries.iter().zip(&nums) {
+        for (q, truth) in queries.iter().zip(&exact) {
             let est = run.state.query_mean(q).expect("probe estimate");
-            err_sum += (est.value - num / den).abs();
+            err_sum += (est.value - truth).abs();
             radius_sum += est.radius;
         }
         let k = queries.len() as f64;

@@ -18,9 +18,8 @@
 //!
 //! A fourth section — the **backend axis** — times one state-maintenance
 //! round (one MW update plus one state read) through each
-//! [`StateBackend`] flavor: `dense` (Θ(|X|)
-//! sweep), `lazy` (O(1) record, O(t·d) point lookup) and `sampled`
-//! (O(m·d) pooled round at the configured budget). Pass `--smoke` for a
+//! [`StateBackend`]: `dense` (Θ(|X|) sweep) and `sampled` (O(m·d) pooled
+//! round at the configured budget). Pass `--smoke` for a
 //! seconds-long CI variant (small sizes, few reps) that still writes a
 //! schema-complete artifact.
 //!
@@ -43,13 +42,12 @@ use pmw_core::update::dual_certificate_into;
 use pmw_core::{DenseBackend, OnlinePmw, PmwConfig, StateBackend};
 use pmw_data::{BooleanCube, Histogram, PointMatrix, Universe};
 use pmw_erm::ExactOracle;
-use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
+use pmw_losses::{LinearQueryLoss, PointPredicate};
 use pmw_obs::{json_object, Json, NoopProbe, Probe};
-use pmw_sketch::{LazyLogBackend, RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
+use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Mean wall time of `f` in nanoseconds over `reps` calls (plus warmup).
@@ -193,13 +191,12 @@ fn axis_round(dim: usize, t: usize) -> (LinearQueryLoss, [f64; 1], [f64; 1], f64
 }
 
 /// Backend-axis timings at `|X| = 2^log2_x`, printed as TSV rows and
-/// returned as the artifact's `backend_axis` rows. Per backend flavor,
+/// returned as the artifact's `backend_axis` rows. Per backend,
 /// `round_ns` is one MW round: the update plus one full state read of the
-/// kind the backend supports (dense: weights sweep; lazy: record only,
-/// since reads are point-level by design; sampled: pooled record plus a
-/// certificate-mean estimate). `point_read_ns` is one point-level read
-/// (dense: cached mass lookup; lazy: O(t·d) log-weight evaluation;
-/// sampled: one Gumbel-max sample, O(m)).
+/// kind the backend supports (dense: weights sweep; sampled: pooled
+/// record plus a certificate-mean estimate). `point_read_ns` is one
+/// point-level read (dense: cached mass lookup; sampled: one Gumbel-max
+/// sample, O(m)).
 fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Json> {
     let dim = log2_x;
     let m = 1usize << log2_x;
@@ -236,29 +233,6 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Json
         black_box(dense.hypothesis().mass(i % m));
     }
     push_row("dense", dense_round, start);
-
-    // Lazy: O(1) record; point reads re-evaluate the O(t·d) log.
-    let mut lazy = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
-    let start = Instant::now();
-    for t in 0..rounds {
-        let (loss, t_o, t_h, eta) = axis_round(dim, t);
-        lazy.record(
-            RoundUpdate::new(
-                Arc::new(loss) as Arc<dyn CmLoss>,
-                t_o.to_vec(),
-                t_h.to_vec(),
-                eta,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-    }
-    let lazy_round = start.elapsed().as_nanos() as f64 / rounds as f64;
-    let start = Instant::now();
-    for i in 0..reads {
-        black_box(lazy.log_weight_of(i % m).unwrap());
-    }
-    push_row("lazy", lazy_round, start);
 
     // Sampled: O(budget·d) pooled round (record + certificate estimate).
     let mut sampled = SampledBackend::new(

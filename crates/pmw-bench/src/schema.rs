@@ -265,7 +265,7 @@ fn axis_rows<'a>(
 /// chunked certificate sweep loses to the serial one.
 pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
 
-/// Validate `BENCH_runtime.json`: its columns, the `dense`/`lazy`/`sampled`
+/// Validate `BENCH_runtime.json`: its columns, the `dense`/`sampled`
 /// backend rows, and a `threads_axis` of the serial baseline plus at least
 /// one multi-worker count, one `thread_scaling` row each. With
 /// `smoke: false` and `parallel: true`, every count up to
@@ -276,7 +276,7 @@ pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
 pub fn validate_bench_runtime(text: &str) -> Result<(), String> {
     let doc = check(text, "runtime_scaling", &[RUNTIME, PROBE])?;
     let backends = rows_at(&doc, "backend_axis")?;
-    for backend in ["dense", "lazy", "sampled"] {
+    for backend in ["dense", "sampled"] {
         if !backends
             .iter()
             .any(|row| row.get("backend").and_then(Json::as_str) == Some(backend))
@@ -548,7 +548,6 @@ mod tests {
       ],
       "backend_axis": [
         {"backend": "dense", "log2_x": 12, "round_ns": 5000.0, "point_read_ns": 2.0},
-        {"backend": "lazy", "log2_x": 12, "round_ns": 90.0, "point_read_ns": 40.0},
         {"backend": "sampled", "log2_x": 12, "round_ns": 800.0, "point_read_ns": 60.0}
       ],
       "threads_axis": [1, 2],
@@ -610,11 +609,12 @@ mod tests {
     fn runtime_validator_rejects_bad_values_and_missing_keys() {
         assert!(validate_bench_runtime("{}").is_err());
         let missing_backend = RUNTIME_DOC.replace(
-            r#"{"backend": "lazy", "log2_x": 12, "round_ns": 90.0, "point_read_ns": 40.0},"#,
+            r#",
+        {"backend": "sampled", "log2_x": 12, "round_ns": 800.0, "point_read_ns": 60.0}"#,
             "",
         );
         let err = validate_bench_runtime(&missing_backend).unwrap_err();
-        assert!(err.contains("lazy"), "{err}");
+        assert!(err.contains("sampled"), "{err}");
         let negative = RUNTIME_DOC.replace(
             "\"certificate_ns_per_elem\": 2.0",
             "\"certificate_ns_per_elem\": -3.0",

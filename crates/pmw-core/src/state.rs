@@ -13,13 +13,12 @@
 //! * `SampledBackend` (the `pmw-sketch` crate) keeps the update log
 //!   `{(η_t, θ_t, θ̂_t, ℓ_t)}` plus a Monte-Carlo pool instead of a
 //!   `|X|`-sized vector and implements this trait, so the mechanisms run
-//!   on sketched state directly; its exact sibling `LazyLogBackend` is
-//!   the per-point evaluation engine (driven through its own API, not
-//!   this trait — a full-universe solve over lazy state would defeat its
-//!   no-`|X|`-allocation contract).
+//!   on sketched state directly. The exact values its estimates are
+//!   checked against come from `pmw_sketch::exact_query_values`, a
+//!   `Θ(|X|)` sweep of the same log that is a function, not a backend.
 //!
-//! Backends that must retain the round's loss beyond the call (the lazy
-//! representations) obtain an owned handle via
+//! Backends that must retain the round's loss beyond the call (the
+//! update-log representation) obtain an owned handle via
 //! [`CmLoss::clone_shared`]; the dense backend needs no retention and
 //! works with any loss.
 
@@ -395,8 +394,9 @@ pub trait StateBackend {
     }
 
     /// True when [`StateBackend::apply_update`] needs an owned handle to
-    /// the round's loss ([`CmLoss::clone_shared`]) — lazy update-log
-    /// backends re-evaluate past payoffs and must retain it. The
+    /// the round's loss ([`CmLoss::clone_shared`]) — an update-log backend
+    /// such as `pmw_sketch::SampledBackend` re-evaluates past payoffs
+    /// whenever it replays a point, and must retain it. The
     /// mechanisms check this **before spending any privacy budget** on a
     /// round, so a non-retainable loss fails cleanly instead of draining
     /// the accountant on an update that can never be recorded.

@@ -39,7 +39,6 @@
 //! passes are chunked across cores via [`crate::par`].
 
 use crate::error::DataError;
-use crate::logweight::LogWeightFn;
 use crate::par;
 use rand::{Rng, RngExt};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -456,16 +455,6 @@ impl Histogram {
             .enumerate()
             .map(|(i, &w)| if w > 0.0 { w * f(i) } else { 0.0 })
             .sum()
-    }
-}
-
-impl LogWeightFn for Histogram {
-    fn universe_size(&self) -> usize {
-        self.len()
-    }
-
-    fn log_weight(&self, x: usize) -> f64 {
-        self.log_w[x]
     }
 }
 

@@ -9,8 +9,8 @@
 //! * the **histogram representation** `D ∈ R^X` used throughout the paper's
 //!   technical sections, stored in the log domain so the Θ(|X|) MW update
 //!   is a single fused pass ([`histogram`]),
-//! * **point-indexed log-weight oracles** and the Gumbel-max sampler — the
-//!   evaluation seam the sublinear (`pmw-sketch`) state backends build on
+//! * the **Gumbel-max sampler** over unnormalized log-weights, shared by
+//!   the dense histogram and the sublinear (`pmw-sketch`) pool
 //!   ([`logweight`]),
 //! * **point sources** — on-demand indexed point access with no
 //!   materialization ceiling ([`source`]): the seam the sketching backends
@@ -45,9 +45,7 @@ pub mod workload;
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use histogram::Histogram;
-pub use logweight::{
-    gumbel_max_among, gumbel_max_index, standard_gumbel, LogWeightFn, PointLogWeights,
-};
+pub use logweight::{gumbel_max_index, standard_gumbel};
 pub use matrix::PointMatrix;
 pub use source::{BigBitCube, PointSource, UniversePoints};
 pub use universe::{BooleanCube, EnumeratedUniverse, GridUniverse, LabeledGridUniverse, Universe};

@@ -1,11 +1,17 @@
 //! Chunked parallel sweeps over universe-sized buffers.
 //!
-//! The Θ(|X|) inner loops (MW update, certificate sweep, normalization) and
-//! the lazy update-log backend's universe-axis replay are embarrassingly
-//! parallel over blocks. The build environment has no registry access, so
-//! instead of rayon this module provides the primitives those loops need —
-//! a chunked `for_each` over a mutable buffer and chunked folds — on top of
-//! [`std::thread::scope`].
+//! The dense Θ(|X|) inner loops (MW update, certificate sweep,
+//! normalization) are embarrassingly parallel over blocks. The build
+//! environment has no registry access, so instead of rayon this module
+//! provides the primitives those loops need — a chunked `for_each` over a
+//! mutable buffer and chunked folds — on top of [`std::thread::scope`].
+//!
+//! The dense kernels call the default-grain forms ([`for_each_chunk_mut`],
+//! [`fold_chunks`], [`fold_chunks_mut`]), which wrap the explicit-plan
+//! forms ([`plan_for_each_mut`], [`plan_fold`], [`plan_fold_mut`]). A
+//! caller that picks its own grain builds the plan with
+//! [`ChunkPlan::with_grain`]; the benchmark under `perfbench/` does, to
+//! time one dispatch.
 //!
 //! Every call opens a fresh scope, so a sweep only gains when its work
 //! dwarfs a thread handoff. The sampled sketch's pool sweeps do not: a
@@ -133,9 +139,8 @@ impl ChunkPlan {
     }
 
     /// Plan for `len` elements with an explicit grain (clamped to ≥ 1).
-    /// Smaller grains expose more parallelism for heavy per-element work
-    /// (e.g. O(t·d) log-weight replay) at the cost of more spawn/bookkeeping
-    /// overhead.
+    /// Smaller grains expose more parallelism for heavy per-element work,
+    /// at the cost of more spawn/bookkeeping overhead per element.
     pub fn with_grain(len: usize, grain: usize) -> Self {
         Self {
             len,

@@ -65,6 +65,9 @@ pub(crate) fn validate_inputs(
 
 /// Excess empirical risk `err_ℓ(D, θ̂) = ℓ_D(θ̂) − min_θ ℓ_D(θ)`
 /// (Definition 2.2), with the minimum computed non-privately.
+///
+/// A difference that is not finite (a NaN or infinite `θ̂`) is an error:
+/// flooring it at 0 would score a NaN answer as perfectly accurate.
 pub fn excess_risk(
     loss: &dyn CmLoss,
     points: &PointMatrix,
@@ -74,7 +77,11 @@ pub fn excess_risk(
 ) -> Result<f64, ErmError> {
     let obj = WeightedObjective::new(loss, points, weights)?;
     let opt = obj.solve(solver_iters)?.value;
-    Ok((obj.value(theta) - opt).max(0.0))
+    let excess = obj.value(theta) - opt;
+    if !excess.is_finite() {
+        return Err(ErmError::InvalidParameter("excess risk is not finite"));
+    }
+    Ok(excess.max(0.0))
 }
 
 /// Runtime-selectable oracle, including an `Auto` mode that picks the
@@ -195,6 +202,27 @@ mod tests {
         .unwrap();
         let w = vec![0.2; 5];
         (pts, w)
+    }
+
+    #[test]
+    fn excess_risk_refuses_non_finite_answers() {
+        let loss = pmw_losses::LinearQueryLoss::new(
+            pmw_losses::PointPredicate::Conjunction { coords: vec![0] },
+            2,
+        )
+        .unwrap();
+        let (pts, w) = toy_data();
+        let risk = excess_risk(&loss, &pts, &w, &[0.5], 50).unwrap();
+        assert!(risk.is_finite() && risk >= 0.0);
+        for theta in [f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    excess_risk(&loss, &pts, &w, &[theta], 50),
+                    Err(ErmError::InvalidParameter(_))
+                ),
+                "theta {theta} must not score a finite excess risk"
+            );
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl AnalystHandle {
     /// submit the screened request and block for the writer's verdict.
     pub fn answer(&mut self, loss: &dyn CmLoss) -> Result<ServeAnswer, PmwError> {
         // The writer needs an owned handle to the loss for the commit
-        // path (and lazy backends retain it past the round).
+        // path (and update-log backends retain it past the round).
         let shared = loss.clone_shared().ok_or(PmwError::LossMismatch(
             "serving requires a loss supporting clone_shared",
         ))?;

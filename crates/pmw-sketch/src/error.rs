@@ -17,7 +17,7 @@ pub enum SketchError {
     },
     /// A configuration parameter was invalid.
     InvalidParameter(&'static str),
-    /// The loss cannot be retained by a lazy backend
+    /// The loss cannot be retained in the update log
     /// ([`pmw_losses::CmLoss::clone_shared`] returned `None`).
     UnsupportedLoss(&'static str),
     /// A numeric invariant failed (non-finite payoff or weight).

@@ -14,8 +14,9 @@
 //!   rounds fold into [`LogCheckpoint`]s so replay restarts from the
 //!   newest checkpoint — amortized `O(d)` per lookup, flat in `t`, with
 //!   any lossy fold charged through the sampling ledger.
-//! * [`LazyLogBackend`] — exact per-point lookups over a [`PointSource`];
-//!   `O(1)` per round, no `|X|`-sized allocation ever (module [`lazy`]).
+//!   [`exact_query_values`] sweeps a [`PointSource`] through the log for
+//!   the exact expectations the estimates are checked against, with no
+//!   `|X|`-sized allocation.
 //! * [`SampledBackend`] — a Monte-Carlo pool with incrementally maintained
 //!   log-weights: `O(m·d)` per round and per read at sample budget `m`,
 //!   with concentration-bounded certificate estimates, quantile-bounded
@@ -50,7 +51,6 @@
 pub mod error;
 pub mod fault;
 pub mod health;
-pub mod lazy;
 pub mod log;
 pub mod sampled;
 mod snis;
@@ -59,7 +59,8 @@ pub mod source;
 pub use error::SketchError;
 pub use fault::{FaultPlan, FaultRule, FaultyBackend, FaultyOracle, FaultySource};
 pub use health::PoolHealth;
-pub use lazy::{LazyLogBackend, LazySnapshot};
-pub use log::{CompactionPolicy, CompactionReceipt, LogCheckpoint, RoundUpdate, UpdateLog};
+pub use log::{
+    exact_query_values, CompactionPolicy, CompactionReceipt, LogCheckpoint, RoundUpdate, UpdateLog,
+};
 pub use sampled::{Estimate, MaxEstimate, SampledBackend, SampledConfig, SampledSnapshot};
 pub use source::{BigBitCube, PointSource, UniversePoints};

@@ -14,7 +14,8 @@
 //! exactly those parameters (`O(t·d)` memory total, `O(1)` amortized per
 //! round) and evaluates the log-weight of any single point on demand in
 //! `O(t·d)` — never touching the other `|X| − 1` elements. This is the
-//! shared engine of both sublinear backends, for both mechanism families.
+//! engine of the sampled backend and of the exact reference below, for
+//! both mechanism families.
 //!
 //! ## Checkpointed compaction
 //!
@@ -32,16 +33,25 @@
 //! folded prefix (**lossy**); the resulting weight distortion is bounded
 //! by the folded drift, and the backends charge it through
 //! [`pmw_dp::compaction_fold_radius`] so every read's claim stays honest.
+//!
+//! ## The exact reference
+//!
+//! [`exact_query_values`] sweeps a whole [`PointSource`] through the log
+//! and returns the exact expectations `⟨q, D̂_t⟩` the sketched estimates
+//! are checked against — in tests and in `exp_mwem`'s calibration probe.
+//! It is a `Θ(|X|·t·d)` spot check, not a per-round operation.
 
 use crate::error::SketchError;
+use crate::source::PointSource;
 use pmw_core::update::{dual_certificate_at, dual_certificate_seeded};
 use pmw_data::workload::PointQuery;
 use pmw_losses::CmLoss;
 use std::sync::Arc;
 
 /// Validate that `query` matches a universe of `universe_len` elements
-/// with `point_dim`-dimensional points — shared by both sketch backends
-/// so the exact (lazy) reference and the SNIS estimate cannot drift.
+/// with `point_dim`-dimensional points — shared by the sampled backend
+/// and [`exact_query_values`] so the SNIS estimate and the exact
+/// reference cannot drift.
 pub(crate) fn validate_query_shape(
     query: &dyn PointQuery,
     universe_len: usize,
@@ -65,7 +75,7 @@ pub(crate) fn validate_query_shape(
 
 /// Index-or-point query evaluation with this crate's error type — one
 /// thin wrapper over the canonical [`pmw_data::workload::query_value`]
-/// dispatch, shared by both sketch backends.
+/// dispatch, shared like [`validate_query_shape`].
 pub(crate) fn query_value_at(
     query: &dyn PointQuery,
     index: usize,
@@ -415,10 +425,9 @@ impl std::fmt::Debug for RoundUpdate {
 /// The lazily evaluated MW state: uniform prior (`log w ≡ 0`) plus the
 /// recorded rounds, with any folded prefix summarized by the newest
 /// [`LogCheckpoint`].
-/// Cloning freezes the current state — the snapshot publication
-/// primitive of the lazy path: `O(retained·d)` parameter copies, with the
-/// heavy loss/query payloads *and the checkpoint* shared behind `Arc`s,
-/// so a published snapshot is O(1) in the folded history.
+/// Cloning freezes the current state: `O(retained·d)` parameter copies,
+/// with the heavy loss/query payloads *and the checkpoint* shared behind
+/// `Arc`s, so a clone is O(1) in the folded history.
 #[derive(Debug, Default, Clone)]
 pub struct UpdateLog {
     /// Retained (un-folded) rounds, oldest first.
@@ -655,11 +664,72 @@ impl UpdateLog {
     }
 }
 
+/// Exact expected values `⟨q, D̂_t⟩` of `queries` under the hypothesis
+/// `log` represents over `source`, in query order: the reference the
+/// sketched estimates are checked against.
+///
+/// Two serial sweeps over `x = 0..|X|`, each replaying the point's
+/// log-weight with [`UpdateLog::log_weight_at`]. The first takes the
+/// largest log-weight as the shift. The second accumulates
+/// `w = exp(lw − shift)` into one normaliser and `w·q(x)` into one
+/// numerator per query, in `x` order. `Θ(|X|·(t·d + k))` time and no
+/// `|X|`-sized allocation. Each query's value depends only on the log, the
+/// source and that query, so one sweep of k queries gives the bits of k
+/// sweeps of one.
+///
+/// The replay walks the retained rounds only, so the values are exact
+/// while nothing has been folded. After a panel-free fold
+/// (`compact(&[], &[], 0.0)`) each one is off by at most
+/// [`pmw_dp::compaction_fold_radius`] of its query's scale and
+/// [`UpdateLog::folded_drift`].
+///
+/// Errors on an empty source, on a query or retained round whose shape
+/// does not match the source, and on a non-finite payoff.
+pub fn exact_query_values<S: PointSource + ?Sized>(
+    log: &UpdateLog,
+    source: &S,
+    queries: &[&dyn PointQuery],
+) -> Result<Vec<f64>, SketchError> {
+    let (n, dim) = (source.len(), source.dim());
+    if n == 0 {
+        return Err(SketchError::EmptyUniverse);
+    }
+    for &query in queries {
+        validate_query_shape(query, n, dim)?;
+    }
+    if let Some(round) = log.rounds.iter().find(|r| r.point_dim() != dim) {
+        return Err(SketchError::DimensionMismatch {
+            got: round.point_dim(),
+            expected: dim,
+        });
+    }
+    let mut point = vec![0.0; dim];
+    let mut grad = Vec::new();
+    let mut shift = f64::NEG_INFINITY;
+    for x in 0..n {
+        source.write_point(x, &mut point);
+        shift = shift.max(log.log_weight_at(&point, &mut grad)?);
+    }
+    let mut nums = vec![0.0; queries.len()];
+    let mut den = 0.0;
+    for x in 0..n {
+        source.write_point(x, &mut point);
+        let w = (log.log_weight_at(&point, &mut grad)? - shift).exp();
+        for (num, &query) in nums.iter_mut().zip(queries) {
+            *num += w * query_value_at(query, x, &point)?;
+        }
+        den += w;
+    }
+    Ok(nums.into_iter().map(|num| num / den).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::UniversePoints;
+    use pmw_core::update::dual_certificate;
     use pmw_data::workload::ImplicitQuery;
-    use pmw_data::{LinearQuery, PointQuery};
+    use pmw_data::{BooleanCube, Histogram, LinearQuery, PointQuery, Universe};
     use pmw_losses::{LinearQueryLoss, PointPredicate, SquaredLoss};
 
     fn lq(bit: usize, dim: usize) -> Arc<dyn CmLoss> {
@@ -892,5 +962,66 @@ mod tests {
         let (lw, seeded) = log.log_weight_seeded(0, &[1.0, 0.0], &mut grad).unwrap();
         assert_eq!(lw, 0.0);
         assert!(!seeded);
+    }
+
+    #[test]
+    fn query_rounds_and_exact_query_values_match_dense() {
+        // Mix a certificate round and a query round; the log-weights and
+        // the exact expectation sweep must match a dense histogram driven
+        // by the same updates.
+        let cube = BooleanCube::new(4).unwrap();
+        let points = cube.materialize();
+        let source = UniversePoints(cube.clone());
+        let mut dense = Histogram::uniform(cube.size()).unwrap();
+        let mut log = UpdateLog::new();
+
+        let loss = lq(0, 4);
+        let u = dual_certificate(loss.as_ref(), &points, &[0.9], &[0.4]).unwrap();
+        dense.mw_update(&u, 0.7).unwrap();
+        log.push(RoundUpdate::new(loss, vec![0.9], vec![0.4], 0.7).unwrap());
+
+        let q = ImplicitQuery::marginal(vec![1, 2], 4).unwrap();
+        let qu: Vec<f64> = points.iter().map(|p| -0.4 * q.evaluate(p)).collect();
+        dense.mw_update(&qu, 1.0).unwrap();
+        log.push(RoundUpdate::query_from_dyn(&q, -0.4, 1.0).unwrap());
+
+        let mut grad = Vec::new();
+        for x in 0..cube.size() {
+            let l = log.log_weight_at(points.row(x), &mut grad).unwrap();
+            let d = dense.log_weight(x);
+            assert!((l - d).abs() < 1e-12, "x={x}: log {l} vs dense {d}");
+        }
+        // Exact expectation: identical (to fp) with the dense dot, for an
+        // implicit and for a dense query of the same predicate.
+        let probe = ImplicitQuery::marginal(vec![3], 4).unwrap();
+        let dense_probe: Vec<f64> = points.iter().map(|p| probe.evaluate(p)).collect();
+        let exact: f64 = dense
+            .weights()
+            .iter()
+            .zip(&dense_probe)
+            .map(|(w, v)| w * v)
+            .sum();
+        let via_point = exact_query_values(&log, &source, &[&probe]).unwrap()[0];
+        assert!((via_point - exact).abs() < 1e-12, "{via_point} vs {exact}");
+        let dense_q = LinearQuery::new(dense_probe).unwrap();
+        let via_index = exact_query_values(&log, &source, &[&dense_q]).unwrap()[0];
+        assert!((via_index - exact).abs() < 1e-12);
+        // One sweep of k queries gives the bits of k single sweeps.
+        let batch = exact_query_values(&log, &source, &[&probe, &dense_q, &q]).unwrap();
+        let single = exact_query_values(&log, &source, &[&q]).unwrap()[0];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batch), bits(&[via_point, via_index, single]));
+        // Dimension mismatches are rejected: a query's, and a recorded
+        // round's against the source.
+        let wrong = ImplicitQuery::marginal(vec![0], 7).unwrap();
+        assert!(exact_query_values(&log, &source, &[&wrong]).is_err());
+        log.push(RoundUpdate::query_from_dyn(&wrong, 1.0, 0.5).unwrap());
+        assert_eq!(
+            exact_query_values(&log, &source, &[&probe]),
+            Err(SketchError::DimensionMismatch {
+                got: 7,
+                expected: 4
+            })
+        );
     }
 }

@@ -98,7 +98,7 @@ pub struct SampledConfig {
     /// appears in every round's estimate — and increasingly mismatched
     /// with the drifting hypothesis; refreshing re-draws `m` fresh
     /// candidates and re-evaluates each from the retained update log in
-    /// `O(t·d)` (the `LazyLogBackend` evaluation engine), restoring
+    /// `O(t·d)` ([`UpdateLog::log_weight_seeded`]), restoring
     /// independence at `O(m·t·d)` per refresh. Exhaustive pools never
     /// resample.
     pub resample_every: usize,
@@ -2229,7 +2229,7 @@ mod tests {
         assert_eq!(sketch.resamples(), 1);
         assert_ne!(before, sketch.pool_indices, "pool must be redrawn");
         // Every fresh candidate's cached log-weight equals the exact
-        // from-scratch (LazyLogBackend-engine) evaluation.
+        // from-scratch replay of the update log.
         for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(

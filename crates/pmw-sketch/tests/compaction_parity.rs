@@ -9,10 +9,11 @@
 //!   betas, Gumbel draws, per-point log-weights — is **bit-for-bit** the
 //!   uncompacted backend's, at 1, 2, and 8 threads alike.
 //! * **Lossy folds are honestly priced.** When folded rounds genuinely
-//!   drop information (panel misses; the lazy backend's panel-free
-//!   folds), the realized error never exceeds the claimed
-//!   [`compaction_fold_radius`], across a grid of drift regimes, and the
-//!   claim is ledgered as a sure (β = 0) fold entry.
+//!   drop information (panel misses; panel-free folds of a bare
+//!   [`UpdateLog`], read through [`exact_query_values`]), the realized
+//!   error never exceeds the claimed [`compaction_fold_radius`], across a
+//!   grid of drift regimes, and the sampled backend ledgers the claim as
+//!   a sure (β = 0) fold entry.
 //! * **Replay cost is amortized O(1) in t.** Under an active policy the
 //!   resample replay depth stays bounded by the fold cadence while the
 //!   uncompacted backend's grows linearly with the round count — the fix
@@ -25,7 +26,8 @@ use pmw_data::{BooleanCube, PointQuery, Universe};
 use pmw_dp::{compaction_fold_radius, RadiusBound};
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
 use pmw_sketch::{
-    CompactionPolicy, LazyLogBackend, RoundUpdate, SampledBackend, SampledConfig, UniversePoints,
+    exact_query_values, CompactionPolicy, RoundUpdate, SampledBackend, SampledConfig,
+    UniversePoints, UpdateLog,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -208,17 +210,20 @@ fn panel_hits_replay_bit_for_bit_and_misses_stay_within_the_folded_drift() {
 
 #[test]
 fn lossy_fold_realized_error_stays_within_the_claimed_radius() {
-    // The lazy backend's panel-free folds are maximally lossy: folded
-    // rounds are dropped outright. Across a grid of drift regimes (eta
-    // scalings) and fold cadences, the realized error of every read must
-    // stay within the claimed fold radius the snapshot reports.
-    let cube = BooleanCube::new(DIM).unwrap();
+    // Panel-free folds (`compact(&[], &[], 0.0)`) are maximally lossy:
+    // folded rounds are dropped outright. Across a grid of drift regimes
+    // (eta scalings) and fold cadences, the exact sweep of the folded log
+    // must stay within the claimed fold radius of the unfolded log's.
+    let source = UniversePoints(BooleanCube::new(DIM).unwrap());
+    let queries: Vec<ImplicitQuery> = (0..DIM)
+        .map(|bit| ImplicitQuery::marginal(vec![bit], DIM).unwrap())
+        .collect();
+    let queries: Vec<&dyn PointQuery> = queries.iter().map(|q| q as &dyn PointQuery).collect();
     for &eta_scale in &[0.05, 0.3, 0.8, 1.5] {
         for &k in &[2usize, 4] {
-            let mut exact = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
-            let mut lossy = LazyLogBackend::new(UniversePoints(cube.clone()))
-                .unwrap()
-                .with_compaction(CompactionPolicy::EveryK(k));
+            let policy = CompactionPolicy::EveryK(k);
+            let mut exact = UpdateLog::new();
+            let mut lossy = UpdateLog::new();
             for &(bit, t_o, t_h, eta) in &steps() {
                 let update = RoundUpdate::new(
                     Arc::new(bit_loss(bit)) as Arc<dyn CmLoss>,
@@ -227,35 +232,26 @@ fn lossy_fold_realized_error_stays_within_the_claimed_radius() {
                     eta * eta_scale,
                 )
                 .unwrap();
-                exact.record(update.clone()).unwrap();
-                lossy.record(update).unwrap();
+                exact.push(update.clone());
+                lossy.push(update);
+                if policy.due(lossy.retained_len(), lossy.retained_bytes()) {
+                    lossy.compact(&[], &[], 0.0).unwrap();
+                }
             }
-            assert_eq!(exact.fold_drift(), 0.0);
-            assert!(lossy.fold_drift() > 0.0, "eta_scale {eta_scale}, k {k}");
-            let exact_snap = exact.snapshot();
-            let lossy_snap = lossy.snapshot();
-            for bit in 0..DIM {
-                let q = ImplicitQuery::marginal(vec![bit], DIM).unwrap();
-                let truth = exact_snap
-                    .expected_query_value(&q as &dyn PointQuery, None)
-                    .unwrap();
-                assert_eq!(truth.radius, 0.0);
-                let est = lossy_snap
-                    .expected_query_value(&q as &dyn PointQuery, None)
-                    .unwrap();
-                // Marginal queries have |q| ≤ 1, so the claimed radius is
-                // the unit-scale fold bound — a sure claim (β = 0).
-                assert_eq!(
-                    est.radius.to_bits(),
-                    compaction_fold_radius(1.0, lossy.fold_drift()).to_bits()
-                );
-                assert_eq!(est.beta, 0.0);
-                let realized = (est.value - truth.value).abs();
+            assert_eq!(exact.folded_drift(), 0.0);
+            let folded_drift = lossy.folded_drift();
+            assert!(folded_drift > 0.0, "eta_scale {eta_scale}, k {k}");
+            let truth = exact_query_values(&exact, &source, &queries).unwrap();
+            let est = exact_query_values(&lossy, &source, &queries).unwrap();
+            // Marginal queries have |q| ≤ 1, so the claimed radius is the
+            // unit-scale fold bound.
+            let radius = compaction_fold_radius(1.0, folded_drift);
+            for (bit, (e, t)) in est.iter().zip(&truth).enumerate() {
+                let realized = (e - t).abs();
                 assert!(
-                    realized <= est.radius * (1.0 + 1e-9) + 1e-12,
+                    realized <= radius * (1.0 + 1e-9) + 1e-12,
                     "eta_scale {eta_scale}, k {k}, bit {bit}: realized {realized} \
-                     exceeds claimed {}",
-                    est.radius
+                     exceeds claimed {radius}"
                 );
             }
         }

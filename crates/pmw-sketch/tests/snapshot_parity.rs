@@ -1,7 +1,7 @@
 //! Snapshot/commit split, read-side parity: a snapshot published mid-run
 //! answers **bit-for-bit identically** to the live backend at the same
-//! round, for both sketch backends — and stays immutable and sane while
-//! the writer keeps updating, failing, and rolling back around it.
+//! round — and stays immutable and sane while the writer keeps updating,
+//! failing, and rolling back around it.
 
 use pmw_core::update::dual_certificate_at;
 use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
@@ -10,8 +10,8 @@ use pmw_data::{BooleanCube, Dataset, PointQuery, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
 use pmw_sketch::{
-    FaultPlan, FaultyBackend, FaultyOracle, LazyLogBackend, RoundUpdate, SampledBackend,
-    SampledConfig, SketchError, UniversePoints,
+    FaultPlan, FaultyBackend, FaultyOracle, RoundUpdate, SampledBackend, SampledConfig,
+    SketchError, UniversePoints,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,86 +220,6 @@ fn sampled_snapshot_reads_are_bitwise_live_at_budget_2048() {
     assert_eq!(ladder.pool_size(), cube.size());
     assert_sampled_snapshot_matches_live(&ladder, BIG, steps.len() + 1);
     assert_certificate_matches_live(&ladder, &loss(3), (0.85, 0.15));
-}
-
-#[test]
-fn lazy_snapshot_reads_are_bitwise_live_at_every_round() {
-    let cube = BooleanCube::new(4).unwrap();
-    let mut lazy = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
-    let steps = [
-        (0usize, 0.9, 0.4, 0.7),
-        (1, 0.1, 0.6, 0.5),
-        (2, 0.8, 0.2, 1.1),
-    ];
-    for (i, &(bit, t_o, t_h, eta)) in steps.iter().enumerate() {
-        let loss =
-            LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![bit] }, 4).unwrap();
-        lazy.record(
-            RoundUpdate::new(Arc::new(loss) as Arc<dyn CmLoss>, vec![t_o], vec![t_h], eta).unwrap(),
-        )
-        .unwrap();
-
-        let snapshot = lazy.snapshot();
-        assert_eq!(snapshot.rounds(), i + 1);
-        assert_eq!(snapshot.universe_size(), cube.size());
-        for b in 0..4 {
-            let query = ImplicitQuery::threshold(b, 0.5, 4).unwrap();
-            let live = lazy
-                .expected_query_value(&query as &dyn PointQuery)
-                .unwrap();
-            let snap = snapshot
-                .expected_query_value(&query as &dyn PointQuery, None)
-                .unwrap();
-            assert_eq!(
-                live.to_bits(),
-                snap.value.to_bits(),
-                "round {i} bit {b}: lazy snapshot diverged from live sweep"
-            );
-            assert_eq!(snap.radius, 0.0, "the lazy sweep is exact");
-            assert_eq!(snap.beta, 0.0);
-        }
-        // Frozen prefix: log-weights agree element-wise with the live log
-        // at publication time.
-        for x in 0..cube.size() {
-            assert_eq!(
-                snapshot.log_weight_of(x).unwrap().to_bits(),
-                lazy.log_weight_of(x).unwrap().to_bits()
-            );
-        }
-    }
-
-    // A snapshot taken at round 1 must not see later rounds.
-    let mut lazy2 = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
-    let loss = LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![0] }, 4).unwrap();
-    lazy2
-        .record(
-            RoundUpdate::new(Arc::new(loss) as Arc<dyn CmLoss>, vec![0.9], vec![0.4], 0.7).unwrap(),
-        )
-        .unwrap();
-    let early = lazy2.snapshot();
-    let frozen: Vec<u64> = (0..cube.size())
-        .map(|x| early.log_weight_of(x).unwrap().to_bits())
-        .collect();
-    let loss2 = LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![1] }, 4).unwrap();
-    lazy2
-        .record(
-            RoundUpdate::new(
-                Arc::new(loss2) as Arc<dyn CmLoss>,
-                vec![0.2],
-                vec![0.6],
-                0.9,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-    assert_eq!(early.rounds(), 1);
-    for (x, want) in frozen.iter().enumerate() {
-        assert_eq!(
-            early.log_weight_of(x).unwrap().to_bits(),
-            *want,
-            "published lazy snapshot changed after a later record"
-        );
-    }
 }
 
 /// 25 seeded fault plans: whatever the faulty writer does — injected

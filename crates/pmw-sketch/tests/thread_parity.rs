@@ -1,10 +1,12 @@
-//! Thread-count invariance of every sweep: a full mixed scenario
+//! Thread-count invariance of the sketch: a full mixed scenario
 //! (certificate + query rounds, estimates, max sweeps, Gumbel draws,
-//! resamples, snapshot reads, exact lazy sweeps) must produce
-//! **bit-for-bit identical** traces at 1, 2, and 8 threads. The lazy
-//! backend's universe-axis replay is chunked with fixed boundaries
-//! independent of the worker count; the sampled backend's pool sweeps are
-//! serial loops in slot order, so the worker count cannot reach them.
+//! resamples, snapshot reads) must produce **bit-for-bit identical**
+//! traces at 1, 2, and 8 threads.
+//!
+//! No code in `pmw-sketch` depends on the worker count: the sampled
+//! backend's pool sweeps are serial loops in slot order, and the crate
+//! runs no chunked sweep of its own. This test guards that, so a sweep
+//! that starts reading the worker count has to keep every bit.
 //!
 //! Pool budgets of 64, 384 and 600 cover one small and two larger pools.
 
@@ -13,7 +15,7 @@ use pmw_data::par::with_threads;
 use pmw_data::workload::ImplicitQuery;
 use pmw_data::{BooleanCube, PointQuery};
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
-use pmw_sketch::{LazyLogBackend, RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
+use pmw_sketch::{RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -59,8 +61,7 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
             budget,
             ..SampledConfig::default()
         };
-        let mut backend = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
-        let mut lazy = LazyLogBackend::new(UniversePoints(cube)).unwrap();
+        let mut backend = SampledBackend::new(UniversePoints(cube), sk, &mut rng).unwrap();
         let mut bits = Vec::new();
 
         let steps = [
@@ -72,7 +73,6 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
         ];
         for (i, &(bit, t_o, t_h, eta)) in steps.iter().enumerate() {
             backend.record(cert_update(bit, t_o, t_h, eta)).unwrap();
-            lazy.record(cert_update(bit, t_o, t_h, eta)).unwrap();
             if i % 2 == 1 {
                 // Interleave a linear-query MW round so the query-side
                 // log-weight path is exercised too.
@@ -80,7 +80,6 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
                 backend
                     .record(RoundUpdate::query_from_dyn(&q, -0.4, 1.0).unwrap())
                     .unwrap();
-                lazy.record_query(&q, -0.4, 1.0).unwrap();
             }
 
             let loss = bit_loss(bit);
@@ -93,24 +92,18 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
             }
             bits.push(backend.read_radius(loss.scale_bound()).to_bits());
             bits.push(backend.sample_index(&mut rng) as u64);
-            bits.push(lazy.expected_query_value(&q).unwrap().to_bits());
         }
 
-        // Resample (fresh index draws + full O(m·t·d) chunked replay),
-        // then read again.
+        // Resample (fresh index draws + full O(m·t·d) replay), then read
+        // again.
         backend.resample(&mut rng).unwrap();
         let q = ImplicitQuery::marginal(vec![0, 3], DIM).unwrap();
         push_est(&mut bits, backend.query_mean(&q as &dyn PointQuery));
 
-        // Published snapshot reads run the same chunked sweeps.
+        // Published snapshot reads run the same sweeps.
         let snap = backend.publish_snapshot().unwrap();
         match snap.expected_query_value(&q as &dyn PointQuery, None) {
             Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()]),
-            Err(_) => bits.push(u64::MAX),
-        }
-        let lsnap = lazy.snapshot();
-        match lsnap.expected_query_value(&q as &dyn PointQuery, None) {
-            Ok(e) => bits.push(e.value.to_bits()),
             Err(_) => bits.push(u64::MAX),
         }
 
@@ -121,8 +114,6 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
 
 #[test]
 fn sweeps_are_bit_identical_across_thread_counts() {
-    // 64: a single 256-grain chunk (the historical sequential order);
-    // 384 and 600: multi-chunk pools with ragged tails.
     for &budget in &[64usize, 384, 600] {
         let base = trace(budget, 1);
         for &threads in &[2usize, 8] {

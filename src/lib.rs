@@ -17,8 +17,8 @@
 //!   composition baselines, and the theory formulas (§3, §4)
 //! * [`attacks`] — reconstruction attacks and empirical ε audits (§1.2, \[KRS13\])
 //! * [`adaptive`] — adaptive data analysis harness (§1.3)
-//! * [`sketch`] — sublinear-time state backends (lazy update logs,
-//!   Monte-Carlo pools) that break the §4.3 Θ(|X|)-per-round wall
+//! * [`sketch`] — the sublinear-time state backend (update log plus
+//!   Monte-Carlo pool) that breaks the §4.3 Θ(|X|)-per-round wall
 //!
 //! ## Quickstart
 //!
@@ -78,5 +78,5 @@ pub mod prelude {
         CmLoss, GlmLoss, HingeLoss, HuberLoss, L2Regularized, LinearQueryLoss, LogisticLoss,
         SquaredLoss,
     };
-    pub use pmw_sketch::{LazyLogBackend, SampledBackend, SampledConfig};
+    pub use pmw_sketch::{SampledBackend, SampledConfig};
 }

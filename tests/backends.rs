@@ -1,11 +1,12 @@
-//! Property and integration tests for the state-backend seam: the lazy
-//! and sampled `pmw-sketch` representations against the dense reference.
+//! Property and integration tests for the state-backend seam: the
+//! `pmw-sketch` update log and sampled backend against the dense
+//! reference.
 
 use pmw::core::update::dual_certificate;
 use pmw::core::{DenseBackend, OfflinePmw, OnlinePmw, StateBackend};
 use pmw::losses::{CmLoss, PointPredicate};
 use pmw::prelude::*;
-use pmw::sketch::{LazyLogBackend, RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
+use pmw::sketch::{RoundUpdate, SampledBackend, SampledConfig, UniversePoints, UpdateLog};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,9 +19,10 @@ fn bit_loss(bit: usize, dim: usize) -> LinearQueryLoss {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The lazy update-log state evaluates exactly the same unnormalized
-    /// log-weights as the dense log-domain histogram driven by the same
-    /// rounds, to 1e-10, for any random update log.
+    /// The lazily evaluated update log (`UpdateLog::log_weight_at`)
+    /// replays exactly the same unnormalized log-weights as the dense
+    /// log-domain histogram driven by the same rounds, to 1e-10, for any
+    /// random update log.
     #[test]
     fn lazy_log_matches_dense_log_weights(
         rounds in prop::collection::vec(
@@ -29,19 +31,20 @@ proptest! {
         let cube = BooleanCube::new(5).unwrap();
         let points = Universe::materialize(&cube);
         let mut dense = Histogram::uniform(cube.size()).unwrap();
-        let mut lazy = LazyLogBackend::new(UniversePoints(cube.clone())).unwrap();
+        let mut log = UpdateLog::new();
         for &(bit, t_o, t_h, eta) in &rounds {
             let loss = bit_loss(bit, 5);
             let u = dual_certificate(&loss, &points, &[t_o], &[t_h]).unwrap();
             dense.mw_update(&u, eta).unwrap();
-            lazy.record(RoundUpdate::new(
+            log.push(RoundUpdate::new(
                 Arc::new(loss) as Arc<dyn CmLoss>, vec![t_o], vec![t_h], eta,
-            ).unwrap()).unwrap();
+            ).unwrap());
         }
+        let mut grad = Vec::new();
         for x in 0..cube.size() {
-            let l = lazy.log_weight_of(x).unwrap();
+            let l = log.log_weight_at(points.row(x), &mut grad).unwrap();
             let d = dense.log_weight(x);
-            prop_assert!((l - d).abs() < 1e-10, "x={x}: lazy {l} vs dense {d}");
+            prop_assert!((l - d).abs() < 1e-10, "x={x}: log {l} vs dense {d}");
         }
     }
 
