@@ -28,6 +28,7 @@
 //! out of the `T`-round run, so one-time setup — `Θ(|X|·d)` universe
 //! materialization and histogram build on the dense path, the `O(k·n·d)`
 //! dataset-truths sweep on both — never inflates the extrapolation base.
+//! Each is the median of [`TRIALS`] seeded-alike trials.
 //!
 //! Writes `BENCH_mwem.json` (validated by `bench_schema_check`). Pass
 //! `--smoke` for the seconds-long CI variant.
@@ -81,6 +82,13 @@ const SMOKE: Scale = Scale {
     epsilon: 4.0,
     resample_every: 2,
 };
+
+/// Trials behind each per-round figure (`sampled_per_round_ns` per size,
+/// `dense_per_round_ns` at the shared size). The trials are seeded alike,
+/// so they differ only in their timings, and the median one stands for
+/// the size. Timed once, four back-to-back full runs read 0.70–1.51 ms per
+/// sampled round at the shared size on a 2-vCPU VM.
+const TRIALS: usize = 5;
 
 /// Deterministic per-size workload: `k` random width-2 implicit marginals.
 fn workload(dim: usize, k: usize) -> Vec<ImplicitQuery> {
@@ -262,35 +270,33 @@ fn run_sampled(
     // Warm the kernels (and any lazy global init, e.g. the parallel
     // thread pool) first: a cold baseline can otherwise exceed the
     // T-round total and floor the difference. Timed runs are never
-    // probed: `NoopProbe` compiles to the unprobed loop.
-    sampled_total(
-        scale,
-        log2_x,
-        resample_every,
-        run_seed,
-        1,
-        false,
-        &NoopProbe,
-    );
-    let (baseline, _) = sampled_total(
-        scale,
-        log2_x,
-        resample_every,
-        run_seed,
-        1,
-        false,
-        &NoopProbe,
-    );
-    let (total, mut run) = sampled_total(
-        scale,
-        log2_x,
-        resample_every,
-        run_seed,
-        scale.rounds,
-        probe_exact,
-        &NoopProbe,
-    );
-    run.per_round_ns = ((total - baseline) / (scale.rounds - 1) as f64).max(1.0);
+    // probed: `NoopProbe` compiles to the unprobed loop. The first trial
+    // also takes the (untimed) calibration probe; the trials' outputs are
+    // identical, so it serves the median trial too.
+    let total = |rounds, probe_exact| {
+        sampled_total(
+            scale,
+            log2_x,
+            resample_every,
+            run_seed,
+            rounds,
+            probe_exact,
+            &NoopProbe,
+        )
+    };
+    total(1, false);
+    let mut trials: Vec<SampledRun> = (0..TRIALS)
+        .map(|trial| {
+            let (baseline, _) = total(1, false);
+            let (elapsed, mut run) = total(scale.rounds, probe_exact && trial == 0);
+            run.per_round_ns = ((elapsed - baseline) / (scale.rounds - 1) as f64).max(1.0);
+            run
+        })
+        .collect();
+    let probe = trials[0].probe;
+    trials.sort_by(|a, b| a.per_round_ns.total_cmp(&b.per_round_ns));
+    let mut run = trials.swap_remove(TRIALS / 2);
+    run.probe = probe;
     run
 }
 
@@ -331,12 +337,18 @@ fn dense_total(scale: &Scale, log2_x: usize, run_seed: u64, rounds: usize) -> (f
 }
 
 fn run_dense(scale: &Scale, log2_x: usize, run_seed: u64) -> DenseRun {
-    // Same warmup rationale as `run_sampled`.
+    // Same warmup and median-trial rationale as `run_sampled`.
     dense_total(scale, log2_x, run_seed, 1);
-    let (baseline, _) = dense_total(scale, log2_x, run_seed, 1);
-    let (total, mut run) = dense_total(scale, log2_x, run_seed, scale.rounds);
-    run.per_round_ns = ((total - baseline) / (scale.rounds - 1) as f64).max(1.0);
-    run
+    let mut trials: Vec<DenseRun> = (0..TRIALS)
+        .map(|_| {
+            let (baseline, _) = dense_total(scale, log2_x, run_seed, 1);
+            let (total, mut run) = dense_total(scale, log2_x, run_seed, scale.rounds);
+            run.per_round_ns = ((total - baseline) / (scale.rounds - 1) as f64).max(1.0);
+            run
+        })
+        .collect();
+    trials.sort_by(|a, b| a.per_round_ns.total_cmp(&b.per_round_ns));
+    trials.swap_remove(TRIALS / 2)
 }
 
 fn err_stats(a: &[f64], b: &[f64]) -> (f64, f64) {
@@ -379,12 +391,15 @@ fn main() {
     let err_queries = workload(scale.error_size, scale.queries);
     let truths = true_answers(&err_queries, &err_dataset, &source);
     let reused = run_sampled(&scale, scale.error_size, 0, run_seed, true);
-    let refreshed = run_sampled(
+    // Only its answers and resample count are read, so it is not timed.
+    let (_, refreshed) = sampled_total(
         &scale,
         scale.error_size,
         scale.resample_every,
         run_seed,
+        scale.rounds,
         false,
+        &NoopProbe,
     );
     let (truth_err_reused, _) = err_stats(&reused.answers, &truths);
     let (truth_err_refreshed, _) = err_stats(&refreshed.answers, &truths);

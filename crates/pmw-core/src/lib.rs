@@ -64,6 +64,7 @@ pub use linear::{LinearPmw, Mwem, MwemRun};
 pub use mechanism::{OnlinePmw, ScreenContext, ScreenedQuery};
 pub use offline::{OfflinePmw, OfflineResult};
 pub use state::{
-    BackendEvent, DenseBackend, DenseSnapshot, MeanFn, QueryEstimate, ReadSnapshot, StateBackend,
+    BackendEvent, DenseBackend, DenseSnapshot, MeanFn, QueryEstimate, QueryMemo, ReadSnapshot,
+    StateBackend,
 };
 pub use transcript::{QueryOutcome, QueryRecord, Transcript};

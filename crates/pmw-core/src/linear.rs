@@ -28,9 +28,11 @@
 use crate::config::PmwConfig;
 use crate::data::DataSide;
 use crate::error::PmwError;
-use crate::state::{eval_query_on_histogram, BackendEvent, DenseBackend, StateBackend};
+use crate::state::{
+    eval_query_on_histogram, BackendEvent, DenseBackend, QueryEstimate, QueryMemo, StateBackend,
+};
 use pmw_data::workload::{LinearQuery, PointQuery};
-use pmw_data::{Dataset, Histogram, PointSource};
+use pmw_data::{Dataset, Histogram, PointMatrix, PointSource};
 use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
 use pmw_dp::{Accountant, ExponentialMechanism, LaplaceMechanism, SparseVector};
 use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
@@ -62,6 +64,30 @@ fn retained_handles(
         })
         .collect::<Result<Vec<_>, _>>()
         .map(Some)
+}
+
+/// Every query's hypothesis estimate through the batched read, refused
+/// when any value or radius is not finite: a NaN radius would fall out of
+/// the selection's `f64::max` widening fold and revert it to the
+/// unwidened sensitivity, and a non-finite value would reach the selection
+/// scores and, on the sketched path, the released answers.
+fn finite_estimates<B: StateBackend>(
+    state: &B,
+    queries: &[&dyn PointQuery],
+    points: Option<&PointMatrix>,
+    memo: &mut QueryMemo,
+    rng: &mut dyn Rng,
+) -> Result<Vec<QueryEstimate>, PmwError> {
+    let ests = state.expected_query_values(queries, points, memo, rng)?;
+    if ests
+        .iter()
+        .any(|e| !(e.value.is_finite() && e.radius.is_finite()))
+    {
+        return Err(PmwError::InvalidConfig(
+            "state backend returned a non-finite query estimate or radius",
+        ));
+    }
+    Ok(ests)
 }
 
 /// Online private multiplicative weights for linear queries \[HR10\].
@@ -460,11 +486,10 @@ impl Mwem {
             .map(|q| data.evaluate(*q))
             .collect::<Result<_, _>>()?;
         // Hypothesis estimates under D̂_1 (round-1 selection scores), with
-        // their claimed concentration radii (0 on exact backends).
-        let mut ests: Vec<crate::state::QueryEstimate> = queries
-            .iter()
-            .map(|q| state.expected_query_value(*q, points, rng))
-            .collect::<Result<_, _>>()?;
+        // their claimed concentration radii (0 on exact backends). One memo
+        // serves every read of the run and is freed with it.
+        let mut memo = QueryMemo::new();
+        let mut ests = finite_estimates(&state, &queries, points, &mut memo, rng)?;
 
         let mut accountant = Accountant::new();
         let mut selected = Vec::with_capacity(self.rounds);
@@ -487,16 +512,8 @@ impl Mwem {
                 .zip(&truths)
                 .map(|(e, t)| (e.value - t).abs())
                 .collect();
-            // A NaN radius would silently fall out of the f64::max fold
-            // and revert the selection to the unwidened sensitivity;
-            // reject non-finite radii loudly instead (mirroring how the
-            // sparse-vector path rejects a non-finite widened margin).
-            if ests.iter().any(|e| !e.radius.is_finite()) {
-                probe.round_end(t, "error");
-                return Err(PmwError::InvalidConfig(
-                    "state backend claimed a non-finite query-estimate radius",
-                ));
-            }
+            // Every radius is finite (`finite_estimates`), so none can
+            // fall out of this fold.
             let widen = ests.iter().map(|e| e.radius).fold(0.0, f64::max);
             if P::ENABLED {
                 probe.gauge(Gauge::ClaimedRadius, widen);
@@ -540,10 +557,7 @@ impl Mwem {
                 let last = t + 1 == self.rounds;
                 if !(last && avg.is_some()) {
                     probe.span_begin(Phase::Estimate);
-                    ests = queries
-                        .iter()
-                        .map(|q| state.expected_query_value(*q, points, rng))
-                        .collect::<Result<_, _>>()?;
+                    ests = finite_estimates(&state, &queries, points, &mut memo, rng)?;
                     probe.span_end(Phase::Estimate);
                 }
                 Ok(())
@@ -1001,6 +1015,113 @@ mod tests {
             &mut rng_c,
         );
         assert!(matches!(nan, Err(PmwError::InvalidConfig(_))));
+    }
+
+    /// A dense-delegating backend with no dense hypothesis (so `Mwem`
+    /// answers from its per-round estimates, as on sketched state) whose
+    /// estimates read NaN once `.1` updates are recorded.
+    struct NanAfterUpdates(DenseBackend, usize);
+
+    impl StateBackend for NanAfterUpdates {
+        fn universe_size(&self) -> usize {
+            self.0.universe_size()
+        }
+
+        fn updates_recorded(&self) -> usize {
+            self.0.updates_recorded()
+        }
+
+        fn hypothesis_minimizer(
+            &self,
+            loss: &dyn pmw_losses::CmLoss,
+            points: &PointMatrix,
+            solver_iters: usize,
+            rng: &mut dyn Rng,
+        ) -> Result<Vec<f64>, PmwError> {
+            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn apply_update(
+            &mut self,
+            loss: &dyn pmw_losses::CmLoss,
+            retained: Option<Arc<dyn pmw_losses::CmLoss>>,
+            points: &PointMatrix,
+            theta_oracle: &[f64],
+            theta_hyp: &[f64],
+            eta: f64,
+            gap_weights: Option<&[f64]>,
+            rng: &mut dyn Rng,
+        ) -> Result<Option<f64>, PmwError> {
+            self.0.apply_update(
+                loss,
+                retained,
+                points,
+                theta_oracle,
+                theta_hyp,
+                eta,
+                gap_weights,
+                rng,
+            )
+        }
+
+        fn sample_indices(&self, m: usize, rng: &mut dyn Rng) -> Result<Vec<usize>, PmwError> {
+            self.0.sample_indices(m, rng)
+        }
+
+        fn expected_query_value(
+            &self,
+            query: &dyn PointQuery,
+            points: Option<&PointMatrix>,
+            rng: &mut dyn Rng,
+        ) -> Result<QueryEstimate, PmwError> {
+            let mut est = self.0.expected_query_value(query, points, rng)?;
+            if self.updates_recorded() >= self.1 {
+                est.value = f64::NAN;
+            }
+            Ok(est)
+        }
+
+        fn apply_query_update(
+            &mut self,
+            query: &dyn PointQuery,
+            retained: Option<Arc<dyn PointQuery>>,
+            coeff: f64,
+            eta: f64,
+            points: Option<&PointMatrix>,
+            rng: &mut dyn Rng,
+        ) -> Result<(), PmwError> {
+            self.0
+                .apply_query_update(query, retained, coeff, eta, points, rng)
+        }
+    }
+
+    #[test]
+    fn mwem_refuses_non_finite_estimates_instead_of_releasing_them() {
+        // Estimates that turn NaN after the last update would otherwise go
+        // straight into the averaged answers; earlier ones into the
+        // selection scores.
+        let mut rng = StdRng::seed_from_u64(153);
+        let cube = BooleanCube::new(4).unwrap();
+        let data = DataSide::from_universe(&cube, &skewed(&cube, 500, &mut rng)).unwrap();
+        let queries = random_counting_queries(16, 4, &mut rng).unwrap();
+        let rounds = 3;
+        let mwem = Mwem::new(rounds, 1.0).unwrap();
+        for after in [rounds, 1, 0] {
+            let state = NanAfterUpdates(DenseBackend::new(16).unwrap(), after);
+            let run = mwem.run_with_backend(&queries, &data, 4.0, state, &mut rng);
+            assert!(
+                matches!(run, Err(PmwError::InvalidConfig(_))),
+                "NaN after {after} updates: {:?}",
+                run.map(|r| r.answers)
+            );
+        }
+        // The same double with finite reads releases finite answers.
+        let state = NanAfterUpdates(DenseBackend::new(16).unwrap(), rounds + 1);
+        let run = mwem
+            .run_with_backend(&queries, &data, 4.0, state, &mut rng)
+            .unwrap();
+        assert!(run.answers.iter().all(|a| a.is_finite()));
     }
 
     #[test]

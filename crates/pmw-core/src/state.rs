@@ -29,6 +29,7 @@ use pmw_data::{Histogram, PointMatrix};
 use pmw_losses::traits::minimize_weighted;
 use pmw_losses::CmLoss;
 use rand::Rng;
+use std::any::Any;
 use std::sync::Arc;
 
 /// `⟨q, h⟩` on a dense histogram: the exact [`Histogram::dot`] fast path
@@ -172,6 +173,38 @@ pub struct QueryEstimate {
     pub radius: f64,
     /// Failure probability of the claim (0 for exact backends).
     pub beta: f64,
+}
+
+/// What a backend keeps between the batched reads of one workload
+/// ([`StateBackend::expected_query_values`]). This crate never looks
+/// inside: the backend stores a memo type of its own in the slot and finds
+/// it again with [`QueryMemo::get_or_default`], so a slot's layout stays
+/// with the backend that reads it. A new memo is empty; whatever it holds
+/// is freed when it is dropped.
+///
+/// A memo belongs to one workload. Pass it only with the `queries` slice it
+/// was first used with, in the same order: a backend may key what it keeps
+/// on its own state, but it keys the entries by query position.
+#[derive(Debug, Default)]
+pub struct QueryMemo(Option<Box<dyn Any + Send>>);
+
+impl QueryMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The `T` this memo holds, replacing whatever it held with
+    /// `T::default()` when it held nothing or another type.
+    pub fn get_or_default<T: Any + Send + Default>(&mut self) -> &mut T {
+        if !self.0.as_ref().is_some_and(|held| held.is::<T>()) {
+            self.0 = Some(Box::new(T::default()));
+        }
+        self.0
+            .as_mut()
+            .and_then(|held| held.downcast_mut())
+            .expect("the slot holds a T after the check above")
+    }
 }
 
 /// The per-element estimator a mean read sweeps: `f(index, point)`
@@ -345,6 +378,32 @@ pub trait StateBackend {
         Err(PmwError::InvalidConfig(
             "this state backend does not implement linear-query evaluation",
         ))
+    }
+
+    /// [`StateBackend::expected_query_value`] for every query of a
+    /// workload, in order — the read [`crate::Mwem`] takes its selection
+    /// scores and sketched answers from. The default is the per-query
+    /// loop. An override must return what that loop returns, value and
+    /// radius bits, errors and side effects (ledger records, probe spans)
+    /// included, in query order; it may keep what it derives from the
+    /// queries in `memo` for later calls (the sampled pool keeps each
+    /// query's non-zero slots until the pool is redrawn).
+    ///
+    /// `memo` may only be reused with the same `queries` slice, in the
+    /// same order (see [`QueryMemo`]); a caller starts each workload with
+    /// a fresh one.
+    fn expected_query_values(
+        &self,
+        queries: &[&dyn PointQuery],
+        points: Option<&PointMatrix>,
+        memo: &mut QueryMemo,
+        rng: &mut dyn Rng,
+    ) -> Result<Vec<QueryEstimate>, PmwError> {
+        let _ = memo;
+        queries
+            .iter()
+            .map(|q| self.expected_query_value(*q, points, rng))
+            .collect()
     }
 
     /// Apply one linear-query MW step `D̂_{t+1}(x) ∝ exp(−η·u(x))·D̂_t(x)`

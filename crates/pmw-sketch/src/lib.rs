@@ -22,7 +22,8 @@
 //!   with concentration-bounded certificate estimates, quantile-bounded
 //!   max estimates, and Gumbel-max sampling (module [`sampled`]). This
 //!   backend implements [`pmw_core::StateBackend`], so the online/offline
-//!   mechanisms run on it directly.
+//!   mechanisms run on it directly; `Mwem`'s batched query reads sum each
+//!   query over its non-zero pool slots alone, found once per pool draw.
 //! * [`PointSource`] — indexed point access without materialization;
 //!   [`BigBitCube`] reaches universe sizes (`2^26` and beyond) the dense
 //!   structures refuse to represent (module [`source`]).

@@ -255,8 +255,10 @@ impl RoundUpdate {
 
     /// The payoff `u_r(x)` at one point — certificate rounds clamp exactly
     /// as the dense sweep clamps ([`dual_certificate_at`]); query rounds
-    /// evaluate `coeff·q(x)`. `grad_buf` is resized as needed (and unused
-    /// by query rounds).
+    /// evaluate `coeff·q(x)`. A non-finite payoff is refused on either
+    /// kind of round, so neither recording nor replay can write one into
+    /// a log-weight. `grad_buf` is resized as needed (and unused by query
+    /// rounds).
     pub fn payoff(&self, point: &[f64], grad_buf: &mut Vec<f64>) -> Result<f64, SketchError> {
         match &self.payload {
             UpdatePayload::Certificate {
@@ -274,7 +276,11 @@ impl RoundUpdate {
                     .ok_or(SketchError::UnsupportedLoss(
                         "recorded query cannot evaluate at a point",
                     ))?;
-                Ok(coeff * q)
+                let u = coeff * q;
+                if !u.is_finite() {
+                    return Err(SketchError::NonFinite("query payoff"));
+                }
+                Ok(u)
             }
         }
     }

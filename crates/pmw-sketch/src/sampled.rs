@@ -55,14 +55,25 @@
 //! after a write and shared by every later read of that state. Published
 //! snapshots and the rollback checkpoint carry them together with the
 //! log-weights.
+//!
+//! The pool's indices and points change only when the pool is drawn,
+//! redrawn or grown, so they live in one shared support (`Arc`) that a
+//! round, a rollback checkpoint and a published snapshot hold without
+//! copying. [`Mwem`](pmw_core::Mwem)'s batched read
+//! ([`StateBackend::expected_query_values`]) keys on that support: the
+//! first read of each query on a support tabulates the query's non-zero
+//! slots, and every later read of it sums over those slots alone, in slot
+//! order, for the same bits as the full pass.
 
 use crate::error::SketchError;
 use crate::health::PoolHealth;
-use crate::log::{CompactionPolicy, RoundUpdate, UpdateLog};
+use crate::log::{query_value_at, validate_query_shape, CompactionPolicy, RoundUpdate, UpdateLog};
 use crate::snis::LogWeights;
 use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
-use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
+use pmw_core::{
+    BackendEvent, MeanFn, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,
+};
 use pmw_data::{gumbel_max_index, Histogram, PointMatrix, PointQuery};
 use pmw_dp::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
@@ -183,6 +194,16 @@ pub struct Estimate {
     pub envelope_radius: f64,
 }
 
+impl From<Estimate> for QueryEstimate {
+    fn from(est: Estimate) -> Self {
+        QueryEstimate {
+            value: est.value,
+            radius: est.radius,
+            beta: est.beta,
+        }
+    }
+}
+
 /// A sketched maximum: `value` is the exact maximum over the pool, and the
 /// universe's uniform-mass fraction with payoffs above `value` is at most
 /// `uncovered_mass`, except with probability `beta`.
@@ -196,10 +217,185 @@ pub struct MaxEstimate {
     pub beta: f64,
 }
 
+/// The pool's support: its universe indices and their cached points. A
+/// round changes only the log-weights, so the support is replaced, never
+/// written, when the pool is drawn, redrawn or grown, and the live backend,
+/// its rollback checkpoint and its published snapshots share it through
+/// one `Arc` instead of copying `O(m·d)`. The `Arc`'s identity is the key
+/// of every [`IncidenceMemo`] entry built on it.
+#[derive(Debug)]
+struct PoolSupport {
+    indices: Vec<usize>,
+    points: PointMatrix,
+}
+
+impl PoolSupport {
+    /// The support of the candidates at `indices`, whose points are the
+    /// rows of the row-major `flat`.
+    fn new(indices: Vec<usize>, flat: Vec<f64>, dim: usize) -> Result<Arc<Self>, SketchError> {
+        let points = PointMatrix::from_flat(flat, dim)
+            .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
+        Ok(Arc::new(Self { indices, points }))
+    }
+}
+
+/// Where one query's entry sits in its [`IncidenceMemo`]: the query's
+/// non-zero values on the memo's support, in slot order. A slot it leaves
+/// out reads `±0`, which would add exactly `+0.0` to every sum of the
+/// slot-order pass, so summing over the kept slots alone gives that pass's
+/// bits. NaN is not zero: it is kept and propagates as before.
+#[derive(Debug, Clone, Copy)]
+enum Incidence {
+    /// Kept slots `slots[start..end]`, each reading `value`, as every
+    /// marginal's do: 4 bytes a slot.
+    Constant {
+        start: usize,
+        end: usize,
+        value: f64,
+    },
+    /// Kept slots `slots[start..end]` with values of their own, at
+    /// `values[values..]`.
+    Varying {
+        start: usize,
+        end: usize,
+        values: usize,
+    },
+    /// Not tabulated, because the query failed to evaluate at some slot or
+    /// the pool outgrew `u32` slot numbers. Reads take the slot-order pass,
+    /// which evaluates only positive-weight slots and so fails exactly
+    /// where it always did.
+    SlotOrder,
+}
+
+/// What a [`SampledBackend`] keeps in a [`QueryMemo`]: one [`Incidence`]
+/// per query position, made by that query's first read on the support
+/// this memo holds a clone of, over two buffers that hold every entry's
+/// slots and varying values back to back. Holding the clone keeps the
+/// support alive, so no later support can reuse its address while the
+/// memo compares it. A renewal empties the buffers but keeps their
+/// capacity, so a run allocates them about once. An allocation per entry
+/// fragmented the heap: at a fixed release count, perfbench's
+/// mwem-marginals held 2.1 KB per release with it and 0.5 KB with the
+/// shared buffers.
+#[derive(Default)]
+struct IncidenceMemo {
+    support: Option<Arc<PoolSupport>>,
+    entries: Vec<Option<Incidence>>,
+    slots: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl IncidenceMemo {
+    /// Keep the entries while they were made on this very support for `k`
+    /// queries; empty them otherwise.
+    fn renew(&mut self, support: &Arc<PoolSupport>, k: usize) {
+        let current = self.entries.len() == k
+            && self
+                .support
+                .as_ref()
+                .is_some_and(|held| Arc::ptr_eq(held, support));
+        if !current {
+            self.support = Some(Arc::clone(support));
+            self.entries.clear();
+            self.entries.resize_with(k, || None);
+            self.slots.clear();
+            self.values.clear();
+        }
+    }
+
+    /// Query `i`'s sums on `view`: over its kept slots, tabulated first if
+    /// it has no entry yet.
+    fn sums(
+        &mut self,
+        i: usize,
+        query: &dyn PointQuery,
+        view: &SketchReadView<'_>,
+    ) -> Result<Sums, SketchError> {
+        let entry = match self.entries[i] {
+            Some(entry) => entry,
+            None => {
+                let entry = self.tabulate(query, view.support);
+                self.entries[i] = Some(entry);
+                entry
+            }
+        };
+        Ok(match entry {
+            Incidence::Constant { start, end, value } => {
+                view.kept_sums(&self.slots[start..end], |_| value)
+            }
+            Incidence::Varying { start, end, values } => {
+                let values = &self.values[values..];
+                view.kept_sums(&self.slots[start..end], |j| values[j])
+            }
+            Incidence::SlotOrder => return view.query_sums(query),
+        })
+    }
+
+    /// Evaluate `query` at every slot of `support` once and append its
+    /// non-zero slots (and values, when they vary) to the buffers.
+    fn tabulate(&mut self, query: &dyn PointQuery, support: &PoolSupport) -> Incidence {
+        if u32::try_from(support.indices.len()).is_err() {
+            return Incidence::SlotOrder;
+        }
+        let (start, values) = (self.slots.len(), self.values.len());
+        for (slot, (point, &index)) in support.points.iter().zip(&support.indices).enumerate() {
+            match query_value_at(query, index, point) {
+                // Matches −0.0 too.
+                Ok(0.0) => {}
+                Ok(v) => {
+                    self.slots.push(slot as u32);
+                    self.values.push(v);
+                }
+                Err(_) => {
+                    self.slots.truncate(start);
+                    self.values.truncate(values);
+                    return Incidence::SlotOrder;
+                }
+            }
+        }
+        let end = self.slots.len();
+        let kept = &self.values[values..];
+        match kept.first() {
+            Some(first) if kept.iter().any(|v| v.to_bits() != first.to_bits()) => {
+                Incidence::Varying { start, end, values }
+            }
+            first => {
+                let value = first.copied().unwrap_or(0.0);
+                self.values.truncate(values);
+                Incidence::Constant { start, end, value }
+            }
+        }
+    }
+}
+
+/// The payoff scale `max(|lo|, |hi|)` of a query's value bounds.
+fn query_scale(query: &dyn PointQuery) -> f64 {
+    let (lo, hi) = query.value_bounds();
+    lo.abs().max(hi.abs())
+}
+
+/// What one SNIS read sums over the positive-weight slots, in slot order:
+/// the estimate Σŵ·f and the second moments Σŵ²f and Σŵ²f² the adaptive
+/// bounds read (Σŵ² is the pool's own, [`crate::snis::Snis`]).
+#[derive(Default)]
+struct Sums {
+    value: f64,
+    w_sq_f: f64,
+    w_sq_f_sq: f64,
+}
+
+impl Sums {
+    fn add(&mut self, wi: f64, fv: f64) {
+        self.value += wi * fv;
+        self.w_sq_f += wi * wi * fv;
+        self.w_sq_f_sq += wi * wi * fv * fv;
+    }
+}
+
 /// The borrowed read-state shared by the live [`SampledBackend`] and its
-/// published [`SampledSnapshot`]s: the pool triple plus the scalar
-/// parameters every SNIS estimate and concentration bound reads. Keeping
-/// the estimator bodies here — and only here — is what makes a snapshot's
+/// published [`SampledSnapshot`]s: the pool plus the scalar parameters
+/// every SNIS estimate and concentration bound reads. Keeping the
+/// estimator bodies here — and only here — is what makes a snapshot's
 /// answers bit-for-bit identical to the live backend's at the same round.
 ///
 /// The log-weights arrive as [`LogWeights`], which normalizes them at most
@@ -207,8 +403,7 @@ pub struct MaxEstimate {
 /// the same SNIS weights, and each read still makes its own pass over the
 /// pool in slot order.
 struct SketchReadView<'a> {
-    pool_indices: &'a [usize],
-    pool_points: &'a PointMatrix,
+    support: &'a PoolSupport,
     pool_log_w: &'a LogWeights,
     exhaustive: bool,
     drift_bound: f64,
@@ -224,7 +419,7 @@ struct SketchReadView<'a> {
 
 impl SketchReadView<'_> {
     fn pool_size(&self) -> usize {
-        self.pool_indices.len()
+        self.support.indices.len()
     }
 
     /// The drift-envelope ratio bound shared by every estimate and read
@@ -248,33 +443,64 @@ impl SketchReadView<'_> {
         }
     }
 
-    /// The single-pass SNIS value + minimum-of-three-bounds radius (see
-    /// [`SampledBackend::estimate_mean`] for the bound derivation and the
-    /// honesty caveat). Ledgers the claim into the shared accountant.
-    /// Generic over the error type so the live path keeps surfacing
-    /// [`SketchError`] while snapshot reads surface [`PmwError`] directly.
-    ///
-    /// One pass over the positive-weight slots in slot order accumulates
-    /// the estimate Σŵ·f plus the weight/value second moments (Σŵ², Σŵ²f,
-    /// Σŵ²f²) the adaptive bounds read.
-    fn estimate_mean<E: From<SketchError>>(
+    /// One pass over the positive-weight slots in slot order, evaluating
+    /// `f(slot, point)` at each.
+    fn slot_order_sums<E>(
+        &self,
+        mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
+    ) -> Result<Sums, E> {
+        let weights = &self.pool_log_w.snis().weights;
+        let mut sums = Sums::default();
+        for (slot, (point, &wi)) in self.support.points.iter().zip(weights).enumerate() {
+            if wi > 0.0 {
+                sums.add(wi, f(slot, point)?);
+            }
+        }
+        Ok(sums)
+    }
+
+    /// The slot-order pass of a query, evaluated at each slot's index or
+    /// point.
+    fn query_sums(&self, query: &dyn PointQuery) -> Result<Sums, SketchError> {
+        self.slot_order_sums(|slot, point| query_value_at(query, self.support.indices[slot], point))
+    }
+
+    /// The same sums over the slots a query's [`Incidence`] kept, in slot
+    /// order, reading `fv(j)` at the `j`-th of them: the skipped slots
+    /// would each have added `+0.0`.
+    fn kept_sums(&self, slots: &[u32], fv: impl Fn(usize) -> f64) -> Sums {
+        let weights = &self.pool_log_w.snis().weights;
+        let mut sums = Sums::default();
+        for (j, &slot) in slots.iter().enumerate() {
+            let wi = weights[slot as usize];
+            if wi > 0.0 {
+                sums.add(wi, fv(j));
+            }
+        }
+        sums
+    }
+
+    /// Turn a read's sums into its claim: the estimate with the minimum of
+    /// the three candidate radii plus any fold bias (see
+    /// [`SampledBackend::estimate_with`] for the bound derivation and the
+    /// honesty caveat), ledgered into the shared accountant, and refused
+    /// when wider than the usable threshold. Generic over the error type
+    /// so the live path keeps surfacing [`SketchError`] while snapshot
+    /// reads surface [`PmwError`] directly.
+    fn claim<E: From<SketchError>>(
         &self,
         ledger: &Mutex<SamplingAccountant>,
         label: &'static str,
         scale: f64,
-        mut f: impl FnMut(usize, &[f64]) -> Result<f64, E>,
+        sums: Sums,
     ) -> Result<Estimate, E> {
         let snis = self.pool_log_w.snis();
-        let (mut value, mut w_sq, mut w_sq_f, mut w_sq_f_sq) = (0.0, 0.0, 0.0, 0.0);
-        for (slot, (point, &wi)) in self.pool_points.iter().zip(&snis.weights).enumerate() {
-            if wi > 0.0 {
-                let fv = f(slot, point)?;
-                value += wi * fv;
-                w_sq += wi * wi;
-                w_sq_f += wi * wi * fv;
-                w_sq_f_sq += wi * wi * fv * fv;
-            }
-        }
+        let Sums {
+            value,
+            w_sq_f,
+            w_sq_f_sq,
+        } = sums;
+        let w_sq = snis.w_sq;
         // Deterministic fold bias: pool weights distorted by up to
         // `fold_drift` in log-space shift any bounded mean by at most
         // 2·scale·tanh(fold_drift) — a sure (β-free) claim added on top
@@ -378,21 +604,20 @@ impl SketchReadView<'_> {
 /// A published, immutable read view of the sketched MW state — the
 /// [`ReadSnapshot`] the [`SampledBackend`] hands to concurrent readers.
 ///
-/// The pool triple is **cloned** at publish time (`O(m·d)` — the same
-/// order as the round update that preceded it), so writer-side faults
-/// after publication (failed rounds, rollbacks, poisoning, pool
-/// corruption) can never reach an already-published snapshot. The clone
-/// carries the pool's SNIS weights when a read has already computed them;
-/// otherwise the snapshot's first read computes them once for all of its
-/// readers. The sampling ledger, by contrast, is **shared** (`Arc`) with
-/// the live backend: concentration claims made by snapshot reads land in
-/// the same union-bound record as the live backend's, in arrival order, so
-/// the accuracy accounting stays complete no matter which path served a
-/// read.
+/// Publishing copies the pool's log-weights (`O(m)`) and shares its
+/// support — indices and points, which the writer replaces but never
+/// writes — so writer-side faults after publication (failed rounds,
+/// rollbacks, poisoning, pool corruption) can never reach an
+/// already-published snapshot. The copy carries the pool's SNIS weights
+/// when a read has already computed them; otherwise the snapshot's first
+/// read computes them once for all of its readers. The sampling ledger is
+/// **shared** (`Arc`) with the live backend: concentration claims made by
+/// snapshot reads land in the same union-bound record as the live
+/// backend's, in arrival order, so the accuracy accounting stays complete
+/// no matter which path served a read.
 #[derive(Debug, Clone)]
 pub struct SampledSnapshot {
-    pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    support: Arc<PoolSupport>,
     pool_log_w: LogWeights,
     exhaustive: bool,
     drift_bound: f64,
@@ -410,8 +635,7 @@ pub struct SampledSnapshot {
 impl SampledSnapshot {
     fn view(&self) -> SketchReadView<'_> {
         SketchReadView {
-            pool_indices: &self.pool_indices,
-            pool_points: &self.pool_points,
+            support: &self.support,
             pool_log_w: &self.pool_log_w,
             exhaustive: self.exhaustive,
             drift_bound: self.drift_bound,
@@ -423,7 +647,7 @@ impl SampledSnapshot {
 
     /// Pool size `m` at publish time.
     pub fn pool_size(&self) -> usize {
-        self.pool_indices.len()
+        self.support.indices.len()
     }
 
     /// True when the frozen pool enumerates the whole universe.
@@ -453,11 +677,11 @@ impl ReadSnapshot for SampledSnapshot {
             ));
         }
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
-        // cloned pool points — identical floats to the live backend's
+        // shared pool points — identical floats to the live backend's
         // solve at the publish round.
         Ok(minimize_weighted(
             loss,
-            &self.pool_points,
+            &self.support.points,
             &self.pool_log_w.snis().weights,
             solver_iters,
         )?)
@@ -468,23 +692,12 @@ impl ReadSnapshot for SampledSnapshot {
         query: &dyn PointQuery,
         _points: Option<&PointMatrix>,
     ) -> Result<QueryEstimate, PmwError> {
-        crate::log::validate_query_shape(query, self.universe_size, self.dim)?;
-        let (lo, hi) = query.value_bounds();
-        let scale = lo.abs().max(hi.abs());
-        let est = self.view().estimate_mean::<PmwError>(
-            &self.ledger,
-            "query-mean",
-            scale,
-            |slot, point| {
-                crate::log::query_value_at(query, self.pool_indices[slot], point)
-                    .map_err(PmwError::from)
-            },
-        )?;
-        Ok(QueryEstimate {
-            value: est.value,
-            radius: est.radius,
-            beta: est.beta,
-        })
+        validate_query_shape(query, self.universe_size, self.dim)?;
+        let view = self.view();
+        let est = view
+            .query_sums(query)
+            .and_then(|sums| view.claim(&self.ledger, "query-mean", query_scale(query), sums))?;
+        Ok(est.into())
     }
 
     fn estimate_mean(
@@ -500,16 +713,11 @@ impl ReadSnapshot for SampledSnapshot {
         }
         // The trait closure receives the *universe* index; the pool sweep
         // hands out slots — translate through the frozen index map.
-        let est =
-            self.view()
-                .estimate_mean::<PmwError>(&self.ledger, label, scale, |slot, point| {
-                    f(self.pool_indices[slot], point)
-                })?;
-        Ok(QueryEstimate {
-            value: est.value,
-            radius: est.radius,
-            beta: est.beta,
-        })
+        let view = self.view();
+        let sums = view.slot_order_sums(|slot, point| f(self.support.indices[slot], point))?;
+        Ok(view
+            .claim::<PmwError>(&self.ledger, label, scale, sums)?
+            .into())
     }
 
     fn read_radius(&self, scale: f64) -> f64 {
@@ -554,8 +762,7 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     probe: P,
     config: SampledConfig,
     log: UpdateLog,
-    pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    support: Arc<PoolSupport>,
     pool_log_w: LogWeights,
     exhaustive: bool,
     resamples: usize,
@@ -605,13 +812,12 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     published_round: Cell<Option<usize>>,
 }
 
-/// Everything a failed round must restore: the pool triple (the
-/// log-weights with their SNIS weights, if a read computed them), the log
-/// length, the exhaustive flag and every health counter. Taken before a
-/// round's first mutation, dropped on success.
+/// Everything a failed round must restore: the pool support (shared, not
+/// copied), the log-weights with their SNIS weights if a read computed
+/// them, the log length, the exhaustive flag and every health counter.
+/// Taken before a round's first mutation, dropped on success.
 struct PoolSnapshot {
-    pool_indices: Vec<usize>,
-    pool_points: PointMatrix,
+    support: Arc<PoolSupport>,
     pool_log_w: LogWeights,
     log_len: usize,
     exhaustive: bool,
@@ -675,18 +881,15 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         for (row, &idx) in flat.chunks_exact_mut(dim).zip(&pool_indices) {
             source.write_point(idx, row);
         }
-        let pool_points = PointMatrix::from_flat(flat, dim)
-            .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-        let pool_log_w = LogWeights::new(vec![0.0; pool_indices.len()]);
         let m = pool_indices.len();
+        let support = PoolSupport::new(pool_indices, flat, dim)?;
         Ok(Self {
             source,
             probe,
             config,
             log: UpdateLog::new(),
-            pool_indices,
-            pool_points,
-            pool_log_w,
+            support,
+            pool_log_w: LogWeights::new(vec![0.0; m]),
             exhaustive,
             resamples: 0,
             adaptive_resamples: 0,
@@ -714,7 +917,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
 
     /// Pool size `m` (`min(budget, |X|)`).
     pub fn pool_size(&self) -> usize {
-        self.pool_indices.len()
+        self.support.indices.len()
     }
 
     /// True when the pool enumerates the whole universe (exact mode).
@@ -745,8 +948,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Publish an immutable [`SampledSnapshot`] of the current sketched
-    /// state: clone-on-publish of the pool triple (`O(m·d)` — the same
-    /// order as one round update), drift envelope frozen, sampling ledger
+    /// state: the pool's log-weights copied (`O(m)`), its support
+    /// (indices and points) shared, drift envelope frozen, sampling ledger
     /// shared. Fails closed on poisoned backends — a snapshot must never
     /// freeze inconsistent state — and records the publish round so the
     /// post-round health gauges can report snapshot age.
@@ -754,8 +957,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.ensure_usable()?;
         self.published_round.set(Some(self.log.len()));
         Ok(SampledSnapshot {
-            pool_indices: self.pool_indices.clone(),
-            pool_points: self.pool_points.clone(),
+            support: Arc::clone(&self.support),
             pool_log_w: self.pool_log_w.clone(),
             exhaustive: self.exhaustive,
             drift_bound: self.log.drift_bound(),
@@ -865,7 +1067,8 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.probe.span_begin(Phase::PoolSweep);
         let mut grad = Vec::new();
         let payoffs: Result<Vec<f64>, SketchError> = self
-            .pool_points
+            .support
+            .points
             .iter()
             .map(|point| update.payoff(point, &mut grad))
             .collect();
@@ -924,7 +1127,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             return Ok(());
         }
         let n = self.source.len();
-        let m = self.pool_indices.len();
+        let m = self.pool_size();
         let indices: Vec<usize> = (0..m).map(|_| rng.random_range(0..n)).collect();
         self.probe.span_begin(Phase::LogReplay);
         let replayed = self.replay_candidates(&indices);
@@ -932,9 +1135,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let (flat, log_w, missing_drift) = replayed?;
         // All fresh state computed; swap atomically so a failed
         // re-evaluation above leaves the old pool untouched.
-        self.pool_points = PointMatrix::from_flat(flat, self.source.dim())
-            .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-        self.pool_indices = indices;
+        self.support = PoolSupport::new(indices, flat, self.source.dim())?;
         self.pool_log_w = LogWeights::new(log_w);
         self.pool_missing_drift = missing_drift;
         self.last_replay_depth = self.log.retained_len();
@@ -982,9 +1183,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             // sampling (any lossy-fold bias still applies, tracked below).
             let indices: Vec<usize> = (0..n).collect();
             let (flat, log_w, missing_drift) = self.replay_candidates(&indices)?;
-            self.pool_points = PointMatrix::from_flat(flat, dim)
-                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-            self.pool_indices = indices;
+            self.support = PoolSupport::new(indices, flat, dim)?;
             self.pool_log_w = LogWeights::new(log_w);
             self.exhaustive = true;
             self.pool_missing_drift = missing_drift;
@@ -994,20 +1193,20 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             // identical to the historical interleaved loop.
             let fresh: Vec<usize> = (m..target).map(|_| rng.random_range(0..n)).collect();
             let (fresh_flat, fresh_log_w, fresh_missing) = self.replay_candidates(&fresh)?;
+            let mut flat = Vec::with_capacity(target * dim);
+            flat.extend_from_slice(self.support.points.as_flat());
+            flat.extend_from_slice(&fresh_flat);
+            let mut indices = Vec::with_capacity(target);
+            indices.extend_from_slice(&self.support.indices);
+            indices.extend_from_slice(&fresh);
+            let mut log_w = Vec::with_capacity(target);
+            log_w.extend_from_slice(self.pool_log_w.as_slice());
+            log_w.extend_from_slice(&fresh_log_w);
+            self.support = PoolSupport::new(indices, flat, dim)?;
+            self.pool_log_w = LogWeights::new(log_w);
             // The existing slots keep their own distortion bound; the
             // appended ones carry theirs — the pool-wide bound is the max.
             self.pool_missing_drift = self.pool_missing_drift.max(fresh_missing);
-            let mut flat = Vec::with_capacity(target * dim);
-            flat.extend_from_slice(self.pool_points.as_flat());
-            flat.extend_from_slice(&fresh_flat);
-            let mut indices = self.pool_indices.clone();
-            indices.extend_from_slice(&fresh);
-            let mut log_w = self.pool_log_w.as_slice().to_vec();
-            log_w.extend_from_slice(&fresh_log_w);
-            self.pool_points = PointMatrix::from_flat(flat, dim)
-                .map_err(|_| SketchError::NonFinite("point source produced invalid points"))?;
-            self.pool_indices = indices;
-            self.pool_log_w = LogWeights::new(log_w);
         }
         self.last_replay_depth = self.log.retained_len();
         if P::ENABLED {
@@ -1091,7 +1290,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.ensure_usable()?;
         let round = self.log.len();
         let receipt = self.log.compact(
-            &self.pool_indices,
+            &self.support.indices,
             self.pool_log_w.as_slice(),
             self.pool_missing_drift,
         )?;
@@ -1128,14 +1327,13 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Capture everything a failed round must restore. Taken before a
-    /// round's first mutation, dropped on success. `O(m·d)` — the same
-    /// order as the round update it protects. (Distinct from the
+    /// round's first mutation, dropped on success. `O(m)` for the
+    /// log-weights; the support is shared, not copied. (Distinct from the
     /// *published* read snapshot, [`Self::publish_snapshot`]: this one is
     /// the rollback checkpoint of the transactional round.)
     fn pool_checkpoint(&self) -> PoolSnapshot {
         PoolSnapshot {
-            pool_indices: self.pool_indices.clone(),
-            pool_points: self.pool_points.clone(),
+            support: Arc::clone(&self.support),
             pool_log_w: self.pool_log_w.clone(),
             log_len: self.log.len(),
             exhaustive: self.exhaustive,
@@ -1161,8 +1359,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// of every claim ever made, and over-counting failed rounds only
     /// makes its totals more pessimistic.
     fn restore(&mut self, snap: PoolSnapshot) {
-        self.pool_indices = snap.pool_indices;
-        self.pool_points = snap.pool_points;
+        self.support = snap.support;
         self.pool_log_w = snap.pool_log_w;
         self.exhaustive = snap.exhaustive;
         self.resamples = snap.resamples;
@@ -1180,10 +1377,10 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         // failure here means the log itself is inconsistent.
         let truncated = self.log.truncate(snap.log_len);
         self.pending_events.truncate(snap.events_len);
-        let m = self.pool_indices.len();
+        let m = self.pool_size();
         if truncated.is_err()
             || self.pool_log_w.as_slice().len() != m
-            || self.pool_points.len() != m
+            || self.support.points.len() != m
             || self.log.len() != snap.log_len
             || !self.log.drift_bound().is_finite()
         {
@@ -1353,8 +1550,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// same round.
     fn view(&self) -> SketchReadView<'_> {
         SketchReadView {
-            pool_indices: &self.pool_indices,
-            pool_points: &self.pool_points,
+            support: &self.support,
             pool_log_w: &self.pool_log_w,
             exhaustive: self.exhaustive,
             drift_bound: self.log.drift_bound(),
@@ -1366,9 +1562,13 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
 
     /// Self-normalized importance-sampling estimate of
     /// `⟨f, D̂_t⟩ = Σ_x D̂_t(x)·f(x)` for a per-point function bounded by
-    /// `|f| ≤ scale`, with its concentration radius. The closure receives
-    /// the pool **slot** alongside the point, so index-route evaluations
-    /// (dense queries) can look up `pool_indices[slot]`.
+    /// `|f| ≤ scale`, with its concentration radius. `sums` makes the
+    /// read's pass over the pool: the slot-order pass of a closure that
+    /// receives each positive-weight **slot** with its point (so
+    /// index-route evaluations look up the support's indices), or the
+    /// sparse pass over a query's tabulated non-zero slots, which sums the
+    /// same terms in the same order. It runs inside the read's
+    /// [`Phase::Estimate`] span, which also covers the claim below.
     ///
     /// The radius is the minimum of the drift-envelope Hoeffding bound and
     /// the two variance-adaptive bounds (effective-sample-size and
@@ -1391,15 +1591,16 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     ///
     /// The heavy lifting is shared with published snapshots through
     /// [`SketchReadView`].
-    fn estimate_mean(
+    fn estimate_with(
         &self,
         label: &'static str,
         scale: f64,
-        f: impl FnMut(usize, &[f64]) -> Result<f64, SketchError>,
+        sums: impl FnOnce(&SketchReadView<'_>) -> Result<Sums, SketchError>,
     ) -> Result<Estimate, SketchError> {
         self.ensure_usable()?;
         self.probe.span_begin(Phase::Estimate);
-        let result = self.view().estimate_mean(&self.ledger, label, scale, f);
+        let view = self.view();
+        let result = sums(&view).and_then(|sums| view.claim(&self.ledger, label, scale, sums));
         self.probe.span_end(Phase::Estimate);
         let est = result?;
         if P::ENABLED {
@@ -1487,9 +1688,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
         let scale = loss.scale_bound();
         let mut grad = vec![0.0; loss.dim()];
-        self.estimate_mean("certificate-mean", scale, |_slot, point| {
-            dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
-                .map_err(|_| SketchError::NonFinite("certificate payoff"))
+        self.estimate_with("certificate-mean", scale, |view| {
+            view.slot_order_sums(|_slot, point| {
+                dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
+                    .map_err(|_| SketchError::NonFinite("certificate payoff"))
+            })
         })
     }
 
@@ -1501,11 +1704,21 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// Implicit queries evaluate on the cached pool points; dense queries
     /// on the cached pool indices. Exact (radius 0) on exhaustive pools.
     pub fn query_mean(&self, query: &dyn PointQuery) -> Result<Estimate, SketchError> {
-        crate::log::validate_query_shape(query, self.source.len(), self.source.dim())?;
-        let (lo, hi) = query.value_bounds();
-        let scale = lo.abs().max(hi.abs());
-        self.estimate_mean("query-mean", scale, |slot, point| {
-            crate::log::query_value_at(query, self.pool_indices[slot], point)
+        self.query_mean_via(query, None)
+    }
+
+    /// [`Self::query_mean`], through entry `i` of a memo renewed on the
+    /// current support when given one. An empty entry is tabulated inside
+    /// the read's span, before the sparse pass reads it.
+    fn query_mean_via(
+        &self,
+        query: &dyn PointQuery,
+        memo: Option<(&mut IncidenceMemo, usize)>,
+    ) -> Result<Estimate, SketchError> {
+        validate_query_shape(query, self.source.len(), self.source.dim())?;
+        self.estimate_with("query-mean", query_scale(query), |view| match memo {
+            Some((memo, i)) => memo.sums(i, query, view),
+            None => view.query_sums(query),
         })
     }
 
@@ -1527,7 +1740,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
         let mut grad = vec![0.0; loss.dim()];
         let mut value = f64::NEG_INFINITY;
-        for point in self.pool_points.iter() {
+        for point in self.support.points.iter() {
             let u = dual_certificate_at(loss, point, theta_oracle, theta_hyp, &mut grad)
                 .map_err(|_| SketchError::NonFinite("certificate payoff"))?;
             value = value.max(u);
@@ -1557,7 +1770,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// pool (exact for `D̂_t` itself when exhaustive). `O(m)`.
     pub fn sample_index(&self, rng: &mut dyn Rng) -> usize {
         let slot = gumbel_max_index(self.pool_log_w.as_slice(), rng);
-        self.pool_indices[slot]
+        self.support.indices[slot]
     }
 
     /// Unnormalized log-weight of any universe element, re-evaluated from
@@ -1601,7 +1814,7 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         // solve.
         Ok(minimize_weighted(
             loss,
-            &self.pool_points,
+            &self.support.points,
             &self.pool_log_w.snis().weights,
             solver_iters,
         )?)
@@ -1659,12 +1872,28 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         _points: Option<&PointMatrix>,
         _rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
-        let est = self.query_mean(query)?;
-        Ok(QueryEstimate {
-            value: est.value,
-            radius: est.radius,
-            beta: est.beta,
-        })
+        Ok(self.query_mean(query)?.into())
+    }
+
+    /// Each query's estimate is bit-for-bit its
+    /// [`SampledBackend::query_mean`], with the same span, ledger record
+    /// and gauges in query order, but after a query's first read on a pool
+    /// support it sums over that query's non-zero slots alone. `memo`
+    /// keeps them until the pool is redrawn or grown.
+    fn expected_query_values(
+        &self,
+        queries: &[&dyn PointQuery],
+        _points: Option<&PointMatrix>,
+        memo: &mut QueryMemo,
+        _rng: &mut dyn Rng,
+    ) -> Result<Vec<QueryEstimate>, PmwError> {
+        let memo = memo.get_or_default::<IncidenceMemo>();
+        memo.renew(&self.support, queries.len());
+        queries
+            .iter()
+            .enumerate()
+            .map(|(i, query)| Ok(self.query_mean_via(*query, Some((&mut *memo, i)))?.into()))
+            .collect()
     }
 
     fn apply_query_update(
@@ -2081,7 +2310,7 @@ mod tests {
         // The incrementally maintained pool cache must agree with the
         // O(t·d) from-scratch evaluation of the same indices.
         let (sketch, _, _) = driven_pair(8, 64, 4);
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
                 (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
@@ -2182,7 +2411,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         StateBackend::apply_query_update(&mut sketch, &q, None, -0.3, 1.0, None, &mut rng).unwrap();
         assert_eq!(sketch.rounds(), 4);
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
                 (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
@@ -2220,17 +2449,17 @@ mod tests {
         )
         .unwrap();
         assert!(!sketch.is_exhaustive());
-        let before: Vec<usize> = sketch.pool_indices.clone();
+        let before: Vec<usize> = sketch.support.indices.clone();
         // Two query rounds: the second triggers the drift-aware refresh.
         let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
         StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng).unwrap();
         assert_eq!(sketch.resamples(), 0);
         StateBackend::apply_query_update(&mut sketch, &q, None, -1.0, 0.4, None, &mut rng).unwrap();
         assert_eq!(sketch.resamples(), 1);
-        assert_ne!(before, sketch.pool_indices, "pool must be redrawn");
+        assert_ne!(before, sketch.support.indices, "pool must be redrawn");
         // Every fresh candidate's cached log-weight equals the exact
         // from-scratch replay of the update log.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
                 (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
@@ -2381,7 +2610,7 @@ mod tests {
         // Drained: a second take returns nothing.
         assert!(StateBackend::take_events(&mut sketch).is_empty());
         // Refreshed candidates match the exact from-scratch evaluation.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
                 (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
@@ -2408,7 +2637,7 @@ mod tests {
         )
         .unwrap();
         let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
-        let before_indices = sketch.pool_indices.clone();
+        let before_indices = sketch.support.indices.clone();
         let before_log_w = sketch.pool_log_w.as_slice().to_vec();
         let err = StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng)
             .unwrap_err();
@@ -2418,7 +2647,7 @@ mod tests {
         // explaining the failure survive the rollback, closed by an
         // explicit rollback marker.
         assert_eq!(sketch.rounds(), 0);
-        assert_eq!(sketch.pool_indices, before_indices);
+        assert_eq!(sketch.support.indices, before_indices);
         assert_eq!(sketch.pool_log_w.as_slice(), before_log_w);
         assert!(!sketch.is_poisoned());
         let events = StateBackend::take_events(&mut sketch);
@@ -2481,7 +2710,7 @@ mod tests {
             ]
         ));
         // The grown (now exhaustive) pool agrees with the exact log.
-        for (slot, &idx) in sketch.pool_indices.iter().enumerate() {
+        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
             let exact = sketch.log_weight_of(idx).unwrap();
             assert!(
                 (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
@@ -2528,7 +2757,7 @@ mod tests {
         let dim = sketch.source.dim();
         let query = ImplicitQuery::marginal(vec![0], dim).unwrap();
         let loss = bit_loss(1, dim);
-        let points = &sketch.pool_points;
+        let points = &sketch.support.points;
         let before_read = sketch.publish_snapshot().unwrap();
         let mut reference = sketch.publish_snapshot().unwrap();
         reference.pool_log_w = LogWeights::new(sketch.pool_log_w.as_slice().to_vec());
@@ -2676,6 +2905,248 @@ mod tests {
         assert_eq!(sketch.escalations(), 0, "the escalation rolled back");
         assert_eq!(sketch.pool_log_w.as_slice(), before);
         assert_reads_fresh(&sketch, "rollback");
+    }
+
+    /// A query whose non-zero values vary: the share of bits 0–2 set.
+    struct LowBitShare(usize);
+
+    impl PointQuery for LowBitShare {
+        fn value_bounds(&self) -> (f64, f64) {
+            (0.0, 1.0)
+        }
+        fn value_at_index(&self, _index: usize) -> Option<f64> {
+            None
+        }
+        fn value_at_point(&self, point: &[f64]) -> Option<f64> {
+            Some(point[..3].iter().filter(|&&c| c >= 0.5).count() as f64 / 3.0)
+        }
+        fn point_dim(&self) -> Option<usize> {
+            Some(self.0)
+        }
+    }
+
+    /// The batched read through `memo` and the per-query `query_mean` loop
+    /// must read the same bits and append the same ledger records, and the
+    /// memo must then hold a complete entry set on the current support —
+    /// one slot per log-weight — which is returned.
+    fn assert_memo_reads_fresh(
+        sketch: &SampledBackend<UniversePoints<BooleanCube>>,
+        memo: &mut QueryMemo,
+        step: &str,
+    ) -> Arc<PoolSupport> {
+        use pmw_data::workload::ImplicitQuery;
+        let dim = sketch.source.dim();
+        let marginal = ImplicitQuery::marginal(vec![0], dim).unwrap();
+        let pair = ImplicitQuery::marginal(vec![1, 2], dim).unwrap();
+        let share = LowBitShare(dim);
+        let by_index = pmw_data::LinearQuery::new(
+            (0..sketch.universe_size())
+                .map(|x| (x % 5) as f64 / 4.0)
+                .collect(),
+        )
+        .unwrap();
+        let queries: [&dyn PointQuery; 4] = [&marginal, &pair, &share, &by_index];
+        let ledger_len = sketch.ledger().len();
+        let looped: Vec<QueryEstimate> = queries
+            .iter()
+            .map(|q| sketch.query_mean(*q).unwrap().into())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0);
+        let batched =
+            StateBackend::expected_query_values(sketch, &queries, None, memo, &mut rng).unwrap();
+        let bits = |ests: &[QueryEstimate]| -> Vec<[u64; 3]> {
+            ests.iter()
+                .map(|e| [e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&batched), bits(&looped), "{step}: estimates");
+        let ledger = sketch.ledger();
+        let records: Vec<String> = ledger.records()[ledger_len..]
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(
+            records.len(),
+            2 * queries.len(),
+            "{step}: one record a read"
+        );
+        let (looped, batched) = records.split_at(queries.len());
+        assert_eq!(batched, looped, "{step}: ledger records");
+        let held = memo.get_or_default::<IncidenceMemo>();
+        let support = held.support.clone().expect("the read keyed the memo");
+        assert!(Arc::ptr_eq(&support, &sketch.support), "{step}: memo key");
+        assert!(held.entries.iter().all(Option::is_some), "{step}: entries");
+        let m = sketch.pool_log_w.as_slice().len();
+        assert_eq!(support.indices.len(), m, "{step}: support and log-weights");
+        support
+    }
+
+    #[test]
+    fn query_memo_never_goes_stale() {
+        let sketch_on = |dim: usize, config: SampledConfig, seed: u64| {
+            let cube = BooleanCube::new(dim).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            SampledBackend::new(UniversePoints(cube), config, &mut rng).unwrap()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+
+        // A round and a fold keep the support and the memo's entries; a
+        // manual and a cadence resample replace both.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 64,
+                resample_every: 2,
+                ..SampledConfig::default()
+            },
+            67,
+        );
+        let mut memo = QueryMemo::new();
+        let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
+        marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
+        let kept = assert_memo_reads_fresh(&sketch, &mut memo, "round");
+        assert!(Arc::ptr_eq(&built, &kept), "a round keeps the support");
+        sketch.resample(&mut rng).unwrap();
+        let redrawn = assert_memo_reads_fresh(&sketch, &mut memo, "manual resample");
+        assert!(!Arc::ptr_eq(&kept, &redrawn));
+        sketch.compact_now().unwrap();
+        assert_eq!(sketch.compactions(), 1);
+        let folded = assert_memo_reads_fresh(&sketch, &mut memo, "compact_now");
+        assert!(Arc::ptr_eq(&redrawn, &folded), "a fold keeps the support");
+        marginal_round(&mut sketch, -1.0, 0.5, &mut rng).unwrap();
+        assert_eq!(sketch.resamples(), 2);
+        let cadence = assert_memo_reads_fresh(&sketch, &mut memo, "cadence resample");
+        assert!(!Arc::ptr_eq(&folded, &cadence));
+
+        // An adaptive resample.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 128,
+                ess_floor: 0.9,
+                ..SampledConfig::default()
+            },
+            47,
+        );
+        let mut memo = QueryMemo::new();
+        let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
+        marginal_round(&mut sketch, 1.0, 8.0, &mut rng).unwrap();
+        assert_eq!(sketch.adaptive_resamples(), 1);
+        let redrawn = assert_memo_reads_fresh(&sketch, &mut memo, "adaptive resample");
+        assert!(!Arc::ptr_eq(&built, &redrawn));
+
+        // An emergency resample, then one doubling short of the universe
+        // (the set-up of `cached_snis_weights_never_go_stale`).
+        let threshold = 4.0;
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 32,
+                max_usable_radius: threshold,
+                growth_cap: 64,
+                ..SampledConfig::default()
+            },
+            71,
+        );
+        let mut memo = QueryMemo::new();
+        let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
+        let coeff = 1.2 * threshold / sketch.claimed_read_radius(1.0);
+        marginal_round(&mut sketch, coeff, 0.01, &mut rng).unwrap();
+        assert_eq!(sketch.pool_size(), 64);
+        let grown = assert_memo_reads_fresh(&sketch, &mut memo, "pool growth");
+        assert!(!Arc::ptr_eq(&built, &grown));
+
+        // Growth to exhaustive. Before the round every estimate is over
+        // the tiny threshold, so the batched read fails at its first
+        // query, after tabulating it on the 4-slot pool.
+        let mut sketch = sketch_on(
+            3,
+            SampledConfig {
+                budget: 4,
+                max_usable_radius: 1e-9,
+                growth_cap: 64,
+                ..SampledConfig::default()
+            },
+            59,
+        );
+        let mut memo = QueryMemo::new();
+        let q = pmw_data::workload::ImplicitQuery::marginal(vec![0], 3).unwrap();
+        let looped = sketch.query_mean(&q).map(|_| ()).unwrap_err();
+        let batched =
+            StateBackend::expected_query_values(&sketch, &[&q], None, &mut memo, &mut rng)
+                .map(|_| ())
+                .unwrap_err();
+        assert_eq!(batched, PmwError::from(looped));
+        marginal_round(&mut sketch, 1.0, 0.4, &mut rng).unwrap();
+        assert!(sketch.is_exhaustive());
+        assert_memo_reads_fresh(&sketch, &mut memo, "growth to exhaustive");
+
+        // A round rolled back after its emergency resample brings back the
+        // pre-round support, and the memo's entries on it stay good.
+        let mut sketch = sketch_on(
+            10,
+            SampledConfig {
+                budget: 32,
+                max_usable_radius: threshold,
+                ..SampledConfig::default()
+            },
+            73,
+        );
+        let mut memo = QueryMemo::new();
+        marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
+        let before = assert_memo_reads_fresh(&sketch, &mut memo, "round before the rollback");
+        let err = marginal_round(&mut sketch, 100.0, 0.01, &mut rng).unwrap_err();
+        assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
+        let restored = assert_memo_reads_fresh(&sketch, &mut memo, "rollback");
+        assert!(
+            Arc::ptr_eq(&before, &restored),
+            "the rollback restores the support"
+        );
+    }
+
+    /// Reads NaN wherever bit 3 is set.
+    struct NanWhereBit3(usize);
+
+    impl PointQuery for NanWhereBit3 {
+        fn value_bounds(&self) -> (f64, f64) {
+            (0.0, 1.0)
+        }
+        fn value_at_index(&self, _index: usize) -> Option<f64> {
+            None
+        }
+        fn value_at_point(&self, point: &[f64]) -> Option<f64> {
+            Some(if point[3] >= 0.5 { f64::NAN } else { 1.0 })
+        }
+        fn point_dim(&self) -> Option<usize> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn record_refuses_a_non_finite_query_payoff() {
+        use crate::source::BigBitCube;
+        use pmw_data::workload::ImplicitQuery;
+        let mut rng = StdRng::seed_from_u64(83);
+        let config = SampledConfig {
+            budget: 256,
+            ..SampledConfig::default()
+        };
+        let mut sketch =
+            SampledBackend::new(BigBitCube::new(12).unwrap(), config, &mut rng).unwrap();
+        let marginal = ImplicitQuery::marginal(vec![0], 12).unwrap();
+        let read = |sketch: &SampledBackend<BigBitCube>| {
+            let est = sketch.query_mean(&marginal).unwrap();
+            (est.value.to_bits(), est.radius.to_bits())
+        };
+        let before = read(&sketch);
+        let log_w = sketch.pool_log_w.as_slice().to_vec();
+        let nan = Arc::new(NanWhereBit3(12)) as Arc<dyn PointQuery>;
+        let err = sketch.record(RoundUpdate::query(nan, 0.5, 1.0).unwrap());
+        assert_eq!(err, Err(SketchError::NonFinite("query payoff")));
+        assert_eq!(sketch.rounds(), 0);
+        assert_eq!(sketch.pool_log_w.as_slice(), log_w, "the pool is untouched");
+        assert_eq!(read(&sketch), before);
+        assert_eq!(sketch.health().ess, 256.0);
     }
 
     #[test]

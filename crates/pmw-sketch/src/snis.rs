@@ -15,11 +15,14 @@
 use std::sync::OnceLock;
 
 /// The normalized SNIS weights of a pool: `weights[i]` is the softmax of
-/// the log-weights, `mean_shifted` the shifted normalizer mean
+/// the log-weights, `w_sq` the sum Σŵ² over the positive weights in slot
+/// order (what every estimate's effective sample size reads),
+/// `mean_shifted` the shifted normalizer mean
 /// `B̂' = (1/m)Σ exp(log w_i − shift)` and `shift` the maximum log-weight.
 #[derive(Debug, Clone)]
 pub(crate) struct Snis {
     pub(crate) weights: Vec<f64>,
+    pub(crate) w_sq: f64,
     pub(crate) mean_shifted: f64,
     pub(crate) shift: f64,
 }
@@ -36,11 +39,16 @@ impl Snis {
         }
         debug_assert!(total > 0.0 && total.is_finite());
         let mean_shifted = total / weights.len() as f64;
+        let mut w_sq = 0.0;
         for v in &mut weights {
             *v /= total;
+            if *v > 0.0 {
+                w_sq += *v * *v;
+            }
         }
         Self {
             weights,
+            w_sq,
             mean_shifted,
             shift,
         }
