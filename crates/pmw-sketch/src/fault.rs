@@ -27,7 +27,9 @@
 //! never left half-updated.
 
 use crate::source::PointSource;
-use pmw_core::{BackendEvent, MeanFn, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
+use pmw_core::{
+    BackendEvent, MeanFn, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,
+};
 use pmw_data::{Histogram, PointMatrix, PointQuery};
 use pmw_erm::{ErmError, ErmOracle};
 use pmw_losses::CmLoss;
@@ -85,8 +87,8 @@ impl FaultRule {
 pub struct FaultPlan {
     /// Oracle solve failures ([`FaultyOracle`]).
     pub oracle: FaultRule,
-    /// Backend estimate failures (`expected_query_value`,
-    /// [`FaultyBackend`]).
+    /// Backend estimate failures (`expected_query_value`, and each query
+    /// of `expected_query_values`, [`FaultyBackend`]).
     pub estimate: FaultRule,
     /// Backend update failures (`apply_update` / `apply_query_update`,
     /// [`FaultyBackend`]).
@@ -315,6 +317,32 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
             return Err(PmwError::LossMismatch("injected fault: backend estimate"));
         }
         self.inner.expected_query_value(query, points, rng)
+    }
+
+    /// Consults the estimate site once per query, in query order, as the
+    /// per-query loop does. When it fires at none of them, the whole slice
+    /// goes to the inner batched read, memo included; when it fires at
+    /// query `j`, queries before `j` are read one at a time through the
+    /// inner backend and query `j` returns the injected error. Values,
+    /// ledger records and spans then match the loop's. Only after a real
+    /// inner error can the site's call count drift from the loop's.
+    fn expected_query_values(
+        &self,
+        queries: &[&dyn PointQuery],
+        points: Option<&PointMatrix>,
+        memo: &mut QueryMemo,
+        rng: &mut dyn Rng,
+    ) -> Result<Vec<QueryEstimate>, PmwError> {
+        let Some(j) = queries
+            .iter()
+            .position(|_| self.fires(self.plan.estimate, &self.estimate_calls))
+        else {
+            return self.inner.expected_query_values(queries, points, memo, rng);
+        };
+        for query in &queries[..j] {
+            self.inner.expected_query_value(*query, points, rng)?;
+        }
+        Err(PmwError::LossMismatch("injected fault: backend estimate"))
     }
 
     fn apply_query_update(

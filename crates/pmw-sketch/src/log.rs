@@ -45,6 +45,7 @@ use crate::error::SketchError;
 use crate::source::PointSource;
 use pmw_core::update::{dual_certificate_at, dual_certificate_seeded};
 use pmw_data::workload::PointQuery;
+use pmw_data::PointMatrix;
 use pmw_losses::CmLoss;
 use std::sync::Arc;
 
@@ -85,6 +86,10 @@ pub(crate) fn query_value_at(
         SketchError::UnsupportedLoss("query supports neither index nor point evaluation")
     })
 }
+
+/// What a query round's payoff returns at a point its query cannot read.
+const UNEVALUABLE_QUERY: SketchError =
+    SketchError::UnsupportedLoss("recorded query cannot evaluate at a point");
 
 /// The round-specific payoff parameters.
 #[derive(Clone)]
@@ -271,11 +276,7 @@ impl RoundUpdate {
                     .map_err(|_| SketchError::NonFinite("certificate payoff"))
             }
             UpdatePayload::Query { query, coeff } => {
-                let q = query
-                    .value_at_point(point)
-                    .ok_or(SketchError::UnsupportedLoss(
-                        "recorded query cannot evaluate at a point",
-                    ))?;
+                let q = query.value_at_point(point).ok_or(UNEVALUABLE_QUERY)?;
                 let u = coeff * q;
                 if !u.is_finite() {
                     return Err(SketchError::NonFinite("query payoff"));
@@ -283,6 +284,36 @@ impl RoundUpdate {
                 Ok(u)
             }
         }
+    }
+
+    /// [`RoundUpdate::payoff`] at every row of `points`, in row order,
+    /// failing where the per-row loop would first fail. A query round
+    /// evaluates its query over all rows in one
+    /// [`PointQuery::values_at_rows`] call before scaling each value.
+    pub(crate) fn payoffs(&self, points: &PointMatrix) -> Result<Vec<f64>, SketchError> {
+        let UpdatePayload::Query { query, coeff } = &self.payload else {
+            let mut grad = Vec::new();
+            return points
+                .iter()
+                .map(|point| self.payoff(point, &mut grad))
+                .collect();
+        };
+        let mut payoffs = vec![0.0; points.len()];
+        let evaluated = query.values_at_rows(None, points.as_flat(), points.dim(), &mut payoffs);
+        // Rows before the first unevaluable one come first.
+        let rows = evaluated.err().unwrap_or(payoffs.len());
+        for u in &mut payoffs[..rows] {
+            // `q·coeff` has the bits of `coeff·q`: `coeff` is finite, and a
+            // NaN `q` is refused below either way.
+            *u *= coeff;
+            if !u.is_finite() {
+                return Err(SketchError::NonFinite("query payoff"));
+            }
+        }
+        if rows < payoffs.len() {
+            return Err(UNEVALUABLE_QUERY);
+        }
+        Ok(payoffs)
     }
 
     /// Fold this round into a running cumulative log-weight: returns
@@ -771,6 +802,64 @@ mod tests {
         ));
         let implicit = ImplicitQuery::parity(vec![0], 2).unwrap();
         assert!(RoundUpdate::query_from_dyn(&implicit, -0.25, 0.7).is_ok());
+    }
+
+    /// `q(x) = 0.3·x_0`, except `None` where `x_0 = 2` and NaN where
+    /// `x_0 = 3`.
+    #[derive(Clone)]
+    struct Spotty;
+
+    impl PointQuery for Spotty {
+        fn value_bounds(&self) -> (f64, f64) {
+            (0.0, 1.0)
+        }
+        fn value_at_index(&self, _index: usize) -> Option<f64> {
+            None
+        }
+        fn value_at_point(&self, point: &[f64]) -> Option<f64> {
+            match point[0] {
+                2.0 => None,
+                3.0 => Some(f64::NAN),
+                x => Some(0.3 * x),
+            }
+        }
+        fn point_dim(&self) -> Option<usize> {
+            Some(2)
+        }
+    }
+
+    #[test]
+    fn payoffs_fail_where_the_per_row_loop_fails() {
+        let per_row = |round: &RoundUpdate, points: &PointMatrix| {
+            let mut grad = Vec::new();
+            points
+                .iter()
+                .map(|point| round.payoff(point, &mut grad))
+                .collect::<Result<Vec<f64>, _>>()
+        };
+        let bits = |r: Result<Vec<f64>, SketchError>| {
+            r.map(|v| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>())
+        };
+        let query = RoundUpdate::query(Arc::new(Spotty), -0.7, 1.0).unwrap();
+        let certificate = RoundUpdate::new(lq(1, 2), vec![0.9], vec![0.2], 0.5).unwrap();
+        let cases: [(&[f64], Result<(), SketchError>); 3] = [
+            (&[0.0, 1.0, 0.5, 0.25, 1.0], Ok(())),
+            (
+                &[0.5, 3.0, 1.0, 2.0],
+                Err(SketchError::NonFinite("query payoff")),
+            ),
+            (&[0.5, 2.0, 1.0, 3.0], Err(UNEVALUABLE_QUERY)),
+        ];
+        for (first, outcome) in cases {
+            let flat: Vec<f64> = first.iter().flat_map(|&x| [x, 1.0 - x]).collect();
+            let points = PointMatrix::from_flat(flat, 2).unwrap();
+            assert_eq!(query.payoffs(&points).map(|_| ()), outcome);
+            assert_eq!(bits(query.payoffs(&points)), bits(per_row(&query, &points)));
+            assert_eq!(
+                bits(certificate.payoffs(&points)),
+                bits(per_row(&certificate, &points))
+            );
+        }
     }
 
     #[test]

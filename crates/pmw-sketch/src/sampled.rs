@@ -277,6 +277,15 @@ enum Incidence {
 /// fragmented the heap: at a fixed release count, perfbench's
 /// mwem-marginals held 2.1 KB per release with it and 0.5 KB with the
 /// shared buffers.
+///
+/// An entry is built by one [`PointQuery::values_at_rows`] call that
+/// writes the query's value at every slot to the end of the value buffer,
+/// then a compaction of the non-zero ones in place ([`compact_nonzero`]),
+/// so the buffer grows by at most one pool beyond what its entries keep.
+/// Tests: `tabulation_keeps_nan_and_drops_signed_zeros` pins the
+/// compaction, `query_memo_never_goes_stale` the key, and the
+/// `batched_read_parity` integration test whole `Mwem` runs against the
+/// per-query loop.
 #[derive(Default)]
 struct IncidenceMemo {
     support: Option<Arc<PoolSupport>>,
@@ -331,28 +340,31 @@ impl IncidenceMemo {
         })
     }
 
-    /// Evaluate `query` at every slot of `support` once and append its
-    /// non-zero slots (and values, when they vary) to the buffers.
+    /// Evaluate `query` at every slot of `support` in one
+    /// [`PointQuery::values_at_rows`] call (index first, as the slot-order
+    /// pass reads it) and append its non-zero slots (and values, when they
+    /// vary) to the buffers.
     fn tabulate(&mut self, query: &dyn PointQuery, support: &PoolSupport) -> Incidence {
-        if u32::try_from(support.indices.len()).is_err() {
+        let m = support.indices.len();
+        if u32::try_from(m).is_err() {
             return Incidence::SlotOrder;
         }
         let (start, values) = (self.slots.len(), self.values.len());
-        for (slot, (point, &index)) in support.points.iter().zip(&support.indices).enumerate() {
-            match query_value_at(query, index, point) {
-                // Matches −0.0 too.
-                Ok(0.0) => {}
-                Ok(v) => {
-                    self.slots.push(slot as u32);
-                    self.values.push(v);
-                }
-                Err(_) => {
-                    self.slots.truncate(start);
-                    self.values.truncate(values);
-                    return Incidence::SlotOrder;
-                }
-            }
+        self.values.resize(values + m, 0.0);
+        let evaluated = query.values_at_rows(
+            Some(&support.indices),
+            support.points.as_flat(),
+            support.points.dim(),
+            &mut self.values[values..],
+        );
+        if evaluated.is_err() {
+            self.values.truncate(values);
+            return Incidence::SlotOrder;
         }
+        self.slots.resize(start + m, 0);
+        let kept = compact_nonzero(&mut self.values[values..], &mut self.slots[start..]);
+        self.slots.truncate(start + kept);
+        self.values.truncate(values + kept);
         let end = self.slots.len();
         let kept = &self.values[values..];
         match kept.first() {
@@ -366,6 +378,23 @@ impl IncidenceMemo {
             }
         }
     }
+}
+
+/// Move the non-zero entries of `values` to its front, in slot order, and
+/// write their slot numbers to the front of `slots` (as long as `values`);
+/// returns how many were kept. `v != 0.0` drops `±0` and keeps NaN. Every
+/// slot is written and the count advanced by the comparison, with no
+/// branch on the value, so the loop does not mispredict on the zeros and
+/// ones a marginal reads.
+fn compact_nonzero(values: &mut [f64], slots: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for slot in 0..values.len() {
+        let v = values[slot];
+        values[kept] = v;
+        slots[kept] = slot as u32;
+        kept += usize::from(v != 0.0);
+    }
+    kept
 }
 
 /// The payoff scale `max(|lo|, |hi|)` of a query's value bounds.
@@ -1065,13 +1094,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         // Two passes (evaluate, then apply) so a failed evaluation leaves
         // the pool untouched.
         self.probe.span_begin(Phase::PoolSweep);
-        let mut grad = Vec::new();
-        let payoffs: Result<Vec<f64>, SketchError> = self
-            .support
-            .points
-            .iter()
-            .map(|point| update.payoff(point, &mut grad))
-            .collect();
+        let payoffs = update.payoffs(&self.support.points);
         if let Ok(payoffs) = &payoffs {
             let eta = update.eta();
             for (lw, u) in self.pool_log_w.values_mut().iter_mut().zip(payoffs) {
@@ -3147,6 +3170,72 @@ mod tests {
         assert_eq!(sketch.pool_log_w.as_slice(), log_w, "the pool is untouched");
         assert_eq!(read(&sketch), before);
         assert_eq!(sketch.health().ess, 256.0);
+    }
+
+    /// Reads `values[index]` by index alone, so values no `LinearQuery`
+    /// may hold (NaN, −0.0) reach the tabulation.
+    struct Listed(Vec<f64>);
+
+    impl PointQuery for Listed {
+        fn value_bounds(&self) -> (f64, f64) {
+            (-1.0, 1.0)
+        }
+        fn value_at_index(&self, index: usize) -> Option<f64> {
+            self.0.get(index).copied()
+        }
+        fn value_at_point(&self, _point: &[f64]) -> Option<f64> {
+            None
+        }
+    }
+
+    #[test]
+    fn tabulation_keeps_nan_and_drops_signed_zeros() {
+        let nan = f64::NAN;
+        let support = PoolSupport::new((0..8).collect(), vec![0.0; 8], 1).unwrap();
+        let mut memo = IncidenceMemo::default();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let constant = Listed(vec![-0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -0.0]);
+        let entry = memo.tabulate(&constant, &support);
+        assert!(
+            matches!(entry, Incidence::Constant { start: 0, end: 3, value } if value == 1.0),
+            "{entry:?}"
+        );
+        assert_eq!(memo.slots, [1, 3, 6]);
+        assert!(memo.values.is_empty(), "a constant entry keeps no values");
+
+        // Appended after the first entry: NaN is kept, ±0 dropped.
+        let varying = Listed(vec![0.0, -0.0, nan, 0.5, 0.0, -1.0, nan, -0.0]);
+        let entry = memo.tabulate(&varying, &support);
+        assert!(
+            matches!(
+                entry,
+                Incidence::Varying {
+                    start: 3,
+                    end: 7,
+                    values: 0
+                }
+            ),
+            "{entry:?}"
+        );
+        assert_eq!(memo.slots[3..], [2, 3, 5, 6]);
+        assert_eq!(bits(&memo.values), bits(&[nan, 0.5, -1.0, nan]));
+
+        // Only zeros: an empty constant entry.
+        let zeros = Listed(vec![0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0]);
+        let entry = memo.tabulate(&zeros, &support);
+        assert!(
+            matches!(entry, Incidence::Constant { start: 7, end: 7, value } if value.to_bits() == 0),
+            "{entry:?}"
+        );
+
+        // Unevaluable past slot 4: the slot-order pass, buffers as before.
+        let short = Listed(vec![1.0, 0.0, 0.5, 1.0, 0.25]);
+        assert!(matches!(
+            memo.tabulate(&short, &support),
+            Incidence::SlotOrder
+        ));
+        assert_eq!((memo.slots.len(), memo.values.len()), (7, 4));
     }
 
     #[test]

@@ -575,3 +575,130 @@ fn fault_after_a_fold_rolls_back_cleanly_without_poisoning() {
     assert_eq!(backend.updates_recorded(), 3);
     assert!(!backend.is_poisoned());
 }
+
+/// `Mwem` reads its estimates through the batched read, which
+/// `FaultyBackend` forwards: the estimate site is consulted once per query
+/// in query order, so a scheduled fault lands at the initial read or in the
+/// middle of a later round's reads, after earlier rounds went through the
+/// sampled pool's incidence tables. Every seeded plan must end in `Ok` or a
+/// surfaced injected error, never a panic; a completed run stays within
+/// its ε and releases only finite answers; and an empty plan reproduces the
+/// bare backend bit for bit.
+#[test]
+fn mwem_invariants_hold_under_every_seeded_fault_plan() {
+    use pmw_core::{Mwem, MwemRun};
+    use pmw_data::BigBitCube;
+    use pmw_sketch::CompactionPolicy;
+    const BITS: usize = 12;
+    let (k, rounds, eps) = (8u64, 6, 1.0);
+    let source = BigBitCube::new(BITS).unwrap();
+    let queries: Vec<ImplicitQuery> = (0..k as usize)
+        .map(|i| ImplicitQuery::marginal(vec![i, i + 4], BITS).unwrap())
+        .collect();
+    let rows: Vec<usize> = (0..200)
+        .map(|i| [0xabc, 0x123, 0xfff, 0x0f0][i % 4])
+        .collect();
+    let data = DataSide::from_source(&source, &Dataset::from_indices(source.len(), rows).unwrap())
+        .unwrap();
+    let config = SampledConfig {
+        budget: 48,
+        resample_every: 2,
+        compaction: CompactionPolicy::EveryK(2),
+        ..SampledConfig::default()
+    };
+    let mwem = Mwem::new(rounds, 1.0).unwrap();
+    let run = |seed: u64, plan: FaultPlan| {
+        let mut rng = StdRng::seed_from_u64(6000 + seed);
+        let backend = SampledBackend::new(source, config, &mut rng).unwrap();
+        mwem.run_with_backend(
+            &queries,
+            &data,
+            eps,
+            FaultyBackend::new(backend, plan),
+            &mut rng,
+        )
+    };
+    let records = |state: &SampledBackend<BigBitCube>| -> Vec<String> {
+        state
+            .ledger()
+            .records()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect()
+    };
+
+    // The empty plan against the bare backend.
+    let bare: MwemRun<_> = {
+        let mut rng = StdRng::seed_from_u64(6000);
+        let backend = SampledBackend::new(source, config, &mut rng).unwrap();
+        mwem.run_with_backend(&queries, &data, eps, backend, &mut rng)
+            .unwrap()
+    };
+    let wrapped = run(0, FaultPlan::default()).unwrap();
+    let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&wrapped.answers), bits(&bare.answers), "answers");
+    assert_eq!(wrapped.selected, bare.selected, "selections");
+    assert_eq!(wrapped.backend_events, bare.backend_events, "events");
+    assert_eq!(records(wrapped.state.inner()), records(&bare.state));
+    assert!(bare.state.resamples() > 0 && bare.state.compactions() > 0);
+
+    // Seeded plans; estimate faults placed inside a later round's reads
+    // (call k·t + j is query j of round t's read) and update faults; and
+    // plans a run completes under: one scheduled past the run's last read
+    // (the initial read plus one a round), one on sites `Mwem` never
+    // reaches.
+    let targeted = [2 * k + 5, 3 * k + 1, 5 * k + 8].map(|c| FaultPlan {
+        estimate: FaultRule::Once(c),
+        ..FaultPlan::default()
+    });
+    let updates = [1, 4].map(|c| FaultPlan {
+        update: FaultRule::Once(c),
+        ..FaultPlan::default()
+    });
+    let harmless = [
+        FaultPlan {
+            estimate: FaultRule::Once(k * (rounds as u64 + 1) + 1),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            oracle: FaultRule::Every(1),
+            nan_radius: FaultRule::Every(1),
+            source: FaultRule::Every(1),
+            ..FaultPlan::default()
+        },
+    ];
+    let plans = (0..24)
+        .map(FaultPlan::seeded)
+        .chain(targeted)
+        .chain(updates)
+        .chain(harmless);
+    let (mut completed, mut failed) = (0, 0);
+    for (seed, plan) in plans.enumerate() {
+        match run(seed as u64, plan) {
+            Ok(done) => {
+                completed += 1;
+                let total = done.accountant.basic_total().unwrap();
+                assert!(total.epsilon() <= eps * (1.0 + 1e-9), "plan {seed}");
+                assert_eq!(done.accountant.len(), 2 * rounds, "plan {seed}");
+                assert_eq!(done.selected.len(), rounds, "plan {seed}");
+                assert!(
+                    done.answers.iter().all(|a| a.is_finite()),
+                    "plan {seed}: non-finite answer"
+                );
+                check_backend(done.state.inner(), rounds);
+                check_events(&done.backend_events);
+            }
+            Err(PmwError::LossMismatch(what)) if what.starts_with("injected fault") => failed += 1,
+            Err(e) => panic!("plan {seed}: {e:?} is not an injected fault"),
+        }
+    }
+    for plan in targeted {
+        assert_eq!(
+            run(0, plan).err(),
+            Some(PmwError::LossMismatch("injected fault: backend estimate")),
+            "{plan:?}"
+        );
+    }
+    assert!(completed >= 2, "{completed} completed");
+    assert!(failed >= 5, "{failed} failed");
+}
