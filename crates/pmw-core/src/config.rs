@@ -27,7 +27,6 @@
 
 use crate::error::PmwError;
 use crate::theory;
-use pmw_dp::sparse_vector::SvComposition;
 use pmw_dp::PrivacyBudget;
 
 /// Caller-facing configuration for [`OnlinePmw`](crate::OnlinePmw) and the
@@ -48,8 +47,6 @@ pub struct PmwConfig {
     /// Override for the update budget `T` (see module docs). `None` uses the
     /// theoretical `64·S²·log|X|/α²`.
     pub rounds_override: Option<usize>,
-    /// Override for the MW learning rate `η`. `None` derives it from `T`.
-    pub eta_override: Option<f64>,
     /// Iteration budget for the inner (non-private) convex solves.
     pub solver_iters: usize,
     /// In-round retries of a transiently failing ERM oracle before the
@@ -75,8 +72,6 @@ pub struct PmwConfig {
     /// retried round never sees (and never double-applies onto)
     /// half-updated state from an earlier attempt.
     pub oracle_retries: usize,
-    /// Sparse-vector composition mode across AboveThreshold restarts.
-    pub sv_composition: SvComposition,
     /// Record diagnostic values (true error-query values) in the transcript.
     /// These are *not* differentially private — for experiments only.
     pub diagnostics: bool,
@@ -93,10 +88,8 @@ impl PmwConfig {
             k: 128,
             scale_s: 2.0,
             rounds_override: None,
-            eta_override: None,
             solver_iters: 600,
             oracle_retries: 0,
-            sv_composition: SvComposition::Strong,
             diagnostics: false,
         }
     }
@@ -125,15 +118,7 @@ impl PmwConfig {
                 (t as usize).max(1)
             }
         };
-        let eta = match self.eta_override {
-            Some(e) => {
-                if !(e.is_finite() && e > 0.0) {
-                    return Err(PmwError::InvalidConfig("eta override must be positive"));
-                }
-                e
-            }
-            None => theory::learning_rate(self.scale_s, log_x, rounds as f64),
-        };
+        let eta = theory::learning_rate(self.scale_s, log_x, rounds as f64);
         let t = rounds as f64;
         let eps0 =
             self.budget.epsilon() / (2.0 * (8.0 * t * (4.0 / self.budget.delta()).ln()).sqrt());
@@ -162,10 +147,8 @@ pub struct PmwConfigBuilder {
     k: usize,
     scale_s: f64,
     rounds_override: Option<usize>,
-    eta_override: Option<f64>,
     solver_iters: usize,
     oracle_retries: usize,
-    sv_composition: SvComposition,
     diagnostics: bool,
 }
 
@@ -194,12 +177,6 @@ impl PmwConfigBuilder {
         self
     }
 
-    /// Learning-rate override.
-    pub fn eta_override(mut self, eta: f64) -> Self {
-        self.eta_override = Some(eta);
-        self
-    }
-
     /// Inner solver iteration budget (default 600).
     pub fn solver_iters(mut self, iters: usize) -> Self {
         self.solver_iters = iters;
@@ -210,12 +187,6 @@ impl PmwConfigBuilder {
     /// (default 0 — see [`PmwConfig::oracle_retries`]).
     pub fn oracle_retries(mut self, retries: usize) -> Self {
         self.oracle_retries = retries;
-        self
-    }
-
-    /// Sparse-vector composition mode (default strong).
-    pub fn sv_composition(mut self, mode: SvComposition) -> Self {
-        self.sv_composition = mode;
         self
     }
 
@@ -255,10 +226,8 @@ impl PmwConfigBuilder {
             k: self.k,
             scale_s: self.scale_s,
             rounds_override: self.rounds_override,
-            eta_override: self.eta_override,
             solver_iters: self.solver_iters,
             oracle_retries: self.oracle_retries,
-            sv_composition: self.sv_composition,
             diagnostics: self.diagnostics,
         })
     }
@@ -333,28 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn eta_override_takes_precedence() {
-        let config = base()
-            .rounds_override(10)
-            .eta_override(0.05)
-            .build()
-            .unwrap();
-        let p = config.derive(64).unwrap();
-        assert!((p.eta - 0.05).abs() < 1e-15);
-    }
-
-    #[test]
     fn derive_rejects_degenerate_inputs() {
         let config = base().build().unwrap();
         assert!(config.derive(1).is_err());
         let too_tight = PmwConfig::builder(1.0, 1e-6, 0.001).build().unwrap();
         assert!(too_tight.derive(1 << 20).is_err());
-        let bad_eta = base()
-            .rounds_override(5)
-            .eta_override(-1.0)
-            .build()
-            .unwrap();
-        assert!(bad_eta.derive(64).is_err());
         let zero_rounds = base().rounds_override(0).build().unwrap();
         assert!(zero_rounds.derive(64).is_err());
     }

@@ -64,7 +64,6 @@ pub use linear::{LinearPmw, Mwem, MwemRun};
 pub use mechanism::{OnlinePmw, ScreenContext, ScreenedQuery};
 pub use offline::{OfflinePmw, OfflineResult};
 pub use state::{
-    BackendEvent, DenseBackend, DenseSnapshot, MeanFn, QueryEstimate, QueryMemo, ReadSnapshot,
-    StateBackend,
+    BackendEvent, DenseBackend, DenseSnapshot, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,
 };
 pub use transcript::{QueryOutcome, QueryRecord, Transcript};

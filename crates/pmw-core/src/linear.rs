@@ -33,7 +33,7 @@ use crate::state::{
 };
 use pmw_data::workload::{LinearQuery, PointQuery};
 use pmw_data::{Dataset, Histogram, PointMatrix, PointSource};
-use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
+use pmw_dp::sparse_vector::{SvComposition, SvConfig, SvOutcome};
 use pmw_dp::{Accountant, ExponentialMechanism, LaplaceMechanism, SparseVector};
 use pmw_obs::{Counter, Gauge, NoopProbe, Phase, Probe};
 use rand::Rng;
@@ -76,9 +76,8 @@ fn finite_estimates<B: StateBackend>(
     queries: &[&dyn PointQuery],
     points: Option<&PointMatrix>,
     memo: &mut QueryMemo,
-    rng: &mut dyn Rng,
 ) -> Result<Vec<QueryEstimate>, PmwError> {
-    let ests = state.expected_query_values(queries, points, memo, rng)?;
+    let ests = state.expected_query_values(queries, points, memo)?;
     if ests
         .iter()
         .any(|e| !(e.value.is_finite() && e.radius.is_finite()))
@@ -168,7 +167,7 @@ impl<B: StateBackend> LinearPmw<B> {
                 threshold: config.alpha,
                 sensitivity,
                 budget: derived.sv_budget,
-                composition: config.sv_composition,
+                composition: SvComposition::Strong,
             },
             rng,
         )?;
@@ -219,7 +218,7 @@ impl<B: StateBackend> LinearPmw<B> {
         };
         let est = self
             .state
-            .expected_query_value(query, self.data.universe_points(), rng)?;
+            .expected_query_value(query, self.data.universe_points())?;
         let truth = self.data.evaluate(query)?;
         let err = (est.value - truth).abs();
         // Radius-aware SV margin: on a sketching backend `est` carries a
@@ -489,7 +488,7 @@ impl Mwem {
         // their claimed concentration radii (0 on exact backends). One memo
         // serves every read of the run and is freed with it.
         let mut memo = QueryMemo::new();
-        let mut ests = finite_estimates(&state, &queries, points, &mut memo, rng)?;
+        let mut ests = finite_estimates(&state, &queries, points, &mut memo)?;
 
         let mut accountant = Accountant::new();
         let mut selected = Vec::with_capacity(self.rounds);
@@ -557,7 +556,7 @@ impl Mwem {
                 let last = t + 1 == self.rounds;
                 if !(last && avg.is_some()) {
                     probe.span_begin(Phase::Estimate);
-                    ests = finite_estimates(&state, &queries, points, &mut memo, rng)?;
+                    ests = finite_estimates(&state, &queries, points, &mut memo)?;
                     probe.span_end(Phase::Estimate);
                 }
                 Ok(())
@@ -740,16 +739,6 @@ mod tests {
             self.0.updates_recorded()
         }
 
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn pmw_losses::CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-        }
-
         #[allow(clippy::too_many_arguments)]
         fn apply_update(
             &mut self,
@@ -782,9 +771,8 @@ mod tests {
             &self,
             query: &dyn PointQuery,
             points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
         ) -> Result<crate::state::QueryEstimate, PmwError> {
-            self.0.expected_query_value(query, points, rng)
+            self.0.expected_query_value(query, points)
         }
 
         fn apply_query_update(
@@ -859,16 +847,6 @@ mod tests {
             self.0.updates_recorded()
         }
 
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn pmw_losses::CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-        }
-
         #[allow(clippy::too_many_arguments)]
         fn apply_update(
             &mut self,
@@ -901,9 +879,8 @@ mod tests {
             &self,
             query: &dyn PointQuery,
             points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
         ) -> Result<crate::state::QueryEstimate, PmwError> {
-            let est = self.0.expected_query_value(query, points, rng)?;
+            let est = self.0.expected_query_value(query, points)?;
             Ok(crate::state::QueryEstimate {
                 value: est.value,
                 radius: self.1,
@@ -1031,16 +1008,6 @@ mod tests {
             self.0.updates_recorded()
         }
 
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn pmw_losses::CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-        }
-
         #[allow(clippy::too_many_arguments)]
         fn apply_update(
             &mut self,
@@ -1073,9 +1040,8 @@ mod tests {
             &self,
             query: &dyn PointQuery,
             points: Option<&PointMatrix>,
-            rng: &mut dyn Rng,
         ) -> Result<QueryEstimate, PmwError> {
-            let mut est = self.0.expected_query_value(query, points, rng)?;
+            let mut est = self.0.expected_query_value(query, points)?;
             if self.updates_recorded() >= self.1 {
                 est.value = f64::NAN;
             }

@@ -29,7 +29,7 @@ use crate::state::{DenseBackend, ReadSnapshot, StateBackend};
 use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
 use pmw_convex::Objective;
 use pmw_data::{Dataset, Histogram, PointMatrix, Universe};
-use pmw_dp::sparse_vector::{SvConfig, SvOutcome};
+use pmw_dp::sparse_vector::{SvComposition, SvConfig, SvOutcome};
 use pmw_dp::{Accountant, DpError, SparseVector};
 use pmw_erm::{ErmOracle, OracleChoice};
 use pmw_losses::{CmLoss, WeightedObjective};
@@ -325,7 +325,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
             threshold: config.alpha,
             sensitivity: 3.0 * config.scale_s / data.n() as f64,
             budget: derived.sv_budget,
-            composition: config.sv_composition,
+            composition: SvComposition::Strong,
         };
         let sv = SparseVector::new(sv_config, rng)?;
         let mut accountant = Accountant::new();
@@ -1263,8 +1263,8 @@ mod tests {
         }
     }
 
-    /// A dense-delegating backend that claims a large read radius — the
-    /// stub for the sketched-state SV margin widening.
+    /// A dense-delegating backend whose snapshots claim a large read
+    /// radius — the stub for the sketched-state SV margin widening.
     struct WideReadBackend(DenseBackend);
 
     impl StateBackend for WideReadBackend {
@@ -1274,16 +1274,6 @@ mod tests {
 
         fn updates_recorded(&self) -> usize {
             self.0.updates_recorded()
-        }
-
-        fn hypothesis_minimizer(
-            &self,
-            loss: &dyn CmLoss,
-            points: &PointMatrix,
-            solver_iters: usize,
-            rng: &mut dyn Rng,
-        ) -> Result<Vec<f64>, PmwError> {
-            self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -1314,18 +1304,10 @@ mod tests {
             self.0.sample_indices(m, rng)
         }
 
-        fn read_radius(&self, _scale: f64) -> f64 {
-            10.0
-        }
-
         fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
             struct WideReadSnapshot(Arc<dyn ReadSnapshot>);
 
             impl ReadSnapshot for WideReadSnapshot {
-                fn universe_size(&self) -> usize {
-                    self.0.universe_size()
-                }
-
                 fn updates_recorded(&self) -> usize {
                     self.0.updates_recorded()
                 }
@@ -1337,23 +1319,6 @@ mod tests {
                     solver_iters: usize,
                 ) -> Result<Vec<f64>, PmwError> {
                     self.0.hypothesis_minimizer(loss, points, solver_iters)
-                }
-
-                fn expected_query_value(
-                    &self,
-                    query: &dyn pmw_data::PointQuery,
-                    points: Option<&PointMatrix>,
-                ) -> Result<crate::state::QueryEstimate, PmwError> {
-                    self.0.expected_query_value(query, points)
-                }
-
-                fn estimate_mean(
-                    &self,
-                    label: &'static str,
-                    scale: f64,
-                    f: &mut crate::state::MeanFn<'_>,
-                ) -> Result<crate::state::QueryEstimate, PmwError> {
-                    self.0.estimate_mean(label, scale, f)
                 }
 
                 fn read_radius(&self, _scale: f64) -> f64 {

@@ -75,6 +75,10 @@ impl<O: ErmOracle> OfflinePmw<O> {
     /// [`DataSide::from_source`] and e.g. `pmw_sketch::SampledBackend` the
     /// whole offline run is sublinear in `|X|`. The backend is left holding
     /// the final hypothesis state.
+    ///
+    /// Each round solves its `θ̂`s and reads its margin on one
+    /// [`StateBackend::snapshot`], taken after the previous update, and the
+    /// final answers on one more, so the backend must publish snapshots.
     pub fn run_with_backend<B: StateBackend>(
         &self,
         losses: &[&dyn CmLoss],
@@ -118,16 +122,15 @@ impl<O: ErmOracle> OfflinePmw<O> {
         }
 
         for _ in 0..rounds {
-            // Score every loss: err_l(D, hypothesis).
+            // Read phase on a snapshot of this round's state, as in
+            // `OnlinePmw::answer`: score every loss by err_l(D, hypothesis)
+            // from its θ̂, then read the margin.
+            let snapshot = state.snapshot()?;
             let mut scores = Vec::with_capacity(losses.len());
             let mut hyp_minimizers = Vec::with_capacity(losses.len());
             for (loss, &opt) in losses.iter().zip(&opt_values) {
-                let theta_hat = state.hypothesis_minimizer(
-                    *loss,
-                    data_points,
-                    self.config.solver_iters,
-                    rng,
-                )?;
+                let theta_hat =
+                    snapshot.hypothesis_minimizer(*loss, data_points, self.config.solver_iters)?;
                 let obj = WeightedObjective::new(*loss, data_points, data_weights)?;
                 scores.push(error_query_value(obj.value(&theta_hat), opt)?);
                 hyp_minimizers.push(theta_hat);
@@ -135,10 +138,11 @@ impl<O: ErmOracle> OfflinePmw<O> {
             // Radius-aware selection, as in the online mechanisms: every
             // score was computed from a θ̂ solved against the (possibly
             // sketched) hypothesis, so the EM sensitivity is widened by
-            // the backend's claimed read radius for this round's state.
+            // the snapshot's claimed read radius for this round's state.
             // Exact backends claim 0, leaving the dense selection (and
             // its rng stream) bit-for-bit unchanged.
-            let widen = state.read_radius(self.config.scale_s);
+            let widen = snapshot.read_radius(self.config.scale_s);
+            drop(snapshot);
             // A corrupted widening (NaN/∞/negative) would silently break
             // the selection guarantee; refuse loudly before any spend.
             if !widen.is_finite() || widen < 0.0 {
@@ -187,16 +191,12 @@ impl<O: ErmOracle> OfflinePmw<O> {
             applied?;
         }
 
-        // Answer everything from the final hypothesis.
-        let mut answers = Vec::with_capacity(losses.len());
-        for loss in losses {
-            answers.push(state.hypothesis_minimizer(
-                *loss,
-                data_points,
-                self.config.solver_iters,
-                rng,
-            )?);
-        }
+        // Answer everything from a snapshot of the final hypothesis.
+        let snapshot = state.snapshot()?;
+        let answers = losses
+            .iter()
+            .map(|loss| snapshot.hypothesis_minimizer(*loss, data_points, self.config.solver_iters))
+            .collect::<Result<_, _>>()?;
         Ok((
             OfflineResult {
                 answers,

@@ -1,11 +1,16 @@
 //! The **state-backend seam**: how the mechanisms represent `D̂_t`.
 //!
-//! Figure 3 only ever touches the hypothesis through four operations —
-//! minimize a loss over it, apply the dual-certificate MW update, read the
-//! expected payoff `⟨u_t, D̂_t⟩` for diagnostics, and sample synthetic
-//! points from it. [`StateBackend`] abstracts exactly those four, so
-//! [`OnlinePmw`](crate::OnlinePmw) and [`OfflinePmw`](crate::OfflinePmw)
-//! are generic over the representation:
+//! Figure 3 reads the hypothesis twice per round: it solves
+//! `θ̂_t = argmin_θ ℓ(θ; D̂_t)` and, on sketched state, widens the
+//! sparse-vector margin by the read's claimed radius. Otherwise it applies
+//! the dual-certificate MW update and samples synthetic points.
+//! [`StateBackend`] holds `D̂_t`: it applies the updates (certificate and
+//! linear-query), makes the linear-query estimates `⟨q, D̂_t⟩` and draws
+//! the samples. The two reads of a CM round live only on the
+//! [`ReadSnapshot`] it publishes, so [`OnlinePmw`](crate::OnlinePmw),
+//! [`OfflinePmw`](crate::OfflinePmw) and a serving layer all solve `θ̂_t`
+//! against frozen state, the same way. The mechanisms are generic over the
+//! representation:
 //!
 //! * [`DenseBackend`] (here) wraps the log-domain
 //!   [`Histogram`] + flat certificate sweep — the behavior-preserving
@@ -207,43 +212,36 @@ impl QueryMemo {
     }
 }
 
-/// The per-element estimator a mean read sweeps: `f(index, point)`
-/// evaluates one universe element (backends without per-element point
-/// storage pass an empty point slice). A named alias because the full
-/// trait-object signature recurs across every backend and snapshot.
-pub type MeanFn<'a> = dyn FnMut(usize, &[f64]) -> Result<f64, PmwError> + 'a;
-
 /// An immutable, shareable view of a backend's state at one round — the
 /// read half of the snapshot/commit split.
 ///
-/// A snapshot answers every *read* a backend supports — the hypothesis
-/// minimizer, query-mean estimates, generic mean estimates, the claimed
-/// read radius — against state frozen at publication time. It is `Send +
-/// Sync`, so any number of threads can screen queries against it while
-/// the writer applies the next MW update; the writer publishes a fresh
-/// snapshot after each committed update (epoch-style), and readers holding
-/// the old one keep getting consistent (merely stale) answers.
+/// A snapshot makes the two reads of a Figure-3 round — the hypothesis
+/// minimizer and the claimed read margin — against state frozen at
+/// publication time. It is `Send + Sync`, so any number of threads can
+/// screen queries against it while the writer applies the next MW update;
+/// the writer publishes a fresh snapshot after each committed update
+/// (epoch-style), and readers holding the old one keep getting consistent
+/// (merely stale) answers.
 ///
-/// Accuracy claims made through a snapshot are **ledgered with the same
-/// semantics as live reads**: sketching backends share their sampling
-/// ledger with every snapshot they publish, so a β-budget audit sees one
-/// stream of claims regardless of which view made them.
+/// Accuracy claims made through a snapshot are **ledgered**: sketching
+/// backends share their sampling ledger with every snapshot they publish,
+/// so a β-budget audit sees one stream of claims whichever view made them.
 ///
-/// Reads take no RNG: every shipped backend's read path is deterministic
-/// given its state (the `rng` parameters on [`StateBackend`] reads exist
-/// for hypothetical randomized sketches, which would not be
-/// snapshot-publishable anyway).
+/// Reads take no RNG: every shipped backend's read is deterministic given
+/// its state.
 pub trait ReadSnapshot: Send + Sync {
-    /// Universe size `|X|` the state is defined over.
-    fn universe_size(&self) -> usize;
-
     /// Number of MW updates the backend had applied when this snapshot
     /// was published — the snapshot's round, for staleness checks.
     fn updates_recorded(&self) -> usize;
 
     /// The hypothesis minimizer `θ̂ = argmin_θ ℓ(θ; D̂)` against the
-    /// frozen state. Same semantics as
-    /// [`StateBackend::hypothesis_minimizer`], minus the RNG.
+    /// frozen state — the non-private inner solve of Figure 3 step (1).
+    ///
+    /// `points` enumerates the universe only for backends with
+    /// [`StateBackend::requires_materialized_universe`]; snapshots holding
+    /// their own point representation ignore it (the point-source
+    /// mechanism path passes the dataset's support rows instead of a
+    /// `|X|`-sized matrix).
     fn hypothesis_minimizer(
         &self,
         loss: &dyn CmLoss,
@@ -251,37 +249,18 @@ pub trait ReadSnapshot: Send + Sync {
         solver_iters: usize,
     ) -> Result<Vec<f64>, PmwError>;
 
-    /// `⟨q, D̂⟩` against the frozen state. Same semantics as
-    /// [`StateBackend::expected_query_value`].
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        points: Option<&PointMatrix>,
-    ) -> Result<QueryEstimate, PmwError>;
-
-    /// Estimate `E_{x∼D̂}[f(x)]` for a per-element statistic bounded by
-    /// `|f| ≤ scale`, where `f(index, point)` evaluates one universe
-    /// element (backends without per-element point storage pass an empty
-    /// point slice — index-route statistics only). Exact backends return
-    /// `radius = beta = 0`; sketching backends return and ledger their
-    /// concentration claim.
-    fn estimate_mean(
-        &self,
-        label: &'static str,
-        scale: f64,
-        f: &mut MeanFn<'_>,
-    ) -> Result<QueryEstimate, PmwError>;
-
-    /// The concentration radius claimed for a mean read at this snapshot,
-    /// ledgered exactly like [`StateBackend::read_radius`].
+    /// The concentration radius claimed for a generic mean read of a
+    /// statistic bounded by `|f| ≤ scale` under the frozen state, at the
+    /// backend's configured failure probability — `0` for exact backends
+    /// (the default). The mechanisms widen their sparse-vector margins and
+    /// selection sensitivities by this value on sketched state, so a `⊥`
+    /// certifies the *true* hypothesis-side quantity and not just its
+    /// estimate; because exact backends report `0`, the dense paths stay
+    /// bit-for-bit unchanged. Sketching backends ledger the claim.
+    /// Implementations must return a finite, non-negative value.
     fn read_radius(&self, scale: f64) -> f64 {
         let _ = scale;
         0.0
-    }
-
-    /// The frozen dense hypothesis, when the backend maintains one.
-    fn dense_hypothesis(&self) -> Option<&Histogram> {
-        None
     }
 }
 
@@ -294,34 +273,15 @@ pub trait ReadSnapshot: Send + Sync {
 /// payoff `u_t(x) = ⟨θ_t − θ̂_t, ∇ℓ_x(θ̂_t)⟩` clamped to `[−S, S]`.
 ///
 /// Exactness is *not* part of the contract — sketching backends answer
-/// `hypothesis_minimizer` and the diagnostic gap with estimates whose
-/// error they account separately (see `pmw_dp::SamplingAccountant`). The
-/// dense backend is exact.
+/// their reads (on the backend and on its [`ReadSnapshot`]s) and the
+/// diagnostic gap with estimates whose error they account separately (see
+/// `pmw_dp::SamplingAccountant`). The dense backend is exact.
 pub trait StateBackend {
     /// Universe size `|X|` the state is defined over.
     fn universe_size(&self) -> usize;
 
     /// Number of MW updates applied (or recorded) so far.
     fn updates_recorded(&self) -> usize;
-
-    /// The hypothesis minimizer `θ̂_t = argmin_θ ℓ(θ; D̂_t)` — the
-    /// non-private inner solve of Figure 3 step (1).
-    ///
-    /// `points` enumerates the universe only for backends with
-    /// [`StateBackend::requires_materialized_universe`]; backends holding
-    /// their own point representation ignore it (the point-source
-    /// mechanism path passes the dataset's support rows instead of a
-    /// `|X|`-sized matrix).
-    ///
-    /// `rng` is for backends that need randomness to *read* their state
-    /// (Monte-Carlo sketches); the dense backend ignores it.
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError>;
 
     /// Apply one dual-certificate MW update.
     ///
@@ -365,16 +325,12 @@ pub trait StateBackend {
     /// ignore it. Queries exposing [`PointQuery::dense_values`] take the
     /// exact [`Histogram::dot`] fast path on the dense backend —
     /// bit-for-bit the pre-seam pipeline.
-    ///
-    /// `rng` is for backends that need randomness to read their state; no
-    /// shipped backend draws from it today.
     fn expected_query_value(
         &self,
         query: &dyn PointQuery,
         points: Option<&PointMatrix>,
-        rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
-        let _ = (query, points, rng);
+        let _ = (query, points);
         Err(PmwError::InvalidConfig(
             "this state backend does not implement linear-query evaluation",
         ))
@@ -397,12 +353,11 @@ pub trait StateBackend {
         queries: &[&dyn PointQuery],
         points: Option<&PointMatrix>,
         memo: &mut QueryMemo,
-        rng: &mut dyn Rng,
     ) -> Result<Vec<QueryEstimate>, PmwError> {
         let _ = memo;
         queries
             .iter()
-            .map(|q| self.expected_query_value(*q, points, rng))
+            .map(|q| self.expected_query_value(*q, points))
             .collect()
     }
 
@@ -436,20 +391,6 @@ pub trait StateBackend {
     /// Sketching backends return `None`.
     fn dense_hypothesis(&self) -> Option<&Histogram> {
         None
-    }
-
-    /// The concentration radius this backend claims for a generic mean
-    /// read of a statistic bounded by `|f| ≤ scale` under the current
-    /// state, at its configured failure probability — `0` for exact
-    /// backends (the default). The mechanisms widen their sparse-vector
-    /// margins by this value when screening on sketched state, so a `⊥`
-    /// certifies the *true* hypothesis-side quantity and not just its
-    /// estimate; because exact backends report `0`, the dense paths stay
-    /// bit-for-bit unchanged. Implementations must return a finite,
-    /// non-negative value.
-    fn read_radius(&self, scale: f64) -> f64 {
-        let _ = scale;
-        0.0
     }
 
     /// True when [`StateBackend::apply_update`] needs an owned handle to
@@ -486,11 +427,12 @@ pub trait StateBackend {
 
     /// Publish an immutable [`ReadSnapshot`] of the current state.
     ///
-    /// The snapshot answers reads identically to the live backend at this
-    /// round, stays valid (merely stale) across later updates, and is
-    /// `Send + Sync` — the seam the concurrent serving layer is built on.
-    /// Backends that cannot freeze a consistent read view return an error
-    /// (the default).
+    /// The snapshot makes this round's reads, stays valid (merely stale)
+    /// across later updates, and is `Send + Sync` — the seam the CM
+    /// mechanisms read `θ̂_t` and the read margin through, and the one the
+    /// concurrent serving layer is built on. Backends that cannot freeze a
+    /// consistent read view return an error (the default), which leaves
+    /// them to the linear-query mechanisms.
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
         Err(PmwError::InvalidConfig(
             "this state backend does not publish read snapshots",
@@ -535,21 +477,6 @@ impl StateBackend for DenseBackend {
         self.updates
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        _rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        Ok(minimize_weighted(
-            loss,
-            points,
-            self.hypothesis.weights(),
-            solver_iters,
-        )?)
-    }
-
     fn apply_update(
         &mut self,
         loss: &dyn CmLoss,
@@ -587,7 +514,6 @@ impl StateBackend for DenseBackend {
         &self,
         query: &dyn PointQuery,
         points: Option<&PointMatrix>,
-        _rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
         Ok(QueryEstimate {
             value: eval_query_on_histogram(query, &self.hypothesis, points)?,
@@ -646,26 +572,15 @@ impl StateBackend for DenseBackend {
 }
 
 /// The dense backend's snapshot: a frozen clone of the hypothesis
-/// histogram. Every read is exact (`radius = beta = 0`), so snapshot
-/// answers are bit-for-bit the live backend's answers at the same round.
+/// histogram. Every read is exact (read radius 0), so a snapshot solves
+/// `θ̂` bit-for-bit as the live hypothesis at the same round would.
 #[derive(Debug, Clone)]
 pub struct DenseSnapshot {
     hypothesis: Histogram,
     updates: usize,
 }
 
-impl DenseSnapshot {
-    /// The frozen hypothesis histogram.
-    pub fn hypothesis(&self) -> &Histogram {
-        &self.hypothesis
-    }
-}
-
 impl ReadSnapshot for DenseSnapshot {
-    fn universe_size(&self) -> usize {
-        self.hypothesis.len()
-    }
-
     fn updates_recorded(&self) -> usize {
         self.updates
     }
@@ -682,44 +597,6 @@ impl ReadSnapshot for DenseSnapshot {
             self.hypothesis.weights(),
             solver_iters,
         )?)
-    }
-
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        points: Option<&PointMatrix>,
-    ) -> Result<QueryEstimate, PmwError> {
-        Ok(QueryEstimate {
-            value: eval_query_on_histogram(query, &self.hypothesis, points)?,
-            radius: 0.0,
-            beta: 0.0,
-        })
-    }
-
-    fn estimate_mean(
-        &self,
-        _label: &'static str,
-        scale: f64,
-        f: &mut MeanFn<'_>,
-    ) -> Result<QueryEstimate, PmwError> {
-        if !(scale.is_finite() && scale >= 0.0) {
-            return Err(PmwError::InvalidConfig(
-                "estimate_mean scale must be finite and non-negative",
-            ));
-        }
-        let mut value = 0.0;
-        for (i, w) in self.hypothesis.weights().iter().enumerate() {
-            value += w * f(i, &[])?;
-        }
-        Ok(QueryEstimate {
-            value,
-            radius: 0.0,
-            beta: 0.0,
-        })
-    }
-
-    fn dense_hypothesis(&self) -> Option<&Histogram> {
-        Some(&self.hypothesis)
     }
 }
 
@@ -808,7 +685,7 @@ mod tests {
         let q = LinearQuery::new(vec![1.0, 0.0, 1.0, 0.0]).unwrap();
 
         // Read: the dense fast path is exactly `hypothesis.dot`.
-        let est = backend.expected_query_value(&q, None, &mut rng).unwrap();
+        let est = backend.expected_query_value(&q, None).unwrap();
         assert_eq!(est.value, backend.hypothesis().dot(q.values()));
         assert_eq!((est.radius, est.beta), (0.0, 0.0));
 
@@ -830,7 +707,7 @@ mod tests {
 
         // Mismatched length is rejected on both ops.
         let bad = LinearQuery::new(vec![1.0; 3]).unwrap();
-        assert!(backend.expected_query_value(&bad, None, &mut rng).is_err());
+        assert!(backend.expected_query_value(&bad, None).is_err());
         assert!(backend
             .apply_query_update(&bad, None, 1.0, 0.1, None, &mut rng)
             .is_err());
@@ -847,10 +724,8 @@ mod tests {
         let q = ImplicitQuery::marginal(vec![0], 3).unwrap();
 
         // Implicit queries need the universe points on the dense path.
-        assert!(backend.expected_query_value(&q, None, &mut rng).is_err());
-        let est = backend
-            .expected_query_value(&q, Some(&points), &mut rng)
-            .unwrap();
+        assert!(backend.expected_query_value(&q, None).is_err());
+        let est = backend.expected_query_value(&q, Some(&points)).unwrap();
         assert!((est.value - 0.5).abs() < 1e-12, "{}", est.value);
 
         // The implicit update equals the dense update with materialized
@@ -877,7 +752,6 @@ mod tests {
 
     #[test]
     fn dense_snapshot_answers_identically_and_survives_later_updates() {
-        use pmw_data::workload::LinearQuery;
         let (loss, points) = setup();
         let mut rng = StdRng::seed_from_u64(21);
         let mut backend = DenseBackend::new(points.len()).unwrap();
@@ -886,35 +760,15 @@ mod tests {
             .unwrap();
 
         let snap = backend.snapshot().unwrap();
-        assert_eq!(snap.universe_size(), 4);
         assert_eq!(snap.updates_recorded(), 1);
 
-        // Snapshot reads match the live backend bit-for-bit.
-        let q = LinearQuery::new(vec![1.0, 0.0, 1.0, 0.0]).unwrap();
-        let live = backend.expected_query_value(&q, None, &mut rng).unwrap();
-        let frozen = snap.expected_query_value(&q, None).unwrap();
-        assert_eq!(live.value, frozen.value);
-        let live_theta = backend
-            .hypothesis_minimizer(&loss, &points, 200, &mut rng)
-            .unwrap();
+        // The snapshot solves against the live hypothesis bit-for-bit, and
+        // claims no read margin.
+        let live_theta =
+            minimize_weighted(&loss, &points, backend.hypothesis().weights(), 200).unwrap();
         let frozen_theta = snap.hypothesis_minimizer(&loss, &points, 200).unwrap();
         assert_eq!(live_theta, frozen_theta);
         assert_eq!(snap.read_radius(2.0), 0.0);
-
-        // A generic mean read is the exact weighted sweep.
-        let est = snap
-            .estimate_mean("idx", 4.0, &mut |i, _| Ok(i as f64))
-            .unwrap();
-        let expect: f64 = snap
-            .dense_hypothesis()
-            .unwrap()
-            .weights()
-            .iter()
-            .enumerate()
-            .map(|(i, w)| w * i as f64)
-            .sum();
-        assert_eq!(est.value, expect);
-        assert_eq!((est.radius, est.beta), (0.0, 0.0));
 
         // Mutating the live backend does not disturb the snapshot.
         backend
@@ -922,15 +776,23 @@ mod tests {
             .unwrap();
         assert_eq!(snap.updates_recorded(), 1);
         assert_eq!(
-            snap.expected_query_value(&q, None).unwrap().value,
-            frozen.value
+            snap.hypothesis_minimizer(&loss, &points, 200).unwrap(),
+            frozen_theta
+        );
+        assert_ne!(
+            backend
+                .snapshot()
+                .unwrap()
+                .hypothesis_minimizer(&loss, &points, 200)
+                .unwrap(),
+            frozen_theta
         );
 
         // Snapshots cross threads.
         let moved = std::sync::Arc::clone(&snap);
         let handle =
-            std::thread::spawn(move || moved.expected_query_value(&q, None).unwrap().value);
-        assert_eq!(handle.join().unwrap(), frozen.value);
+            std::thread::spawn(move || moved.hypothesis_minimizer(&loss, &points, 200).unwrap());
+        assert_eq!(handle.join().unwrap(), frozen_theta);
     }
 
     #[test]
@@ -939,7 +801,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut backend = DenseBackend::new(points.len()).unwrap();
         let theta = backend
-            .hypothesis_minimizer(&loss, &points, 400, &mut rng)
+            .snapshot()
+            .unwrap()
+            .hypothesis_minimizer(&loss, &points, 400)
             .unwrap();
         assert_eq!(theta.len(), 1);
         // Uniform over the four points: the symmetric instance minimizes

@@ -4,7 +4,7 @@
 //! happened ([`Phase`] spans, [`Gauge`] readings, [`Counter`] bumps) and
 //! the probe decides what to do with it — stream it, aggregate it, or (the
 //! [`NoopProbe`] default) nothing at all. All hooks take `&self` so that
-//! read-only code paths (`estimate_mean` on a shared backend reference)
+//! read-only code paths (`query_mean` on a shared backend reference)
 //! can report; concrete probes use interior mutability.
 
 use std::rc::Rc;

@@ -2,7 +2,7 @@
 //! multi-analyst runs, tenant-share enforcement, and ledger audits.
 
 use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError};
-use pmw_data::{BooleanCube, Dataset, Universe};
+use pmw_data::{BooleanCube, Dataset};
 use pmw_dp::PrivacyBudget;
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
@@ -398,8 +398,8 @@ fn spawn_validates_the_config() {
 }
 
 /// The snapshot cell's epoch advances with every committed update, and
-/// analysts observe the refreshed hypothesis (universe size survives the
-/// trip through the published snapshot).
+/// analysts observe the refreshed hypothesis (the published snapshot's
+/// round follows the commits).
 #[test]
 fn snapshot_cell_epoch_tracks_commits() {
     let cube = BooleanCube::new(DIM).unwrap();
@@ -416,7 +416,7 @@ fn snapshot_cell_epoch_tracks_commits() {
     let cell = std::sync::Arc::clone(server.snapshot_cell());
     assert_eq!(cell.epoch(), 0);
     let (_, snap) = cell.load();
-    assert_eq!(snap.universe_size(), cube.size());
+    assert_eq!(snap.updates_recorded(), 0);
 
     let mut handle = handles.pop().unwrap();
     let mut commits = 0u64;
@@ -429,6 +429,8 @@ fn snapshot_cell_epoch_tracks_commits() {
     }
     drop(handle);
     assert_eq!(cell.epoch(), commits, "one publication per committed round");
+    let (_, snap) = cell.load();
+    assert_eq!(snap.updates_recorded() as u64, commits);
     let join = server.join().unwrap();
     assert_eq!(join.mechanism.updates_used() as u64, commits);
 }

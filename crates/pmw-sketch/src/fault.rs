@@ -11,7 +11,8 @@
 //!   estimates, backend updates, claimed read radii, point-source reads),
 //!   derivable from a single seed via [`FaultPlan::seeded`];
 //! * [`FaultyBackend`] — wraps any [`StateBackend`], injecting estimate
-//!   failures, update failures and `NaN` read radii on schedule;
+//!   failures, update failures and (on the snapshots it publishes) `NaN`
+//!   read radii on schedule;
 //! * [`FaultyOracle`] — wraps any [`ErmOracle`], injecting solve failures
 //!   on schedule (exercising `PmwConfig::oracle_retries` and the
 //!   burn-the-round paths);
@@ -27,9 +28,7 @@
 //! never left half-updated.
 
 use crate::source::PointSource;
-use pmw_core::{
-    BackendEvent, MeanFn, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,
-};
+use pmw_core::{BackendEvent, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend};
 use pmw_data::{Histogram, PointMatrix, PointQuery};
 use pmw_erm::{ErmError, ErmOracle};
 use pmw_losses::CmLoss;
@@ -93,8 +92,9 @@ pub struct FaultPlan {
     /// Backend update failures (`apply_update` / `apply_query_update`,
     /// [`FaultyBackend`]).
     pub update: FaultRule,
-    /// Injected `NaN` claimed read radii (`read_radius`,
-    /// [`FaultyBackend`]) — the mechanisms must refuse these loudly.
+    /// Injected `NaN` claimed read radii (`read_radius` on the snapshots a
+    /// [`FaultyBackend`] publishes) — the mechanisms must refuse these
+    /// loudly.
     pub nan_radius: FaultRule,
     /// Corrupted point-source reads ([`FaultySource`]): the scheduled
     /// `write_point` call emits a `NaN` coordinate, deterministically
@@ -134,17 +134,16 @@ impl FaultPlan {
 /// calls error *before* touching the inner backend (so an injected update
 /// failure reaches the mechanism exactly like a real backend failure
 /// would, with the inner state untouched), and scheduled `read_radius`
-/// calls report `NaN`. Everything else delegates.
+/// calls on its snapshots report `NaN`. Everything else delegates.
 #[derive(Debug)]
 pub struct FaultyBackend<B: StateBackend> {
     inner: B,
     plan: FaultPlan,
-    // Shared (`Arc<AtomicU64>`) rather than `Cell` so published snapshots
-    // keep advancing the *same* deterministic 1-based call sequence:
-    // faults scheduled for the estimate/read-radius sites must keep
-    // firing when the mechanism routes those reads through a snapshot.
-    estimate_calls: Arc<AtomicU64>,
-    update_calls: Arc<AtomicU64>,
+    estimate_calls: AtomicU64,
+    update_calls: AtomicU64,
+    // Shared (`Arc`) with every published snapshot, so the read-radius
+    // site counts one deterministic 1-based call sequence across all of
+    // them, and their injections count toward the backend's total.
     radius_calls: Arc<AtomicU64>,
     injected: Arc<AtomicU64>,
 }
@@ -166,8 +165,8 @@ impl<B: StateBackend> FaultyBackend<B> {
         Self {
             inner,
             plan,
-            estimate_calls: Arc::new(AtomicU64::new(0)),
-            update_calls: Arc::new(AtomicU64::new(0)),
+            estimate_calls: AtomicU64::new(0),
+            update_calls: AtomicU64::new(0),
             radius_calls: Arc::new(AtomicU64::new(0)),
             injected: Arc::new(AtomicU64::new(0)),
         }
@@ -193,24 +192,18 @@ impl<B: StateBackend> FaultyBackend<B> {
     }
 }
 
-/// The read snapshot a [`FaultyBackend`] publishes: delegates every read
-/// to the wrapped backend's snapshot while keeping the estimate and
-/// read-radius fault sites live — the call counters are shared with the
-/// wrapping backend, so the deterministic schedule is indifferent to
-/// whether a read went through the live backend or a snapshot.
+/// The read snapshot a [`FaultyBackend`] publishes: delegates both reads
+/// to the wrapped backend's snapshot and keeps the read-radius fault site
+/// live, on the call counter the wrapping backend shares with every
+/// snapshot it publishes.
 struct FaultySnapshot {
     inner: Arc<dyn ReadSnapshot>,
     plan: FaultPlan,
-    estimate_calls: Arc<AtomicU64>,
     radius_calls: Arc<AtomicU64>,
     injected: Arc<AtomicU64>,
 }
 
 impl ReadSnapshot for FaultySnapshot {
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
-
     fn updates_recorded(&self) -> usize {
         self.inner.updates_recorded()
     }
@@ -224,35 +217,11 @@ impl ReadSnapshot for FaultySnapshot {
         self.inner.hypothesis_minimizer(loss, points, solver_iters)
     }
 
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        points: Option<&PointMatrix>,
-    ) -> Result<QueryEstimate, PmwError> {
-        if site_fires(self.plan.estimate, &self.estimate_calls, &self.injected) {
-            return Err(PmwError::LossMismatch("injected fault: backend estimate"));
-        }
-        self.inner.expected_query_value(query, points)
-    }
-
-    fn estimate_mean(
-        &self,
-        label: &'static str,
-        scale: f64,
-        f: &mut MeanFn<'_>,
-    ) -> Result<QueryEstimate, PmwError> {
-        self.inner.estimate_mean(label, scale, f)
-    }
-
     fn read_radius(&self, scale: f64) -> f64 {
         if site_fires(self.plan.nan_radius, &self.radius_calls, &self.injected) {
             return f64::NAN;
         }
         self.inner.read_radius(scale)
-    }
-
-    fn dense_hypothesis(&self) -> Option<&Histogram> {
-        self.inner.dense_hypothesis()
     }
 }
 
@@ -263,17 +232,6 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
 
     fn updates_recorded(&self) -> usize {
         self.inner.updates_recorded()
-    }
-
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.inner
-            .hypothesis_minimizer(loss, points, solver_iters, rng)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -311,12 +269,11 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
         &self,
         query: &dyn PointQuery,
         points: Option<&PointMatrix>,
-        rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
         if self.fires(self.plan.estimate, &self.estimate_calls) {
             return Err(PmwError::LossMismatch("injected fault: backend estimate"));
         }
-        self.inner.expected_query_value(query, points, rng)
+        self.inner.expected_query_value(query, points)
     }
 
     /// Consults the estimate site once per query, in query order, as the
@@ -331,16 +288,15 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
         queries: &[&dyn PointQuery],
         points: Option<&PointMatrix>,
         memo: &mut QueryMemo,
-        rng: &mut dyn Rng,
     ) -> Result<Vec<QueryEstimate>, PmwError> {
         let Some(j) = queries
             .iter()
             .position(|_| self.fires(self.plan.estimate, &self.estimate_calls))
         else {
-            return self.inner.expected_query_values(queries, points, memo, rng);
+            return self.inner.expected_query_values(queries, points, memo);
         };
         for query in &queries[..j] {
-            self.inner.expected_query_value(*query, points, rng)?;
+            self.inner.expected_query_value(*query, points)?;
         }
         Err(PmwError::LossMismatch("injected fault: backend estimate"))
     }
@@ -369,18 +325,10 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
         self.inner.requires_shared_loss()
     }
 
-    fn read_radius(&self, scale: f64) -> f64 {
-        if self.fires(self.plan.nan_radius, &self.radius_calls) {
-            return f64::NAN;
-        }
-        self.inner.read_radius(scale)
-    }
-
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
         Ok(Arc::new(FaultySnapshot {
             inner: self.inner.snapshot()?,
             plan: self.plan,
-            estimate_calls: Arc::clone(&self.estimate_calls),
             radius_calls: Arc::clone(&self.radius_calls),
             injected: Arc::clone(&self.injected),
         }))

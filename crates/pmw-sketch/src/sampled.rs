@@ -71,10 +71,8 @@ use crate::log::{query_value_at, validate_query_shape, CompactionPolicy, RoundUp
 use crate::snis::LogWeights;
 use crate::source::PointSource;
 use pmw_core::update::dual_certificate_at;
-use pmw_core::{
-    BackendEvent, MeanFn, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,
-};
-use pmw_data::{gumbel_max_index, Histogram, PointMatrix, PointQuery};
+use pmw_core::{BackendEvent, PmwError, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend};
+use pmw_data::{gumbel_max_index, PointMatrix, PointQuery};
 use pmw_dp::{
     compaction_fold_radius, effective_sample_size, empirical_bernstein_radius, ess_radius,
     hoeffding_radius, uncovered_mass_bound, RadiusBound, SamplingAccountant,
@@ -443,7 +441,6 @@ struct SketchReadView<'a> {
     /// and read margin widens by [`compaction_fold_radius`] of this.
     fold_drift: f64,
     beta: f64,
-    max_usable_radius: f64,
 }
 
 impl SketchReadView<'_> {
@@ -512,17 +509,14 @@ impl SketchReadView<'_> {
     /// Turn a read's sums into its claim: the estimate with the minimum of
     /// the three candidate radii plus any fold bias (see
     /// [`SampledBackend::estimate_with`] for the bound derivation and the
-    /// honesty caveat), ledgered into the shared accountant, and refused
-    /// when wider than the usable threshold. Generic over the error type
-    /// so the live path keeps surfacing [`SketchError`] while snapshot
-    /// reads surface [`PmwError`] directly.
-    fn claim<E: From<SketchError>>(
+    /// honesty caveat), ledgered into the shared accountant.
+    fn claim(
         &self,
         ledger: &Mutex<SamplingAccountant>,
         label: &'static str,
         scale: f64,
         sums: Sums,
-    ) -> Result<Estimate, E> {
+    ) -> Estimate {
         let snis = self.pool_log_w.snis();
         let Sums {
             value,
@@ -588,45 +582,65 @@ impl SketchReadView<'_> {
             (radius, beta, bound, envelope)
         };
         lock_ledger(ledger).record(label, self.pool_size(), radius, beta, bound);
-        // Loud read failure: a claim wider than the configured usable
-        // threshold must not be served as if it were an answer. Never
-        // fires at the default threshold (infinity).
-        if radius > self.max_usable_radius {
-            return Err(SketchError::Degraded(
-                "estimate's claimed radius exceeds the usable threshold",
-            )
-            .into());
-        }
-        Ok(Estimate {
+        Estimate {
             value,
             radius,
             beta,
             bound,
             envelope_radius: envelope,
-        })
+        }
     }
 
-    /// The minimum-of-bounds computation behind
-    /// [`SampledBackend::read_radius`], without the ledger entry. Also
-    /// returns the envelope candidate so the probed read path can gauge
-    /// claimed-vs-envelope.
-    fn read_radius_parts(&self, scale: f64) -> (f64, RadiusBound, f64) {
-        let beta = self.beta;
-        let snis = self.pool_log_w.snis();
-        let w_sq: f64 = snis.weights.iter().map(|v| v * v).sum();
-        let envelope = self.envelope_radius(scale, beta / 4.0, snis.shift, snis.mean_shifted);
-        // ŵ sums to 1, so ESS = 1/Σŵ².
-        let ess = effective_sample_size(1.0, w_sq);
-        let r_ess = ess_radius(2.0 * scale, ess, beta / 2.0).unwrap_or(f64::INFINITY);
+    /// The read margin: the concentration radius claimed for a mean read
+    /// of a statistic bounded by `|f| ≤ scale`, at the configured `β` —
+    /// the minimum of the drift-envelope and effective-sample-size bounds
+    /// (`β/2` each; no integrand in hand means no variance candidate),
+    /// widened by the deterministic lossy-fold bias when the pool carries
+    /// one. `0` for a non-positive or NaN scale, and on exhaustive pools
+    /// untouched by lossy folds. `O(m)` over the cached weights.
+    ///
+    /// Given a `ledger`, any claim it makes is recorded as a
+    /// `"read-margin"` entry: a `⊥` screened against the widened margin
+    /// *rests* on it holding, so the union-bound totals must count it like
+    /// any estimate. On a sampled pool it also returns the winning bound
+    /// and the envelope candidate, which the live backend's probe gauges.
+    fn read_margin(
+        &self,
+        scale: f64,
+        ledger: Option<&Mutex<SamplingAccountant>>,
+    ) -> (f64, Option<(RadiusBound, f64)>) {
+        if scale <= 0.0 || scale.is_nan() {
+            return (0.0, None);
+        }
         // Lossy-fold bias is deterministic, so it widens whichever
         // concentration candidate wins (exactly 0 under
         // [`CompactionPolicy::Never`]).
         let fold = compaction_fold_radius(scale, self.fold_drift);
-        if r_ess <= envelope {
-            (r_ess + fold, RadiusBound::EffectiveSample, envelope)
+        let (radius, beta, bound, envelope) = if self.exhaustive {
+            // Exact in sampling, but an exhaustive pool rebuilt across a
+            // lossy fold still carries the fold bias.
+            (fold, 0.0, RadiusBound::Fold, None)
         } else {
-            (envelope + fold, RadiusBound::Hoeffding, envelope)
+            let snis = self.pool_log_w.snis();
+            let w_sq: f64 = snis.weights.iter().map(|v| v * v).sum();
+            let envelope =
+                self.envelope_radius(scale, self.beta / 4.0, snis.shift, snis.mean_shifted);
+            // ŵ sums to 1, so ESS = 1/Σŵ².
+            let ess = effective_sample_size(1.0, w_sq);
+            let r_ess = ess_radius(2.0 * scale, ess, self.beta / 2.0).unwrap_or(f64::INFINITY);
+            let (radius, bound) = if r_ess <= envelope {
+                (r_ess + fold, RadiusBound::EffectiveSample)
+            } else {
+                (envelope + fold, RadiusBound::Hoeffding)
+            };
+            (radius, self.beta, bound, Some(envelope))
+        };
+        // An exhaustive pool no lossy fold has touched claims nothing.
+        let claims = !self.exhaustive || fold > 0.0;
+        if let (Some(ledger), true) = (ledger, claims) {
+            lock_ledger(ledger).record("read-margin", self.pool_size(), radius, beta, bound);
         }
+        (radius, envelope.map(|envelope| (bound, envelope)))
     }
 }
 
@@ -654,8 +668,6 @@ pub struct SampledSnapshot {
     /// see [`SketchReadView`]'s field of the same name.
     fold_drift: f64,
     beta: f64,
-    max_usable_radius: f64,
-    universe_size: usize,
     dim: usize,
     updates: usize,
     ledger: Arc<Mutex<SamplingAccountant>>,
@@ -670,7 +682,6 @@ impl SampledSnapshot {
             drift_bound: self.drift_bound,
             fold_drift: self.fold_drift,
             beta: self.beta,
-            max_usable_radius: self.max_usable_radius,
         }
     }
 
@@ -686,10 +697,6 @@ impl SampledSnapshot {
 }
 
 impl ReadSnapshot for SampledSnapshot {
-    fn universe_size(&self) -> usize {
-        self.universe_size
-    }
-
     fn updates_recorded(&self) -> usize {
         self.updates
     }
@@ -706,8 +713,8 @@ impl ReadSnapshot for SampledSnapshot {
             ));
         }
         // Minimize over the frozen pooled hypothesis: SNIS weights on the
-        // shared pool points — identical floats to the live backend's
-        // solve at the publish round.
+        // shared pool points. Exhaustive pools make this the exact dense
+        // solve.
         Ok(minimize_weighted(
             loss,
             &self.support.points,
@@ -716,61 +723,8 @@ impl ReadSnapshot for SampledSnapshot {
         )?)
     }
 
-    fn expected_query_value(
-        &self,
-        query: &dyn PointQuery,
-        _points: Option<&PointMatrix>,
-    ) -> Result<QueryEstimate, PmwError> {
-        validate_query_shape(query, self.universe_size, self.dim)?;
-        let view = self.view();
-        let est = view
-            .query_sums(query)
-            .and_then(|sums| view.claim(&self.ledger, "query-mean", query_scale(query), sums))?;
-        Ok(est.into())
-    }
-
-    fn estimate_mean(
-        &self,
-        label: &'static str,
-        scale: f64,
-        f: &mut MeanFn<'_>,
-    ) -> Result<QueryEstimate, PmwError> {
-        if !(scale.is_finite() && scale >= 0.0) {
-            return Err(PmwError::InvalidConfig(
-                "estimate_mean scale must be finite and non-negative",
-            ));
-        }
-        // The trait closure receives the *universe* index; the pool sweep
-        // hands out slots — translate through the frozen index map.
-        let view = self.view();
-        let sums = view.slot_order_sums(|slot, point| f(self.support.indices[slot], point))?;
-        Ok(view
-            .claim::<PmwError>(&self.ledger, label, scale, sums)?
-            .into())
-    }
-
     fn read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
-            return 0.0;
-        }
-        if self.exhaustive {
-            // Exact in sampling, but an exhaustive pool rebuilt across a
-            // lossy fold still carries the deterministic fold bias.
-            let fold = compaction_fold_radius(scale, self.fold_drift);
-            if fold > 0.0 {
-                lock_ledger(&self.ledger).record(
-                    "read-margin",
-                    self.pool_size(),
-                    fold,
-                    0.0,
-                    RadiusBound::Fold,
-                );
-            }
-            return fold;
-        }
-        let (radius, bound, _envelope) = self.view().read_radius_parts(scale);
-        lock_ledger(&self.ledger).record("read-margin", self.pool_size(), radius, self.beta, bound);
-        radius
+        self.view().read_margin(scale, Some(&self.ledger)).0
     }
 }
 
@@ -992,8 +946,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             drift_bound: self.log.drift_bound(),
             fold_drift: self.pool_missing_drift,
             beta: self.config.beta,
-            max_usable_radius: self.config.max_usable_radius,
-            universe_size: self.source.len(),
             dim: self.source.dim(),
             updates: self.log.len(),
             ledger: Arc::clone(&self.ledger),
@@ -1579,7 +1531,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             drift_bound: self.log.drift_bound(),
             fold_drift: self.pool_missing_drift,
             beta: self.config.beta,
-            max_usable_radius: self.config.max_usable_radius,
         }
     }
 
@@ -1623,9 +1574,17 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.ensure_usable()?;
         self.probe.span_begin(Phase::Estimate);
         let view = self.view();
-        let result = sums(&view).and_then(|sums| view.claim(&self.ledger, label, scale, sums));
+        let result = sums(&view).map(|sums| view.claim(&self.ledger, label, scale, sums));
         self.probe.span_end(Phase::Estimate);
         let est = result?;
+        // Loud read failure: a claim wider than the configured usable
+        // threshold must not be served as if it were an answer. Never
+        // fires at the default threshold (infinity).
+        if est.radius > self.config.max_usable_radius {
+            return Err(SketchError::Degraded(
+                "estimate's claimed radius exceeds the usable threshold",
+            ));
+        }
         if P::ENABLED {
             self.probe.gauge(Gauge::ClaimedRadius, est.radius);
             self.probe.gauge(Gauge::EnvelopeRadius, est.envelope_radius);
@@ -1634,46 +1593,14 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(est)
     }
 
-    /// The concentration radius this backend claims for a generic mean
-    /// read of a statistic bounded by `|f| ≤ scale` under the current
-    /// state, at the configured `β` — the minimum of the drift-envelope
-    /// and effective-sample-size bounds (`β/2` each; no integrand in hand
-    /// means no variance candidate), widened by the deterministic
-    /// lossy-fold bias when the pool carries one. `0` on exhaustive pools
-    /// untouched by lossy folds. `O(m)` over the cached weights; used by
-    /// the mechanisms to widen their sparse-vector margins on sketched
-    /// state. Each call records a `"read-margin"` ledger entry: a `⊥`
-    /// answer screened against the widened margin *rests* on this claim
-    /// holding (failure probability `β`), so the union-bound totals must
-    /// count it like any estimate.
+    /// The read margin this backend claims for a generic mean read of a
+    /// statistic bounded by `|f| ≤ scale` under the current state, ledgered
+    /// as a `"read-margin"` entry — what a [`SampledSnapshot`] published
+    /// now would claim (see [`ReadSnapshot::read_radius`]). A live probe
+    /// also sees the envelope candidate and the winning bound.
     pub fn read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
-            return 0.0;
-        }
-        if self.exhaustive {
-            // Exact in sampling, but an exhaustive pool rebuilt across a
-            // lossy fold still carries the deterministic fold bias.
-            let fold = compaction_fold_radius(scale, self.pool_missing_drift);
-            if fold > 0.0 {
-                self.ledger_mut().record(
-                    "read-margin",
-                    self.pool_size(),
-                    fold,
-                    0.0,
-                    RadiusBound::Fold,
-                );
-            }
-            return fold;
-        }
-        let (radius, bound, envelope) = self.view().read_radius_parts(scale);
-        self.ledger_mut().record(
-            "read-margin",
-            self.pool_size(),
-            radius,
-            self.config.beta,
-            bound,
-        );
-        if P::ENABLED {
+        let (radius, sampled) = self.view().read_margin(scale, Some(&self.ledger));
+        if let (true, Some((bound, envelope))) = (P::ENABLED, sampled) {
             self.probe.gauge(Gauge::EnvelopeRadius, envelope);
             self.probe.note("read_bound", bound.name());
         }
@@ -1685,13 +1612,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// makes no β-claim a caller's answer rests on, so it must not inflate
     /// the union-bound totals.
     fn claimed_read_radius(&self, scale: f64) -> f64 {
-        if scale <= 0.0 || scale.is_nan() {
-            return 0.0;
-        }
-        if self.exhaustive {
-            return compaction_fold_radius(scale, self.pool_missing_drift);
-        }
-        self.view().read_radius_parts(scale).0
+        self.view().read_margin(scale, None).0
     }
 
     /// Estimate the certificate expectation `⟨u, D̂_t⟩` for the payoff
@@ -1819,30 +1740,6 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         self.log.len()
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        _points: &PointMatrix,
-        solver_iters: usize,
-        _rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.ensure_usable()?;
-        if loss.point_dim() != self.source.dim() {
-            return Err(PmwError::LossMismatch(
-                "loss point dimension does not match point source",
-            ));
-        }
-        // Minimize over the pooled empirical hypothesis: SNIS weights on
-        // cached pool points. Exhaustive pools make this the exact dense
-        // solve.
-        Ok(minimize_weighted(
-            loss,
-            &self.support.points,
-            &self.pool_log_w.snis().weights,
-            solver_iters,
-        )?)
-    }
-
     fn apply_update(
         &mut self,
         loss: &dyn CmLoss,
@@ -1893,7 +1790,6 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         &self,
         query: &dyn PointQuery,
         _points: Option<&PointMatrix>,
-        _rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
         Ok(self.query_mean(query)?.into())
     }
@@ -1908,7 +1804,6 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         queries: &[&dyn PointQuery],
         _points: Option<&PointMatrix>,
         memo: &mut QueryMemo,
-        _rng: &mut dyn Rng,
     ) -> Result<Vec<QueryEstimate>, PmwError> {
         let memo = memo.get_or_default::<IncidenceMemo>();
         memo.renew(&self.support, queries.len());
@@ -1938,20 +1833,12 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
         Ok(())
     }
 
-    fn dense_hypothesis(&self) -> Option<&Histogram> {
-        None
-    }
-
     fn take_events(&mut self) -> Vec<BackendEvent> {
         std::mem::take(&mut self.pending_events)
     }
 
     fn requires_shared_loss(&self) -> bool {
         true
-    }
-
-    fn read_radius(&self, scale: f64) -> f64 {
-        SampledBackend::read_radius(self, scale)
     }
 
     fn snapshot(&self) -> Result<Arc<dyn ReadSnapshot>, PmwError> {
@@ -1970,7 +1857,7 @@ mod tests {
     use super::*;
     use crate::source::UniversePoints;
     use pmw_core::update::dual_certificate;
-    use pmw_data::{BooleanCube, Universe};
+    use pmw_data::{BooleanCube, Histogram, Universe};
     use pmw_losses::{LinearQueryLoss, PointPredicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2543,7 +2430,6 @@ mod tests {
     fn poisoned_backend_fails_closed_on_every_operation() {
         use pmw_data::workload::ImplicitQuery;
         let cube = BooleanCube::new(3).unwrap();
-        let points = cube.materialize();
         let mut rng = StdRng::seed_from_u64(41);
         let mut sketch = SampledBackend::new(
             UniversePoints(cube),
@@ -2580,7 +2466,7 @@ mod tests {
             Err(PmwError::Degraded(_))
         ));
         assert!(matches!(
-            StateBackend::hypothesis_minimizer(&sketch, &loss, &points, 8, &mut rng),
+            StateBackend::snapshot(&sketch),
             Err(PmwError::Degraded(_))
         ));
         let q = ImplicitQuery::marginal(vec![0], 3).unwrap();
@@ -2754,18 +2640,14 @@ mod tests {
     }
 
     /// The reads that depend on the pool's SNIS weights, as bits: the
-    /// query mean's value and radius, the unit-scale read radius and the
-    /// hypothesis minimizer.
+    /// unit-scale read radius and the hypothesis minimizer.
     fn snapshot_read_bits(
         snap: &dyn ReadSnapshot,
-        query: &dyn PointQuery,
         loss: &dyn CmLoss,
         points: &PointMatrix,
     ) -> Vec<u64> {
-        let est = snap.expected_query_value(query, None).unwrap();
         let theta = snap.hypothesis_minimizer(loss, points, 8).unwrap();
-        [est.value, est.radius, snap.read_radius(1.0)]
-            .into_iter()
+        std::iter::once(snap.read_radius(1.0))
             .chain(theta)
             .map(f64::to_bits)
             .collect()
@@ -2784,21 +2666,32 @@ mod tests {
         let before_read = sketch.publish_snapshot().unwrap();
         let mut reference = sketch.publish_snapshot().unwrap();
         reference.pool_log_w = LogWeights::new(sketch.pool_log_w.as_slice().to_vec());
-        let expected = snapshot_read_bits(&reference, &query, &loss, points);
+        let expected = snapshot_read_bits(&reference, &loss, points);
+        // The query mean over the fresh weights, through the read view the
+        // live backend's estimates share.
+        let view = reference.view();
+        let fresh = view.claim(
+            &reference.ledger,
+            "query-mean",
+            query_scale(&query),
+            view.query_sums(&query).unwrap(),
+        );
 
         let est = sketch.query_mean(&query).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let theta = StateBackend::hypothesis_minimizer(sketch, &loss, points, 8, &mut rng).unwrap();
-        let live: Vec<u64> = [est.value, est.radius, sketch.read_radius(1.0)]
-            .into_iter()
-            .chain(theta)
-            .map(f64::to_bits)
-            .collect();
-        assert_eq!(live, expected, "{step}: live backend");
+        assert_eq!(
+            [est.value, est.radius].map(f64::to_bits),
+            [fresh.value, fresh.radius].map(f64::to_bits),
+            "{step}: live query mean"
+        );
+        assert_eq!(
+            sketch.read_radius(1.0).to_bits(),
+            expected[0],
+            "{step}: live read margin"
+        );
         let after_read = sketch.publish_snapshot().unwrap();
         for (snap, when) in [(before_read, "before"), (after_read, "after")] {
             assert_eq!(
-                snapshot_read_bits(&snap, &query, &loss, points),
+                snapshot_read_bits(&snap, &loss, points),
                 expected,
                 "{step}: snapshot published {when} a read"
             );
@@ -2974,9 +2867,7 @@ mod tests {
             .iter()
             .map(|q| sketch.query_mean(*q).unwrap().into())
             .collect();
-        let mut rng = StdRng::seed_from_u64(0);
-        let batched =
-            StateBackend::expected_query_values(sketch, &queries, None, memo, &mut rng).unwrap();
+        let batched = StateBackend::expected_query_values(sketch, &queries, None, memo).unwrap();
         let bits = |ests: &[QueryEstimate]| -> Vec<[u64; 3]> {
             ests.iter()
                 .map(|e| [e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()])
@@ -3095,10 +2986,9 @@ mod tests {
         let mut memo = QueryMemo::new();
         let q = pmw_data::workload::ImplicitQuery::marginal(vec![0], 3).unwrap();
         let looped = sketch.query_mean(&q).map(|_| ()).unwrap_err();
-        let batched =
-            StateBackend::expected_query_values(&sketch, &[&q], None, &mut memo, &mut rng)
-                .map(|_| ())
-                .unwrap_err();
+        let batched = StateBackend::expected_query_values(&sketch, &[&q], None, &mut memo)
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(batched, PmwError::from(looped));
         marginal_round(&mut sketch, 1.0, 0.4, &mut rng).unwrap();
         assert!(sketch.is_exhaustive());

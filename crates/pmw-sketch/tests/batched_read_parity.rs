@@ -39,16 +39,6 @@ impl<B: StateBackend> StateBackend for PerQuery<B> {
         self.0.updates_recorded()
     }
 
-    fn hypothesis_minimizer(
-        &self,
-        loss: &dyn CmLoss,
-        points: &PointMatrix,
-        solver_iters: usize,
-        rng: &mut dyn Rng,
-    ) -> Result<Vec<f64>, PmwError> {
-        self.0.hypothesis_minimizer(loss, points, solver_iters, rng)
-    }
-
     fn apply_update(
         &mut self,
         loss: &dyn CmLoss,
@@ -80,9 +70,8 @@ impl<B: StateBackend> StateBackend for PerQuery<B> {
         &self,
         query: &dyn PointQuery,
         points: Option<&PointMatrix>,
-        rng: &mut dyn Rng,
     ) -> Result<QueryEstimate, PmwError> {
-        self.0.expected_query_value(query, points, rng)
+        self.0.expected_query_value(query, points)
     }
 
     fn apply_query_update(
@@ -100,10 +89,6 @@ impl<B: StateBackend> StateBackend for PerQuery<B> {
 
     fn dense_hypothesis(&self) -> Option<&Histogram> {
         self.0.dense_hypothesis()
-    }
-
-    fn read_radius(&self, scale: f64) -> f64 {
-        self.0.read_radius(scale)
     }
 
     fn requires_shared_loss(&self) -> bool {

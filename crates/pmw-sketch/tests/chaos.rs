@@ -76,6 +76,16 @@ fn check_backend<S: PointSource>(sampled: &SampledBackend<S>, updates_used: usiz
     }
 }
 
+/// A sampled backend's ledger records, for bitwise comparison.
+fn ledger_records<S: PointSource>(sampled: &SampledBackend<S>) -> Vec<String> {
+    sampled
+        .ledger()
+        .records()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect()
+}
+
 fn check_events(events: &[BackendEvent]) {
     for e in events {
         match e {
@@ -584,6 +594,12 @@ fn fault_after_a_fold_rolls_back_cleanly_without_poisoning() {
 /// surfaced injected error, never a panic; a completed run stays within
 /// its ε and releases only finite answers; and an empty plan reproduces the
 /// bare backend bit for bit.
+///
+/// The seeded rules count single queries, and a read makes `k` of them, so
+/// every seeded plan fails at the initial read or at an update. Each is
+/// therefore also run with only its estimate rule, rescaled to count whole
+/// reads; those plans end where their rule first fires within the run's
+/// reads, some after the initial read, and complete when it never does.
 #[test]
 fn mwem_invariants_hold_under_every_seeded_fault_plan() {
     use pmw_core::{Mwem, MwemRun};
@@ -618,14 +634,6 @@ fn mwem_invariants_hold_under_every_seeded_fault_plan() {
             &mut rng,
         )
     };
-    let records = |state: &SampledBackend<BigBitCube>| -> Vec<String> {
-        state
-            .ledger()
-            .records()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect()
-    };
 
     // The empty plan against the bare backend.
     let bare: MwemRun<_> = {
@@ -639,7 +647,10 @@ fn mwem_invariants_hold_under_every_seeded_fault_plan() {
     assert_eq!(bits(&wrapped.answers), bits(&bare.answers), "answers");
     assert_eq!(wrapped.selected, bare.selected, "selections");
     assert_eq!(wrapped.backend_events, bare.backend_events, "events");
-    assert_eq!(records(wrapped.state.inner()), records(&bare.state));
+    assert_eq!(
+        ledger_records(wrapped.state.inner()),
+        ledger_records(&bare.state)
+    );
     assert!(bare.state.resamples() > 0 && bare.state.compactions() > 0);
 
     // Seeded plans; estimate faults placed inside a later round's reads
@@ -667,12 +678,33 @@ fn mwem_invariants_hold_under_every_seeded_fault_plan() {
             ..FaultPlan::default()
         },
     ];
+    // A rate of 1/period per query call becomes about one per `period`
+    // reads.
+    let per_read = |rule: FaultRule| match rule {
+        FaultRule::Never => FaultRule::Never,
+        FaultRule::Every(n) => FaultRule::Every(n * k),
+        FaultRule::Once(c) => FaultRule::Once(c * k),
+        FaultRule::Hashed { period, salt } => FaultRule::Hashed {
+            period: period * k,
+            salt,
+        },
+    };
+    let rescaled: Vec<FaultPlan> = (0..24)
+        .map(|seed| FaultPlan {
+            estimate: per_read(FaultPlan::seeded(seed).estimate),
+            ..FaultPlan::default()
+        })
+        .collect();
     let plans = (0..24)
         .map(FaultPlan::seeded)
         .chain(targeted)
         .chain(updates)
-        .chain(harmless);
+        .chain(harmless)
+        .chain(rescaled.iter().copied());
     let (mut completed, mut failed) = (0, 0);
+    // How each plan ended: `None` when the run completed, else the
+    // injected fault's message.
+    let mut ends = Vec::new();
     for (seed, plan) in plans.enumerate() {
         match run(seed as u64, plan) {
             Ok(done) => {
@@ -687,11 +719,33 @@ fn mwem_invariants_hold_under_every_seeded_fault_plan() {
                 );
                 check_backend(done.state.inner(), rounds);
                 check_events(&done.backend_events);
+                ends.push(None);
             }
-            Err(PmwError::LossMismatch(what)) if what.starts_with("injected fault") => failed += 1,
+            Err(PmwError::LossMismatch(what)) if what.starts_with("injected fault") => {
+                failed += 1;
+                ends.push(Some(what));
+            }
             Err(e) => panic!("plan {seed}: {e:?} is not an injected fault"),
         }
     }
+    let reads = k * (rounds as u64 + 1); // the initial read plus one a round
+    let (mut late, mut clean) = (0, 0);
+    for (plan, end) in rescaled.iter().zip(&ends[ends.len() - rescaled.len()..]) {
+        match (1..=reads).find(|&call| plan.estimate.fires(call)) {
+            Some(call) => {
+                assert_eq!(*end, Some("injected fault: backend estimate"), "{plan:?}");
+                if call > k {
+                    late += 1;
+                }
+            }
+            None => {
+                assert_eq!(*end, None, "{plan:?}");
+                clean += 1;
+            }
+        }
+    }
+    assert!(late > 0, "no rescaled plan fired after the initial read");
+    assert!(clean > 0, "no rescaled plan completed");
     for plan in targeted {
         assert_eq!(
             run(0, plan).err(),
@@ -701,4 +755,96 @@ fn mwem_invariants_hold_under_every_seeded_fault_plan() {
     }
     assert!(completed >= 2, "{completed} completed");
     assert!(failed >= 5, "{failed} failed");
+}
+
+/// `OfflinePmw` solves its `θ̂`s and reads its selection margin on one
+/// snapshot per round, so a `FaultyBackend` reaches it through the
+/// snapshots it publishes and through its update site. An empty plan
+/// reproduces the bare backend bit for bit; a `NaN` margin on the first
+/// snapshot read is refused before anything is spent, and the snapshot's
+/// injection counts toward the backend's total; an update fault surfaces
+/// as the injected error with the inner state untouched.
+#[test]
+fn offline_pmw_reads_its_snapshots_under_fault_plans() {
+    use pmw_core::OfflinePmw;
+    use pmw_losses::CmLoss;
+    use pmw_sketch::CompactionPolicy;
+    let cube = BooleanCube::new(DIM).unwrap();
+    let data = DataSide::from_universe(&cube, &dataset()).unwrap();
+    let losses: Vec<LinearQueryLoss> = (0..DIM)
+        .map(|b| {
+            LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![b] }, DIM).unwrap()
+        })
+        .collect();
+    let refs: Vec<&dyn CmLoss> = losses.iter().map(|l| l as &dyn CmLoss).collect();
+    let config = PmwConfig::builder(1.0, 1e-6, 0.2)
+        .scale(1.0)
+        .rounds_override(4)
+        .solver_iters(40)
+        .build()
+        .unwrap();
+    let off = OfflinePmw::with_oracle(config, ExactOracle::default());
+    let sampled = |rng: &mut StdRng| {
+        let config = SampledConfig {
+            budget: 5,
+            resample_every: 2,
+            compaction: CompactionPolicy::EveryK(2),
+            ..SampledConfig::default()
+        };
+        SampledBackend::new(UniversePoints(cube.clone()), config, rng).unwrap()
+    };
+    let run = |plan: FaultPlan| {
+        let mut rng = StdRng::seed_from_u64(7000);
+        let mut state = FaultyBackend::new(sampled(&mut rng), plan);
+        let result = off.run_with_backend(&refs, &data, &mut state, &mut rng);
+        (result, state)
+    };
+    let bits = |answers: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        answers
+            .iter()
+            .map(|a| a.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+
+    let mut rng = StdRng::seed_from_u64(7000);
+    let mut bare = sampled(&mut rng);
+    let (expected, expected_spend) = off
+        .run_with_backend(&refs, &data, &mut bare, &mut rng)
+        .unwrap();
+    assert!(bare.resamples() > 0 && bare.compactions() > 0);
+    let (result, state) = run(FaultPlan::default());
+    let (result, spend) = result.unwrap();
+    assert_eq!(bits(&result.answers), bits(&expected.answers), "answers");
+    assert_eq!(result.selected, expected.selected, "selections");
+    assert_eq!(result.backend_events, expected.backend_events, "events");
+    assert_eq!(
+        ledger_records(state.inner()),
+        ledger_records(&bare),
+        "ledger records"
+    );
+    assert_eq!(spend.len(), expected_spend.len());
+    assert_eq!(state.injected(), 0);
+
+    let (result, state) = run(FaultPlan {
+        nan_radius: FaultRule::Once(1),
+        ..FaultPlan::default()
+    });
+    assert!(
+        matches!(result, Err(PmwError::Degraded(_))),
+        "{:?}",
+        result.map(|(r, _)| r.selected)
+    );
+    assert_eq!(state.injected(), 1);
+    assert_eq!(state.updates_recorded(), 0);
+
+    let (result, state) = run(FaultPlan {
+        update: FaultRule::Once(1),
+        ..FaultPlan::default()
+    });
+    assert_eq!(
+        result.err(),
+        Some(PmwError::LossMismatch("injected fault: backend update"))
+    );
+    assert_eq!(state.injected(), 1);
+    assert_eq!(state.inner().updates_recorded(), 0);
 }

@@ -101,9 +101,10 @@ fn read_trace(backend: &SampledBackend<UniversePoints<BooleanCube>>, seed: u64) 
         bits.push(backend.sample_index(&mut rng) as u64);
     }
     let snap = backend.publish_snapshot().unwrap();
-    let q = ImplicitQuery::marginal(vec![0, 3], DIM).unwrap();
-    match snap.expected_query_value(&q as &dyn PointQuery, None) {
-        Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()]),
+    bits.push(snap.read_radius(1.0).to_bits());
+    let points = BooleanCube::new(DIM).unwrap().materialize();
+    match snap.hypothesis_minimizer(&bit_loss(0), &points, 40) {
+        Ok(theta) => bits.extend(theta.iter().map(|v| v.to_bits())),
         Err(_) => bits.push(u64::MAX),
     }
     for x in 0..1usize << DIM {

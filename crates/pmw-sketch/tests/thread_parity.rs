@@ -13,7 +13,7 @@
 use pmw_core::ReadSnapshot;
 use pmw_data::par::with_threads;
 use pmw_data::workload::ImplicitQuery;
-use pmw_data::{BooleanCube, PointQuery};
+use pmw_data::{BooleanCube, PointQuery, Universe};
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
 use pmw_sketch::{RoundUpdate, SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
@@ -102,8 +102,10 @@ fn trace(budget: usize, threads: usize) -> Vec<u64> {
 
         // Published snapshot reads run the same sweeps.
         let snap = backend.publish_snapshot().unwrap();
-        match snap.expected_query_value(&q as &dyn PointQuery, None) {
-            Ok(e) => bits.extend([e.value.to_bits(), e.radius.to_bits(), e.beta.to_bits()]),
+        bits.push(snap.read_radius(1.0).to_bits());
+        let points = BooleanCube::new(DIM).unwrap().materialize();
+        match snap.hypothesis_minimizer(&bit_loss(0), &points, 40) {
+            Ok(theta) => bits.extend(theta.iter().map(|v| v.to_bits())),
             Err(_) => bits.push(u64::MAX),
         }
 

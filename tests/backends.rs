@@ -136,10 +136,12 @@ fn exhaustive_pools_report_zero_radius_through_the_new_path() {
     assert_eq!(est.envelope_radius, 0.0);
     // Seam read: the QueryEstimate the linear mechanisms consume.
     let q = pmw::data::ImplicitQuery::marginal(vec![0], 4).unwrap();
-    let qe = StateBackend::expected_query_value(&sketch, &q, None, &mut rng).unwrap();
+    let qe = StateBackend::expected_query_value(&sketch, &q, None).unwrap();
     assert_eq!((qe.radius, qe.beta), (0.0, 0.0));
-    // Margin read: no sparse-vector widening on exact state.
-    assert_eq!(StateBackend::read_radius(&sketch, 1.0), 0.0);
+    // Margin read on a published snapshot: no sparse-vector widening on
+    // exact state.
+    let snapshot = StateBackend::snapshot(&sketch).unwrap();
+    assert_eq!(snapshot.read_radius(1.0), 0.0);
     // The ledger tagged both estimates exact.
     assert_eq!(sketch.ledger().bound_wins(pmw::dp::RadiusBound::Exact), 2);
 }
@@ -386,7 +388,9 @@ fn dense_backend_bookkeeping_through_the_seam() {
     assert_eq!(StateBackend::universe_size(&backend), 8);
     let loss = bit_loss(0, 3);
     let theta = backend
-        .hypothesis_minimizer(&loss, &points, 200, &mut rng)
+        .snapshot()
+        .unwrap()
+        .hypothesis_minimizer(&loss, &points, 200)
         .unwrap();
     // Uniform hypothesis: half the cube satisfies bit 0.
     assert!((theta[0] - 0.5).abs() < 0.01, "{}", theta[0]);
