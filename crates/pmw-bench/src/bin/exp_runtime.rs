@@ -291,9 +291,8 @@ fn measure_thread_row(log2_x: usize, threads: usize) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let parallel = cfg!(feature = "parallel");
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("# E11 / Section 4.3: Θ(|X|) kernel cost (parallel={parallel}, threads={threads}, smoke={smoke})");
+    println!("# E11 / Section 4.3: Θ(|X|) kernel cost (threads={threads}, smoke={smoke})");
     header(&[
         "log2_X",
         "mw_update_ns_per_elem",
@@ -356,7 +355,6 @@ fn main() {
     let artifact = json_object! {
         "experiment": "runtime_scaling",
         "units": "ns_per_element",
-        "parallel": parallel,
         "machine_threads": threads,
         "threads_axis": Json::Array(thread_counts.iter().map(|&t| t.into()).collect()),
         "smoke": smoke,

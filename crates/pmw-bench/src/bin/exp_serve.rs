@@ -25,21 +25,11 @@ use pmw_bench::{header, row, skewed_cube_dataset, trace_path, write_artifact};
 use pmw_core::{OnlinePmw, PmwConfig};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
-use pmw_obs::{json_object, Json, JsonlTraceProbe, NoopProbe, Probe};
+use pmw_obs::{json_object, nearest_rank, Json, JsonlTraceProbe, NoopProbe, Probe};
 use pmw_serve::{PmwServer, ServeConfig, ServeStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-
-/// Nearest-rank percentile over raw nanosecond samples (0 when empty).
-fn percentile_ns(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() - 1) as f64 * q).ceil() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
 
 /// The query an analyst issues at step `j`: single-coordinate
 /// conjunctions rotating through the cube's bits, offset per analyst so
@@ -116,11 +106,12 @@ fn serve_run<P: Probe + Send + 'static>(
     let join = server.join().unwrap();
 
     let requests = latencies.len() as u64;
+    latencies.sort_unstable();
     ScaleRow {
         requests,
         qps: requests as f64 / elapsed.max(1e-9),
-        latency_p50_ns: percentile_ns(&mut latencies, 0.50),
-        latency_p99_ns: percentile_ns(&mut latencies, 0.99),
+        latency_p50_ns: nearest_rank(&latencies, 50.0),
+        latency_p99_ns: nearest_rank(&latencies, 99.0),
         stats: join.stats,
     }
 }

@@ -450,7 +450,6 @@ fn main() {
         (&[16, 20, 24, 26], 50, 2048)
     };
     let (mech_queries, mech_n) = if smoke { (6, 400) } else { (24, 2000) };
-    let parallel = cfg!(feature = "parallel");
     let (dense_ref, dense_ref_source) = dense_ns_per_elem(rounds.min(12));
     println!(
         "# E12: sublinear state maintenance (budget={budget}, rounds={rounds}, \
@@ -649,7 +648,6 @@ fn main() {
         "budget": budget,
         "rounds": rounds,
         "beta": 1e-6,
-        "parallel": parallel,
         "machine_threads": machine_threads,
         "smoke": smoke,
         "mechanism_n": mech_n,

@@ -21,7 +21,7 @@
 //! rebuild) — the numbers that show per-round cost staying flat as the
 //! round count grows.
 
-use pmw_obs::{Counter, Gauge, Summary, TraceEvent};
+use pmw_obs::{nearest_rank, Counter, Gauge, Summary, TraceEvent};
 use std::process::ExitCode;
 
 /// One row of the per-round timeline, filled in as the round's events
@@ -117,14 +117,6 @@ fn print_serving_section(events: &[TraceEvent]) {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample (clones and sorts).
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Render the log-compaction section when the trace shows checkpointing
 /// activity: fold count, checkpoints taken, retained log length, and the
 /// distribution of replay depths (the quantity compaction keeps flat in
@@ -158,10 +150,11 @@ fn print_compaction_section(events: &[TraceEvent]) {
         "compaction: folds={compactions} checkpoints={checkpoints:.0} retained_rounds={retained}"
     );
     if !replay_depths.is_empty() {
+        replay_depths.sort_by(f64::total_cmp);
         println!(
             "replay depth (rounds per pool rebuild): p50={:.0} p99={:.0} max={:.0} over {} rebuilds",
-            percentile(&replay_depths, 50.0),
-            percentile(&replay_depths, 99.0),
+            nearest_rank(&replay_depths, 50.0),
+            nearest_rank(&replay_depths, 99.0),
             replay_depths.iter().cloned().fold(0.0f64, f64::max),
             replay_depths.len(),
         );

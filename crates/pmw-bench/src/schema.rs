@@ -260,7 +260,7 @@ fn axis_rows<'a>(
         .collect()
 }
 
-/// The least `speedup_vs_1thread` a full parallel runtime artifact may
+/// The least `speedup_vs_1thread` a full runtime artifact may
 /// report at a worker count the machine has cores for. Below it the
 /// chunked certificate sweep loses to the serial one.
 pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
@@ -268,10 +268,9 @@ pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
 /// Validate `BENCH_runtime.json`: its columns, the `dense`/`sampled`
 /// backend rows, and a `threads_axis` of the serial baseline plus at least
 /// one multi-worker count, one `thread_scaling` row each. With
-/// `smoke: false` and `parallel: true`, every count up to
-/// `machine_threads` runs at least [`THREAD_SPEEDUP_FLOOR`]× the serial
-/// sweep. Smoke runs time too little work to tell, sequential builds have
-/// nothing to scale, and rows past the machine's threads measure
+/// `smoke: false`, every count up to `machine_threads` runs at least
+/// [`THREAD_SPEEDUP_FLOOR`]× the serial sweep. Smoke runs time too little
+/// work to tell, and rows past the machine's threads measure
 /// oversubscription.
 pub fn validate_bench_runtime(text: &str) -> Result<(), String> {
     let doc = check(text, "runtime_scaling", &[RUNTIME, PROBE])?;
@@ -292,12 +291,10 @@ pub fn validate_bench_runtime(text: &str) -> Result<(), String> {
                 .into(),
         );
     }
-    let (Some(Json::Bool(smoke)), Some(Json::Bool(parallel))) =
-        (doc.get("smoke"), doc.get("parallel"))
-    else {
-        return Err("\"smoke\" and \"parallel\" must be bools".into());
+    let Some(Json::Bool(smoke)) = doc.get("smoke") else {
+        return Err("\"smoke\" must be a bool".into());
     };
-    if *smoke || !parallel {
+    if *smoke {
         return Ok(());
     }
     let machine = number(&doc, "machine_threads", Positive)?;
@@ -538,7 +535,7 @@ mod tests {
     /// A well-formed runtime artifact.
     const RUNTIME_DOC: &str = r#"{
       "experiment": "runtime_scaling",
-      "parallel": true, "machine_threads": 2, "smoke": false,
+      "machine_threads": 2, "smoke": false,
       "sizes": [
         {"log2_x": 12, "mw_update_ns_per_elem": 1.2,
          "mw_update_with_read_ns_per_elem": 3.4,
@@ -586,7 +583,7 @@ mod tests {
         assert!(validate_bench_runtime(&missing_row)
             .unwrap_err()
             .contains("threads=2"));
-        // A full parallel run must not slow down at a worker count the
+        // A full run must not slow down at a worker count the
         // machine has cores for; smoke runs and oversubscribed rows pass.
         let slow = json.replace(
             "\"speedup_vs_1thread\": 1.82",

@@ -49,29 +49,6 @@ pub struct PmwConfig {
     pub rounds_override: Option<usize>,
     /// Iteration budget for the inner (non-private) convex solves.
     pub solver_iters: usize,
-    /// In-round retries of a transiently failing ERM oracle before the
-    /// consumed sparse-vector round is burned as `UpdateFailed` (default
-    /// 0 = no retries, the historical behavior). The per-round oracle
-    /// budget is charged conservatively **once, up front** — a retry
-    /// re-solves under the already-charged budget, so retries spend
-    /// nothing extra from the accountant.
-    ///
-    /// **Soundness condition**: the single up-front charge is only valid
-    /// when the oracle's *failure event* is data-independent (numeric
-    /// blowups from its own noise draws, resource errors, a flaky
-    /// dependency). An oracle whose failures correlate with the sensitive
-    /// data leaks through which attempt succeeded, and each retry is then
-    /// a genuine additional `(ε₀, δ₀)` spend the ledger does not record —
-    /// keep the default 0 for such oracles, or charge per attempt in a
-    /// wrapper.
-    ///
-    /// Retries compose cleanly with **transactional** state backends
-    /// (`pmw_sketch::SampledBackend`): the oracle is re-solved *before*
-    /// the MW update is applied, and a backend update that fails after a
-    /// successful solve rolls the round's state back completely — so a
-    /// retried round never sees (and never double-applies onto)
-    /// half-updated state from an earlier attempt.
-    pub oracle_retries: usize,
     /// Record diagnostic values (true error-query values) in the transcript.
     /// These are *not* differentially private — for experiments only.
     pub diagnostics: bool,
@@ -89,7 +66,6 @@ impl PmwConfig {
             scale_s: 2.0,
             rounds_override: None,
             solver_iters: 600,
-            oracle_retries: 0,
             diagnostics: false,
         }
     }
@@ -148,7 +124,6 @@ pub struct PmwConfigBuilder {
     scale_s: f64,
     rounds_override: Option<usize>,
     solver_iters: usize,
-    oracle_retries: usize,
     diagnostics: bool,
 }
 
@@ -180,13 +155,6 @@ impl PmwConfigBuilder {
     /// Inner solver iteration budget (default 600).
     pub fn solver_iters(mut self, iters: usize) -> Self {
         self.solver_iters = iters;
-        self
-    }
-
-    /// In-round oracle retries before an `UpdateFailed` round is burned
-    /// (default 0 — see [`PmwConfig::oracle_retries`]).
-    pub fn oracle_retries(mut self, retries: usize) -> Self {
-        self.oracle_retries = retries;
         self
     }
 
@@ -227,7 +195,6 @@ impl PmwConfigBuilder {
             scale_s: self.scale_s,
             rounds_override: self.rounds_override,
             solver_iters: self.solver_iters,
-            oracle_retries: self.oracle_retries,
             diagnostics: self.diagnostics,
         })
     }

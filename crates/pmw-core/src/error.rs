@@ -51,6 +51,22 @@ impl fmt::Display for PmwError {
 
 impl std::error::Error for PmwError {}
 
+/// A backend's claimed radius or read margin, refused with
+/// [`PmwError::Degraded`] unless it is finite and non-negative. Every
+/// mechanism widens a sparse-vector margin or a selection's sensitivity by
+/// it and checks it here before spending anything: a NaN would fall out of
+/// the comparison or the `f64::max` fold, and a negative value would
+/// narrow what it should widen.
+pub(crate) fn claimed_radius(radius: f64) -> Result<f64, PmwError> {
+    if radius.is_finite() && radius >= 0.0 {
+        Ok(radius)
+    } else {
+        Err(PmwError::Degraded(
+            "backend claimed a non-finite or negative radius",
+        ))
+    }
+}
+
 impl From<pmw_data::DataError> for PmwError {
     fn from(e: pmw_data::DataError) -> Self {
         PmwError::Data(e)

@@ -27,7 +27,7 @@
 
 use crate::config::PmwConfig;
 use crate::data::DataSide;
-use crate::error::PmwError;
+use crate::error::{claimed_radius, PmwError};
 use crate::state::{
     eval_query_on_histogram, BackendEvent, DenseBackend, QueryEstimate, QueryMemo, StateBackend,
 };
@@ -67,10 +67,9 @@ fn retained_handles(
 }
 
 /// Every query's hypothesis estimate through the batched read, refused
-/// when any value or radius is not finite: a NaN radius would fall out of
-/// the selection's `f64::max` widening fold and revert it to the
-/// unwidened sensitivity, and a non-finite value would reach the selection
-/// scores and, on the sketched path, the released answers.
+/// when any value is not finite (it would reach the selection scores and,
+/// on the sketched path, the released answers) or any radius fails
+/// [`claimed_radius`].
 fn finite_estimates<B: StateBackend>(
     state: &B,
     queries: &[&dyn PointQuery],
@@ -78,13 +77,13 @@ fn finite_estimates<B: StateBackend>(
     memo: &mut QueryMemo,
 ) -> Result<Vec<QueryEstimate>, PmwError> {
     let ests = state.expected_query_values(queries, points, memo)?;
-    if ests
-        .iter()
-        .any(|e| !(e.value.is_finite() && e.radius.is_finite()))
-    {
-        return Err(PmwError::InvalidConfig(
-            "state backend returned a non-finite query estimate or radius",
-        ));
+    for e in &ests {
+        if !e.value.is_finite() {
+            return Err(PmwError::InvalidConfig(
+                "state backend returned a non-finite query estimate",
+            ));
+        }
+        claimed_radius(e.radius)?;
     }
     Ok(ests)
 }
@@ -225,15 +224,10 @@ impl<B: StateBackend> LinearPmw<B> {
         // claimed concentration radius, and a ⊥ must certify that the
         // *true* hypothesis answer ⟨q, D̂_t⟩ — not just its estimate — is
         // within α of the data. Exact backends claim radius 0, so the
-        // dense path processes the identical value bit-for-bit.
-        // A corrupted radius (NaN/∞/negative) would silently poison the
-        // comparison — refuse loudly before any budget is consumed.
-        if !est.radius.is_finite() || est.radius < 0.0 {
-            return Err(PmwError::Degraded(
-                "backend claimed a non-finite or negative estimate radius",
-            ));
-        }
-        let outcome = match self.sv.process(err + est.radius, rng) {
+        // dense path processes the identical value bit-for-bit. A
+        // corrupted radius is refused before any budget is consumed.
+        let radius = claimed_radius(est.radius)?;
+        let outcome = match self.sv.process(err + radius, rng) {
             Ok(o) => o,
             Err(pmw_dp::DpError::SparseVectorHalted) => {
                 self.halted = true;
@@ -511,8 +505,8 @@ impl Mwem {
                 .zip(&truths)
                 .map(|(e, t)| (e.value - t).abs())
                 .collect();
-            // Every radius is finite (`finite_estimates`), so none can
-            // fall out of this fold.
+            // Every radius is finite and non-negative
+            // (`finite_estimates`), so none can fall out of this fold.
             let widen = ests.iter().map(|e| e.radius).fold(0.0, f64::max);
             if P::ENABLED {
                 probe.gauge(Gauge::ClaimedRadius, widen);
@@ -981,17 +975,20 @@ mod tests {
         // Privacy spend is unchanged: same per-round ε, same entry count.
         assert_eq!(exact.accountant.len(), wide.accountant.len());
 
-        // A NaN radius must fail loudly instead of silently falling out
-        // of the max fold and reverting to the unwidened sensitivity.
-        let mut rng_c = StdRng::seed_from_u64(146);
-        let nan = mwem.run_with_backend(
-            &queries,
-            &dense_data,
-            8.0,
-            WideRadiusBackend(DenseBackend::new(16).unwrap(), f64::NAN),
-            &mut rng_c,
-        );
-        assert!(matches!(nan, Err(PmwError::InvalidConfig(_))));
+        // A NaN or negative radius must fail loudly instead of silently
+        // falling out of the max fold and reverting to the unwidened
+        // sensitivity.
+        for radius in [f64::NAN, -0.5] {
+            let mut rng_c = StdRng::seed_from_u64(146);
+            let bad = mwem.run_with_backend(
+                &queries,
+                &dense_data,
+                8.0,
+                WideRadiusBackend(DenseBackend::new(16).unwrap(), radius),
+                &mut rng_c,
+            );
+            assert!(matches!(bad, Err(PmwError::Degraded(_))), "{radius}");
+        }
     }
 
     /// A dense-delegating backend with no dense hypothesis (so `Mwem`

@@ -24,7 +24,7 @@
 
 use crate::config::{DerivedParams, PmwConfig};
 use crate::data::DataSide;
-use crate::error::PmwError;
+use crate::error::{claimed_radius, PmwError};
 use crate::state::{DenseBackend, ReadSnapshot, StateBackend};
 use crate::transcript::{QueryOutcome, QueryRecord, Transcript};
 use pmw_convex::Objective;
@@ -196,16 +196,10 @@ fn screen_query<P: Probe>(
     // On sketched state the SV margin is widened by the backend's claimed
     // read radius: θ̂ was solved against an *estimated* hypothesis, so a
     // ⊥ must certify the error query below α even after discounting the
-    // sketch's read uncertainty. Exact backends claim radius 0.
-    let read_margin = snapshot.read_radius(ctx.scale_s);
-    // A corrupted margin (NaN/∞/negative) would silently poison the
-    // sparse-vector comparison; refuse loudly before any budget or
-    // noise draw is consumed, leaving the round un-burned.
-    if !read_margin.is_finite() || read_margin < 0.0 {
-        return Err(PmwError::Degraded(
-            "backend claimed a non-finite or negative read margin",
-        ));
-    }
+    // sketch's read uncertainty. Exact backends claim radius 0. A
+    // corrupted margin is refused before any budget or noise draw is
+    // consumed, leaving the round un-burned.
+    let read_margin = claimed_radius(snapshot.read_radius(ctx.scale_s))?;
     Ok(ScreenedQuery {
         theta_hat,
         query_value,
@@ -509,35 +503,21 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         // budget before erroring.
         self.accountant
             .spend("erm-oracle", self.derived.oracle_budget);
-        // A transiently failing oracle may be re-solved in-round
-        // (`PmwConfig::oracle_retries`, default 0) before the consumed SV
-        // top is burned as `UpdateFailed` — the conservative up-front
-        // charge above already covers the round, so retries spend nothing
-        // further (see the data-independence soundness condition on the
-        // knob).
-        let mut attempts = 0;
+        // One oracle call per round: a failed solve burns the consumed SV
+        // top as `UpdateFailed`.
         probe.span_begin(Phase::OracleSolve);
-        let solved = loop {
-            let result = self
-                .oracle
-                .solve(
-                    loss,
-                    data.points(),
-                    data.weights(),
-                    data.n(),
-                    self.derived.oracle_budget,
-                    rng,
-                )
-                .map_err(PmwError::from);
-            if result.is_ok() || attempts >= self.config.oracle_retries {
-                break result;
-            }
-            attempts += 1;
-        };
+        let solved = self
+            .oracle
+            .solve(
+                loss,
+                data.points(),
+                data.weights(),
+                data.n(),
+                self.derived.oracle_budget,
+                rng,
+            )
+            .map_err(PmwError::from);
         probe.span_end(Phase::OracleSolve);
-        if attempts > 0 {
-            probe.counter(Counter::OracleRetries, attempts as u64);
-        }
         if P::ENABLED {
             if let Ok(total) = self.accountant.basic_total() {
                 probe.gauge(Gauge::EpsSpent, total.epsilon());
@@ -1141,8 +1121,7 @@ mod tests {
     }
 
     /// An oracle that fails its first `failures` solves, then delegates to
-    /// the exact oracle — the transient-failure stub for the in-round
-    /// retry policy.
+    /// the exact oracle — the transient-failure stub.
     struct FlakyOracle {
         failures: std::cell::Cell<usize>,
         inner: ExactOracle,
@@ -1183,55 +1162,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_retries_recover_a_transiently_failing_round() {
-        // Same skewed setup as the desync tests: the first ask fires the
-        // sparse vector deterministically. With one retry allowed, the
-        // flaky oracle's single failure is absorbed in-round: the answer
-        // succeeds, the round is consumed exactly once, and the ledger
-        // carries the single up-front charge.
-        let mut rng = StdRng::seed_from_u64(135);
-        let cube = BooleanCube::new(3).unwrap();
-        let data = skewed_dataset(&cube, 8000, &mut rng);
-        let mut mech = OnlinePmw::with_oracle(
-            PmwConfig::builder(2.0, 1e-6, 0.05)
-                .k(10)
-                .rounds_override(3)
-                .scale(1.0)
-                .solver_iters(300)
-                .oracle_retries(1)
-                .build()
-                .unwrap(),
-            &cube,
-            data,
-            FlakyOracle::failing_once(),
-            &mut rng,
-        )
-        .unwrap();
-        let loss = &bit_losses(&cube)[0];
-        let mut asked = 0;
-        loop {
-            asked += 1;
-            assert!(asked < 40, "sparse vector never fired");
-            let answer = mech
-                .answer(loss, &mut rng)
-                .expect("retry must absorb the failure");
-            if mech.updates_used() == 1 {
-                // The recovered round produced a real oracle answer.
-                assert!((0.0..=1.0).contains(&answer[0]));
-                break;
-            }
-        }
-        let record = mech.transcript().records().last().unwrap();
-        assert_eq!(record.outcome, QueryOutcome::FromOracle);
-        assert_eq!(mech.updates_remaining(), 2);
-        // One conservative oracle charge, not one per attempt.
-        assert_eq!(mech.accountant().len(), 2);
-    }
-
-    #[test]
     fn zero_retries_keep_the_burned_round_behavior() {
-        // Default retries = 0: the same flaky oracle burns its slot, the
-        // historical (regression-tested) behavior.
+        // One oracle call per round: a flaky oracle's single failure burns
+        // its slot, although a second call would have succeeded.
         let mut rng = StdRng::seed_from_u64(136);
         let cube = BooleanCube::new(3).unwrap();
         let data = skewed_dataset(&cube, 8000, &mut rng);
@@ -1252,10 +1185,12 @@ mod tests {
                 Ok(_) if mech.updates_used() == 0 => continue, // ⊥ draw
                 Ok(_) => break,                                // second top: the stub now succeeds
                 Err(PmwError::Erm(_)) => {
-                    // The single transient failure burned its round.
+                    // The single transient failure burned its round,
+                    // under the one up-front oracle charge.
                     assert_eq!(mech.updates_used(), 1);
                     let record = mech.transcript().records().last().unwrap();
                     assert_eq!(record.outcome, QueryOutcome::UpdateFailed);
+                    assert_eq!(mech.accountant().len(), 2);
                     break;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -1482,9 +1417,7 @@ mod tests {
         use pmw_losses::LinkFn;
         use rand::RngExt;
 
-        if cfg!(feature = "parallel") {
-            assert_eq!(pmw_data::par::with_threads(2, pmw_data::par::threads), 2);
-        }
+        assert_eq!(pmw_data::par::with_threads(2, pmw_data::par::threads), 2);
         let cube = BooleanCube::scaled(10).unwrap();
         let run = |threads: usize| {
             pmw_data::par::with_threads(threads, || {

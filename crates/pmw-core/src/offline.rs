@@ -11,7 +11,7 @@
 
 use crate::config::PmwConfig;
 use crate::data::DataSide;
-use crate::error::PmwError;
+use crate::error::{claimed_radius, PmwError};
 use crate::mechanism::error_query_value;
 use crate::state::{BackendEvent, DenseBackend, StateBackend};
 use pmw_convex::Objective;
@@ -140,38 +140,23 @@ impl<O: ErmOracle> OfflinePmw<O> {
             // sketched) hypothesis, so the EM sensitivity is widened by
             // the snapshot's claimed read radius for this round's state.
             // Exact backends claim 0, leaving the dense selection (and
-            // its rng stream) bit-for-bit unchanged.
-            let widen = snapshot.read_radius(self.config.scale_s);
+            // its rng stream) bit-for-bit unchanged. A corrupted widening
+            // is refused before any spend.
+            let widen = claimed_radius(snapshot.read_radius(self.config.scale_s))?;
             drop(snapshot);
-            // A corrupted widening (NaN/∞/negative) would silently break
-            // the selection guarantee; refuse loudly before any spend.
-            if !widen.is_finite() || widen < 0.0 {
-                return Err(PmwError::Degraded(
-                    "backend claimed a non-finite or negative read margin",
-                ));
-            }
             let em = ExponentialMechanism::new(em_sensitivity + widen, em_epsilon)?;
             let idx = em.select(&scores, rng)?;
             accountant.spend("em-select", PrivacyBudget::pure(em_epsilon)?);
             selected.push(idx);
 
-            // Same in-round retry policy as the online mechanism
-            // (`PmwConfig::oracle_retries`, default 0).
-            let mut attempts = 0;
-            let theta_t = loop {
-                let result = self.oracle.solve(
-                    losses[idx],
-                    data_points,
-                    data_weights,
-                    n,
-                    derived.oracle_budget,
-                    rng,
-                );
-                if result.is_ok() || attempts >= self.config.oracle_retries {
-                    break result;
-                }
-                attempts += 1;
-            }?;
+            let theta_t = self.oracle.solve(
+                losses[idx],
+                data_points,
+                data_weights,
+                n,
+                derived.oracle_budget,
+                rng,
+            )?;
             accountant.spend("erm-oracle", derived.oracle_budget);
             let applied = state.apply_update(
                 losses[idx],
@@ -310,31 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn oracle_retries_apply_to_the_offline_rounds_too() {
-        // `PmwConfig::oracle_retries` is one knob for both mechanism
-        // variants: with a retry the offline run absorbs the transient
-        // failure; without it the first selected round aborts the run.
+    fn a_failed_oracle_solve_aborts_the_offline_run() {
+        // One oracle call per round: the first selected round's transient
+        // failure aborts the run, although a second call would succeed.
         let cube = BooleanCube::new(3).unwrap();
         let rows: Vec<usize> = (0..400).map(|i| if i % 4 == 0 { 1 } else { 7 }).collect();
         let data = Dataset::from_indices(8, rows).unwrap();
         let losses = bit_losses(3);
         let refs: Vec<&dyn CmLoss> = losses.iter().map(|l| l as &dyn CmLoss).collect();
-
-        let mut cfg = config(2, 0.2);
-        cfg.oracle_retries = 1;
         let off = OfflinePmw::with_oracle(
-            cfg,
-            FlakyOnce {
-                failed: std::cell::Cell::new(false),
-                inner: ExactOracle::default(),
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(165);
-        let (result, accountant) = off.run(&refs, &cube, &data, &mut rng).unwrap();
-        assert_eq!(result.selected.len(), 2);
-        assert_eq!(accountant.len(), 4); // 2 selections + 2 oracle charges
-
-        let off_no_retry = OfflinePmw::with_oracle(
             config(2, 0.2),
             FlakyOnce {
                 failed: std::cell::Cell::new(false),
@@ -343,7 +312,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(165);
         assert!(matches!(
-            off_no_retry.run(&refs, &cube, &data, &mut rng),
+            off.run(&refs, &cube, &data, &mut rng),
             Err(PmwError::Erm(_))
         ));
     }

@@ -17,7 +17,7 @@
 //!   and the mechanisms' row-based data path fetch points through,
 //! * the materialized universe as one **contiguous row-major matrix**
 //!   ([`matrix`]) — the layout every Θ(|X|) sweep walks — plus the chunked
-//!   parallel sweep helpers behind the `parallel` feature ([`par`]),
+//!   parallel sweep helpers ([`par`]),
 //! * **discretization** of continuous data onto finite grids, the rounding
 //!   step the paper declares "essentially without loss of generality"
 //!   (Section 1.1) ([`discretize`]),

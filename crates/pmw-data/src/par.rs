@@ -27,12 +27,11 @@
 //! chunk index, and reductions combine them **strictly in chunk order**. The
 //! sequential fallback iterates the *same* chunks in the *same* order, so a
 //! floating-point fold produces bit-for-bit identical results across thread
-//! counts 1, 2, 8, … and across the `parallel` feature being on or off.
+//! counts 1, 2, 8, ….
 //!
-//! With the `parallel` feature disabled the helpers degrade to the
-//! sequential chunk loop; with it enabled the worker count resolves as
-//! [`with_threads`] override → `PMW_THREADS` env var → available
-//! parallelism.
+//! The worker count is chosen at run time: [`with_threads`] override →
+//! `PMW_THREADS` env var → available parallelism. At 1 the helpers run the
+//! sequential chunk loop.
 
 /// Default grain: minimum number of elements per chunk before the helpers
 /// go parallel; below this a single core finishes faster than threads can
@@ -41,8 +40,7 @@ pub const PAR_THRESHOLD: usize = 1 << 14;
 
 /// Cached core count: `available_parallelism` re-reads cgroup limits from
 /// the filesystem on Linux (~10µs per call), which would dwarf a small
-/// sweep if queried per call.
-#[cfg(feature = "parallel")]
+/// sweep if queried per call. A platform that cannot report it runs on one.
 fn cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| {
@@ -54,7 +52,6 @@ fn cores() -> usize {
 
 /// `PMW_THREADS` env override, parsed once. Invalid or zero values are
 /// ignored.
-#[cfg(feature = "parallel")]
 fn env_threads() -> Option<usize> {
     static ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
     *ENV.get_or_init(|| {
@@ -65,34 +62,25 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-#[cfg(feature = "parallel")]
 thread_local! {
     static THREAD_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 /// Worker count the sweep helpers will use on this thread: the innermost
 /// [`with_threads`] override if active, else the `PMW_THREADS` environment
-/// variable, else the machine's available parallelism. Always `1` when the
-/// `parallel` feature is off.
+/// variable, else the machine's available parallelism.
 ///
 /// Changing this value never changes *results* (chunk boundaries and
 /// reduction order are fixed by the [`ChunkPlan`]), only how the chunks are
 /// distributed over OS threads.
 pub fn threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        if let Some(n) = THREAD_OVERRIDE.with(std::cell::Cell::get) {
-            return n.max(1);
-        }
-        if let Some(n) = env_threads() {
-            return n;
-        }
-        cores()
+    if let Some(n) = THREAD_OVERRIDE.with(std::cell::Cell::get) {
+        return n.max(1);
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    if let Some(n) = env_threads() {
+        return n;
     }
+    cores()
 }
 
 /// Run `f` with the sweep worker count pinned to `n` on the current thread
@@ -101,23 +89,15 @@ pub fn threads() -> usize {
 /// axis in-process, and tests use it to prove bit-for-bit equality across
 /// thread counts.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "parallel")]
-    {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                THREAD_OVERRIDE.with(|c| c.set(self.0));
-            }
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_OVERRIDE.with(|c| c.set(self.0));
         }
-        let prev = THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
-        let _restore = Restore(prev);
-        f()
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = n;
-        f()
-    }
+    let prev = THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
+    let _restore = Restore(prev);
+    f()
 }
 
 /// Fixed chunk layout for a buffer of a given length: chunk boundaries are
@@ -196,37 +176,33 @@ fn split_plan_mut<T>(plan: ChunkPlan, data: &mut [T]) -> Vec<(usize, &mut [T])> 
 /// the index of the chunk's first element, letting `f` index into parallel
 /// read-only buffers.
 ///
-/// Runs on scoped threads when the `parallel` feature is on, more than one
-/// worker is available, and the plan has more than one chunk; otherwise
-/// processes the chunks sequentially in chunk order.
+/// Runs on scoped threads when more than one worker is available and the
+/// plan has more than one chunk; otherwise processes the chunks
+/// sequentially in chunk order.
 pub fn plan_for_each_mut<T, F>(plan: ChunkPlan, data: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert_eq!(plan.len(), data.len(), "plan/buffer length mismatch");
-    #[cfg(feature = "parallel")]
-    {
-        let workers = threads().min(plan.n_chunks());
-        if workers > 1 {
-            let parts = split_plan_mut(plan, data);
-            let mut buckets: Vec<Vec<(usize, &mut [T])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, part) in parts.into_iter().enumerate() {
-                buckets[i % workers].push(part);
-            }
-            std::thread::scope(|scope| {
-                for bucket in buckets {
-                    let f = &f;
-                    scope.spawn(move || {
-                        for (offset, chunk) in bucket {
-                            f(offset, chunk);
-                        }
-                    });
-                }
-            });
-            return;
+    let workers = threads().min(plan.n_chunks());
+    if workers > 1 {
+        let parts = split_plan_mut(plan, data);
+        let mut buckets: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, part) in parts.into_iter().enumerate() {
+            buckets[i % workers].push(part);
         }
+        std::thread::scope(|scope| {
+            for bucket in buckets {
+                let f = &f;
+                scope.spawn(move || {
+                    for (offset, chunk) in bucket {
+                        f(offset, chunk);
+                    }
+                });
+            }
+        });
+        return;
     }
     for (offset, chunk) in split_plan_mut(plan, data) {
         f(offset, chunk);
@@ -238,8 +214,7 @@ where
 /// `combine`.
 ///
 /// Chunk boundaries and combination order are fixed by the plan, so the
-/// result is bit-for-bit identical across thread counts and across the
-/// `parallel` feature.
+/// result is bit-for-bit identical across thread counts.
 pub fn plan_fold<T, A, F, C>(plan: ChunkPlan, data: &[T], fold: F, combine: C) -> A
 where
     T: Sync,
@@ -249,37 +224,34 @@ where
 {
     assert_eq!(plan.len(), data.len(), "plan/buffer length mismatch");
     let n = plan.n_chunks();
-    #[cfg(feature = "parallel")]
-    {
-        let workers = threads().min(n);
-        if workers > 1 {
-            let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let fold = &fold;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut i = w;
-                            while i < n {
-                                let (lo, hi) = plan.bounds(i);
-                                out.push((i, fold(lo, &data[lo..hi])));
-                                i += workers;
-                            }
-                            out
-                        })
+    let workers = threads().min(n);
+    if workers > 1 {
+        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let fold = &fold;
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut i = w;
+                        while i < n {
+                            let (lo, hi) = plan.bounds(i);
+                            out.push((i, fold(lo, &data[lo..hi])));
+                            i += workers;
+                        }
+                        out
                     })
-                    .collect();
-                for handle in handles {
-                    for (i, a) in handle.join().expect("sweep worker panicked") {
-                        slots[i] = Some(a);
-                    }
+                })
+                .collect();
+            for handle in handles {
+                for (i, a) in handle.join().expect("sweep worker panicked") {
+                    slots[i] = Some(a);
                 }
-            });
-            let mut iter = slots.into_iter().map(|s| s.expect("every chunk folded"));
-            let first = iter.next().expect("at least one chunk");
-            return iter.fold(first, combine);
-        }
+            }
+        });
+        let mut iter = slots.into_iter().map(|s| s.expect("every chunk folded"));
+        let first = iter.next().expect("at least one chunk");
+        return iter.fold(first, combine);
     }
     let mut acc: Option<A> = None;
     for i in 0..n {
@@ -304,41 +276,38 @@ where
     C: Fn(A, A) -> A,
 {
     assert_eq!(plan.len(), data.len(), "plan/buffer length mismatch");
-    #[cfg(feature = "parallel")]
-    {
-        let n = plan.n_chunks();
-        let workers = threads().min(n);
-        if workers > 1 {
-            let parts = split_plan_mut(plan, data);
-            let mut buckets: Vec<Vec<(usize, usize, &mut [T])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, (offset, chunk)) in parts.into_iter().enumerate() {
-                buckets[i % workers].push((i, offset, chunk));
-            }
-            let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        let fold = &fold;
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(i, offset, chunk)| (i, fold(offset, chunk)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (i, a) in handle.join().expect("sweep worker panicked") {
-                        slots[i] = Some(a);
-                    }
-                }
-            });
-            let mut iter = slots.into_iter().map(|s| s.expect("every chunk folded"));
-            let first = iter.next().expect("at least one chunk");
-            return iter.fold(first, combine);
+    let n = plan.n_chunks();
+    let workers = threads().min(n);
+    if workers > 1 {
+        let parts = split_plan_mut(plan, data);
+        let mut buckets: Vec<Vec<(usize, usize, &mut [T])>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for (i, (offset, chunk)) in parts.into_iter().enumerate() {
+            buckets[i % workers].push((i, offset, chunk));
         }
+        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .map(|bucket| {
+                    let fold = &fold;
+                    scope.spawn(move || {
+                        bucket
+                            .into_iter()
+                            .map(|(i, offset, chunk)| (i, fold(offset, chunk)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                for (i, a) in handle.join().expect("sweep worker panicked") {
+                    slots[i] = Some(a);
+                }
+            }
+        });
+        let mut iter = slots.into_iter().map(|s| s.expect("every chunk folded"));
+        let first = iter.next().expect("at least one chunk");
+        return iter.fold(first, combine);
     }
     let mut acc: Option<A> = None;
     for (offset, chunk) in split_plan_mut(plan, data) {
@@ -464,11 +433,7 @@ mod tests {
             let nested = with_threads(7, threads);
             (threads(), nested)
         });
-        if cfg!(feature = "parallel") {
-            assert_eq!(inner, (3, 7));
-        } else {
-            assert_eq!(inner, (1, 1));
-        }
+        assert_eq!(inner, (3, 7));
         assert_eq!(threads(), base, "override must be restored");
     }
 

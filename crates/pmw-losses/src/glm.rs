@@ -110,8 +110,7 @@ impl CmLoss for GlmLoss {
     /// Loop-fused sweep: the GLM gradient is `φ'(⟨θ,x⟩, y)·x`, so the
     /// certificate payoff collapses to two dot products per point —
     /// `φ'(⟨θ_hyp,x⟩, y)·⟨direction, x⟩` — with the `d`-vector gradient
-    /// never materialized. Chunked across cores under the `parallel`
-    /// feature.
+    /// never materialized. Chunked across cores.
     fn certificate_batch(
         &self,
         theta_hyp: &[f64],

@@ -176,7 +176,7 @@ impl CmLoss for LinearQueryLoss {
 
     /// Loop-fused sweep: `θ` is a scalar, so the payoff is
     /// `direction·(θ_hyp − p(x))` — one predicate evaluation per point,
-    /// nothing else. Chunked across cores under the `parallel` feature.
+    /// nothing else. Chunked across cores.
     ///
     /// The predicate dispatch is hoisted out of the per-row loop (split
     /// loops per variant), with direct indexing licensed by construction

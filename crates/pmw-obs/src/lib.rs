@@ -3,8 +3,8 @@
 //! The mechanisms and sketch backends expose their run-time signals —
 //! per-phase latency, per-round ε/δ spend, sparse-vector margins, claimed
 //! concentration radii and the bound that won them, effective-sample-size
-//! health, resamples/escalations, oracle retries — through one narrow
-//! seam: the [`Probe`] trait. Every instrumented loop is generic over a
+//! health, resamples/escalations — through one narrow seam: the
+//! [`Probe`] trait. Every instrumented loop is generic over a
 //! `P: Probe`, and the default [`NoopProbe`] is a zero-sized type whose
 //! methods are empty and inline to nothing, so **probe-off builds are
 //! bit-for-bit the uninstrumented code**: same float operations, same rng
@@ -64,5 +64,5 @@ pub mod trace;
 pub use json::Json;
 pub use jsonl::JsonlTraceProbe;
 pub use probe::{Counter, Gauge, NoopProbe, Phase, Probe};
-pub use summary::{GaugeStats, PhaseStats, Summary, SummaryProbe};
+pub use summary::{nearest_rank, GaugeStats, PhaseStats, Summary, SummaryProbe};
 pub use trace::{TraceEvent, TraceParseError, TRACE_VERSION};

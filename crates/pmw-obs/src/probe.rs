@@ -7,8 +7,6 @@
 //! read-only code paths (`query_mean` on a shared backend reference)
 //! can report; concrete probes use interior mutability.
 
-use std::rc::Rc;
-
 /// A timed phase of a mechanism round or backend operation.
 ///
 /// The two backend-cost phases are deliberately split: [`Phase::PoolSweep`]
@@ -23,7 +21,7 @@ pub enum Phase {
     ErrorQuery,
     /// Sparse-vector screening of the (margin-widened) query value.
     SvScreen,
-    /// The private ERM oracle solve (including retries).
+    /// The private ERM oracle solve.
     OracleSolve,
     /// Applying the MW update (dense sweep or log append + pool sweep).
     Update,
@@ -184,7 +182,8 @@ pub enum Counter {
     EmergencyResamples,
     /// Escalation rung 2: pool growths.
     PoolGrowths,
-    /// Private-oracle re-solves after a rejected candidate.
+    /// Private-oracle re-solves. No mechanism emits it (each update round
+    /// calls the oracle once); it stays so v1 traces that carry it parse.
     OracleRetries,
     /// Rounds answered below the SV threshold (no budget beyond SV).
     FreeAnswers,
@@ -344,40 +343,6 @@ impl<P: Probe> Probe for &P {
     }
 }
 
-/// Shared probes: a backend can own an `Rc` of the same probe its
-/// mechanism reports through, merging both into one trace.
-impl<P: Probe> Probe for Rc<P> {
-    const ENABLED: bool = P::ENABLED;
-
-    fn run_start(&self, mechanism: &'static str, detail: &str) {
-        (**self).run_start(mechanism, detail);
-    }
-    fn round_begin(&self, round: usize) {
-        (**self).round_begin(round);
-    }
-    fn round_end(&self, round: usize, outcome: &'static str) {
-        (**self).round_end(round, outcome);
-    }
-    fn span_begin(&self, phase: Phase) {
-        (**self).span_begin(phase);
-    }
-    fn span_end(&self, phase: Phase) {
-        (**self).span_end(phase);
-    }
-    fn gauge(&self, gauge: Gauge, value: f64) {
-        (**self).gauge(gauge, value);
-    }
-    fn counter(&self, counter: Counter, delta: u64) {
-        (**self).counter(counter, delta);
-    }
-    fn note(&self, key: &'static str, value: &str) {
-        (**self).note(key, value);
-    }
-    fn run_end(&self) {
-        (**self).run_end();
-    }
-}
-
 /// A tee: both probes observe every event, in tuple order. Lets a run
 /// stream a JSONL trace *and* keep an in-memory summary.
 impl<A: Probe, B: Probe> Probe for (A, B) {
@@ -456,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn tee_and_rc_delegate_every_hook() {
+    fn tee_delegates_every_hook() {
         use crate::SummaryProbe;
         let a = SummaryProbe::new("m", "");
         let b = SummaryProbe::new("m", "");
@@ -479,11 +444,5 @@ mod tests {
         }
         assert_eq!(sa.events, sb.events);
         assert_eq!(sa.outcomes, sb.outcomes);
-
-        let rc = Rc::new(SummaryProbe::new("m", ""));
-        rc.round_begin(3);
-        rc.round_end(3, "free");
-        let sole = Rc::try_unwrap(rc).ok().expect("sole owner");
-        assert_eq!(sole.finish().rounds, 1);
     }
 }

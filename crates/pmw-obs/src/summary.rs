@@ -69,12 +69,15 @@ pub struct Summary {
     pub health_timeline: Vec<(u64, f64)>,
 }
 
-/// Nearest-rank percentile of an (unsorted) duration sample.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Nearest-rank `p`th percentile (`p` in percent) of an ascending
+/// sample: the value at 1-based rank `⌈p·n/100⌉`, clamped to `[1, n]`, so
+/// the p50 and p99 of 1..=100 are 50 and 99. The default (zero) when the
+/// sample is empty.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+    let rank = (p * sorted.len() as f64 / 100.0).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
@@ -175,8 +178,8 @@ impl Summary {
                     PhaseStats {
                         count: ns.len() as u64,
                         total_ns: ns.iter().sum(),
-                        p50_ns: percentile(&ns, 50.0),
-                        p99_ns: percentile(&ns, 99.0),
+                        p50_ns: nearest_rank(&ns, 50.0),
+                        p99_ns: nearest_rank(&ns, 99.0),
                         max_ns: *ns.last().unwrap_or(&0),
                     },
                 )
@@ -496,10 +499,11 @@ mod tests {
     #[test]
     fn percentiles_are_nearest_rank() {
         let ns: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&ns, 50.0), 50);
-        assert_eq!(percentile(&ns, 99.0), 99);
-        assert_eq!(percentile(&[7], 50.0), 7);
-        assert_eq!(percentile(&[], 99.0), 0);
+        assert_eq!(nearest_rank(&ns, 50.0), 50);
+        assert_eq!(nearest_rank(&ns, 99.0), 99);
+        assert_eq!(nearest_rank(&[7], 50.0), 7);
+        assert_eq!(nearest_rank::<u64>(&[], 99.0), 0);
+        assert_eq!(nearest_rank(&[0.5, 1.5, 2.5], 50.0), 1.5);
     }
 
     #[test]

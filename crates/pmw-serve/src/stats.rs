@@ -1,15 +1,12 @@
 //! Serving statistics: per-analyst outcome counts and writer-queue
 //! contention samples.
 
-/// Percentile over raw samples (nearest-rank); 0 when empty.
-fn percentile_ns(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() - 1) as f64 * q).ceil() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+use pmw_obs::nearest_rank;
+
+/// `samples` in ascending order, for [`nearest_rank`].
+fn sorted(mut samples: Vec<u64>) -> Vec<u64> {
+    samples.sort_unstable();
+    samples
 }
 
 /// One analyst's (tenant's) serving record.
@@ -34,7 +31,7 @@ pub struct AnalystStats {
 impl AnalystStats {
     /// p99 writer-queue wait for this analyst, ns (0 when idle).
     pub fn wait_p99_ns(&self) -> u64 {
-        percentile_ns(&self.wait_ns, 0.99)
+        nearest_rank(&sorted(self.wait_ns.clone()), 99.0)
     }
 
     /// Requests this analyst had answered (any outcome).
@@ -63,12 +60,12 @@ pub struct ServeStats {
 impl ServeStats {
     /// p50 writer-queue wait across every request, ns.
     pub fn wait_p50_ns(&self) -> u64 {
-        percentile_ns(&self.all_waits(), 0.50)
+        nearest_rank(&sorted(self.all_waits()), 50.0)
     }
 
     /// p99 writer-queue wait across every request, ns.
     pub fn wait_p99_ns(&self) -> u64 {
-        percentile_ns(&self.all_waits(), 0.99)
+        nearest_rank(&sorted(self.all_waits()), 99.0)
     }
 
     fn all_waits(&self) -> Vec<u64> {
@@ -85,11 +82,23 @@ mod tests {
 
     #[test]
     fn percentiles_are_nearest_rank() {
-        assert_eq!(percentile_ns(&[], 0.99), 0);
-        assert_eq!(percentile_ns(&[7], 0.99), 7);
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_ns(&samples, 0.50), 51);
-        assert_eq!(percentile_ns(&samples, 0.99), 100);
+        let waits = |wait_ns: Vec<u64>| AnalystStats {
+            wait_ns,
+            ..Default::default()
+        };
+        assert_eq!(waits(vec![]).wait_p99_ns(), 0);
+        assert_eq!(waits(vec![7]).wait_p99_ns(), 7);
+        assert_eq!(waits((1..=100).rev().collect()).wait_p99_ns(), 99);
+        // 1..=100, unsorted and split across two analysts.
+        let stats = ServeStats {
+            per_analyst: vec![
+                waits((51..=100).rev().collect()),
+                waits((1..=50).rev().collect()),
+            ],
+            ..Default::default()
+        };
+        assert_eq!(stats.wait_p50_ns(), 50);
+        assert_eq!(stats.wait_p99_ns(), 99);
     }
 
     #[test]

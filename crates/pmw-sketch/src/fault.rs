@@ -14,8 +14,7 @@
 //!   failures, update failures and (on the snapshots it publishes) `NaN`
 //!   read radii on schedule;
 //! * [`FaultyOracle`] — wraps any [`ErmOracle`], injecting solve failures
-//!   on schedule (exercising `PmwConfig::oracle_retries` and the
-//!   burn-the-round paths);
+//!   on schedule (exercising the burn-the-round paths);
 //! * [`FaultySource`] — wraps any [`PointSource`], corrupting scheduled
 //!   point reads with a `NaN` coordinate — the deterministic way to make a
 //!   *resample* (or pool growth) fail mid-round, since refreshes re-read
@@ -344,9 +343,7 @@ impl<B: StateBackend> StateBackend for FaultyBackend<B> {
 }
 
 /// An [`ErmOracle`] wrapper injecting solve failures per a [`FaultRule`].
-/// Counts calls, not rounds: with `PmwConfig::oracle_retries > 0` a retry
-/// advances the counter, so `Every(n)` schedules exercise both the
-/// retry-absorbs-it and the retry-also-fails paths.
+/// Counts calls; each update round calls the oracle once.
 #[derive(Debug)]
 pub struct FaultyOracle<O: ErmOracle> {
     inner: O,

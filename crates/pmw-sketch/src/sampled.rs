@@ -47,7 +47,7 @@
 //! accuracy.
 //!
 //! Every pool sweep is a plain serial loop in slot order, whatever the
-//! `parallel` feature or the sweep worker count: a 2048-slot sweep takes
+//! sweep worker count: a 2048-slot sweep takes
 //! about 1.4 µs on one core, well under the 11–13 µs it costs to hand one
 //! job to a parked worker and wait for it, so splitting it only loses.
 //! The normalized SNIS weights are not swept per read at all: they are

@@ -152,7 +152,6 @@ fn online_pmw_invariants_hold_under_every_seeded_fault_plan() {
             .scale(1.0)
             .rounds_override(4)
             .solver_iters(40)
-            .oracle_retries(1)
             .build()
             .unwrap();
         let mut mech = OnlinePmw::with_backend(
@@ -193,8 +192,8 @@ fn online_pmw_invariants_hold_under_every_seeded_fault_plan() {
                 "seed {seed}: transcript desynced from burned rounds"
             );
             // One "sparse-vector" entry plus exactly one up-front
-            // "erm-oracle" charge per burned round — no more (retries are
-            // free), no fewer (failed rounds still pay).
+            // "erm-oracle" charge per burned round — no more, no fewer
+            // (failed rounds still pay).
             assert_eq!(
                 mech.accountant().len(),
                 1 + used,
@@ -465,7 +464,6 @@ fn online_pmw_invariants_hold_with_compaction_under_fault_plans() {
             .scale(1.0)
             .rounds_override(4)
             .solver_iters(40)
-            .oracle_retries(1)
             .build()
             .unwrap();
         let mut mech = OnlinePmw::with_backend(
