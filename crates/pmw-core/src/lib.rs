@@ -61,7 +61,7 @@ pub use data::DataSide;
 pub use error::PmwError;
 pub use game::{run_accuracy_game, GameOutcome};
 pub use linear::{LinearPmw, Mwem, MwemRun};
-pub use mechanism::{OnlinePmw, ScreenContext, ScreenedQuery};
+pub use mechanism::{Decision, OnlinePmw, ScreenContext, ScreenedQuery};
 pub use offline::{OfflinePmw, OfflineResult};
 pub use state::{
     BackendEvent, DenseBackend, DenseSnapshot, QueryEstimate, QueryMemo, ReadSnapshot, StateBackend,

@@ -38,10 +38,10 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// The result of the pure read phase of one round: everything the
-/// sparse-vector screen and the (serialized) commit phase need, computed
+/// sparse-vector test and the (serialized) commit phase need, computed
 /// against an immutable [`ReadSnapshot`] with **no RNG draws and no state
 /// mutation**. Produced by [`ScreenContext::screen`]; consumed by
-/// [`OnlinePmw::commit_top_with_probe`] (or answered directly on `⊥`).
+/// [`OnlinePmw::decide_with_probe`].
 #[derive(Debug, Clone)]
 pub struct ScreenedQuery {
     theta_hat: Vec<f64>,
@@ -81,6 +81,24 @@ impl ScreenedQuery {
     }
 }
 
+/// How [`OnlinePmw::decide_with_probe`] settled a batch of screened
+/// queries.
+#[derive(Debug)]
+pub enum Decision {
+    /// `⊥` on the batch maximum: every member answers free from its own
+    /// [`ScreenedQuery::theta_hat`], and each counts as one answered query.
+    Free,
+    /// `⊤` on the batch maximum: the member at `index` committed. The
+    /// other members were not tested; re-screen them against the updated
+    /// state before deciding them again.
+    Update {
+        /// The committed member's position in the batch.
+        index: usize,
+        /// The oracle's answer `θ_t`, or the error that burned the round.
+        answer: Result<Vec<f64>, PmwError>,
+    },
+}
+
 /// Everything the pure read phase needs besides the snapshot and the
 /// loss — the per-analyst handle state of a serving layer. Obtained from
 /// [`OnlinePmw::screen_context`]; it shares the mechanism's [`DataSide`]
@@ -90,7 +108,6 @@ pub struct ScreenContext {
     data: Arc<DataSide>,
     solver_iters: usize,
     scale_s: f64,
-    sv_config: SvConfig,
 }
 
 impl ScreenContext {
@@ -106,15 +123,6 @@ impl ScreenContext {
         loss: &dyn CmLoss,
     ) -> Result<ScreenedQuery, PmwError> {
         screen_query(self, snapshot, loss, &NoopProbe)
-    }
-
-    /// The sparse-vector configuration the mechanism screens with — a
-    /// serving layer screening on the analyst side builds its sparse
-    /// vector from this **without re-charging the budget** (the
-    /// mechanism's ledger already carries the single `sparse-vector`
-    /// entry from construction).
-    pub fn sv_config(&self) -> SvConfig {
-        self.sv_config
     }
 }
 
@@ -252,7 +260,6 @@ pub struct OnlinePmw<O: ErmOracle = OracleChoice, B: StateBackend = DenseBackend
     state: B,
     sv: SparseVector,
     update_round: usize,
-    queries_answered: usize,
     transcript: Transcript,
     accountant: Accountant,
     halted: bool,
@@ -329,7 +336,6 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
                 data: Arc::new(data),
                 solver_iters: config.solver_iters,
                 scale_s: config.scale_s,
-                sv_config,
             },
             state,
             config,
@@ -337,7 +343,6 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
             oracle,
             sv,
             update_round: 0,
-            queries_answered: 0,
             transcript: Transcript::new(),
             accountant,
             halted: false,
@@ -372,18 +377,44 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         rng: &mut dyn Rng,
         probe: &P,
     ) -> Result<Vec<f64>, PmwError> {
+        self.admit(0)?;
+        let round_idx = self.transcript.len();
+        probe.round_begin(round_idx);
+        // The read phase against a freshly published snapshot — the seam a
+        // serving layer's analysts screen through; its reads equal the live
+        // state's and draw no rng — then the decision on a batch of one.
+        let decided = self
+            .state
+            .snapshot()
+            .and_then(|snapshot| screen_query(&self.ctx, snapshot.as_ref(), loss, probe))
+            .and_then(|screened| {
+                let decision = self.decide_with_probe(&[(loss, &screened)], rng, probe)?;
+                Ok((decision, screened.theta_hat))
+            });
+        let (outcome_label, result) = match decided {
+            Ok((Decision::Free, theta_hat)) => ("free", Ok(theta_hat)),
+            Ok((Decision::Update { answer, .. }, _)) => {
+                (if answer.is_ok() { "update" } else { "failed" }, answer)
+            }
+            Err(PmwError::Halted) => ("halted", Err(PmwError::Halted)),
+            Err(e) => ("error", Err(e)),
+        };
+        probe.round_end(round_idx, outcome_label);
+        result
+    }
+
+    /// Whether a decision can take one more query beside `pending` queries
+    /// already admitted to it: [`PmwError::Halted`] once the `T` update
+    /// slots are spent, then [`PmwError::QueryLimitReached`] once the
+    /// answered and pending queries reach `k`. Draws nothing.
+    pub fn admit(&self, pending: usize) -> Result<(), PmwError> {
         if self.halted {
             return Err(PmwError::Halted);
         }
-        if self.queries_answered >= self.config.k {
+        if self.transcript.len().saturating_add(pending) >= self.config.k {
             return Err(PmwError::QueryLimitReached);
         }
-        let round_idx = self.queries_answered;
-        probe.round_begin(round_idx);
-        let mut outcome_label: &'static str = "error";
-        let result = self.answer_round(loss, rng, probe, &mut outcome_label);
-        probe.round_end(round_idx, outcome_label);
-        result
+        Ok(())
     }
 
     /// Check `loss` against the data side and, for backends that retain
@@ -391,7 +422,7 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// before any privacy budget or sparse vector round is consumed on an
     /// update that could never be recorded. The clone is handed to
     /// `apply_update`, so retention-requiring backends pay exactly one
-    /// clone per round.
+    /// clone per decision.
     fn retain(&self, loss: &dyn CmLoss) -> Result<Option<Arc<dyn CmLoss>>, PmwError> {
         self.ctx.data.check_loss(loss)?;
         if !self.state.requires_shared_loss() {
@@ -402,30 +433,40 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         ))
     }
 
-    /// The body of one answered round; `outcome_label` reports how the
-    /// round ended to the probe (every early `?` return leaves it at
-    /// `"error"`).
-    fn answer_round<P: Probe>(
+    /// Decide a batch of screened queries with one sparse-vector test: the
+    /// write phase of a Figure-3 round, which [`OnlinePmw::answer`] runs
+    /// on a batch of one and a serving layer's writer on whatever its
+    /// analysts queued together.
+    ///
+    /// Before any draw, the batch is refused as a whole when the mechanism
+    /// cannot take all of it ([`OnlinePmw::admit`]), and the member with
+    /// the largest [`ScreenedQuery::sv_margin`] has its loss retained.
+    /// Then that largest margin is tested once: the maximum of queries of
+    /// equal sensitivity has that sensitivity, so the batch costs one
+    /// sparse-vector query. On `⊥` every member is below the threshold and
+    /// answers free ([`Decision::Free`]). On `⊤` the arg-max member
+    /// commits — oracle answer and MW update, reported through `probe` —
+    /// and the others go back untested ([`Decision::Update`]).
+    pub fn decide_with_probe<P: Probe>(
         &mut self,
-        loss: &dyn CmLoss,
+        batch: &[(&dyn CmLoss, &ScreenedQuery)],
         rng: &mut dyn Rng,
         probe: &P,
-        outcome_label: &mut &'static str,
-    ) -> Result<Vec<f64>, PmwError> {
+    ) -> Result<Decision, PmwError> {
+        let Some(last) = batch.len().checked_sub(1) else {
+            return Err(PmwError::InvalidConfig(
+                "a decision needs at least one screened query",
+            ));
+        };
+        self.admit(last)?;
+        let index = (0..batch.len())
+            .max_by(|&a, &b| batch[a].1.sv_margin().total_cmp(&batch[b].1.sv_margin()))
+            .expect("non-empty batch");
+        let (loss, screened) = batch[index];
         let retained = self.retain(loss)?;
 
-        // Read phase: publish a snapshot of the current state and screen
-        // against it — the same seam a concurrent serving layer uses, so
-        // the single-analyst path exercises it on every round. Snapshot
-        // reads are value- and ledger-identical to live reads at the same
-        // round, and consume no RNG, so the rng stream and every outcome
-        // are bit-for-bit the pre-split mechanism's.
-        let snapshot = self.state.snapshot()?;
-        let screened = screen_query(&self.ctx, snapshot.as_ref(), loss, probe)?;
-        drop(snapshot);
-
-        // Screen through the sparse vector algorithm — the first (and on
-        // `⊥` rounds the only) RNG consumer of the round.
+        // The sparse vector is the first (and on `⊥` the only) RNG
+        // consumer of the round.
         if P::ENABLED {
             probe.gauge(Gauge::ClaimedRadius, screened.read_margin);
             probe.gauge(Gauge::SvMargin, screened.sv_margin());
@@ -433,9 +474,8 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         probe.span_begin(Phase::SvScreen);
         let outcome = match self.sv.process(screened.sv_margin(), rng) {
             Ok(o) => o,
-            Err(pmw_dp::DpError::SparseVectorHalted) => {
+            Err(DpError::SparseVectorHalted) => {
                 self.halted = true;
-                *outcome_label = "halted";
                 return Err(PmwError::Halted);
             }
             Err(e) => return Err(e.into()),
@@ -451,33 +491,20 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
                 if !events.is_empty() {
                     self.transcript.record_backend_events(events);
                 }
-                probe.counter(Counter::FreeAnswers, 1);
-                *outcome_label = "free";
-                let record = QueryRecord {
-                    index: self.queries_answered,
-                    loss_name: loss.name(),
-                    outcome: QueryOutcome::FromHypothesis,
-                    answer: screened.theta_hat.clone(),
-                    update_round: None,
-                    error_query_value: self.config.diagnostics.then_some(screened.query_value),
-                    certificate_gap: None,
-                };
-                self.queries_answered += 1;
-                let answer = record.answer.clone();
-                self.transcript.push(record);
-                Ok(answer)
+                probe.counter(Counter::FreeAnswers, batch.len() as u64);
+                self.transcript.record_free(batch.len());
+                Ok(Decision::Free)
             }
-            SvOutcome::Top => {
-                self.commit_top_inner(loss, retained, &screened, rng, probe, outcome_label)
-            }
+            SvOutcome::Top => Ok(Decision::Update {
+                index,
+                answer: self.commit_top_inner(loss, retained, screened, rng, probe),
+            }),
         }
     }
 
     /// The serialized write phase of an above-threshold round: private
     /// oracle answer + dual-certificate MW update + all round
-    /// bookkeeping. Shared by the in-process `⊤` branch of
-    /// [`OnlinePmw::answer`] and the serving layer's writer loop
-    /// ([`OnlinePmw::commit_top_with_probe`]).
+    /// bookkeeping.
     fn commit_top_inner<P: Probe>(
         &mut self,
         loss: &dyn CmLoss,
@@ -485,7 +512,6 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         screened: &ScreenedQuery,
         rng: &mut dyn Rng,
         probe: &P,
-        outcome_label: &mut &'static str,
     ) -> Result<Vec<f64>, PmwError> {
         let diagnostics = self.config.diagnostics;
         let data = &self.ctx.data;
@@ -554,47 +580,31 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         }
         let round = self.update_round;
         self.update_round += 1;
-        // In-process, SV halting and update exhaustion coincide
-        // (`max_top == rounds`, tops and updates move in lockstep). A
-        // serving layer screens through its *own* sparse vector, leaving
-        // the internal one untouched — the second disjunct halts the
-        // mechanism there.
-        if self.sv.has_halted() || self.update_round >= self.derived.rounds {
+        // The sparse vector halts on its `T`-th top (`max_top == rounds`),
+        // the round that spends the last update slot.
+        if self.sv.has_halted() {
             self.halted = true;
         }
-        match applied {
+        let (outcome, answer, certificate_gap, result) = match applied {
             Ok((theta_t, gap)) => {
                 probe.counter(Counter::UpdateRounds, 1);
-                *outcome_label = "update";
-                let record = QueryRecord {
-                    index: self.queries_answered,
-                    loss_name: loss.name(),
-                    outcome: QueryOutcome::FromOracle,
-                    answer: theta_t.clone(),
-                    update_round: Some(round),
-                    error_query_value: diagnostics.then_some(screened.query_value),
-                    certificate_gap: gap,
-                };
-                self.queries_answered += 1;
-                self.transcript.push(record);
-                Ok(theta_t)
+                (QueryOutcome::FromOracle, theta_t.clone(), gap, Ok(theta_t))
             }
             Err(e) => {
                 probe.counter(Counter::FailedRounds, 1);
-                *outcome_label = "failed";
-                self.transcript.push(QueryRecord {
-                    index: self.queries_answered,
-                    loss_name: loss.name(),
-                    outcome: QueryOutcome::UpdateFailed,
-                    answer: Vec::new(),
-                    update_round: Some(round),
-                    error_query_value: diagnostics.then_some(screened.query_value),
-                    certificate_gap: None,
-                });
-                self.queries_answered += 1;
-                Err(e)
+                (QueryOutcome::UpdateFailed, Vec::new(), None, Err(e))
             }
-        }
+        };
+        self.transcript.push(QueryRecord {
+            index: self.transcript.len(),
+            loss_name: loss.name(),
+            outcome,
+            answer,
+            update_round: Some(round),
+            error_query_value: diagnostics.then_some(screened.query_value),
+            certificate_gap,
+        });
+        result
     }
 
     /// Publish an immutable, `Send + Sync` snapshot of the current
@@ -606,34 +616,10 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     }
 
     /// The screen-phase inputs (the data side, shared behind an `Arc`,
-    /// plus the solver/scale/SV parameters) — what a serving layer hands
+    /// plus the solver and scale parameters) — what a serving layer hands
     /// each analyst so screens run without borrowing the mechanism.
     pub fn screen_context(&self) -> ScreenContext {
         self.ctx.clone()
-    }
-
-    /// Commit an above-threshold screened query, reporting through
-    /// `probe`: the serialized write phase (oracle solve + MW update +
-    /// ledger/transcript bookkeeping), for callers that ran the
-    /// sparse-vector screen externally (the serving layer's writer loop).
-    /// The caller must already have consumed an SV `⊤` for this query —
-    /// the budget accounting assumes at most `T` commits ever happen.
-    pub fn commit_top_with_probe<P: Probe>(
-        &mut self,
-        loss: &dyn CmLoss,
-        screened: &ScreenedQuery,
-        rng: &mut dyn Rng,
-        probe: &P,
-    ) -> Result<Vec<f64>, PmwError> {
-        if self.halted {
-            return Err(PmwError::Halted);
-        }
-        if self.queries_answered >= self.config.k {
-            return Err(PmwError::QueryLimitReached);
-        }
-        let retained = self.retain(loss)?;
-        let mut label: &'static str = "error";
-        self.commit_top_inner(loss, retained, screened, rng, probe, &mut label)
     }
 
     /// Draw an `m`-row synthetic dataset from the hypothesis state (a
@@ -698,7 +684,8 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
         &self.config
     }
 
-    /// Run transcript.
+    /// Run transcript: a record per update round and the count of every
+    /// answered query.
     pub fn transcript(&self) -> &Transcript {
         &self.transcript
     }
@@ -958,29 +945,42 @@ mod tests {
     #[test]
     fn free_queries_do_not_spend_oracle_budget() {
         // A uniform dataset: the uniform hypothesis is already correct, so
-        // every query should come back FromHypothesis with zero oracle calls.
+        // every query should be answered free with zero oracle calls.
         let mut rng = StdRng::seed_from_u64(127);
         let cube = BooleanCube::new(3).unwrap();
         // n large enough that the SV noise (scale ~ 3S*sqrt(T)/(n*eps)) sits
         // far below the alpha/2 bottom threshold.
         let rows: Vec<usize> = (0..16_000).map(|i| i % 8).collect();
         let data = Dataset::from_indices(8, rows).unwrap();
+        let rounds = 4;
         let mut mech = OnlinePmw::with_oracle(
-            config(6, 4, 0.2),
+            config(usize::MAX, rounds, 0.2),
             &cube,
             data,
             ExactOracle::default(),
             &mut rng,
         )
         .unwrap();
-        for loss in bit_losses(&cube) {
-            let a = mech.answer(&loss, &mut rng).unwrap();
+        let losses = bit_losses(&cube);
+        for loss in &losses {
+            let a = mech.answer(loss, &mut rng).unwrap();
             assert!((a[0] - 0.5).abs() < 0.05, "{}", a[0]);
         }
         assert_eq!(mech.updates_used(), 0);
         assert_eq!(mech.transcript().updates(), 0);
         // Ledger holds only the SV entry.
         assert_eq!(mech.accountant().len(), 1);
+        // Over ~10^4 answers the SV noise may still clear the threshold a
+        // few times. The transcript counts every answer but keeps a
+        // record only per update round, so it stays bounded by T.
+        let answers = 10_000;
+        for j in losses.len()..answers {
+            let a = mech.answer(&losses[j % losses.len()], &mut rng).unwrap();
+            assert!((a[0] - 0.5).abs() < 0.05, "{}", a[0]);
+        }
+        assert_eq!(mech.transcript().len(), answers);
+        assert_eq!(mech.transcript().records().len(), mech.updates_used());
+        assert!(mech.transcript().records().len() <= rounds);
     }
 
     #[test]
@@ -1108,7 +1108,7 @@ mod tests {
             // Ledger: the SV entry plus one conservative oracle charge
             // per burned round.
             assert_eq!(mech.accountant().len(), 1 + burned);
-            let record = &mech.transcript().records()[asked - 1];
+            let record = mech.transcript().records().last().unwrap();
             assert_eq!(record.outcome, QueryOutcome::UpdateFailed);
             assert_eq!(record.update_round, Some(burned - 1));
             assert!(record.answer.is_empty());
@@ -1464,19 +1464,23 @@ mod tests {
                     tasks.push(Box::new(LinearQueryLoss::new(predicate, 10).unwrap()));
                 }
                 let probe = EventLog::default();
+                let ctx = mech.screen_context();
+                // Free rounds keep no record: take every round's error
+                // query from a screen of the same snapshot, which draws no
+                // rng and changes nothing, and the update rounds' from
+                // their records too.
+                let mut error_queries = Vec::new();
                 let answers = (0..20)
                     .map(|j| {
                         let task = tasks[j % tasks.len()].as_ref();
+                        let screened = ctx.screen(mech.snapshot().unwrap().as_ref(), task);
+                        error_queries.push(Some(screened.unwrap().query_value().to_bits()));
                         let theta = mech.answer_with_probe(task, &mut rng, &probe).unwrap();
                         theta.iter().map(|v| v.to_bits()).collect()
                     })
                     .collect();
-                let error_queries = mech
-                    .transcript()
-                    .records()
-                    .iter()
-                    .map(|r| r.error_query_value.map(f64::to_bits))
-                    .collect();
+                let records = mech.transcript().records().iter();
+                error_queries.extend(records.map(|r| r.error_query_value.map(f64::to_bits)));
                 let ledger = mech
                     .accountant()
                     .entries()

@@ -1,16 +1,18 @@
-//! Per-query transcript of a mechanism run.
+//! The transcript of a mechanism run: one record per update round.
 //!
-//! The transcript records what an observer of the mechanism's *outputs*
-//! could see — outcomes, answers, update counts — plus (when the config's
-//! `diagnostics` flag is set) the non-private error-query values and
-//! certificate gaps that the Claim 3.5 test in `tests/end_to_end.rs` checks.
+//! PMW answers up to `k` queries — `k` may be exponential in `n` — from a
+//! state that changes only on its at most `T` update (`⊤`) rounds. So the
+//! transcript keeps one [`QueryRecord`] per `⊤` round, failed rounds
+//! included, plus the state backend's self-maintenance events, and only
+//! counts the free (`⊥`) answers: it stays O(T) however many queries are
+//! answered. A record holds what an observer of the mechanism's *outputs*
+//! could see — outcome, answer, update round — plus (when the config's
+//! `diagnostics` flag is set) the non-private error-query value and
+//! certificate gap that the Claim 3.5 test in `tests/end_to_end.rs` checks.
 
-/// How a query was answered.
+/// How an update round ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
-    /// Sparse vector said `⊥`: answered from the hypothesis histogram, no
-    /// privacy budget spent on this query.
-    FromHypothesis,
     /// Sparse vector said `⊤`: answered by the private oracle, hypothesis
     /// updated.
     FromOracle,
@@ -22,18 +24,19 @@ pub enum QueryOutcome {
     UpdateFailed,
 }
 
-/// One answered query.
+/// One query that consumed an update round.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
-    /// Query index `j` (0-based).
+    /// Query index `j` (0-based) among every query answered, free ones
+    /// included.
     pub index: usize,
     /// Loss name (from [`CmLoss::name`](pmw_losses::CmLoss::name)).
     pub loss_name: &'static str,
-    /// How it was answered.
+    /// How the round ended.
     pub outcome: QueryOutcome,
-    /// The released answer `θ̂ʲ`.
+    /// The released answer `θ_t` (empty on a failed round).
     pub answer: Vec<f64>,
-    /// Update round `t` consumed, if any (0-based).
+    /// Update round `t` consumed (0-based).
     pub update_round: Option<usize>,
     /// Diagnostics only (non-private): the true error-query value
     /// `err_ℓ(D, D̂_t)` fed to the sparse vector.
@@ -47,6 +50,7 @@ pub struct QueryRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
     records: Vec<QueryRecord>,
+    free: usize,
     backend_events: Vec<crate::state::BackendEvent>,
 }
 
@@ -56,9 +60,14 @@ impl Transcript {
         Self::default()
     }
 
-    /// Append a record.
+    /// Append an update round's record.
     pub(crate) fn push(&mut self, record: QueryRecord) {
         self.records.push(record);
+    }
+
+    /// Count `answers` more queries answered free from the hypothesis.
+    pub(crate) fn record_free(&mut self, answers: usize) {
+        self.free += answers;
     }
 
     /// Append the backend's self-maintenance events for the round just
@@ -67,7 +76,7 @@ impl Transcript {
         self.backend_events.extend(events);
     }
 
-    /// All records in query order.
+    /// The update rounds' records, in query order (at most `T`).
     pub fn records(&self) -> &[QueryRecord] {
         &self.records
     }
@@ -80,32 +89,29 @@ impl Transcript {
         &self.backend_events
     }
 
-    /// Number of queries answered.
+    /// Number of queries answered: free answers plus update rounds.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.free + self.records.len()
     }
 
     /// True if no queries have been answered.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Number of queries that consumed an update round (`⊤` outcomes,
     /// including rounds burned by a failed oracle/update) — always equal
     /// to the mechanism's `updates_used()`.
     pub fn updates(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.update_round.is_some())
-            .count()
+        self.records.len()
     }
 
     /// Fraction of queries served for free from the hypothesis.
     pub fn free_fraction(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        1.0 - self.updates() as f64 / self.records.len() as f64
+        1.0 - self.updates() as f64 / self.len() as f64
     }
 }
 
@@ -114,16 +120,12 @@ mod tests {
     use super::*;
 
     fn record(i: usize, outcome: QueryOutcome) -> QueryRecord {
-        let update_round = match outcome {
-            QueryOutcome::FromHypothesis => None,
-            QueryOutcome::FromOracle | QueryOutcome::UpdateFailed => Some(i),
-        };
         QueryRecord {
             index: i,
             loss_name: "test",
             outcome,
             answer: vec![0.0],
-            update_round,
+            update_round: Some(i),
             error_query_value: None,
             certificate_gap: None,
         }
@@ -133,12 +135,12 @@ mod tests {
     fn counts_updates_and_free_queries() {
         let mut t = Transcript::new();
         assert!(t.is_empty());
-        t.push(record(0, QueryOutcome::FromHypothesis));
+        t.record_free(1);
         t.push(record(1, QueryOutcome::FromOracle));
-        t.push(record(2, QueryOutcome::FromHypothesis));
-        t.push(record(3, QueryOutcome::FromHypothesis));
+        t.record_free(2);
         assert_eq!(t.len(), 4);
         assert_eq!(t.updates(), 1);
+        assert_eq!(t.records().len(), 1);
         assert!((t.free_fraction() - 0.75).abs() < 1e-12);
     }
 
@@ -146,8 +148,9 @@ mod tests {
     fn burned_rounds_count_as_updates() {
         let mut t = Transcript::new();
         t.push(record(0, QueryOutcome::UpdateFailed));
-        t.push(record(1, QueryOutcome::FromHypothesis));
+        t.record_free(1);
         assert_eq!(t.updates(), 1);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use crate::cell::SnapshotCell;
 use crate::stats::ServeStats;
-use pmw_core::{OnlinePmw, PmwError, ScreenContext, ScreenedQuery, StateBackend};
-use pmw_dp::{DpError, PrivacyBudget, ShardedAccountant, SparseVector, SvOutcome};
+use pmw_core::{Decision, OnlinePmw, PmwError, ScreenContext, ScreenedQuery, StateBackend};
+use pmw_dp::{DpError, PrivacyBudget, ShardedAccountant};
 use pmw_erm::ErmOracle;
 use pmw_losses::CmLoss;
 use pmw_obs::{NoopProbe, Probe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -38,13 +38,12 @@ pub struct ServeAnswer {
 pub struct ServeConfig {
     /// Number of analyst handles (= privacy tenants).
     pub analysts: usize,
-    /// Seed for the writer's RNG (sparse-vector noise, oracle noise, MW
-    /// update draws). With one analyst this makes serving bit-for-bit a
-    /// sequential run driven by the same seed.
+    /// Seed for the writer's RNG: the sparse vector's per-query noise and
+    /// threshold redraws, oracle noise, MW update draws. (The first
+    /// threshold was drawn when the mechanism was built.) With one analyst
+    /// this makes serving bit-for-bit the same mechanism answered by an
+    /// RNG seeded like the writer's.
     pub seed: u64,
-    /// Maximum requests drained into one batched SV screen (≥ 1; 1
-    /// disables batching and gives the strict sequential order).
-    pub batch_limit: usize,
     /// Explicit per-tenant shares of the oracle budget. `None` splits
     /// the mechanism's oracle slice (total budget minus the sparse-vector
     /// budget) evenly across analysts.
@@ -52,13 +51,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Config with `analysts` evenly-shared tenants and a default batch
-    /// limit of 16.
+    /// Config with `analysts` evenly-shared tenants.
     pub fn new(analysts: usize, seed: u64) -> Self {
         Self {
             analysts,
             seed,
-            batch_limit: 16,
             shares: None,
         }
     }
@@ -123,8 +120,9 @@ impl AnalystHandle {
 
 /// Everything the writer thread hands back at [`PmwServer::join`].
 pub struct ServeJoin<O: ErmOracle, B: StateBackend> {
-    /// The mechanism, with its transcript and privacy ledger — exactly
-    /// the serialized record a sequential run would have produced.
+    /// The mechanism, with its transcript (every served answer counted,
+    /// every update round recorded) and privacy ledger — exactly the
+    /// serialized record a sequential run would have produced.
     pub mechanism: OnlinePmw<O, B>,
     /// Outcome counts and contention samples.
     pub stats: ServeStats,
@@ -154,9 +152,9 @@ where
     }
 
     /// [`PmwServer::spawn`] with the writer loop reporting through
-    /// `probe`: one round per served request (outcome-labelled), the
-    /// commit-phase spans of `⊤` rounds, and per-analyst `serve_analyst`
-    /// notes at shutdown.
+    /// `probe`: one round per served request (outcome-labelled), each
+    /// decision's SV-screen span and margin gauges, the commit-phase spans
+    /// of `⊤` rounds, and per-analyst `serve_analyst` notes at shutdown.
     pub fn spawn_with_probe<P: Probe + Send + 'static>(
         mech: OnlinePmw<O, B>,
         config: ServeConfig,
@@ -166,9 +164,6 @@ where
             return Err(PmwError::InvalidConfig(
                 "serving needs at least one analyst",
             ));
-        }
-        if config.batch_limit == 0 {
-            return Err(PmwError::InvalidConfig("serve batch limit must be >= 1"));
         }
         let ctx = mech.screen_context();
         let cell = Arc::new(SnapshotCell::new(mech.snapshot()?));
@@ -197,12 +192,6 @@ where
             }
         };
 
-        // The writer's RNG replays the sequential stream: the external
-        // sparse vector's threshold draw first (the position a
-        // sequential construction draws it at), then per-round noise.
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let sv = SparseVector::new(ctx.sv_config(), &mut rng).map_err(PmwError::from)?;
-
         let (tx, rx) = mpsc::channel();
         let handles: Vec<AnalystHandle> = (0..config.analysts)
             .map(|id| AnalystHandle {
@@ -215,7 +204,6 @@ where
             .collect();
         drop(tx); // the writer exits when the last handle drops
 
-        let k = mech.config().k;
         let oracle_budget = mech.derived().oracle_budget;
         let stats = ServeStats {
             per_analyst: vec![Default::default(); config.analysts],
@@ -226,14 +214,10 @@ where
             Writer {
                 mech,
                 ctx,
-                sv,
-                rng,
+                rng: StdRng::seed_from_u64(config.seed),
                 cell: writer_cell,
                 sharded,
                 oracle_budget,
-                k,
-                batch_limit: config.batch_limit,
-                answered: 0,
                 seq: 0,
                 stats,
                 probe,
@@ -265,23 +249,15 @@ where
     }
 }
 
-/// The writer-thread state: the only owner of the mechanism, the shared
-/// sparse vector, and the RNG.
+/// The writer-thread state: the only owner of the mechanism and the RNG.
 struct Writer<O: ErmOracle, B: StateBackend, P: Probe> {
     mech: OnlinePmw<O, B>,
     /// The mechanism's screen context, for writer-side re-screens.
     ctx: ScreenContext,
-    sv: SparseVector,
     rng: StdRng,
     cell: Arc<SnapshotCell>,
     sharded: ShardedAccountant,
     oracle_budget: PrivacyBudget,
-    k: usize,
-    batch_limit: usize,
-    /// Queries answered across every path — mirrors the sequential
-    /// `queries_answered` (free answers bypass the mechanism here, so the
-    /// writer enforces the `k` limit itself).
-    answered: usize,
     /// Served-request sequence number for probe round events.
     seq: usize,
     stats: ServeStats,
@@ -293,13 +269,10 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
     fn run(mut self) -> (OnlinePmw<O, B>, ServeStats, ShardedAccountant) {
         self.probe.run_start("pmw-serve", "writer loop");
         while let Ok(first) = self.rx.recv() {
+            // Every analyst blocks on its reply, so a batch holds at most
+            // one request per analyst.
             let mut batch = vec![first];
-            while batch.len() < self.batch_limit {
-                match self.rx.try_recv() {
-                    Ok(req) => batch.push(req),
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                }
-            }
+            batch.extend(self.rx.try_iter());
             self.stats.batches += 1;
             self.stats.requests += batch.len() as u64;
             let now = Instant::now();
@@ -314,25 +287,20 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
         (self.mech, self.stats, self.sharded)
     }
 
-    /// Answer one admitted group, batch-style: one SV draw on the group's
-    /// maximum margin per pass. On `⊥` every member is certified below
-    /// threshold and answers free; on `⊤` the arg-max member commits and
-    /// the survivors loop around — now stale, so they re-screen against
-    /// the fresh state before the next (batch or singleton) test.
+    /// Answer one group, batch-style: one mechanism decision per pass. On
+    /// `⊥` every member answers free; on `⊤` the arg-max member commits
+    /// and the others loop around — now stale, so they re-screen against
+    /// the fresh state before the next decision.
     fn process_group(&mut self, mut group: Vec<Request>) {
         while !group.is_empty() {
-            // Admission: pure bookkeeping checks, in the sequential
-            // guard order, before any noise is drawn.
+            // Admission, before any noise is drawn: the mechanism's halted
+            // and query-limit checks, counting the members already
+            // admitted this pass (a `⊥` answers them all), then the
+            // tenant's share.
             let mut admitted = Vec::with_capacity(group.len());
             for req in group.drain(..) {
-                if self.mech.has_halted() {
-                    self.stats.halted_replies += 1;
-                    self.reply_err(req, PmwError::Halted, "halted");
-                } else if self.answered + admitted.len() >= self.k {
-                    // Count the members already admitted this pass: a
-                    // batch `⊥` answers them all, and the k-th query must
-                    // be the last — exactly as in the sequential order.
-                    self.reply_err(req, PmwError::QueryLimitReached, "limit");
+                if let Err(e) = self.mech.admit(admitted.len()) {
+                    self.reply_refused(req, e);
                 } else if !self.sharded.can_spend(req.analyst, self.oracle_budget) {
                     // Data-independent admission check: if this tenant's
                     // share cannot cover the update a `⊤` would commit,
@@ -348,9 +316,6 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                 } else {
                     admitted.push(req);
                 }
-            }
-            if admitted.is_empty() {
-                return;
             }
 
             // Freshness: a screen taken against an older hypothesis is
@@ -380,41 +345,22 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                 return;
             }
 
-            // One noise draw for the whole group: the max of
-            // same-sensitivity queries has sensitivity ≤ Δ, so the batch
-            // maximum is a single valid SV query, charged once.
-            let argmax = (0..fresh.len())
-                .max_by(|&a, &b| {
-                    fresh[a]
-                        .screened
-                        .sv_margin()
-                        .total_cmp(&fresh[b].screened.sv_margin())
-                })
-                .expect("non-empty group");
-            let margin = fresh[argmax].screened.sv_margin();
-            let outcome = match self.sv.process(margin, &mut self.rng) {
-                Ok(outcome) => outcome,
-                Err(DpError::SparseVectorHalted) => {
-                    for req in fresh {
-                        self.stats.halted_replies += 1;
-                        self.reply_err(req, PmwError::Halted, "halted");
-                    }
-                    return;
-                }
+            let batch: Vec<_> = fresh
+                .iter()
+                .map(|req| (req.loss.as_ref(), &req.screened))
+                .collect();
+            let decided = self
+                .mech
+                .decide_with_probe(&batch, &mut self.rng, &self.probe);
+            match decided {
                 Err(e) => {
                     for req in fresh {
-                        self.reply_err(req, PmwError::Dp(e.clone()), "error");
+                        self.reply_refused(req, e.clone());
                     }
                     return;
                 }
-            };
-
-            match outcome {
-                SvOutcome::Bottom => {
-                    // The batch maximum sits below the noisy threshold,
-                    // so every member's own margin does too: all free.
+                Ok(Decision::Free) => {
                     for req in fresh {
-                        self.answered += 1;
                         self.stats.per_analyst[req.analyst].free += 1;
                         let answer = ServeAnswer {
                             values: req.screened.theta_hat().to_vec(),
@@ -424,32 +370,22 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                     }
                     return;
                 }
-                SvOutcome::Top => {
-                    // Only the arg-max member is implicated by the `⊤`;
-                    // it commits the update. Everyone else loops around
-                    // un-charged and re-screens against the new state.
-                    let req = fresh.remove(argmax);
-                    self.answered += 1;
+                Ok(Decision::Update { index, answer }) => {
+                    let req = fresh.remove(index);
                     // Mirror the mechanism's up-front oracle charge into
                     // the tenant's shard (failed commits pay too, exactly
-                    // like the sequential ledger). Admission re-checked
+                    // like the sequential ledger). Admission checked
                     // `can_spend` this pass, so this cannot be refused.
                     self.sharded
                         .spend(req.analyst, "erm-oracle", self.oracle_budget)
                         .expect("admission verified the tenant share");
-                    let committed = self.mech.commit_top_with_probe(
-                        req.loss.as_ref(),
-                        &req.screened,
-                        &mut self.rng,
-                        &self.probe,
-                    );
                     // Publish whatever state the commit left (on failure
                     // the transactional backends have rolled back; the
                     // fresh snapshot is still the authoritative view).
                     if let Ok(snapshot) = self.mech.snapshot() {
                         self.cell.publish(snapshot);
                     }
-                    match committed {
+                    match answer {
                         Ok(values) => {
                             self.stats.per_analyst[req.analyst].updates += 1;
                             let answer = ServeAnswer {
@@ -467,6 +403,20 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
                 }
             }
         }
+    }
+
+    /// Reply with a refusal from the mechanism (halted, query limit, or a
+    /// decision that failed before its draw).
+    fn reply_refused(&mut self, req: Request, e: PmwError) {
+        let label = match e {
+            PmwError::Halted => {
+                self.stats.halted_replies += 1;
+                "halted"
+            }
+            PmwError::QueryLimitReached => "limit",
+            _ => "error",
+        };
+        self.reply_err(req, e, label);
     }
 
     fn reply_ok(&mut self, req: Request, answer: ServeAnswer, label: &'static str) {

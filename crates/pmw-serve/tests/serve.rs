@@ -1,7 +1,7 @@
 //! Serving-layer integration tests: sequential parity, concurrent
 //! multi-analyst runs, tenant-share enforcement, and ledger audits.
 
-use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError};
+use pmw_core::{DataSide, Decision, OnlinePmw, PmwConfig, PmwError, Transcript};
 use pmw_data::{BooleanCube, Dataset};
 use pmw_dp::PrivacyBudget;
 use pmw_erm::ExactOracle;
@@ -50,45 +50,48 @@ fn fmt_result(r: &Result<Vec<f64>, PmwError>) -> String {
     }
 }
 
-/// With one analyst and a same-seeded RNG, serving is bit-for-bit the
-/// sequential `OnlinePmw::answer` loop (dense backend): the writer rng
-/// replays the construction-position SV threshold draw, then every
-/// per-round draw, in the identical order.
+/// Two transcripts count the same answers and hold the same update
+/// records, bit for bit (`{:?}` prints every `f64` exactly).
+fn assert_same_transcript(served: &Transcript, base: &Transcript) {
+    assert_eq!(served.len(), base.len());
+    assert_eq!(
+        format!("{:?}", served.records()),
+        format!("{:?}", base.records())
+    );
+}
+
+/// With one analyst, serving is bit-for-bit the same mechanism answered
+/// sequentially by `OnlinePmw::answer` with an rng seeded like the writer
+/// (dense backend): the sparse vector's first threshold comes from the
+/// construction rng, every per-round draw from the answer rng, in the
+/// identical order.
 #[test]
 fn single_analyst_dense_serving_is_bitwise_sequential() {
     let cube = BooleanCube::new(DIM).unwrap();
     let data = dataset();
     let losses = workload(12); // k = 10: exercises the limit path too
-    let seed = 11u64;
+    let (build_seed, seed) = (5u64, 11u64);
+    let build = || {
+        let mut crng = StdRng::seed_from_u64(build_seed);
+        OnlinePmw::with_oracle(
+            config(10, 3, 0.05),
+            &cube,
+            data.clone(),
+            ExactOracle::default(),
+            &mut crng,
+        )
+        .unwrap()
+    };
 
-    // Sequential baseline: one rng drives construction and answering.
+    // Sequential baseline: a second rng, seeded like the writer, answers.
+    let mut base = build();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut base = OnlinePmw::with_oracle(
-        config(10, 3, 0.05),
-        &cube,
-        data.clone(),
-        ExactOracle::default(),
-        &mut rng,
-    )
-    .unwrap();
     let expected: Vec<String> = losses
         .iter()
         .map(|l| fmt_result(&base.answer(l, &mut rng)))
         .collect();
 
-    // Serving: the mechanism's own construction rng is irrelevant to the
-    // serving stream (its internal SV is never consulted); the writer's
-    // seed must match the baseline's single rng.
-    let mut crng = StdRng::seed_from_u64(seed);
-    let mech = OnlinePmw::with_oracle(
-        config(10, 3, 0.05),
-        &cube,
-        data,
-        ExactOracle::default(),
-        &mut crng,
-    )
-    .unwrap();
-    let (server, mut handles) = PmwServer::spawn(mech, ServeConfig::new(1, seed)).unwrap();
+    let (server, mut handles) = PmwServer::spawn(build(), ServeConfig::new(1, seed)).unwrap();
     let mut handle = handles.pop().unwrap();
     let got: Vec<String> = losses
         .iter()
@@ -110,6 +113,7 @@ fn single_analyst_dense_serving_is_bitwise_sequential() {
     }
     assert_eq!(join.mechanism.updates_used(), base.updates_used());
     assert_eq!(join.mechanism.has_halted(), base.has_halted());
+    assert_same_transcript(join.mechanism.transcript(), base.transcript());
 
     // Tenant mirror: every oracle charge landed in the single shard, and
     // the merge audit accepts.
@@ -125,8 +129,8 @@ fn single_analyst_dense_serving_is_bitwise_sequential() {
 }
 
 /// Sequential-equivalent driver for the sketched backend, built from the
-/// same public split primitives the server uses: external SV, screen
-/// against a published snapshot, commit on `⊤`.
+/// same public split primitives the server uses: screen against a
+/// published snapshot, then the mechanism's decision on a batch of one.
 #[test]
 fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
     let cube = BooleanCube::new(DIM).unwrap();
@@ -157,38 +161,21 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
     let mut base = build(7);
     let ctx = base.screen_context();
     let mut rng = StdRng::seed_from_u64(serve_seed);
-    let mut sv = pmw_dp::SparseVector::new(ctx.sv_config(), &mut rng).unwrap();
     let mut expected = Vec::new();
     for loss in &losses {
+        let loss = loss as &dyn CmLoss;
         // Serving order: the analyst always screens (recording its read
         // claims in the β ledger) before the writer's halted check.
-        let step = base
+        let result = base
             .snapshot()
-            .and_then(|snap| ctx.screen(snap.as_ref(), loss as &dyn CmLoss));
-        let screened = match step {
-            Ok(s) => s,
-            Err(e) => {
-                expected.push(fmt_result(&Err(e)));
-                continue;
-            }
-        };
-        if base.has_halted() {
-            expected.push(fmt_result(&Err(PmwError::Halted)));
-            continue;
-        }
-        let outcome = match sv.process(screened.sv_margin(), &mut rng) {
-            Ok(o) => o,
-            Err(_) => {
-                expected.push(fmt_result(&Err(PmwError::Halted)));
-                continue;
-            }
-        };
-        let result = match outcome {
-            pmw_dp::SvOutcome::Bottom => Ok(screened.theta_hat().to_vec()),
-            pmw_dp::SvOutcome::Top => {
-                base.commit_top_with_probe(loss, &screened, &mut rng, &pmw_obs::NoopProbe)
-            }
-        };
+            .and_then(|snap| ctx.screen(snap.as_ref(), loss))
+            .and_then(|screened| {
+                let batch = [(loss, &screened)];
+                match base.decide_with_probe(&batch, &mut rng, &pmw_obs::NoopProbe)? {
+                    Decision::Free => Ok(screened.theta_hat().to_vec()),
+                    Decision::Update { answer, .. } => answer,
+                }
+            });
         expected.push(fmt_result(&result));
     }
 
@@ -221,6 +208,7 @@ fn single_analyst_sampled_serving_is_bitwise_the_split_driver() {
         assert_eq!(a.label, b.label);
         assert_eq!(a.budget.epsilon().to_bits(), b.budget.epsilon().to_bits());
     }
+    assert_same_transcript(join.mechanism.transcript(), base.transcript());
     // β ledger equality: the snapshot reads recorded the same claims in
     // the same order as the driver's.
     let base_records = base.state().ledger().records().to_vec();
@@ -314,6 +302,53 @@ fn concurrent_analysts_reconcile_and_pass_the_merge_audit() {
     assert!(total.epsilon() <= 2.0 * (1.0 + 1e-9));
 }
 
+/// The mechanism counts every served answer, free ones included, and keeps
+/// a record only per update round: after `join` its transcript is the
+/// served record, and its `k` limit binds across analysts.
+#[test]
+fn the_mechanism_counts_every_served_answer() {
+    let cube = BooleanCube::new(DIM).unwrap();
+    let mut crng = StdRng::seed_from_u64(19);
+    let k = 12;
+    let mech = OnlinePmw::with_oracle(
+        config(k, k, 0.1),
+        &cube,
+        dataset(),
+        ExactOracle::default(),
+        &mut crng,
+    )
+    .unwrap();
+    let (analysts, per_analyst) = (3, 8);
+    let (server, handles) = PmwServer::spawn(mech, ServeConfig::new(analysts, 31)).unwrap();
+    let threads: Vec<_> = handles
+        .into_iter()
+        .map(|mut handle| {
+            std::thread::spawn(move || {
+                let losses = workload(per_analyst);
+                let served = losses.iter().filter_map(|loss| handle.answer(loss).ok());
+                served.map(|a| a.outcome).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let served: Vec<ServeOutcome> = threads
+        .into_iter()
+        .flat_map(|t| t.join().unwrap())
+        .collect();
+    let join = server.join().unwrap();
+
+    let count = |outcome| served.iter().filter(|&&o| o == outcome).count();
+    let (free, updates) = (count(ServeOutcome::Free), count(ServeOutcome::Update));
+    assert!(free > 0, "no free answer was served");
+    let transcript = join.mechanism.transcript();
+    assert_eq!(transcript.len(), free + updates);
+    assert!(transcript.len() <= k);
+    assert_eq!(transcript.records().len(), join.mechanism.updates_used());
+    assert_eq!(transcript.updates(), updates);
+    let stats = &join.stats.per_analyst;
+    assert_eq!(stats.iter().map(|a| a.free).sum::<u64>(), free as u64);
+    assert_eq!(stats.iter().map(|a| a.updates).sum::<u64>(), updates as u64);
+}
+
 /// A tenant whose share cannot cover one oracle call is refused up front
 /// (data-independent admission), while its neighbor keeps full service —
 /// budget isolation between tenants.
@@ -321,8 +356,12 @@ fn concurrent_analysts_reconcile_and_pass_the_merge_audit() {
 fn starved_tenant_is_rejected_without_touching_its_neighbor() {
     let cube = BooleanCube::new(DIM).unwrap();
     let mut crng = StdRng::seed_from_u64(5);
+    // Six update slots: only tenant 1's six asks can commit, so the
+    // mechanism cannot halt before tenant 0's last ask, and each of tenant
+    // 0's refusals is the share check's (a halted mechanism refuses with
+    // `Halted` first).
     let mech = OnlinePmw::with_oracle(
-        config(32, 3, 0.05),
+        config(32, 6, 0.05),
         &cube,
         dataset(),
         ExactOracle::default(),
@@ -381,12 +420,6 @@ fn spawn_validates_the_config() {
     };
     assert!(matches!(
         PmwServer::spawn(build(), ServeConfig::new(0, 1)),
-        Err(PmwError::InvalidConfig(_))
-    ));
-    let mut bad_batch = ServeConfig::new(1, 1);
-    bad_batch.batch_limit = 0;
-    assert!(matches!(
-        PmwServer::spawn(build(), bad_batch),
         Err(PmwError::InvalidConfig(_))
     ));
     let mut bad_shares = ServeConfig::new(2, 1);
