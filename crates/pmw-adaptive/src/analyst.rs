@@ -55,6 +55,7 @@ impl OverfitAnalyst {
                     PointPredicate::Threshold {
                         coord: b,
                         threshold: 0.5,
+                        at_least: true,
                     },
                     self.dim,
                 )
@@ -144,7 +145,7 @@ mod tests {
             let expect = x[b];
             // loss minimizer equals predicate value on a single point; just
             // check the predicate directly.
-            match q.predicate() {
+            match q.query().predicate() {
                 PointPredicate::Threshold { coord, .. } => assert_eq!(*coord, b),
                 other => panic!("unexpected predicate {other:?}"),
             }
@@ -187,11 +188,11 @@ mod tests {
         ];
         let q = a.final_query(&selected).unwrap().unwrap();
         // Point agreeing with both: bit0=1, bit2=0 -> value 1.
-        assert_eq!(q.predicate().evaluate(&[1.0, 0.0, 0.0]), 1.0);
+        assert_eq!(q.query().evaluate(&[1.0, 0.0, 0.0]), 1.0);
         // Point agreeing with neither -> 0.
-        assert_eq!(q.predicate().evaluate(&[0.0, 0.0, 1.0]), 0.0);
+        assert_eq!(q.query().evaluate(&[0.0, 0.0, 1.0]), 0.0);
         // Half agreement -> 0.5.
-        assert_eq!(q.predicate().evaluate(&[1.0, 0.0, 1.0]), 0.5);
+        assert_eq!(q.query().evaluate(&[1.0, 0.0, 1.0]), 0.5);
         // Empty selection -> no query.
         assert!(a.final_query(&[]).unwrap().is_none());
         let _ = q.name();

@@ -95,7 +95,7 @@ impl AdaptiveHarness {
             match analyst.final_query(&naive_sel)? {
                 Some(q) => {
                     let ans = exact_answer(&q)?;
-                    let popv = population.expectation(|x| q.predicate().evaluate(x));
+                    let popv = population.expectation(|x| q.query().evaluate(x));
                     (sample_value(&q, ans)?, popv, naive_sel.len())
                 }
                 None => (0.5, 0.5, 0),
@@ -121,7 +121,7 @@ impl AdaptiveHarness {
                         Err(PmwError::Halted) => 0.5,
                         Err(e) => return Err(e),
                     };
-                    let popv = population.expectation(|x| q.predicate().evaluate(x));
+                    let popv = population.expectation(|x| q.query().evaluate(x));
                     (released, popv, private_sel.len())
                 }
                 None => (0.5, 0.5, 0),

@@ -74,8 +74,11 @@ impl ScreenedQuery {
     }
 
     /// The number of MW updates recorded by the snapshot this screen ran
-    /// against — compare with [`OnlinePmw::updates_used`] to detect a
-    /// stale screen before committing.
+    /// against — compare with the state's
+    /// [`StateBackend::updates_recorded`] (through [`OnlinePmw::state`]) to
+    /// detect a stale screen before committing. Not with
+    /// [`OnlinePmw::updates_used`], which also counts the rounds a failed
+    /// oracle call burned without recording an update.
     pub fn snapshot_updates(&self) -> usize {
         self.snapshot_updates
     }
@@ -1446,10 +1449,12 @@ mod tests {
                     PointPredicate::Threshold {
                         coord: 0,
                         threshold: 0.0,
+                        at_least: true,
                     },
                     PointPredicate::Threshold {
                         coord: 3,
                         threshold: 0.0,
+                        at_least: true,
                     },
                     PointPredicate::Halfspace {
                         normal: (0..10).map(|b| if b < 2 { 1.0 } else { 0.0 }).collect(),

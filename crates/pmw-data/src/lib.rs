@@ -49,4 +49,4 @@ pub use logweight::{gumbel_max_index, standard_gumbel};
 pub use matrix::PointMatrix;
 pub use source::{BigBitCube, PointSource, UniversePoints};
 pub use universe::{BooleanCube, EnumeratedUniverse, GridUniverse, LabeledGridUniverse, Universe};
-pub use workload::{ImplicitQuery, LinearQuery, PointQuery, QueryPredicate};
+pub use workload::{ImplicitQuery, LinearQuery, PointPredicate, PointQuery};

@@ -13,7 +13,8 @@
 //! `O(d)` (the predicate-backed [`ImplicitQuery`]: k-way marginals,
 //! parities, coordinate thresholds — the families of the paper's
 //! Section 4.3 and of *Faster Private Release of Marginals on Small
-//! Databases*). Implicit evaluation composes with
+//! Databases* — plus halfspaces and bounded linear statistics, all one
+//! [`PointPredicate`]). Implicit evaluation composes with
 //! [`Dataset::support`](crate::Dataset::support) on the data side (sum
 //! `q` over ≤ n support rows) and with pooled/sketched state on the
 //! hypothesis side, so neither side ever materializes `q` or `X`.
@@ -376,13 +377,21 @@ impl PointQuery for LinearQuery {
     }
 }
 
-/// The predicate families behind [`ImplicitQuery`], each evaluable on a
-/// point row in `O(d)` (or `O(width)` for the subset families).
+/// The workspace's one predicate type: the families behind
+/// [`ImplicitQuery`], each evaluable on a point row in `O(d)` (or
+/// `O(width)` for the subset families). The CM encoding of a linear query
+/// (`LinearQueryLoss` in pmw-losses) wraps the same [`ImplicitQuery`].
+///
+/// A row narrower than the query's dimension (a *short* row) lacks some
+/// coordinates. A lacking coordinate reads as 0.0, except under an
+/// at-most threshold, where it reads as +∞ (so the row fails the
+/// threshold); halfspace and linear dot products run over the
+/// coordinates the row has.
 #[derive(Debug, Clone, PartialEq)]
-pub enum QueryPredicate {
+pub enum PointPredicate {
     /// `q(x) = Π_{c∈coords} 1[x_c ≥ 0.5]` — a k-way monotone conjunction
     /// (marginal) over `{0,1}`-valued coordinates.
-    Marginal {
+    Conjunction {
         /// Coordinates that must all be set.
         coords: Vec<usize>,
     },
@@ -392,34 +401,54 @@ pub enum QueryPredicate {
         /// Coordinates entering the parity.
         coords: Vec<usize>,
     },
-    /// `q(x) = 1[x_coord ≤ threshold]` — a prefix (interval) query along
-    /// one axis, the \[BNS13\] threshold family.
+    /// `q(x) = 1[x_coord ≥ threshold]` when `at_least`, otherwise
+    /// `1[x_coord ≤ threshold]` — a prefix (interval) query along one axis,
+    /// the \[BNS13\] threshold family.
     Threshold {
         /// Coordinate index.
         coord: usize,
-        /// Inclusive upper threshold.
+        /// Inclusive threshold.
         threshold: f64,
+        /// Which side of the threshold satisfies the query.
+        at_least: bool,
+    },
+    /// `q(x) = 1[⟨normal, x⟩ ≥ offset]` — halfspace membership.
+    Halfspace {
+        /// Normal vector (length = point dimension).
+        normal: Vec<f64>,
+        /// Offset.
+        offset: f64,
+    },
+    /// `q(x) = clamp(⟨weights, x⟩ + offset, 0, 1)` — a bounded linear
+    /// statistic.
+    Linear {
+        /// Weights (length = point dimension).
+        weights: Vec<f64>,
+        /// Offset.
+        offset: f64,
     },
 }
 
-/// An **implicit** linear query: a [`QueryPredicate`] plus the point
+/// An **implicit** linear query: a [`PointPredicate`] plus the point
 /// dimension it reads. Never stores (or touches) anything `|X|`-sized —
 /// the representation the sublinear MWEM/PMW paths run on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImplicitQuery {
-    predicate: QueryPredicate,
+    predicate: PointPredicate,
     dim: usize,
 }
 
 impl ImplicitQuery {
-    /// Wrap a predicate over `dim`-dimensional points, validating
-    /// coordinate ranges.
-    pub fn new(predicate: QueryPredicate, dim: usize) -> Result<Self, DataError> {
+    /// Wrap a predicate over `dim`-dimensional points. Refuses a zero
+    /// `dim`, an empty coordinate subset, a coordinate `≥ dim`, a normal or
+    /// weight vector not `dim` long, and a non-finite threshold, normal,
+    /// weight or offset.
+    pub fn new(predicate: PointPredicate, dim: usize) -> Result<Self, DataError> {
         if dim == 0 {
             return Err(DataError::EmptyUniverse);
         }
         match &predicate {
-            QueryPredicate::Marginal { coords } | QueryPredicate::Parity { coords } => {
+            PointPredicate::Conjunction { coords } | PointPredicate::Parity { coords } => {
                 if coords.is_empty() {
                     return Err(DataError::InvalidParameter(
                         "predicate needs at least one coordinate",
@@ -431,7 +460,9 @@ impl ImplicitQuery {
                     ));
                 }
             }
-            QueryPredicate::Threshold { coord, threshold } => {
+            PointPredicate::Threshold {
+                coord, threshold, ..
+            } => {
                 if *coord >= dim {
                     return Err(DataError::InvalidParameter(
                         "threshold coordinate out of range",
@@ -441,27 +472,54 @@ impl ImplicitQuery {
                     return Err(DataError::InvalidWeights("threshold must be finite"));
                 }
             }
+            PointPredicate::Halfspace {
+                normal: coefficients,
+                offset,
+            }
+            | PointPredicate::Linear {
+                weights: coefficients,
+                offset,
+            } => {
+                if coefficients.len() != dim {
+                    return Err(DataError::DimensionMismatch {
+                        got: coefficients.len(),
+                        expected: dim,
+                    });
+                }
+                if !offset.is_finite() || coefficients.iter().any(|v| !v.is_finite()) {
+                    return Err(DataError::InvalidWeights(
+                        "coefficients and offset must be finite",
+                    ));
+                }
+            }
         }
         Ok(Self { predicate, dim })
     }
 
     /// A width-`coords.len()` marginal query.
     pub fn marginal(coords: Vec<usize>, dim: usize) -> Result<Self, DataError> {
-        Self::new(QueryPredicate::Marginal { coords }, dim)
+        Self::new(PointPredicate::Conjunction { coords }, dim)
     }
 
     /// A parity query over the given coordinates.
     pub fn parity(coords: Vec<usize>, dim: usize) -> Result<Self, DataError> {
-        Self::new(QueryPredicate::Parity { coords }, dim)
+        Self::new(PointPredicate::Parity { coords }, dim)
     }
 
     /// A threshold query `1[x_coord ≤ threshold]`.
     pub fn threshold(coord: usize, threshold: f64, dim: usize) -> Result<Self, DataError> {
-        Self::new(QueryPredicate::Threshold { coord, threshold }, dim)
+        Self::new(
+            PointPredicate::Threshold {
+                coord,
+                threshold,
+                at_least: false,
+            },
+            dim,
+        )
     }
 
     /// The wrapped predicate.
-    pub fn predicate(&self) -> &QueryPredicate {
+    pub fn predicate(&self) -> &PointPredicate {
         &self.predicate
     }
 
@@ -470,47 +528,36 @@ impl ImplicitQuery {
         self.dim
     }
 
-    /// Evaluate `q(x) ∈ {0, 1}` on one point row.
+    /// Evaluate `q(x) ∈ [0, 1]` on one point row (NaN when a linear
+    /// statistic's dot product is NaN).
     pub fn evaluate(&self, point: &[f64]) -> f64 {
-        // Fast path for full-width rows: coordinates were validated `< dim`
-        // at construction, so one length check replaces the per-coordinate
+        // Full-width rows: coordinates were validated `< dim` at
+        // construction, so one length check replaces the per-coordinate
         // `get` fallbacks, and the branchless accumulators let the
-        // reductions unroll.
-        if point.len() >= self.dim {
-            return match &self.predicate {
-                QueryPredicate::Marginal { coords } => all_set(coords, point),
-                QueryPredicate::Parity { coords } => parity_of(coords, point),
-                QueryPredicate::Threshold { coord, threshold } => {
-                    at_most(*coord, *threshold, point)
-                }
-            };
-        }
-        // Short rows keep the historical out-of-range defaults.
+        // reductions unroll. Short rows take the defaults
+        // [`PointPredicate`] states.
+        let full = point.len() >= self.dim;
+        let read = |c: usize, lacking: f64| point.get(c).copied().unwrap_or(lacking);
         match &self.predicate {
-            QueryPredicate::Marginal { coords } => {
-                if coords
-                    .iter()
-                    .all(|&c| point.get(c).copied().unwrap_or(0.0) >= 0.5)
-                {
-                    1.0
-                } else {
-                    0.0
-                }
+            PointPredicate::Conjunction { coords } if full => all_set(coords, point),
+            PointPredicate::Parity { coords } if full => parity_of(coords, point),
+            PointPredicate::Conjunction { coords } => {
+                f64::from(coords.iter().all(|&c| read(c, 0.0) >= 0.5))
             }
-            QueryPredicate::Parity { coords } => {
-                let ones = coords
-                    .iter()
-                    .filter(|&&c| point.get(c).copied().unwrap_or(0.0) >= 0.5)
-                    .count();
+            PointPredicate::Parity { coords } => {
+                let ones = coords.iter().filter(|&&c| read(c, 0.0) >= 0.5).count();
                 (ones % 2) as f64
             }
-            QueryPredicate::Threshold { coord, threshold } => {
-                if point.get(*coord).copied().unwrap_or(f64::INFINITY) <= *threshold {
-                    1.0
-                } else {
-                    0.0
-                }
+            &PointPredicate::Threshold {
+                coord,
+                threshold,
+                at_least,
+            } => {
+                let lacking = if at_least { 0.0 } else { f64::INFINITY };
+                passes(read(coord, lacking), threshold, at_least)
             }
+            PointPredicate::Halfspace { normal, offset } => halfspace(normal, *offset, point),
+            PointPredicate::Linear { weights, offset } => bounded(weights, *offset, point),
         }
     }
 }
@@ -535,10 +582,41 @@ fn parity_of(coords: &[usize], point: &[f64]) -> f64 {
     (ones % 2) as f64
 }
 
-/// A threshold on a full-width row.
+/// A threshold on the coordinate value `x`.
 #[inline(always)]
-fn at_most(coord: usize, threshold: f64, point: &[f64]) -> f64 {
-    f64::from(point[coord] <= threshold)
+fn passes(x: f64, threshold: f64, at_least: bool) -> f64 {
+    f64::from(if at_least {
+        x >= threshold
+    } else {
+        x <= threshold
+    })
+}
+
+/// Halfspace membership of a row.
+#[inline(always)]
+fn halfspace(normal: &[f64], offset: f64, point: &[f64]) -> f64 {
+    f64::from(dot(normal, point) >= offset)
+}
+
+/// A bounded linear statistic of a row.
+#[inline(always)]
+fn bounded(weights: &[f64], offset: f64, point: &[f64]) -> f64 {
+    (dot(weights, point) + offset).clamp(0.0, 1.0)
+}
+
+/// `Σ a_i·x_i` over the coordinates both slices have, summed in coordinate
+/// order from −0.0: the bits of `pmw_convex::vecmath::dot`.
+#[inline(always)]
+fn dot(a: &[f64], x: &[f64]) -> f64 {
+    a.iter().zip(x).map(|(a, x)| a * x).sum()
+}
+
+/// `value` at every `dim`-wide row of `points`, in row order, into `out`.
+#[inline(always)]
+fn fill(points: &[f64], dim: usize, out: &mut [f64], value: impl Fn(&[f64]) -> f64) {
+    for (point, v) in points.chunks_exact(dim).zip(out) {
+        *v = value(point);
+    }
 }
 
 impl PointQuery for ImplicitQuery {
@@ -557,28 +635,29 @@ impl PointQuery for ImplicitQuery {
         out: &mut [f64],
     ) -> Result<(), usize> {
         check_block(indices, points, dim, out.len());
-        let rows = points.chunks_exact(dim).zip(out);
         if dim < self.dim {
-            for (point, value) in rows {
-                *value = self.evaluate(point);
-            }
+            fill(points, dim, out, |point| self.evaluate(point));
             return Ok(());
         }
         match &self.predicate {
-            QueryPredicate::Marginal { coords } => {
-                for (point, value) in rows {
-                    *value = all_set(coords, point);
-                }
+            PointPredicate::Conjunction { coords } => {
+                fill(points, dim, out, |point| all_set(coords, point));
             }
-            QueryPredicate::Parity { coords } => {
-                for (point, value) in rows {
-                    *value = parity_of(coords, point);
-                }
+            PointPredicate::Parity { coords } => {
+                fill(points, dim, out, |point| parity_of(coords, point));
             }
-            QueryPredicate::Threshold { coord, threshold } => {
-                for (point, value) in rows {
-                    *value = at_most(*coord, *threshold, point);
-                }
+            &PointPredicate::Threshold {
+                coord,
+                threshold,
+                at_least,
+            } => fill(points, dim, out, |point| {
+                passes(point[coord], threshold, at_least)
+            }),
+            PointPredicate::Halfspace { normal, offset } => {
+                fill(points, dim, out, |point| halfspace(normal, *offset, point));
+            }
+            PointPredicate::Linear { weights, offset } => {
+                fill(points, dim, out, |point| bounded(weights, *offset, point));
             }
         }
         Ok(())
@@ -606,9 +685,11 @@ impl PointQuery for ImplicitQuery {
 
     fn name(&self) -> &'static str {
         match self.predicate {
-            QueryPredicate::Marginal { .. } => "marginal",
-            QueryPredicate::Parity { .. } => "parity",
-            QueryPredicate::Threshold { .. } => "threshold",
+            PointPredicate::Conjunction { .. } => "marginal",
+            PointPredicate::Parity { .. } => "parity",
+            PointPredicate::Threshold { .. } => "threshold",
+            PointPredicate::Halfspace { .. } => "halfspace",
+            PointPredicate::Linear { .. } => "linear",
         }
     }
 }
@@ -632,7 +713,7 @@ pub fn implicit_marginal_queries(
     let mut subset = Vec::with_capacity(width);
     build_subsets(dim, width, 0, &mut subset, &mut |bits: &[usize]| {
         queries.push(ImplicitQuery {
-            predicate: QueryPredicate::Marginal {
+            predicate: PointPredicate::Conjunction {
                 coords: bits.to_vec(),
             },
             dim,
@@ -650,7 +731,7 @@ pub fn random_implicit_marginals<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<ImplicitQuery>, DataError> {
     random_implicit_subsets(dim, width, k, rng, |coords, dim| ImplicitQuery {
-        predicate: QueryPredicate::Marginal { coords },
+        predicate: PointPredicate::Conjunction { coords },
         dim,
     })
 }
@@ -663,7 +744,7 @@ pub fn random_implicit_parities<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<ImplicitQuery>, DataError> {
     random_implicit_subsets(dim, width, k, rng, |coords, dim| ImplicitQuery {
-        predicate: QueryPredicate::Parity { coords },
+        predicate: PointPredicate::Parity { coords },
         dim,
     })
 }
@@ -799,15 +880,89 @@ mod tests {
         assert_eq!(thr.point_dim(), Some(3));
         assert!(thr.universe_len().is_none());
         assert!(thr.clone_shared().is_some());
+
+        let query = |predicate| ImplicitQuery::new(predicate, 2).unwrap();
+        let at_least = query(PointPredicate::Threshold {
+            coord: 1,
+            threshold: 0.5,
+            at_least: true,
+        });
+        assert_eq!(at_least.evaluate(&[0.0, 0.7]), 1.0);
+        assert_eq!(at_least.evaluate(&[0.9, 0.2]), 0.0);
+        assert_eq!(at_least.evaluate(&[0.0, 0.5]), 1.0);
+        let halfspace = query(PointPredicate::Halfspace {
+            normal: vec![1.0, -1.0],
+            offset: 0.0,
+        });
+        assert_eq!(halfspace.evaluate(&[0.5, 0.1]), 1.0);
+        assert_eq!(halfspace.evaluate(&[0.1, 0.5]), 0.0);
+        let linear = query(PointPredicate::Linear {
+            weights: vec![0.5, 0.5],
+            offset: 0.0,
+        });
+        assert_eq!(linear.evaluate(&[1.0, 1.0]), 1.0);
+        assert_eq!(linear.evaluate(&[0.4, 0.4]), 0.4);
+        assert_eq!(linear.evaluate(&[-3.0, 0.0]), 0.0);
+        let names: Vec<_> = [&thr, &at_least, &halfspace, &linear, &parity]
+            .map(|q| q.name())
+            .into();
+        assert_eq!(
+            names,
+            ["threshold", "threshold", "halfspace", "linear", "parity"]
+        );
+
+        // A short row's lacking coordinate reads as 0.0, except under an
+        // at-most threshold (+∞); dot products cover the coordinates the row
+        // has.
+        let lacking = query(PointPredicate::Threshold {
+            coord: 1,
+            threshold: -0.25,
+            at_least: true,
+        });
+        assert_eq!(lacking.evaluate(&[-1.0]), 1.0);
+        let lacking = ImplicitQuery::threshold(1, 1e300, 2).unwrap();
+        assert_eq!(lacking.evaluate(&[-1.0]), 0.0);
+        assert_eq!(linear.evaluate(&[0.6]), 0.3);
+        assert_eq!(halfspace.evaluate(&[-0.1]), 0.0);
     }
 
     #[test]
     fn implicit_query_constructors_validate() {
         assert!(ImplicitQuery::marginal(vec![], 4).is_err());
         assert!(ImplicitQuery::marginal(vec![4], 4).is_err());
+        assert!(ImplicitQuery::parity(vec![], 4).is_err());
         assert!(ImplicitQuery::parity(vec![0], 0).is_err());
         assert!(ImplicitQuery::threshold(4, 0.5, 4).is_err());
-        assert!(ImplicitQuery::threshold(0, f64::NAN, 4).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(ImplicitQuery::threshold(0, bad, 4).is_err());
+            let at_least = PointPredicate::Threshold {
+                coord: 0,
+                threshold: bad,
+                at_least: true,
+            };
+            assert!(ImplicitQuery::new(at_least, 4).is_err());
+            for (coefficients, offset) in [(vec![1.0, bad], 0.0), (vec![1.0, 0.5], bad)] {
+                let normal = coefficients.clone();
+                let halfspace = PointPredicate::Halfspace { normal, offset };
+                assert!(ImplicitQuery::new(halfspace, 2).is_err());
+                let weights = coefficients;
+                let linear = PointPredicate::Linear { weights, offset };
+                assert!(ImplicitQuery::new(linear, 2).is_err());
+            }
+        }
+        let offset = 0.0;
+        for len in [1, 3] {
+            let normal = vec![0.5; len];
+            let halfspace = PointPredicate::Halfspace { normal, offset };
+            let mismatch = DataError::DimensionMismatch {
+                got: len,
+                expected: 2,
+            };
+            assert_eq!(ImplicitQuery::new(halfspace, 2), Err(mismatch));
+            let weights = vec![0.5; len];
+            let linear = PointPredicate::Linear { weights, offset };
+            assert!(ImplicitQuery::new(linear, 2).is_err());
+        }
         assert!(implicit_marginal_queries(4, 0).is_err());
         assert!(implicit_marginal_queries(4, 5).is_err());
     }
@@ -819,7 +974,7 @@ mod tests {
         assert_eq!(marginals.len(), 20);
         for q in &marginals {
             match q.predicate() {
-                QueryPredicate::Marginal { coords } => {
+                PointPredicate::Conjunction { coords } => {
                     assert_eq!(coords.len(), 3);
                     assert!(coords.windows(2).all(|w| w[0] < w[1]), "{coords:?}");
                     assert!(coords.iter().all(|&c| c < 10));
@@ -829,7 +984,7 @@ mod tests {
         }
         let parities = random_implicit_parities(6, 2, 5, &mut rng).unwrap();
         assert!(parities.iter().all(
-            |q| matches!(q.predicate(), QueryPredicate::Parity { coords } if coords.len() == 2)
+            |q| matches!(q.predicate(), PointPredicate::Parity { coords } if coords.len() == 2)
         ));
         assert!(random_implicit_marginals(0, 1, 3, &mut rng).is_err());
         assert!(random_implicit_parities(4, 5, 3, &mut rng).is_err());
@@ -920,27 +1075,57 @@ mod tests {
         let full: Vec<f64> = (0..37 * dim).map(|_| coordinate(&mut rng)).collect();
         let indices: Vec<usize> = (0..37).map(|r| (r * 7) % 40).collect();
         let mut predicates = vec![
-            QueryPredicate::Parity {
+            PointPredicate::Parity {
                 coords: vec![1, 4, 5],
             },
-            QueryPredicate::Parity { coords: vec![0] },
-            QueryPredicate::Threshold {
+            PointPredicate::Parity { coords: vec![0] },
+            PointPredicate::Threshold {
                 coord: 2,
                 threshold: 0.25,
+                at_least: false,
             },
-            QueryPredicate::Threshold {
+            PointPredicate::Threshold {
                 coord: 5,
                 threshold: -0.0,
+                at_least: false,
+            },
+            PointPredicate::Threshold {
+                coord: 4,
+                threshold: 0.5,
+                at_least: true,
+            },
+            PointPredicate::Threshold {
+                coord: 0,
+                threshold: -0.0,
+                at_least: true,
+            },
+            PointPredicate::Halfspace {
+                normal: vec![0.7, -1.3, 0.4, 2.0, -0.6, 0.9],
+                offset: 0.3,
+            },
+            // Clamped at both ends on some rows, strictly inside on others.
+            PointPredicate::Linear {
+                weights: vec![1.2, -1.1, 0.6, -0.9, 0.8, 0.4],
+                offset: 0.1,
             },
         ];
         for width in 1..=3 {
-            predicates.push(QueryPredicate::Marginal {
+            predicates.push(PointPredicate::Conjunction {
                 coords: (0..width).map(|c| 5 - 2 * c).collect(),
             });
         }
         for predicate in predicates {
             let query = ImplicitQuery::new(predicate, dim).unwrap();
             assert_batch_matches_rows(&query, &indices, &full, dim);
+            if let PointPredicate::Linear { .. } = query.predicate() {
+                let mut out = vec![0.0; 37];
+                query.values_at_rows(None, &full, dim, &mut out).unwrap();
+                let inside = out.iter().any(|&v| v > 0.0 && v < 1.0);
+                assert!(
+                    inside && out.contains(&0.0) && out.contains(&1.0),
+                    "{out:?}"
+                );
+            }
             // Short rows (narrower than the query's dimension) keep the
             // historical out-of-range defaults.
             let short: Vec<f64> = full

@@ -181,6 +181,7 @@ mod tests {
             pmw_losses::PointPredicate::Threshold {
                 coord: 0,
                 threshold: 0.0,
+                at_least: true,
             },
             1,
         )

@@ -12,137 +12,51 @@
 //! (oracles, PMW, baselines) answers linear queries through this type —
 //! which is how the tests check that CM-PMW degenerates to classic linear
 //! PMW \[HR10\].
+//!
+//! `p` is pmw-data's [`ImplicitQuery`], the same query `Mwem` and the
+//! sketch answer: [`ImplicitQuery::new`] validates the predicate, and
+//! every evaluation goes through [`ImplicitQuery::evaluate`] (one point)
+//! or [`PointQuery::values_at_rows`] (a block of rows: a weighted
+//! objective's targets, through [`CmLoss::quadratic_target`], and the
+//! certificate sweep).
 
 use crate::error::LossError;
 use crate::traits::CmLoss;
-use pmw_convex::{vecmath, Domain};
+use pmw_convex::Domain;
+use pmw_data::{DataError, ImplicitQuery, PointQuery};
 
-/// A point predicate `p: R^p → [0, 1]`, evaluated on raw point coordinates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PointPredicate {
-    /// `p(x) = 1[⟨w, x⟩ ≥ b]` — halfspace membership.
-    Halfspace {
-        /// Normal vector (length = point dimension).
-        normal: Vec<f64>,
-        /// Offset.
-        offset: f64,
-    },
-    /// `p(x) = 1[x_coord ≥ threshold]` — one-sided coordinate threshold.
-    Threshold {
-        /// Coordinate index.
-        coord: usize,
-        /// Threshold value.
-        threshold: f64,
-    },
-    /// `p(x) = Π_{i∈coords} 1[x_i ≥ 0.5]` — monotone conjunction (a marginal
-    /// query on `{0,1}`-valued coordinates).
-    Conjunction {
-        /// Coordinates that must be "set" (≥ 0.5).
-        coords: Vec<usize>,
-    },
-    /// `p(x) = clamp(⟨w, x⟩ + b, 0, 1)` — a bounded linear statistic.
-    Linear {
-        /// Weights (length = point dimension).
-        weights: Vec<f64>,
-        /// Offset.
-        offset: f64,
-    },
-}
-
-impl PointPredicate {
-    /// Evaluate `p(x) ∈ [0, 1]`.
-    pub fn evaluate(&self, x: &[f64]) -> f64 {
-        match self {
-            PointPredicate::Halfspace { normal, offset } => {
-                if vecmath::dot(normal, x) >= *offset {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            PointPredicate::Threshold { coord, threshold } => {
-                if x.get(*coord).copied().unwrap_or(0.0) >= *threshold {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            PointPredicate::Conjunction { coords } => {
-                if coords
-                    .iter()
-                    .all(|&c| x.get(c).copied().unwrap_or(0.0) >= 0.5)
-                {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            PointPredicate::Linear { weights, offset } => {
-                (vecmath::dot(weights, x) + offset).clamp(0.0, 1.0)
-            }
-        }
-    }
-
-    fn validate(&self, point_dim: usize) -> Result<(), LossError> {
-        match self {
-            PointPredicate::Halfspace { normal, .. } => {
-                if normal.len() != point_dim {
-                    return Err(LossError::PointDimensionMismatch {
-                        got: normal.len(),
-                        expected: point_dim,
-                    });
-                }
-            }
-            PointPredicate::Threshold { coord, .. } => {
-                if *coord >= point_dim {
-                    return Err(LossError::InvalidParameter(
-                        "threshold coordinate out of range",
-                    ));
-                }
-            }
-            PointPredicate::Conjunction { coords } => {
-                if coords.iter().any(|&c| c >= point_dim) {
-                    return Err(LossError::InvalidParameter(
-                        "conjunction coordinate out of range",
-                    ));
-                }
-            }
-            PointPredicate::Linear { weights, .. } => {
-                if weights.len() != point_dim {
-                    return Err(LossError::PointDimensionMismatch {
-                        got: weights.len(),
-                        expected: point_dim,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
+pub use pmw_data::PointPredicate;
 
 /// The CM encoding of a linear query: `ℓ(θ; x) = ½(θ − p(x))²` over
 /// `Θ = [0, 1]`.
 #[derive(Debug, Clone)]
 pub struct LinearQueryLoss {
-    predicate: PointPredicate,
-    point_dim: usize,
+    query: ImplicitQuery,
     domain: Domain,
 }
 
 impl LinearQueryLoss {
-    /// Wrap a predicate over `point_dim`-dimensional points.
+    /// Wrap a predicate over `point_dim`-dimensional points, refusing what
+    /// [`ImplicitQuery::new`] refuses.
     pub fn new(predicate: PointPredicate, point_dim: usize) -> Result<Self, LossError> {
-        predicate.validate(point_dim)?;
+        let query = ImplicitQuery::new(predicate, point_dim).map_err(|e| match e {
+            DataError::DimensionMismatch { got, expected } => {
+                LossError::PointDimensionMismatch { got, expected }
+            }
+            DataError::InvalidParameter(msg) | DataError::InvalidWeights(msg) => {
+                LossError::InvalidParameter(msg)
+            }
+            _ => LossError::InvalidParameter("point dimension must be positive"),
+        })?;
         Ok(Self {
-            predicate,
-            point_dim,
+            query,
             domain: Domain::interval(0.0, 1.0)?,
         })
     }
 
-    /// The wrapped predicate.
-    pub fn predicate(&self) -> &PointPredicate {
-        &self.predicate
+    /// The wrapped query `p`.
+    pub fn query(&self) -> &ImplicitQuery {
+        &self.query
     }
 }
 
@@ -156,34 +70,29 @@ impl CmLoss for LinearQueryLoss {
     }
 
     fn point_dim(&self) -> usize {
-        self.point_dim
+        self.query.dim()
     }
 
     fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
-        let r = theta[0] - self.predicate.evaluate(x);
+        let r = theta[0] - self.query.evaluate(x);
         0.5 * r * r
     }
 
     fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
-        out[0] = theta[0] - self.predicate.evaluate(x);
+        out[0] = theta[0] - self.query.evaluate(x);
     }
 
-    /// `p(x)`: the loss is `½(θ − p(x))²`, so a weighted objective
-    /// evaluates the predicate once per point, not on every solver pass.
-    fn quadratic_target(&self, x: &[f64]) -> Option<f64> {
-        Some(self.predicate.evaluate(x))
+    /// `p`: the loss is `½(θ − p(x))²`, so a weighted objective evaluates
+    /// the query once per point, in one block, not on every solver pass.
+    fn quadratic_target(&self) -> Option<&dyn PointQuery> {
+        Some(&self.query)
     }
 
-    /// Loop-fused sweep: `θ` is a scalar, so the payoff is
-    /// `direction·(θ_hyp − p(x))` — one predicate evaluation per point,
-    /// nothing else. Chunked across cores.
-    ///
-    /// The predicate dispatch is hoisted out of the per-row loop (split
-    /// loops per variant), with direct indexing licensed by construction
-    /// (`validate` checked every coordinate against `point_dim`), so the
-    /// single-coordinate variants compile to tight branchless sweeps. The
-    /// dot-product variants keep `vecmath::dot`'s accumulation order so
-    /// payoffs are bit-identical to the per-point gradient path.
+    /// `θ` is a scalar, so the payoff is `direction·(θ_hyp − p(x))`: one
+    /// [`PointQuery::values_at_rows`] call per chunk of rows, then that
+    /// expression in place. Chunked across cores. Each `p(x)` has the bits
+    /// of [`ImplicitQuery::evaluate`], so the payoffs are those of the
+    /// per-point gradient path.
     fn certificate_batch(
         &self,
         theta_hyp: &[f64],
@@ -192,46 +101,14 @@ impl CmLoss for LinearQueryLoss {
         out: &mut [f64],
     ) {
         let (t, dir) = (theta_hyp[0], direction[0]);
-        let stride = points.dim();
+        let dim = points.dim();
         pmw_data::par::for_each_chunk_mut(out, |offset, chunk| {
             let rows = points.row_block(offset, offset + chunk.len());
-            match &self.predicate {
-                PointPredicate::Threshold { coord, threshold } => {
-                    let (c, th) = (*coord, *threshold);
-                    let mut slots = chunk.chunks_exact_mut(4);
-                    let mut xs = rows.chunks_exact(4 * stride);
-                    for (s4, x4) in slots.by_ref().zip(xs.by_ref()) {
-                        for lane in 0..4 {
-                            s4[lane] = dir * (t - f64::from(x4[lane * stride + c] >= th));
-                        }
-                    }
-                    for (slot, x) in slots
-                        .into_remainder()
-                        .iter_mut()
-                        .zip(xs.remainder().chunks_exact(stride))
-                    {
-                        *slot = dir * (t - f64::from(x[c] >= th));
-                    }
-                }
-                PointPredicate::Conjunction { coords } => {
-                    for (slot, x) in chunk.iter_mut().zip(rows.chunks_exact(stride)) {
-                        let mut hit = true;
-                        for &c in coords {
-                            hit &= x[c] >= 0.5;
-                        }
-                        *slot = dir * (t - f64::from(hit));
-                    }
-                }
-                PointPredicate::Halfspace { normal, offset } => {
-                    for (slot, x) in chunk.iter_mut().zip(rows.chunks_exact(stride)) {
-                        *slot = dir * (t - f64::from(vecmath::dot(normal, x) >= *offset));
-                    }
-                }
-                PointPredicate::Linear { weights, offset } => {
-                    for (slot, x) in chunk.iter_mut().zip(rows.chunks_exact(stride)) {
-                        *slot = dir * (t - (vecmath::dot(weights, x) + offset).clamp(0.0, 1.0));
-                    }
-                }
+            self.query
+                .values_at_rows(None, rows, dim, chunk)
+                .expect("an implicit query evaluates every row");
+            for slot in chunk {
+                *slot = dir * (t - *slot);
             }
         });
     }
@@ -263,49 +140,84 @@ mod tests {
     use super::*;
     use crate::traits::minimize_weighted;
 
+    /// The predicates keep the values `LinearQueryLoss` gave them before
+    /// they moved to pmw-data: the threshold reads `x ≥ t` here, and dot
+    /// products keep `vecmath::dot`'s bits.
     #[test]
     fn predicates_evaluate() {
-        let hs = PointPredicate::Halfspace {
-            normal: vec![1.0, -1.0],
-            offset: 0.0,
-        };
-        assert_eq!(hs.evaluate(&[0.5, 0.1]), 1.0);
-        assert_eq!(hs.evaluate(&[0.1, 0.5]), 0.0);
+        let p = |predicate, dim| LinearQueryLoss::new(predicate, dim).unwrap();
+        let hs = p(
+            PointPredicate::Halfspace {
+                normal: vec![1.0, -1.0],
+                offset: 0.0,
+            },
+            2,
+        );
+        assert_eq!(hs.query().evaluate(&[0.5, 0.1]), 1.0);
+        assert_eq!(hs.query().evaluate(&[0.1, 0.5]), 0.0);
 
-        let th = PointPredicate::Threshold {
-            coord: 1,
-            threshold: 0.5,
-        };
-        assert_eq!(th.evaluate(&[0.0, 0.7]), 1.0);
-        assert_eq!(th.evaluate(&[0.9, 0.2]), 0.0);
+        let th = p(
+            PointPredicate::Threshold {
+                coord: 1,
+                threshold: 0.5,
+                at_least: true,
+            },
+            2,
+        );
+        assert_eq!(th.query().evaluate(&[0.0, 0.7]), 1.0);
+        assert_eq!(th.query().evaluate(&[0.9, 0.2]), 0.0);
 
-        let cj = PointPredicate::Conjunction { coords: vec![0, 2] };
-        assert_eq!(cj.evaluate(&[1.0, 0.0, 1.0]), 1.0);
-        assert_eq!(cj.evaluate(&[1.0, 1.0, 0.0]), 0.0);
+        let cj = p(PointPredicate::Conjunction { coords: vec![0, 2] }, 3);
+        assert_eq!(cj.query().evaluate(&[1.0, 0.0, 1.0]), 1.0);
+        assert_eq!(cj.query().evaluate(&[1.0, 1.0, 0.0]), 0.0);
 
-        let ln = PointPredicate::Linear {
-            weights: vec![0.5, 0.5],
-            offset: 0.0,
-        };
-        assert_eq!(ln.evaluate(&[1.0, 1.0]), 1.0);
-        assert_eq!(ln.evaluate(&[0.4, 0.4]), 0.4);
-        assert_eq!(ln.evaluate(&[-3.0, 0.0]), 0.0);
+        let ln = p(
+            PointPredicate::Linear {
+                weights: vec![0.5, 0.5],
+                offset: 0.0,
+            },
+            2,
+        );
+        assert_eq!(ln.query().evaluate(&[1.0, 1.0]), 1.0);
+        assert_eq!(ln.query().evaluate(&[0.4, 0.4]), 0.4);
+        assert_eq!(ln.query().evaluate(&[-3.0, 0.0]), 0.0);
+
+        let (w, offset) = (vec![0.3, -0.7, 0.45, 0.1], 0.15);
+        let normal = w.clone();
+        let hs = p(PointPredicate::Halfspace { normal, offset }, 4);
+        let weights = w.clone();
+        let ln = p(PointPredicate::Linear { weights, offset }, 4);
+        for i in 0..64 {
+            let i = f64::from(i);
+            let x = [(i * 0.37).sin(), (i * 1.3).cos(), i * 0.011 - 0.2, 0.5];
+            let dot = pmw_convex::vecmath::dot(&w, &x);
+            let want = (dot + offset).clamp(0.0, 1.0);
+            assert_eq!(ln.query().evaluate(&x).to_bits(), want.to_bits(), "{x:?}");
+            assert_eq!(hs.query().evaluate(&x), f64::from(dot >= offset), "{x:?}");
+        }
     }
 
     #[test]
     fn construction_validates_dimensions() {
-        assert!(LinearQueryLoss::new(
-            PointPredicate::Halfspace {
-                normal: vec![1.0],
-                offset: 0.0
-            },
-            2
-        )
-        .is_err());
+        assert_eq!(
+            LinearQueryLoss::new(
+                PointPredicate::Halfspace {
+                    normal: vec![1.0],
+                    offset: 0.0
+                },
+                2
+            )
+            .unwrap_err(),
+            LossError::PointDimensionMismatch {
+                got: 1,
+                expected: 2
+            }
+        );
         assert!(LinearQueryLoss::new(
             PointPredicate::Threshold {
                 coord: 3,
-                threshold: 0.0
+                threshold: 0.0,
+                at_least: true
             },
             2
         )
@@ -321,6 +233,25 @@ mod tests {
             2
         )
         .is_err());
+        // Fail closed: an empty conjunction, and a non-finite threshold,
+        // normal, weight or offset.
+        assert!(LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![] }, 3).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let threshold = PointPredicate::Threshold {
+                coord: 0,
+                threshold: bad,
+                at_least: true,
+            };
+            assert!(LinearQueryLoss::new(threshold, 2).is_err());
+            for (coefficients, offset) in [(vec![bad, 1.0], 0.0), (vec![1.0, 1.0], bad)] {
+                let normal = coefficients.clone();
+                let halfspace = PointPredicate::Halfspace { normal, offset };
+                assert!(LinearQueryLoss::new(halfspace, 2).is_err());
+                let weights = coefficients;
+                let linear = PointPredicate::Linear { weights, offset };
+                assert!(LinearQueryLoss::new(linear, 2).is_err());
+            }
+        }
     }
 
     #[test]
@@ -331,6 +262,7 @@ mod tests {
             PointPredicate::Threshold {
                 coord: 0,
                 threshold: 0.5,
+                at_least: true,
             },
             1,
         )

@@ -18,7 +18,7 @@ use crate::error::LossError;
 use crate::link::LinkFn;
 use pmw_convex::solvers::{ProjectedGradientDescent, SolveResult, SolverConfig};
 use pmw_convex::{vecmath, Domain, Objective};
-use pmw_data::PointMatrix;
+use pmw_data::{PointMatrix, PointQuery};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -116,18 +116,20 @@ pub trait CmLoss: Send + Sync {
     }
 
     /// For a loss `ℓ(θ; x) = ½(θ₀ − t(x))²` over a one-dimensional `θ`, the
-    /// target `t(x)` of a raw universe point `x`; `None` for every other
-    /// loss. A loss that reports it must compute [`CmLoss::loss`] as
-    /// `0.5 * r * r` and [`CmLoss::gradient`] as `r`, for `r = θ₀ − t(x)`.
+    /// query `t`, whose value at a raw universe point `x` is the target;
+    /// `None` for every other loss. A loss that reports it must compute
+    /// [`CmLoss::loss`] as `0.5 * r * r` and [`CmLoss::gradient`] as `r`,
+    /// for `r = θ₀ − t(x)` with `t(x)` the bits of the query's point route.
     ///
-    /// [`WeightedObjective`] computes the target of every positive-weight
-    /// point once per objective, so a linear query evaluates its predicate
-    /// once per point instead of once per point on every solver pass. A
-    /// wrapper that changes the loss must not forward this hook. It is not
-    /// a GLM hook: [`LinkFn::Squared`] is `(z − y)²/4`, a different
-    /// normalisation, and the oracle choice and the GLM oracles read only
-    /// [`CmLoss::is_glm`], [`CmLoss::glm_link`] and [`CmLoss::glm_label`].
-    fn quadratic_target(&self, _x: &[f64]) -> Option<f64> {
+    /// [`WeightedObjective`] evaluates the query over all its points in one
+    /// [`PointQuery::values_at_rows`] call per objective, so a linear query
+    /// evaluates its predicate once per point instead of once per point on
+    /// every solver pass. A wrapper that changes the loss must not forward
+    /// this hook. It is not a GLM hook: [`LinkFn::Squared`] is `(z − y)²/4`,
+    /// a different normalisation, and the oracle choice and the GLM oracles
+    /// read only [`CmLoss::is_glm`], [`CmLoss::glm_link`] and
+    /// [`CmLoss::glm_label`].
+    fn quadratic_target(&self) -> Option<&dyn PointQuery> {
         None
     }
 
@@ -197,10 +199,11 @@ pub fn certificate_sweep(
 /// to 16 run kernels specialised to their width at compile time.
 ///
 /// For a loss with a [`CmLoss::quadratic_target`] (a linear query) the
-/// objective computes every positive-weight point's target `t` once, at
-/// construction. `gradient` and `value` are then one pass each over the
-/// (weight, target) pairs in point order, with the per-point path's
-/// expressions: `w·(θ₀ − t)` and `w·(0.5·r·r)` for `r = θ₀ − t`.
+/// objective evaluates the target query at every point in one block call,
+/// at construction, and keeps the positive-weight points' (weight, target)
+/// pairs. `gradient` and `value` are then one pass each over those pairs in
+/// point order, with the per-point path's expressions: `w·(θ₀ − t)` and
+/// `w·(0.5·r·r)` for `r = θ₀ − t`.
 ///
 /// On both fast paths no float changes its order against the per-point
 /// path, so every value, gradient and solver iterate is bit-for-bit the
@@ -329,8 +332,8 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
 }
 
 /// `(w, t(x))` for every positive-weight row, in point order, when the loss
-/// reports a [`CmLoss::quadratic_target`]; `None` otherwise. One call on the
-/// first row decides, before anything is allocated.
+/// reports a [`CmLoss::quadratic_target`] that evaluates every row; `None`
+/// otherwise.
 fn quadratic_targets<L: CmLoss + ?Sized>(
     loss: &L,
     points: &PointMatrix,
@@ -339,11 +342,20 @@ fn quadratic_targets<L: CmLoss + ?Sized>(
     if loss.dim() != 1 {
         return None;
     }
-    loss.quadratic_target(points.row(0))?;
+    let query = loss.quadratic_target()?;
+    let mut values = vec![0.0; points.len()];
+    query
+        .values_at_rows(None, points.as_flat(), points.dim(), &mut values)
+        .ok()?;
+    let kept = weights
+        .iter()
+        .copied()
+        .zip(values)
+        .filter(|&(w, _)| w > 0.0);
+    // Sized before it is filled: an unsized `collect` reallocates as it
+    // grows, which read in serve-linear's latency.
     let mut targets = Vec::with_capacity(weights.iter().filter(|&&w| w > 0.0).count());
-    for (x, &w) in points.iter().zip(weights).filter(|(_, &w)| w > 0.0) {
-        targets.push((w, loss.quadratic_target(x)?));
-    }
+    targets.extend(kept);
     Some(targets)
 }
 
@@ -856,6 +868,7 @@ mod tests {
             PointPredicate::Threshold {
                 coord: 2,
                 threshold: 0.4,
+                at_least: true,
             },
             PointPredicate::Conjunction { coords: vec![0, 3] },
             // Clamped at both ends on some rows, strictly inside on others.
@@ -883,7 +896,8 @@ mod tests {
                 let fast = WeightedObjective::new(&loss, &pts, w).unwrap();
                 let per_point = WeightedObjective::new(&hidden, &pts, w).unwrap();
                 let kept = w.iter().filter(|&&w| w > 0.0).count();
-                let case = format!("{:?}, {kept} of {n} rows kept", loss.predicate());
+                let predicate = loss.query().predicate();
+                let case = format!("{predicate:?}, {kept} of {n} rows kept");
                 let targets = fast.targets.as_ref().expect("target objective");
                 assert_eq!(targets.len(), kept, "{case}");
                 assert!(
@@ -896,7 +910,7 @@ mod tests {
                         "{case}: no target {t}"
                     );
                 }
-                if matches!(loss.predicate(), PointPredicate::Linear { .. }) {
+                if matches!(predicate, PointPredicate::Linear { .. }) {
                     let inside = targets.iter().any(|&(_, t)| t > 0.0 && t < 1.0);
                     assert!(inside, "{case}: no target inside (0, 1)");
                 }
@@ -906,6 +920,100 @@ mod tests {
                 assert_eq!(a.value.to_bits(), b.value.to_bits(), "{case}: minimum");
             }
         }
+    }
+
+    /// `LinearQueryLoss::certificate_batch` writes the bits of the default
+    /// per-point sweep (`gradient`, then `⟨direction, ∇⟩`) for every
+    /// predicate kind and both threshold sides, on rows with ±0 and
+    /// ±`f64::MAX` coordinates. A `PointMatrix` holds only finite
+    /// coordinates, so NaN enters through the dot products: a weight above
+    /// 1 turns ±`MAX` into ±∞, and a row with both sums to NaN. The rows
+    /// span two full `PAR_THRESHOLD` chunks and a partial third, so with two
+    /// or more sweep workers the sweep forks.
+    #[test]
+    fn linear_query_certificate_batch_matches_the_per_point_sweep() {
+        use crate::linear_query::{LinearQueryLoss, PointPredicate};
+
+        let p = 5;
+        let len = 2 * pmw_data::par::PAR_THRESHOLD + 777;
+        let mut uniform = uniform_source(43);
+        // 13 is coprime to p, so every coordinate meets every special value.
+        let flat: Vec<f64> = uniform(len * p, -0.25, 1.25)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 13 {
+                3 => f64::MAX,
+                5 => -f64::MAX,
+                7 => 0.0,
+                11 => -0.0,
+                1 | 9 => f64::from(v >= 0.5),
+                _ => v,
+            })
+            .collect();
+        let pts = PointMatrix::from_flat(flat, p).unwrap();
+        let predicates = [
+            PointPredicate::Conjunction { coords: vec![1, 3] },
+            PointPredicate::Parity {
+                coords: vec![0, 2, 4],
+            },
+            PointPredicate::Threshold {
+                coord: 2,
+                threshold: 0.4,
+                at_least: true,
+            },
+            PointPredicate::Threshold {
+                coord: 4,
+                threshold: -0.0,
+                at_least: true,
+            },
+            PointPredicate::Threshold {
+                coord: 1,
+                threshold: 0.4,
+                at_least: false,
+            },
+            PointPredicate::Threshold {
+                coord: 3,
+                threshold: 0.0,
+                at_least: false,
+            },
+            PointPredicate::Halfspace {
+                normal: uniform(p, -2.0, 2.0),
+                offset: 0.05,
+            },
+            PointPredicate::Linear {
+                weights: vec![0.9, -0.9, 0.6, -0.6, 0.3],
+                offset: 0.5,
+            },
+            PointPredicate::Linear {
+                weights: vec![1.5, -1.5, 1.25, -1.25, 1.5],
+                offset: 0.5,
+            },
+        ];
+        let cases = [([0.3], [1.0]), ([-0.0], [-0.7]), ([1.0], [-0.0])];
+        let mut nan_rows = 0;
+        for predicate in predicates {
+            let loss = LinearQueryLoss::new(predicate, p).unwrap();
+            let per_point = PerPoint {
+                inner: &loss,
+                nan_bound: false,
+            };
+            for (theta, dir) in &cases {
+                let mut fast = vec![0.0; len];
+                let mut slow = vec![0.0; len];
+                certificate_sweep(&loss, theta, dir, &pts, &mut fast).unwrap();
+                certificate_sweep(&per_point, theta, dir, &pts, &mut slow).unwrap();
+                for (r, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                    assert_eq!(
+                        f.to_bits(),
+                        s.to_bits(),
+                        "{:?}, θ {theta:?}, direction {dir:?}, row {r}: {f} vs {s}",
+                        loss.query().predicate()
+                    );
+                }
+                nan_rows += fast.iter().filter(|v| v.is_nan()).count();
+            }
+        }
+        assert!(nan_rows > 0, "no NaN payoff was swept");
     }
 
     #[test]

@@ -321,7 +321,9 @@ impl<O: ErmOracle, B: StateBackend, P: Probe> Writer<O, B, P> {
             // Freshness: a screen taken against an older hypothesis is
             // still privacy-sound (same sensitivity) but would answer
             // from a superseded θ̂ — re-run the read phase writer-side.
-            let updates = self.mech.updates_used();
+            // The state's own count: a failed round burns an update slot
+            // but records no update.
+            let updates = self.mech.state().updates_recorded();
             let mut fresh = Vec::with_capacity(admitted.len());
             for mut req in admitted {
                 if req.screened.snapshot_updates() == updates {

@@ -1,15 +1,16 @@
 //! Serving-layer integration tests: sequential parity, concurrent
 //! multi-analyst runs, tenant-share enforcement, and ledger audits.
 
-use pmw_core::{DataSide, Decision, OnlinePmw, PmwConfig, PmwError, Transcript};
-use pmw_data::{BooleanCube, Dataset};
+use pmw_core::{DataSide, Decision, OnlinePmw, PmwConfig, PmwError, StateBackend, Transcript};
+use pmw_data::{BooleanCube, Dataset, PointMatrix};
 use pmw_dp::PrivacyBudget;
-use pmw_erm::ExactOracle;
+use pmw_erm::{ErmError, ErmOracle, ExactOracle};
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
 use pmw_serve::{PmwServer, ServeConfig, ServeOutcome};
 use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const DIM: usize = 3;
 
@@ -347,6 +348,65 @@ fn the_mechanism_counts_every_served_answer() {
     let stats = &join.stats.per_analyst;
     assert_eq!(stats.iter().map(|a| a.free).sum::<u64>(), free as u64);
     assert_eq!(stats.iter().map(|a| a.updates).sum::<u64>(), updates as u64);
+}
+
+/// An oracle whose first call fails; every later call solves exactly.
+#[derive(Default)]
+struct FailsFirst {
+    failed: AtomicBool,
+}
+
+impl ErmOracle for FailsFirst {
+    fn solve(
+        &self,
+        loss: &dyn CmLoss,
+        points: &PointMatrix,
+        weights: &[f64],
+        n: usize,
+        budget: PrivacyBudget,
+        rng: &mut dyn Rng,
+    ) -> Result<Vec<f64>, ErmError> {
+        if !self.failed.swap(true, Ordering::Relaxed) {
+            return Err(ErmError::InvalidParameter("the first call fails"));
+        }
+        ExactOracle::default().solve(loss, points, weights, n, budget, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        "fails-first"
+    }
+}
+
+/// A failed oracle call burns an update round but records no update, so
+/// the screens that follow it, taken against the unchanged state, are
+/// fresh: the writer re-screens none of them.
+#[test]
+fn a_failed_round_leaves_later_screens_fresh() {
+    let cube = BooleanCube::new(DIM).unwrap();
+    let mut crng = StdRng::seed_from_u64(7);
+    let mech = OnlinePmw::with_oracle(
+        config(32, 4, 0.05),
+        &cube,
+        dataset(),
+        FailsFirst::default(),
+        &mut crng,
+    )
+    .unwrap();
+    let (server, mut handles) = PmwServer::spawn(mech, ServeConfig::new(1, 23)).unwrap();
+    let mut handle = handles.pop().unwrap();
+    let served: Vec<bool> = workload(30)
+        .iter()
+        .map(|loss| handle.answer(loss).is_ok())
+        .collect();
+    drop(handle);
+    let join = server.join().unwrap();
+
+    let failed = served.iter().position(|&ok| !ok).expect("a round failed");
+    let after = served[failed + 1..].iter().filter(|&&ok| ok).count();
+    assert!(after > 0, "nothing was served after the failed round");
+    assert_eq!(join.stats.rescreens, 0);
+    let recorded = join.mechanism.state().updates_recorded();
+    assert_eq!(join.mechanism.updates_used(), recorded + 1);
 }
 
 /// A tenant whose share cannot cover one oracle call is refused up front

@@ -16,7 +16,7 @@
 //!   poison guard never trips under recoverable faults.
 
 use pmw_core::{BackendEvent, DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
-use pmw_data::{BooleanCube, Dataset, ImplicitQuery, QueryPredicate};
+use pmw_data::{BooleanCube, Dataset, ImplicitQuery};
 use pmw_erm::ExactOracle;
 use pmw_losses::{LinearQueryLoss, PointPredicate};
 use pmw_sketch::{
@@ -264,7 +264,7 @@ fn linear_pmw_invariants_hold_under_every_seeded_fault_plan() {
 
         for q in 0..10usize {
             let query = ImplicitQuery::new(
-                QueryPredicate::Marginal {
+                PointPredicate::Conjunction {
                     coords: vec![q % DIM],
                 },
                 DIM,

@@ -42,6 +42,7 @@ fn main() {
                     PointPredicate::Threshold {
                         coord,
                         threshold: thr,
+                        at_least: true,
                     },
                     dim,
                 )
@@ -93,6 +94,7 @@ fn main() {
                 PointPredicate::Threshold {
                     coord,
                     threshold: thr,
+                    at_least: true,
                 },
                 dim,
             )

@@ -153,6 +153,7 @@ fn hypothesis_converges_toward_data_in_kl() {
             pmw::losses::PointPredicate::Threshold {
                 coord: j % 2,
                 threshold: [-0.2, 0.1, 0.3][j % 3],
+                at_least: true,
             },
             2,
         )
@@ -202,6 +203,7 @@ fn certificate_gap_dominates_error_on_every_update() {
                 pmw::losses::PointPredicate::Threshold {
                     coord: j % 2,
                     threshold: [-0.2, 0.0, 0.15][j % 3],
+                    at_least: true,
                 },
                 2,
             )
