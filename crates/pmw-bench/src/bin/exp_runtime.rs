@@ -29,6 +29,14 @@
 //! carries: the sampled backend's pool sweeps are serial at every worker
 //! count, so there is nothing else for the axis to measure.
 //!
+//! The **free-answer axis** times a free `OnlinePmw::answer` (the two
+//! solves and the error query of a round the sparse vector answers from the
+//! hypothesis) by query kind: squared-link regressions, logistic
+//! classifications and linear queries, on `BooleanCube::scaled(10)` at 100
+//! solver iterations. Each row is the median and interquartile range over
+//! [`FREE_ANSWER_TRIALS`] trials of the mean free-answer time, the kinds
+//! taking turns within each trial.
+//!
 //! A final **probed mirror run** (untimed, largest size) replays the
 //! kernel-3 workload under a live [`SummaryProbe`](pmw_obs::SummaryProbe) and lands its
 //! per-phase latency table in the artifact's `"probe"` object; pass
@@ -40,10 +48,11 @@ use pmw_bench::{
 };
 use pmw_core::update::dual_certificate_into;
 use pmw_core::{DenseBackend, OnlinePmw, PmwConfig, StateBackend};
-use pmw_data::{BooleanCube, Histogram, PointMatrix, Universe};
+use pmw_data::{BooleanCube, Dataset, Histogram, PointMatrix, Universe};
 use pmw_erm::ExactOracle;
-use pmw_losses::{LinearQueryLoss, PointPredicate};
-use pmw_obs::{json_object, Json, NoopProbe, Probe};
+use pmw_losses::catalog::{random_classification_tasks, random_regression_tasks};
+use pmw_losses::{CmLoss, LinearQueryLoss, LinkFn, PointPredicate};
+use pmw_obs::{json_object, nearest_rank, Json, NoopProbe, Probe};
 use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -260,6 +269,96 @@ fn measure_backend_axis(log2_x: usize, rounds: usize, budget: usize) -> Vec<Json
     rows
 }
 
+/// Trials behind each free-answer row's median and IQR.
+const FREE_ANSWER_TRIALS: usize = 7;
+
+/// The free-answer axis: for each query kind, the median and IQR over
+/// [`FREE_ANSWER_TRIALS`] trials of the mean time of a free answer, each
+/// trial answering `per_trial` queries of every kind in turn (8 tasks of a
+/// kind, rotating). Answers that update the hypothesis are not timed. The
+/// dataset has a million rows, as perfbench online-glm's does, so the
+/// sparse vector's noise is small and few answers update.
+fn measure_free_answers(per_trial: usize) -> Vec<Json> {
+    let dim = 10;
+    let cube = BooleanCube::scaled(dim).unwrap();
+    let mut rng = StdRng::seed_from_u64(1010);
+    let biases: Vec<f64> = (0..dim)
+        .map(|b| if b % 2 == 0 { 0.7 } else { 0.3 })
+        .collect();
+    let pop = pmw_data::synth::product_population(&cube, &biases).unwrap();
+    let data = Dataset::sample_from(&pop, 1_000_000, &mut rng).unwrap();
+    let config = PmwConfig::builder(2.0, 1e-6, 0.1)
+        .k(usize::MAX)
+        .rounds_override(96)
+        .solver_iters(100)
+        .build()
+        .unwrap();
+    let mut mech = OnlinePmw::new(config, &cube, data, &mut rng).unwrap();
+    let regress = random_regression_tasks(dim, 8, LinkFn::Squared, &mut rng).unwrap();
+    let classify = random_classification_tasks(dim, 8, LinkFn::Logistic, &mut rng).unwrap();
+    // The cube's coordinates are ±1/√10: bit b is set where x_b ≥ 0.
+    let threshold = |coord| PointPredicate::Threshold {
+        coord,
+        threshold: 0.0,
+        at_least: true,
+    };
+    let kinds: [(&str, Vec<Box<dyn CmLoss>>); 3] = [
+        (
+            "squared",
+            regress.into_iter().map(|t| Box::new(t) as _).collect(),
+        ),
+        (
+            "logistic",
+            classify.into_iter().map(|t| Box::new(t) as _).collect(),
+        ),
+        (
+            "linear-query",
+            (0..8)
+                .map(|b| Box::new(LinearQueryLoss::new(threshold(b), dim).unwrap()) as _)
+                .collect(),
+        ),
+    ];
+    let mut trials = vec![Vec::new(); kinds.len()];
+    let mut free = vec![0usize; kinds.len()];
+    for _ in 0..FREE_ANSWER_TRIALS {
+        for (k, (name, tasks)) in kinds.iter().enumerate() {
+            let (mut ns, mut answered) = (0u128, 0usize);
+            for j in 0..per_trial {
+                let before = mech.updates_used();
+                let start = Instant::now();
+                let answer = mech.answer(tasks[j % tasks.len()].as_ref(), &mut rng);
+                let elapsed = start.elapsed().as_nanos();
+                black_box(answer.expect("a free-answer axis query"));
+                if mech.updates_used() == before {
+                    ns += elapsed;
+                    answered += 1;
+                }
+            }
+            assert!(answered > 0, "no free {name} answer in a trial");
+            trials[k].push(ns as f64 / answered as f64);
+            free[k] += answered;
+        }
+    }
+    kinds
+        .iter()
+        .zip(trials)
+        .zip(free)
+        .map(|(((name, _), mut ns), free)| {
+            ns.sort_by(f64::total_cmp);
+            let median = nearest_rank(&ns, 50.0);
+            let iqr = nearest_rank(&ns, 75.0) - nearest_rank(&ns, 25.0);
+            row(name, &[median, iqr, free as f64]);
+            json_object! {
+                "kind": *name,
+                "trials": FREE_ANSWER_TRIALS,
+                "free_answers": free,
+                "free_answer_ns_median": median,
+                "free_answer_ns_iqr": iqr,
+            }
+        })
+        .collect()
+}
+
 /// One thread-axis row: the Θ(|X|) certificate kernel, ns per element,
 /// re-timed with the worker count forced to `threads`. The chunk
 /// boundaries are fixed independently of the worker count, so the row
@@ -321,6 +420,19 @@ fn main() {
         .flat_map(|&log2_x| measure_backend_axis(log2_x, axis_rounds, axis_budget))
         .collect();
 
+    let per_trial = if smoke { 4 } else { 32 };
+    println!(
+        "# free-answer axis (BooleanCube::scaled(10), 100 solver iterations; median and IQR \
+         of {FREE_ANSWER_TRIALS} trials of {per_trial} answers per kind)"
+    );
+    header(&[
+        "kind",
+        "free_answer_ns_median",
+        "free_answer_ns_iqr",
+        "free_answers",
+    ]);
+    let free_answers = measure_free_answers(per_trial);
+
     // Thread axis: the certificate sweep re-timed at each forced worker
     // count. The chunked reductions use fixed boundaries, so every row
     // computes identical bits — only the wall time moves.
@@ -360,6 +472,7 @@ fn main() {
         "smoke": smoke,
         "sizes": Json::Array(size_rows),
         "backend_axis": Json::Array(axis),
+        "free_answers": Json::Array(free_answers),
         "thread_scaling": Json::Array(thread_rows),
         "probe": probe,
     };

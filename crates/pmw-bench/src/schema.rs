@@ -37,8 +37,8 @@ const PROBE: Columns = &[
     ("probe.phases.max_ns", NonNegative),
 ];
 
-/// `BENCH_runtime.json`: the Θ(|X|) kernels per size, the backend axis and
-/// the thread axis.
+/// `BENCH_runtime.json`: the Θ(|X|) kernels per size, the backend axis,
+/// the free-answer axis and the thread axis.
 const RUNTIME: Columns = &[
     ("machine_threads", Positive),
     ("sizes.log2_x", Positive),
@@ -50,6 +50,10 @@ const RUNTIME: Columns = &[
     ("backend_axis.log2_x", Positive),
     ("backend_axis.round_ns", Positive),
     ("backend_axis.point_read_ns", Positive),
+    ("free_answers.trials", Positive),
+    ("free_answers.free_answers", Positive),
+    ("free_answers.free_answer_ns_median", Positive),
+    ("free_answers.free_answer_ns_iqr", NonNegative),
     ("thread_scaling.certificate_ns_per_elem", Positive),
     ("thread_scaling.speedup_vs_1thread", Positive),
 ];
@@ -265,22 +269,45 @@ fn axis_rows<'a>(
 /// chunked certificate sweep loses to the serial one.
 pub const THREAD_SPEEDUP_FLOOR: f64 = 0.95;
 
+/// The query kinds the free-answer axis of a runtime artifact must time.
+const FREE_ANSWER_KINDS: [&str; 3] = ["squared", "logistic", "linear-query"];
+
+/// The fewest trials a free-answer row's median and IQR may come from.
+const FREE_ANSWER_MIN_TRIALS: f64 = 5.0;
+
+/// Some row under `rows_key` has `key` equal to each of `names`.
+fn require_rows(doc: &Json, rows_key: &str, key: &str, names: &[&str]) -> Result<(), String> {
+    let rows = rows_at(doc, rows_key)?;
+    for name in names {
+        if !rows
+            .iter()
+            .any(|row| row.get(key).and_then(Json::as_str) == Some(name))
+        {
+            return Err(format!("{rows_key} is missing \"{name}\""));
+        }
+    }
+    Ok(())
+}
+
 /// Validate `BENCH_runtime.json`: its columns, the `dense`/`sampled`
-/// backend rows, and a `threads_axis` of the serial baseline plus at least
-/// one multi-worker count, one `thread_scaling` row each. With
-/// `smoke: false`, every count up to `machine_threads` runs at least
-/// [`THREAD_SPEEDUP_FLOOR`]× the serial sweep. Smoke runs time too little
-/// work to tell, and rows past the machine's threads measure
-/// oversubscription.
+/// backend rows, a free-answer row for each of [`FREE_ANSWER_KINDS`] from
+/// at least [`FREE_ANSWER_MIN_TRIALS`] trials, and a `threads_axis` of the
+/// serial baseline plus at least one multi-worker count, one
+/// `thread_scaling` row each. With `smoke: false`, every count up to
+/// `machine_threads` runs at least [`THREAD_SPEEDUP_FLOOR`]× the serial
+/// sweep. Smoke runs time too little work to tell, and rows past the
+/// machine's threads measure oversubscription.
 pub fn validate_bench_runtime(text: &str) -> Result<(), String> {
     let doc = check(text, "runtime_scaling", &[RUNTIME, PROBE])?;
-    let backends = rows_at(&doc, "backend_axis")?;
-    for backend in ["dense", "sampled"] {
-        if !backends
-            .iter()
-            .any(|row| row.get("backend").and_then(Json::as_str) == Some(backend))
-        {
-            return Err(format!("backend axis is missing \"{backend}\""));
+    require_rows(&doc, "backend_axis", "backend", &["dense", "sampled"])?;
+    require_rows(&doc, "free_answers", "kind", &FREE_ANSWER_KINDS)?;
+    for (i, row) in rows_at(&doc, "free_answers")?.iter().enumerate() {
+        let trials = number(row, "trials", Positive)?;
+        if trials < FREE_ANSWER_MIN_TRIALS {
+            return Err(format!(
+                "free_answers[{i}] is the median of {trials} trials, fewer than \
+                 {FREE_ANSWER_MIN_TRIALS}"
+            ));
         }
     }
     let threads = axis_rows(&doc, "threads_axis", "thread_scaling", "threads")?;
@@ -547,6 +574,14 @@ mod tests {
         {"backend": "dense", "log2_x": 12, "round_ns": 5000.0, "point_read_ns": 2.0},
         {"backend": "sampled", "log2_x": 12, "round_ns": 800.0, "point_read_ns": 60.0}
       ],
+      "free_answers": [
+        {"kind": "squared", "trials": 7, "free_answers": 224,
+         "free_answer_ns_median": 90000.0, "free_answer_ns_iqr": 4000.0},
+        {"kind": "logistic", "trials": 7, "free_answers": 223,
+         "free_answer_ns_median": 800000.0, "free_answer_ns_iqr": 30000.0},
+        {"kind": "linear-query", "trials": 7, "free_answers": 224,
+         "free_answer_ns_median": 30000.0, "free_answer_ns_iqr": 0.0}
+      ],
       "threads_axis": [1, 2],
       "thread_scaling": [
         {"threads": 1, "certificate_ns_per_elem": 2.0, "speedup_vs_1thread": 1.0},
@@ -612,6 +647,22 @@ mod tests {
         );
         let err = validate_bench_runtime(&missing_backend).unwrap_err();
         assert!(err.contains("sampled"), "{err}");
+        // The free-answer axis: every kind, each from at least five trials.
+        let no_axis = RUNTIME_DOC.replace("\"free_answers\": [", "\"not_free_answers\": [");
+        let err = validate_bench_runtime(&no_axis).unwrap_err();
+        assert!(err.contains("free_answers"), "{err}");
+        let missing_kind = RUNTIME_DOC.replace("\"kind\": \"logistic\"", "\"kind\": \"hinge\"");
+        let err = validate_bench_runtime(&missing_kind).unwrap_err();
+        assert!(err.contains("\"logistic\""), "{err}");
+        let few = RUNTIME_DOC.replace(
+            "\"trials\": 7, \"free_answers\": 223",
+            "\"trials\": 4, \"free_answers\": 223",
+        );
+        let err = validate_bench_runtime(&few).unwrap_err();
+        assert!(err.contains("free_answers[1]"), "{err}");
+        let no_iqr = RUNTIME_DOC.replace("\"free_answer_ns_iqr\": 0.0", "\"iqr\": 0.0");
+        let err = validate_bench_runtime(&no_iqr).unwrap_err();
+        assert!(err.contains("free_answers[2].free_answer_ns_iqr"), "{err}");
         let negative = RUNTIME_DOC.replace(
             "\"certificate_ns_per_elem\": 2.0",
             "\"certificate_ns_per_elem\": -3.0",
@@ -948,7 +999,7 @@ mod tests {
     fn dense_reference_reads_the_largest_size_row() {
         let committed = include_str!("../../../BENCH_runtime.json");
         let ns = runtime_dense_ns_per_elem(committed).unwrap();
-        assert!((ns - 24.847).abs() < 1e-9, "{ns}");
+        assert!((ns - 26.315579175949097).abs() < 1e-9, "{ns}");
         assert!(runtime_dense_ns_per_elem(r#"{"sizes": []}"#).is_err());
     }
 

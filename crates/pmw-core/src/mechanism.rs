@@ -136,12 +136,21 @@ impl ScreenContext {
 /// data-side work is one value pass at `θ̂`, after the join.
 ///
 /// On a 2-core VM a scoped spawn and join of an empty closure costs
-/// 40–50 µs (medians of 2000 over four runs), and a GLM solve at `d = 10`
-/// 5.4–7.3 ns per point-iteration (`minimize_weighted`, squared and
-/// logistic links, 1024 points × 100 iterations): a 2^16 solve takes
-/// 350–480 µs, so the fork costs 8–14% of the solve it takes off the
-/// caller's thread. It would stop paying between about 5,500 and 9,300
-/// point-iterations, where the solve costs what the spawn does.
+/// 40–50 µs (medians of 2000 over four runs), and a solve on the tiled GLM
+/// passes at `d = 10` 5.4–7.3 ns per point-iteration (`minimize_weighted`,
+/// 1024 points × 100 iterations): a 2^16 solve takes 350–480 µs, so the
+/// fork costs 8–14% of the solve it takes off the caller's thread.
+///
+/// Quadratic objectives (squared links and linear queries, which
+/// `WeightedObjective` solves from sufficient statistics) count their
+/// point-iterations the same way, although their whole solve costs less
+/// than the spawn: over 1024 points at `d = 10` the statistics build in
+/// 23–45 µs and 100 iterations take 8–12 µs, as the host's speed varies. A
+/// variant that never forks a quadratic objective read a lower
+/// `latency_p50_us` on perfbench online-glm in all of 10 alternating
+/// pairs × 30 s at seed 1, but won `answers_per_s` in only 3 of them
+/// (median 1,224 against 1,542 answers/s), so one rule serves every
+/// objective.
 const FORK_POINT_ITERS: usize = 1 << 16;
 
 /// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
@@ -1443,8 +1452,9 @@ mod tests {
                 for task in regress.into_iter().chain(classify.unwrap()) {
                     tasks.push(Box::new(task));
                 }
-                // Linear queries take the objective's target pass. The cube's
-                // coordinates are ±1/√10, so bit b is set where x_b ≥ 0.
+                // Linear queries take the objective's quadratic path. The
+                // cube's coordinates are ±1/√10, so bit b is set where
+                // x_b ≥ 0.
                 let linear = [
                     PointPredicate::Threshold {
                         coord: 0,
@@ -1531,6 +1541,125 @@ mod tests {
         assert_eq!(serial.ledger, forked.ledger, "ledger");
         assert_eq!(serial.next_draw, forked.next_draw, "next rng draw");
         assert_eq!(serial.events, forked.events, "span sequence");
+    }
+
+    /// A loss without its quadratic structure: `is_glm`, `glm_link`,
+    /// `glm_label` and `quadratic_target` keep their defaults, so every
+    /// objective over it takes the per-point path. (`is_glm` goes too: the
+    /// automatic oracle choice would otherwise pick the GLM oracle, which
+    /// needs the link. At d = 10 that oracle runs the noisy gradient
+    /// descent the wrapper gets, unprojected, with the same draws.)
+    /// Everything else, the certificate sweep included, is forwarded.
+    struct Unstructured(Box<dyn CmLoss>);
+
+    impl CmLoss for Unstructured {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn domain(&self) -> &pmw_convex::Domain {
+            self.0.domain()
+        }
+        fn point_dim(&self) -> usize {
+            self.0.point_dim()
+        }
+        fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
+            self.0.loss(theta, x)
+        }
+        fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
+            self.0.gradient(theta, x, out)
+        }
+        fn certificate_batch(
+            &self,
+            theta_hyp: &[f64],
+            direction: &[f64],
+            points: &PointMatrix,
+            out: &mut [f64],
+        ) {
+            self.0.certificate_batch(theta_hyp, direction, points, out)
+        }
+        fn lipschitz(&self) -> f64 {
+            self.0.lipschitz()
+        }
+        fn strong_convexity(&self) -> f64 {
+            self.0.strong_convexity()
+        }
+        fn smoothness(&self) -> Option<f64> {
+            self.0.smoothness()
+        }
+        fn scale_bound(&self) -> f64 {
+            self.0.scale_bound()
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// Squared regressions and linear queries solve from their sufficient
+    /// statistics, which round differently from the per-point sums; the
+    /// mechanism still makes the same decisions: the same update rounds,
+    /// and every answer within 1e-9 of the per-point run's.
+    #[test]
+    fn quadratic_objectives_keep_the_per_point_decisions() {
+        use pmw_losses::catalog::random_regression_tasks;
+        use pmw_losses::LinkFn;
+
+        let cube = BooleanCube::scaled(10).unwrap();
+        let run = |hide: bool| {
+            let mut rng = StdRng::seed_from_u64(191);
+            let data = skewed_dataset(&cube, 20_000, &mut rng);
+            let config = PmwConfig::builder(2.0, 1e-6, 0.05)
+                .k(48)
+                .rounds_override(24)
+                .solver_iters(100)
+                .build()
+                .unwrap();
+            let mut mech = OnlinePmw::new(config, &cube, data, &mut rng).unwrap();
+            let regress = random_regression_tasks(10, 4, LinkFn::Squared, &mut rng).unwrap();
+            let mut tasks: Vec<Box<dyn CmLoss>> = Vec::new();
+            for task in regress {
+                tasks.push(Box::new(task));
+            }
+            // The cube's coordinates are ±1/√10: bit b is set where
+            // x_b ≥ 0.
+            for b in [0, 3, 6] {
+                let predicate = PointPredicate::Threshold {
+                    coord: b,
+                    threshold: 0.0,
+                    at_least: true,
+                };
+                tasks.push(Box::new(LinearQueryLoss::new(predicate, 10).unwrap()));
+            }
+            let linear = PointPredicate::Linear {
+                weights: (0..10).map(|b| 0.3 + 0.1 * b as f64).collect(),
+                offset: 0.5,
+            };
+            tasks.push(Box::new(LinearQueryLoss::new(linear, 10).unwrap()));
+            if hide {
+                tasks = tasks
+                    .into_iter()
+                    .map(|task| Box::new(Unstructured(task)) as Box<dyn CmLoss>)
+                    .collect();
+            }
+            let answers: Vec<Vec<f64>> = (0..48)
+                .map(|j| {
+                    let task = tasks[j % tasks.len()].as_ref();
+                    mech.answer(task, &mut rng).unwrap()
+                })
+                .collect();
+            let records = mech.transcript().records().iter();
+            let rounds: Vec<usize> = records.map(|r| r.index).collect();
+            (answers, rounds, mech.updates_used())
+        };
+        let (fast, per_point) = (run(false), run(true));
+        let updates = fast.2;
+        assert!(updates > 0 && updates < fast.0.len(), "{updates} updates");
+        assert_eq!(updates, per_point.2, "updates used");
+        assert_eq!(fast.1, per_point.1, "update rounds");
+        for (j, (a, b)) in fast.0.iter().zip(&per_point.0).enumerate() {
+            for (a, b) in a.iter().zip(b) {
+                assert!((a - b).abs() <= 1e-9, "answer {j}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

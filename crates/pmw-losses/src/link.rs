@@ -10,7 +10,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFn {
     /// `φ = (z − y)²/4` — squared loss scaled so `|φ'| ≤ 1` on
-    /// `|z|, |y| ≤ 1` (the paper's 1-Lipschitz normalization).
+    /// `|z|, |y| ≤ 1` (the paper's 1-Lipschitz normalization). Its weighted
+    /// sum is quadratic in `θ`, so a
+    /// [`WeightedObjective`](crate::WeightedObjective) over it solves from
+    /// the sufficient statistics `Σw·x xᵀ`, `Σw·y·x` and `Σw·y²` instead of
+    /// passing over the points on every iteration.
     Squared,
     /// `φ = ln(1 + e^{−yz})` — logistic loss.
     Logistic,

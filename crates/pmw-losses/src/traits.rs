@@ -106,11 +106,12 @@ pub trait CmLoss: Send + Sync {
     /// `ℓ(θ; x) = φ(⟨θ, x[..dim()]⟩, y)`: a GLM's features are always the
     /// point's first [`CmLoss::dim`] coordinates. `None` for non-GLMs.
     ///
-    /// [`WeightedObjective`] computes the label of every positive-weight
-    /// point once per objective, then runs its three GLM passes (dot
-    /// products, link derivatives, accumulation) per gradient; the
-    /// dimension-independent GLM oracle (Theorem 4.3's role) projects the
-    /// features while keeping the labels fixed.
+    /// [`WeightedObjective`] reads the label of every positive-weight point
+    /// once per objective: into the sufficient statistics of a
+    /// [`LinkFn::Squared`] loss, or beside the rows its three tiled GLM
+    /// passes (dot products, link derivatives, accumulation) run over per
+    /// gradient. The dimension-independent GLM oracle (Theorem 4.3's role)
+    /// projects the features while keeping the labels fixed.
     fn glm_label(&self, _x: &[f64]) -> Option<f64> {
         None
     }
@@ -122,11 +123,12 @@ pub trait CmLoss: Send + Sync {
     /// for `r = θ₀ − t(x)` with `t(x)` the bits of the query's point route.
     ///
     /// [`WeightedObjective`] evaluates the query over all its points in one
-    /// [`PointQuery::values_at_rows`] call per objective, so a linear query
-    /// evaluates its predicate once per point instead of once per point on
-    /// every solver pass. A wrapper that changes the loss must not forward
-    /// this hook. It is not a GLM hook: [`LinkFn::Squared`] is `(z − y)²/4`,
-    /// a different normalisation, and the oracle choice and the GLM oracles
+    /// [`PointQuery::values_at_rows`] call per objective and keeps only the
+    /// sufficient statistics `Σw`, `Σw·t` and `Σw·t²`, so each solver pass
+    /// costs O(1) whatever the number of points. This is the one-feature
+    /// case of a [`LinkFn::Squared`] GLM's statistics, at scale ½ where the
+    /// squared link's `(z − y)²/4` has ¼. A wrapper that changes the loss
+    /// must not forward this hook. The oracle choice and the GLM oracles
     /// read only [`CmLoss::is_glm`], [`CmLoss::glm_link`] and
     /// [`CmLoss::glm_label`].
     fn quadratic_target(&self) -> Option<&dyn PointQuery> {
@@ -185,41 +187,71 @@ pub fn certificate_sweep(
 
 /// The averaged loss `f(θ) = Σ_i w_i·ℓ(θ; x_i)` over weighted points — the
 /// paper's `ℓ_D(θ)` with `D` a histogram, or the empirical risk with uniform
-/// weights over dataset rows.
+/// weights over dataset rows. Zero-weight points are skipped.
 ///
-/// For a GLM loss ([`CmLoss::glm_link`] and [`CmLoss::glm_label`] both
-/// `Some`) the objective gathers its positive-weight rows once, at
-/// construction: the [`PointMatrix`] itself, borrowed, when every weight is
-/// positive, otherwise a compact copy of the kept rows' features. It also
-/// computes their labels once. `gradient` then runs three passes over each
-/// tile of 64 rows in turn: the dot products `⟨θ, x_i⟩`, four points at a
-/// time; the link derivatives `φ′`; and `Σ w·(φ′·x)` in point order. So each
-/// row is read from memory once per call, however many rows there are.
-/// `value` runs the first pass per tile and sums `w·φ(⟨θ,x⟩, y)`. Widths up
-/// to 16 run kernels specialised to their width at compile time.
+/// The objective picks one of three paths once, at construction, from the
+/// loss's hooks:
 ///
-/// For a loss with a [`CmLoss::quadratic_target`] (a linear query) the
-/// objective evaluates the target query at every point in one block call,
-/// at construction, and keeps the positive-weight points' (weight, target)
-/// pairs. `gradient` and `value` are then one pass each over those pairs in
-/// point order, with the per-point path's expressions: `w·(θ₀ − t)` and
-/// `w·(0.5·r·r)` for `r = θ₀ − t`.
-///
-/// On both fast paths no float changes its order against the per-point
-/// path, so every value, gradient and solver iterate is bit-for-bit the
-/// same. Other losses go through [`CmLoss::loss`] and [`CmLoss::gradient`]
-/// per point.
+/// - **From sufficient statistics.** A GLM whose [`CmLoss::glm_link`] is
+///   [`LinkFn::Squared`] and whose kept points all have a
+///   [`CmLoss::glm_label`] sums `¼·w·(⟨θ, x⟩ − y)²`; a loss with a
+///   [`CmLoss::quadratic_target`] (a linear query) sums `½·w·(θ₀ − t(x))²`,
+///   the same form with the one feature 1 and the label `t(x)`, whose
+///   targets come from one [`PointQuery::values_at_rows`] call. Either sum
+///   is `s·(θᵀAθ − 2bᵀθ + c)` with `A = Σw·x xᵀ`, `b = Σw·y·x`, `c = Σw·y²`
+///   and `s` = ¼ or ½. One serial pass over the kept points, in point
+///   order, builds `A`, `b` and `c`; `value` and `gradient` (`2s·(Aθ − b)`)
+///   then cost O(d²) each, however many points there are. They match the
+///   per-point sums up to rounding, not bit for bit, and the expanded value
+///   cancels, so its error scales with `c` rather than with the value. If
+///   some entry of `A`, `b` or `c` is not finite (coordinates near 1e154
+///   overflow `x xᵀ`), the objective takes the path below that the loss
+///   would take without this one: the tiled passes for a squared GLM, per
+///   point for a target.
+/// - **Tiled GLM passes.** Any other GLM (a link and a label for every
+///   kept point) gathers its positive-weight rows once: the [`PointMatrix`]
+///   itself, borrowed, when every weight is positive, otherwise a compact
+///   copy of the kept rows' features. It also computes their labels once.
+///   `gradient` then runs three passes over each tile of 64 rows in turn:
+///   the dot products `⟨θ, x_i⟩`, four points at a time; the link
+///   derivatives `φ′`; and `Σ w·(φ′·x)` in point order. So each row is read
+///   from memory once per call, however many rows there are. `value` runs
+///   the first pass per tile and sums `w·φ(⟨θ,x⟩, y)`. Widths up to 16 run
+///   kernels specialised to their width at compile time. No float changes
+///   its order against the per-point path, so every value, gradient and
+///   solver iterate is bit-for-bit the same.
+/// - **Per point.** Every other loss goes through [`CmLoss::loss`] and
+///   [`CmLoss::gradient`] per point.
 pub struct WeightedObjective<'a, L: CmLoss + ?Sized> {
     loss: &'a L,
     points: &'a PointMatrix,
     weights: &'a [f64],
-    /// The GLM passes' rows and labels; `None` for non-GLM losses. Boxed to
-    /// keep the objective small for the per-point path.
-    glm: Option<Box<GlmRows<'a>>>,
-    /// `(w, t(x))` for every positive-weight row, in point order; `None`
-    /// unless the loss reports a [`CmLoss::quadratic_target`].
-    targets: Option<Vec<(f64, f64)>>,
+    path: Path<'a>,
     grad_buf: RefCell<Vec<f64>>,
+}
+
+/// How a [`WeightedObjective`] evaluates; see its documentation.
+enum Path<'a> {
+    Quadratic(Quadratic),
+    /// Boxed to keep the objective small.
+    Glm(Box<GlmRows<'a>>),
+    PerPoint,
+}
+
+impl<'a> Path<'a> {
+    fn new<L: CmLoss + ?Sized>(loss: &L, points: &'a PointMatrix, weights: &'a [f64]) -> Self {
+        let link = loss.glm_link();
+        let quadratic = match link {
+            Some(LinkFn::Squared) => Quadratic::squared_glm(loss, points, weights),
+            Some(_) => None,
+            None => Quadratic::target(loss, points, weights),
+        };
+        if let Some(quadratic) = quadratic.filter(Quadratic::is_finite) {
+            return Path::Quadratic(quadratic);
+        }
+        link.and_then(|link| GlmRows::new(loss, link, points, weights))
+            .map_or(Path::PerPoint, |rows| Path::Glm(Box::new(rows)))
+    }
 }
 
 impl<'a, L: CmLoss + ?Sized> WeightedObjective<'a, L> {
@@ -250,20 +282,11 @@ impl<'a, L: CmLoss + ?Sized> WeightedObjective<'a, L> {
                 "weights must be finite and non-negative",
             ));
         }
-        let glm = loss
-            .glm_link()
-            .and_then(|link| GlmRows::new(loss, link, points, weights))
-            .map(Box::new);
-        let targets = glm
-            .is_none()
-            .then(|| quadratic_targets(loss, points, weights))
-            .flatten();
         Ok(Self {
             loss,
             points,
             weights,
-            glm,
-            targets,
+            path: Path::new(loss, points, weights),
             grad_buf: RefCell::new(vec![0.0; loss.dim()]),
         })
     }
@@ -285,38 +308,27 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
     }
 
     fn value(&self, theta: &[f64]) -> f64 {
-        if let Some(glm) = &self.glm {
-            return glm.value(theta);
-        }
-        if let Some(targets) = &self.targets {
-            let theta = theta[0];
-            return targets
+        match &self.path {
+            Path::Quadratic(quadratic) => quadratic.value(theta),
+            Path::Glm(glm) => glm.value(theta),
+            Path::PerPoint => self
+                .points
                 .iter()
-                .map(|&(w, t)| {
-                    let r = theta - t;
-                    w * (0.5 * r * r)
-                })
-                .sum();
+                .zip(self.weights)
+                .filter(|(_, &w)| w > 0.0)
+                .map(|(x, &w)| w * self.loss.loss(theta, x))
+                .sum(),
         }
-        self.points
-            .iter()
-            .zip(self.weights)
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(x, &w)| w * self.loss.loss(theta, x))
-            .sum()
     }
 
     fn gradient(&self, theta: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        if let Some(glm) = &self.glm {
-            glm.gradient(theta, out);
+        if let Path::Quadratic(quadratic) = &self.path {
+            quadratic.gradient(theta, out);
             return;
         }
-        if let Some(targets) = &self.targets {
-            let theta = theta[0];
-            for &(w, t) in targets {
-                out[0] += w * (theta - t);
-            }
+        out.fill(0.0);
+        if let Path::Glm(glm) = &self.path {
+            glm.gradient(theta, out);
             return;
         }
         let mut buf = self.grad_buf.borrow_mut();
@@ -331,32 +343,132 @@ impl<L: CmLoss + ?Sized> Objective for WeightedObjective<'_, L> {
     }
 }
 
-/// `(w, t(x))` for every positive-weight row, in point order, when the loss
-/// reports a [`CmLoss::quadratic_target`] that evaluates every row; `None`
-/// otherwise.
-fn quadratic_targets<L: CmLoss + ?Sized>(
-    loss: &L,
-    points: &PointMatrix,
-    weights: &[f64],
-) -> Option<Vec<(f64, f64)>> {
-    if loss.dim() != 1 {
-        return None;
+/// A quadratic loss's weighted sum `s·(θᵀAθ − 2bᵀθ + c)`, from its
+/// sufficient statistics.
+struct Quadratic {
+    /// `A = Σw·x xᵀ`, `d × d`, row-major and symmetric.
+    a: Vec<f64>,
+    /// `b = Σw·y·x`.
+    b: Vec<f64>,
+    /// `c = Σw·y²`.
+    c: f64,
+    /// `s`: ¼ for [`LinkFn::Squared`], ½ for a target.
+    scale: f64,
+}
+
+impl Quadratic {
+    /// A squared-link GLM over its kept rows: features `x[..d]`, label
+    /// [`CmLoss::glm_label`]. `None` for a zero-width loss, or when some
+    /// kept row has no label.
+    fn squared_glm<L: CmLoss + ?Sized>(
+        loss: &L,
+        points: &PointMatrix,
+        weights: &[f64],
+    ) -> Option<Self> {
+        let d = loss.dim();
+        if d == 0 {
+            return None;
+        }
+        let kept = points.iter().zip(weights).filter(|(_, &w)| w > 0.0);
+        let rows = kept.map(|(x, &w)| Some((w, &x[..d], loss.glm_label(x)?)));
+        Self::build(d, 0.25, rows)
     }
-    let query = loss.quadratic_target()?;
-    let mut values = vec![0.0; points.len()];
-    query
-        .values_at_rows(None, points.as_flat(), points.dim(), &mut values)
-        .ok()?;
-    let kept = weights
-        .iter()
-        .copied()
-        .zip(values)
-        .filter(|&(w, _)| w > 0.0);
-    // Sized before it is filled: an unsized `collect` reallocates as it
-    // grows, which read in serve-linear's latency.
-    let mut targets = Vec::with_capacity(weights.iter().filter(|&&w| w > 0.0).count());
-    targets.extend(kept);
-    Some(targets)
+
+    /// A loss with a [`CmLoss::quadratic_target`] over its kept rows: the
+    /// feature 1, the label the target. `None` unless the loss reports a
+    /// target over a one-dimensional `θ` that evaluates every row.
+    fn target<L: CmLoss + ?Sized>(loss: &L, points: &PointMatrix, weights: &[f64]) -> Option<Self> {
+        if loss.dim() != 1 {
+            return None;
+        }
+        let query = loss.quadratic_target()?;
+        let mut targets = vec![0.0; points.len()];
+        query
+            .values_at_rows(None, points.as_flat(), points.dim(), &mut targets)
+            .ok()?;
+        let kept = weights.iter().zip(&targets).filter(|(&w, _)| w > 0.0);
+        Self::build(1, 0.5, kept.map(|(&w, &t)| Some((w, &[1.0][..], t))))
+    }
+
+    /// The statistics of `(w, x, y)` rows with `d` features, summed in row
+    /// order, at scale `s`; `None` if some row is.
+    fn build<'r>(
+        d: usize,
+        scale: f64,
+        rows: impl Iterator<Item = Option<(f64, &'r [f64], f64)>>,
+    ) -> Option<Self> {
+        macro_rules! fixed {
+            ($($w:literal)*) => {
+                match d {
+                    $($w => add_fixed::<$w>,)*
+                    _ => add,
+                }
+            };
+        }
+        let add: fn(&mut Self, f64, &[f64], f64) = fixed!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        let mut quadratic = Self {
+            a: vec![0.0; d * d],
+            b: vec![0.0; d],
+            c: 0.0,
+            scale,
+        };
+        for row in rows {
+            let (w, x, y) = row?;
+            add(&mut quadratic, w, x, y);
+        }
+        // Copy the upper triangle onto the lower.
+        for i in 0..d {
+            for j in 0..i {
+                quadratic.a[i * d + j] = quadratic.a[j * d + i];
+            }
+        }
+        Some(quadratic)
+    }
+
+    fn is_finite(&self) -> bool {
+        self.c.is_finite() && vecmath::all_finite(&self.a) && vecmath::all_finite(&self.b)
+    }
+
+    /// `s·(Σ_i θ_i·((Aθ)_i − 2b_i) + c)`.
+    fn value(&self, theta: &[f64]) -> f64 {
+        let rows = self.a.chunks_exact(theta.len()).zip(&self.b);
+        let quadratic: f64 = rows
+            .zip(theta)
+            .map(|((row, &b), &t)| t * (vecmath::dot(row, theta) - 2.0 * b))
+            .sum();
+        self.scale * (quadratic + self.c)
+    }
+
+    /// `2s·(Aθ − b)`.
+    fn gradient(&self, theta: &[f64], out: &mut [f64]) {
+        let rows = self.a.chunks_exact(theta.len()).zip(&self.b);
+        for (o, (row, &b)) in out.iter_mut().zip(rows) {
+            *o = 2.0 * self.scale * (vecmath::dot(row, theta) - b);
+        }
+    }
+}
+
+/// Add `w·x xᵀ` to the upper triangle of `A`, `w·y·x` to `b` and `w·y²` to
+/// `c`, over `d = x.len()` features.
+#[inline(always)]
+fn add(quadratic: &mut Quadratic, w: f64, x: &[f64], y: f64) {
+    let d = x.len();
+    for i in 0..d {
+        let wx = w * x[i];
+        let row = &mut quadratic.a[i * d..][..d];
+        for j in i..d {
+            row[j] += wx * x[j];
+        }
+        quadratic.b[i] += wx * y;
+    }
+    quadratic.c += w * y * y;
+}
+
+/// [`add`] with the width a compile-time constant, so its loops unroll:
+/// at `d = 10` over 1,024 rows the build takes half the time.
+fn add_fixed<const D: usize>(quadratic: &mut Quadratic, w: f64, x: &[f64], y: f64) {
+    let x: &[f64; D] = x.try_into().expect("one coordinate per feature");
+    add(quadratic, w, x, y);
 }
 
 /// Rows per tile. The GLM passes run one tile at a time, so each row is read
@@ -806,7 +918,6 @@ mod tests {
 
             let mut cases: Vec<(Box<dyn CmLoss>, &PointMatrix)> = Vec::new();
             for link in [
-                LinkFn::Squared,
                 LinkFn::Logistic,
                 LinkFn::Hinge,
                 LinkFn::Absolute,
@@ -814,14 +925,20 @@ mod tests {
             ] {
                 cases.push((Box::new(GlmLoss::new(link, d).unwrap()), &labeled));
             }
-            for link in [LinkFn::Squared, LinkFn::Huber { delta: 0.3 }] {
-                let task = TargetLoss::regression(dir.clone(), link).unwrap();
-                cases.push((Box::new(task), &unlabeled));
-            }
+            let task = TargetLoss::regression(dir.clone(), LinkFn::Huber { delta: 0.3 });
+            cases.push((Box::new(task.unwrap()), &unlabeled));
             for link in [LinkFn::Logistic, LinkFn::Hinge] {
                 let task = TargetLoss::classification(dir.clone(), link).unwrap();
                 cases.push((Box::new(task), &unlabeled));
             }
+            // Squared links solve from their statistics instead.
+            let squared = GlmLoss::new(LinkFn::Squared, d).unwrap();
+            let ones = vec![1.0; len];
+            let squared = WeightedObjective::new(&squared, &labeled, &ones).unwrap();
+            assert!(
+                matches!(squared.path, Path::Quadratic(_)),
+                "squared, d = {d}"
+            );
 
             let layouts = weight_layouts(len, &mut uniform);
             let thetas = [vec![0.0; d], uniform(d, -0.3, 0.3), uniform(d, -0.9, 0.9)];
@@ -836,9 +953,11 @@ mod tests {
                         PointMatrix::from_flat(rows.row_block(0, *n).to_vec(), rows.dim()).unwrap();
                     let fused = WeightedObjective::new(loss.as_ref(), &pts, w).unwrap();
                     let per_point = WeightedObjective::new(&per_point_loss, &pts, w).unwrap();
-                    let glm = fused.glm.as_ref().expect("GLM objective");
+                    let Path::Glm(glm) = &fused.path else {
+                        panic!("{name}, d = {d}: not on the tiled passes");
+                    };
                     let case = format!("{name}, d = {d}, {} of {n} rows kept", glm.labels.len());
-                    assert!(per_point.glm.is_none(), "{case}");
+                    assert!(matches!(per_point.path, Path::PerPoint), "{case}");
                     let borrowed = matches!(glm.rows, Cow::Borrowed(_));
                     assert_eq!(borrowed, w.iter().all(|&w| w > 0.0), "{case}");
                     covered.insert((borrowed, glm.labels.len() % 4));
@@ -852,11 +971,88 @@ mod tests {
         assert_eq!(covered.len(), 8, "{covered:?}");
     }
 
+    /// The bound the quadratic path keeps to against the per-point path:
+    /// `|fast − per-point| ≤ QUADRATIC_TOLERANCE·(1 + |per-point|)`.
+    const QUADRATIC_TOLERANCE: f64 = 1e-12;
+
+    /// `a` is within [`QUADRATIC_TOLERANCE`] of the per-point `b`.
+    fn assert_near(a: f64, b: f64, what: &str) {
+        let gap = (a - b).abs();
+        assert!(
+            gap <= QUADRATIC_TOLERANCE * (1.0 + b.abs()),
+            "{what}: {a} vs per-point {b} ({gap:e} apart)"
+        );
+    }
+
+    /// `fast` takes the quadratic path and `per_point` the per-point one,
+    /// and their values, gradients, 60-iteration minimizers and reported
+    /// minima agree within [`QUADRATIC_TOLERANCE`].
+    fn assert_near_per_point<L: CmLoss + ?Sized, P: CmLoss + ?Sized>(
+        fast: &WeightedObjective<'_, L>,
+        per_point: &WeightedObjective<'_, P>,
+        thetas: &[Vec<f64>],
+        case: &str,
+    ) {
+        assert!(matches!(fast.path, Path::Quadratic(_)), "{case}");
+        assert!(matches!(per_point.path, Path::PerPoint), "{case}");
+        for theta in thetas {
+            let at = format!("{case}, θ = {theta:?}");
+            assert_near(fast.value(theta), per_point.value(theta), &at);
+            let (g, h) = (fast.gradient_vec(theta), per_point.gradient_vec(theta));
+            for (g, h) in g.into_iter().zip(h) {
+                assert_near(g, h, &format!("{at}: gradient"));
+            }
+        }
+        let (a, b) = (fast.solve(60).unwrap(), per_point.solve(60).unwrap());
+        for (a, b) in a.theta.iter().zip(&b.theta) {
+            assert_near(*a, *b, &format!("{case}: minimizer"));
+        }
+        assert_near(a.value, b.value, &format!("{case}: minimum"));
+    }
+
     #[test]
-    fn target_pass_is_bit_identical_to_the_per_point_path() {
+    fn quadratic_path_matches_the_per_point_path() {
+        use crate::catalog::TargetLoss;
+        use crate::glm::GlmLoss;
         use crate::linear_query::{LinearQueryLoss, PointPredicate};
 
-        let mut uniform = uniform_source(29);
+        let mut uniform = uniform_source(17);
+        let len = 2 * TILE + 4;
+        for d in [1, 3, 4, 10, 16, 17, 33] {
+            // Features in [-0.6, 0.6]; the labeled rows' last coordinate
+            // is the label.
+            let labeled = matrix((0..len).map(|_| uniform(d + 1, -0.6, 0.6)).collect());
+            let unlabeled = matrix((0..len).map(|_| uniform(d, -0.6, 0.6)).collect());
+            let task = TargetLoss::regression(uniform(d, -1.0, 1.0), LinkFn::Squared).unwrap();
+            let cases: [(Box<dyn CmLoss>, &PointMatrix); 2] = [
+                (
+                    Box::new(GlmLoss::new(LinkFn::Squared, d).unwrap()),
+                    &labeled,
+                ),
+                (Box::new(task), &unlabeled),
+            ];
+            let layouts = weight_layouts(len, &mut uniform);
+            let thetas = [vec![0.0; d], uniform(d, -0.3, 0.3), uniform(d, -0.9, 0.9)];
+            for (loss, rows) in &cases {
+                let hidden = PerPoint {
+                    inner: loss.as_ref(),
+                    nan_bound: false,
+                };
+                for (n, w) in &layouts {
+                    let pts =
+                        PointMatrix::from_flat(rows.row_block(0, *n).to_vec(), rows.dim()).unwrap();
+                    let fast = WeightedObjective::new(loss.as_ref(), &pts, w).unwrap();
+                    let per_point = WeightedObjective::new(&hidden, &pts, w).unwrap();
+                    let case = format!(
+                        "{} on {} columns, d = {d}, {n} rows",
+                        loss.name(),
+                        rows.dim()
+                    );
+                    assert_near_per_point(&fast, &per_point, &thetas, &case);
+                }
+            }
+        }
+
         let (len, p) = (2 * TILE + 4, 6);
         // Coordinates in [0, 1], so every predicate splits the rows.
         let rows = matrix((0..len).map(|_| uniform(p, 0.0, 1.0)).collect());
@@ -891,35 +1087,90 @@ mod tests {
                 inner: &loss,
                 nan_bound: false,
             };
+            let targets: Vec<f64> = rows.iter().map(|x| loss.query().evaluate(x)).collect();
+            let case = format!("{:?}", loss.query().predicate());
+            assert!(targets.contains(&0.0) && targets.contains(&1.0), "{case}");
+            if matches!(loss.query().predicate(), PointPredicate::Linear { .. }) {
+                let inside = targets.iter().any(|&t| t > 0.0 && t < 1.0);
+                assert!(inside, "{case}: no target inside (0, 1)");
+            }
             for (n, w) in &layouts {
                 let pts = PointMatrix::from_flat(rows.row_block(0, *n).to_vec(), p).unwrap();
                 let fast = WeightedObjective::new(&loss, &pts, w).unwrap();
                 let per_point = WeightedObjective::new(&hidden, &pts, w).unwrap();
-                let kept = w.iter().filter(|&&w| w > 0.0).count();
-                let predicate = loss.query().predicate();
-                let case = format!("{predicate:?}, {kept} of {n} rows kept");
-                let targets = fast.targets.as_ref().expect("target objective");
-                assert_eq!(targets.len(), kept, "{case}");
-                assert!(
-                    per_point.targets.is_none() && per_point.glm.is_none(),
-                    "{case}"
-                );
-                for t in [0.0, 1.0] {
-                    assert!(
-                        targets.iter().any(|&(_, x)| x == t),
-                        "{case}: no target {t}"
-                    );
-                }
-                if matches!(predicate, PointPredicate::Linear { .. }) {
-                    let inside = targets.iter().any(|&(_, t)| t > 0.0 && t < 1.0);
-                    assert!(inside, "{case}: no target inside (0, 1)");
-                }
-                assert_same_bits(&fast, &per_point, &thetas, &case);
-                let (a, b) = (fast.solve(60).unwrap(), per_point.solve(60).unwrap());
-                assert_eq!(bits(&a.theta), bits(&b.theta), "{case}: minimizer");
-                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{case}: minimum");
+                let case = format!("{case}, {n} rows");
+                assert_near_per_point(&fast, &per_point, &thetas, &case);
             }
         }
+    }
+
+    /// Statistics that overflow leave the quadratic path for the one the
+    /// loss takes without it, with the per-point bits: a squared GLM's
+    /// `x xᵀ` at ±1e200 coordinates goes to the tiled passes, and a linear
+    /// query whose targets include NaN (±`f64::MAX` coordinates under
+    /// weights above 1) goes per point.
+    #[test]
+    fn overflowing_statistics_fall_back_to_the_per_point_bits() {
+        use crate::catalog::TargetLoss;
+        use crate::glm::GlmLoss;
+        use crate::linear_query::{LinearQueryLoss, PointPredicate};
+
+        let big = |v: f64| if v < 0.0 { -1e200 } else { 1e200 };
+        let mut uniform = uniform_source(61);
+        let d = 3;
+        let mut rows: Vec<Vec<f64>> = (0..12).map(|_| uniform(d + 1, -0.6, 0.6)).collect();
+        for row in rows.iter_mut().step_by(3) {
+            row[..d].iter_mut().for_each(|v| *v = big(*v));
+        }
+        let labeled = matrix(rows.clone());
+        let unlabeled = matrix(rows.iter().map(|r| r[..d].to_vec()).collect());
+        let squared: [(Box<dyn CmLoss>, &PointMatrix); 2] = [
+            (
+                Box::new(GlmLoss::new(LinkFn::Squared, d).unwrap()),
+                &labeled,
+            ),
+            (
+                Box::new(TargetLoss::regression(uniform(d, -1.0, 1.0), LinkFn::Squared).unwrap()),
+                &unlabeled,
+            ),
+        ];
+        let weights = uniform(rows.len(), 0.1, 1.1);
+        // Finite per-point values and gradients: ⟨θ, x⟩ stays below ~1.
+        let thetas = [vec![0.0; d], vec![1e-201, -2e-201, 3e-201]];
+        for (loss, pts) in &squared {
+            let hidden = PerPoint {
+                inner: loss.as_ref(),
+                nan_bound: false,
+            };
+            let fast = WeightedObjective::new(loss.as_ref(), pts, &weights).unwrap();
+            let per_point = WeightedObjective::new(&hidden, pts, &weights).unwrap();
+            assert!(matches!(fast.path, Path::Glm(_)), "{}", loss.name());
+            assert_same_bits(&fast, &per_point, &thetas, loss.name());
+            assert!(fast.gradient_vec(&thetas[0]).iter().all(|g| g.is_finite()));
+        }
+
+        let pts = matrix(vec![
+            vec![f64::MAX, f64::MAX],
+            vec![0.2, 0.7],
+            vec![-f64::MAX, 0.4],
+        ]);
+        let loss = LinearQueryLoss::new(
+            PointPredicate::Linear {
+                weights: vec![1.5, -1.5],
+                offset: 0.5,
+            },
+            2,
+        )
+        .unwrap();
+        assert!(loss.query().evaluate(pts.row(0)).is_nan());
+        let hidden = PerPoint {
+            inner: &loss,
+            nan_bound: false,
+        };
+        let fast = WeightedObjective::new(&loss, &pts, &[0.5, 0.3, 0.2]).unwrap();
+        let per_point = WeightedObjective::new(&hidden, &pts, &[0.5, 0.3, 0.2]).unwrap();
+        assert!(matches!(fast.path, Path::PerPoint));
+        assert_same_bits(&fast, &per_point, &[vec![0.25], vec![0.75]], "linear");
     }
 
     /// `LinearQueryLoss::certificate_batch` writes the bits of the default
