@@ -289,6 +289,12 @@ fn measure_mechanism<P: Probe>(
 
     let mut answers = 0usize;
     let mut elapsed_ns = 0u128;
+    // The least pool ESS after any answer, from the backend's own health
+    // snapshot, read outside the timed span. The per-size rows run no
+    // cadence resample, so their pool changes only when a round is
+    // recorded and this is the least post-record ESS; with zero update
+    // rounds the pool is untouched and its full size is the honest figure.
+    let mut ess_min = mech.state().pool_size() as f64;
     for q in 0..queries {
         let loss = LinearQueryLoss::new(
             PointPredicate::Conjunction {
@@ -307,25 +313,15 @@ fn measure_mechanism<P: Probe>(
             Err(PmwError::Halted) => break,
             Err(e) => panic!("mechanism answer failed: {e}"),
         }
+        ess_min = ess_min.min(mech.state().health().ess);
     }
     let per_answer_ns = elapsed_ns as f64 / answers.max(1) as f64;
-    let state = mech.state();
     let columns = vec![
         ("mechanism_per_answer_ns", per_answer_ns.into()),
         ("mechanism_answers", answers.into()),
         ("mechanism_updates", mech.updates_used().into()),
         ("mechanism_support_rows", support.into()),
-        // Pool health from the backend's own monitor: the least ESS seen
-        // (min_ess starts at +inf; with zero update rounds the pool is
-        // untouched, so its full size is the honest, finite figure), and
-        // how often the robustness machinery fired (adaptive resamples on
-        // ESS collapse, escalations on unusable claimed radii).
-        (
-            "ess_min",
-            state.min_ess().min(state.pool_size() as f64).into(),
-        ),
-        ("adaptive_resamples", state.adaptive_resamples().into()),
-        ("escalations", state.escalations().into()),
+        ("ess_min", ess_min.into()),
     ];
     (per_answer_ns, columns)
 }

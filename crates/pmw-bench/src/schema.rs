@@ -76,8 +76,6 @@ const SUBLINEAR: Columns = &[
     ("sizes.mechanism_support_rows", Positive),
     ("sizes.mechanism_updates", NonNegative),
     ("sizes.ess_min", NonNegative),
-    ("sizes.adaptive_resamples", NonNegative),
-    ("sizes.escalations", NonNegative),
     ("long_horizon.per_round_ns_flat", Positive),
     ("long_horizon.per_round_ns_uncompacted", Positive),
     ("long_horizon.compactions", NonNegative),
@@ -290,8 +288,8 @@ fn require_rows(doc: &Json, rows_key: &str, key: &str, names: &[&str]) -> Result
 }
 
 /// Validate `BENCH_runtime.json`: its columns, the `dense`/`sampled`
-/// backend rows, a free-answer row for each of [`FREE_ANSWER_KINDS`] from
-/// at least [`FREE_ANSWER_MIN_TRIALS`] trials, and a `threads_axis` of the
+/// backend rows, a free-answer row for each of `FREE_ANSWER_KINDS` from
+/// at least `FREE_ANSWER_MIN_TRIALS` trials, and a `threads_axis` of the
 /// serial baseline plus at least one multi-worker count, one
 /// `thread_scaling` row each. With `smoke: false`, every count up to
 /// `machine_threads` runs at least [`THREAD_SPEEDUP_FLOOR`]× the serial
@@ -682,7 +680,7 @@ mod tests {
              "speedup_vs_dense_extrapolation": 3.3,
              "mechanism_per_answer_ns": 2500000.0, "mechanism_answers": 24,
              "mechanism_updates": 2, "mechanism_support_rows": 1987,
-             "ess_min": 113.5, "adaptive_resamples": 1, "escalations": 0,
+             "ess_min": 113.5,
              "answer_error_mean": 0.001, "answer_error_max": 0.004,
              "claimed_radius_mean": 0.02,
              "realized_err_mean": 0.001, "envelope_radius_mean": 0.9,
@@ -733,12 +731,11 @@ mod tests {
         // The calibration columns are part of the contract too.
         let no_cal = json.replace("\"realized_err_mean\": 0.001,", "");
         assert!(validate_bench_sublinear(&no_cal).is_err());
-        // ... as are the pool-health columns.
+        // ... as is the pool-health column, which must not read negative.
         let no_health = json.replace("\"ess_min\": 113.5,", "");
         assert!(validate_bench_sublinear(&no_health).is_err());
-        let negative_resamples =
-            json.replace("\"adaptive_resamples\": 1,", "\"adaptive_resamples\": -1,");
-        assert!(validate_bench_sublinear(&negative_resamples).is_err());
+        let negative_ess = json.replace("\"ess_min\": 113.5,", "\"ess_min\": -1.0,");
+        assert!(validate_bench_sublinear(&negative_ess).is_err());
         let no_wins = json.replace("\"radius_wins_ess\": 20,", "");
         assert!(validate_bench_sublinear(&no_wins).is_err());
         // ... and so is the long-horizon axis: the t_axis array, one row
@@ -775,7 +772,7 @@ mod tests {
              "speedup_vs_dense_extrapolation": 3.3,
              "mechanism_per_answer_ns": 2500000.0, "mechanism_answers": 24,
              "mechanism_updates": 2, "mechanism_support_rows": 1987,
-             "ess_min": 113.5, "adaptive_resamples": 1, "escalations": 0,
+             "ess_min": 113.5,
              "answer_error_mean": 0.001, "answer_error_max": 0.004,
              "claimed_radius_mean": 0.02,
              "realized_err_mean": 0.001, "envelope_radius_mean": 0.9,
@@ -828,7 +825,7 @@ mod tests {
              "speedup_vs_dense_extrapolation": 3.3,
              "mechanism_per_answer_ns": 2500000.0, "mechanism_answers": 24,
              "mechanism_updates": 2, "mechanism_support_rows": 1987,
-             "ess_min": 113.5, "adaptive_resamples": 1, "escalations": 0,
+             "ess_min": 113.5,
              "answer_error_mean": 0.009, "answer_error_max": 0.04,
              "claimed_radius_mean": CLAIMED,
              "realized_err_mean": 0.009, "envelope_radius_mean": 6.0,

@@ -115,9 +115,8 @@ pub struct LinearPmw<B: StateBackend = DenseBackend> {
     updates_used: usize,
     accountant: Accountant,
     halted: bool,
-    /// Backend self-maintenance events (adaptive resamples, escalation
-    /// rungs), drained after each update round; rolled-back rounds report
-    /// nothing.
+    /// Backend maintenance events (compactions, rolled-back rounds),
+    /// drained after each round.
     backend_events: Vec<BackendEvent>,
 }
 
@@ -273,10 +272,9 @@ impl<B: StateBackend> LinearPmw<B> {
                 if self.sv.has_halted() {
                     self.halted = true;
                 }
-                // Self-maintaining backends report what the round did
-                // (adaptive resample, escalation). Failed transactional
-                // rounds preserve their events across the rollback and
-                // close them with a `RoundRolledBack` marker.
+                // Self-maintaining backends report what the round did: a
+                // compaction, or a `RoundRolledBack` marker when a
+                // transactional round failed.
                 self.backend_events.extend(self.state.take_events());
                 match applied {
                     Ok(measured) => measured,
@@ -323,8 +321,8 @@ impl<B: StateBackend> LinearPmw<B> {
         &self.accountant
     }
 
-    /// Backend self-maintenance events drained so far (adaptive
-    /// resamples, escalation rungs), in occurrence order.
+    /// Backend maintenance events drained so far (compactions, rolled-back
+    /// rounds), in occurrence order.
     pub fn backend_events(&self) -> &[BackendEvent] {
         &self.backend_events
     }
@@ -354,9 +352,8 @@ pub struct MwemRun<B> {
     /// The privacy ledger: one exponential-mechanism and one Laplace entry
     /// per round, auditable against the declared `ε`.
     pub accountant: Accountant,
-    /// Backend self-maintenance events (adaptive resamples, escalation
-    /// rungs) drained after each round, in occurrence order. Empty on
-    /// exact backends.
+    /// Backend maintenance events (compactions) drained after each round,
+    /// in occurrence order. Empty on exact backends.
     pub backend_events: Vec<BackendEvent>,
 }
 
@@ -535,10 +532,8 @@ impl Mwem {
                 let applied =
                     state.apply_query_update(queries[idx], retained, coeff, 1.0, points, rng);
                 probe.span_end(Phase::Update);
-                // Drain before propagating a failure: a transactional
-                // backend preserves the escalations that caused the
-                // failure across its rollback, and they must reach the
-                // run's event log even when the round errors out.
+                // Drained on every round, a failed one included, so the
+                // backend's queue never carries a round's events past it.
                 backend_events.extend(state.take_events());
                 applied?;
                 // Post-update estimates: next round's scores, and — on the

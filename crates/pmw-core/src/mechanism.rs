@@ -379,10 +379,11 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
     /// round span per query with [`Phase::HypothesisSolve`],
     /// [`Phase::ErrorQuery`], [`Phase::SvScreen`] and (on `⊤` rounds)
     /// [`Phase::OracleSolve`]/[`Phase::Update`] sub-spans, the screened
-    /// margin and budget gauges, and retry/outcome counters. `answer`
-    /// itself delegates here with the [`NoopProbe`], which compiles the
-    /// instrumentation away — probe-off rng streams are bit-for-bit those
-    /// of the uninstrumented mechanism.
+    /// margin and budget gauges, and the [`Counter::FreeAnswers`],
+    /// [`Counter::UpdateRounds`] and [`Counter::FailedRounds`] counters.
+    /// `answer` itself delegates here with the [`NoopProbe`], which
+    /// compiles the instrumentation away — probe-off rng streams are
+    /// bit-for-bit those of the uninstrumented mechanism.
     pub fn answer_with_probe<P: Probe>(
         &mut self,
         loss: &dyn CmLoss,
@@ -580,12 +581,10 @@ impl<O: ErmOracle, B: StateBackend> OnlinePmw<O, B> {
             Err(e) => Err(e),
         };
         probe.span_end(Phase::Update);
-        // Backends with self-maintenance (adaptive resamples, escalation
-        // rungs) report what they did during the update. Failed rounds
-        // report too: a transactional backend preserves the escalations
-        // that caused the failure across its rollback and closes them
-        // with a `RoundRolledBack` marker, so the transcript keeps the
-        // cause of every `Degraded` error.
+        // Backends with self-maintenance report what they did during the
+        // update: a compaction, or a `RoundRolledBack` marker when a
+        // transactional round failed, so the transcript records the
+        // rollback beside the failed round.
         let events = self.state.take_events();
         if !events.is_empty() {
             self.transcript.record_backend_events(events);
@@ -1174,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_retries_keep_the_burned_round_behavior() {
+    fn one_failed_oracle_call_burns_its_round() {
         // One oracle call per round: a flaky oracle's single failure burns
         // its slot, although a second call would have succeeded.
         let mut rng = StdRng::seed_from_u64(136);

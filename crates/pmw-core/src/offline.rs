@@ -31,9 +31,8 @@ pub struct OfflineResult {
     pub answers: Vec<Vec<f64>>,
     /// Which loss was selected for measurement each round.
     pub selected: Vec<usize>,
-    /// Backend self-maintenance events (adaptive resamples, escalation
-    /// rungs) drained after each round, in occurrence order. Empty on
-    /// exact backends.
+    /// Backend maintenance events (compactions) drained after each round,
+    /// in occurrence order. Empty on exact backends.
     pub backend_events: Vec<BackendEvent>,
 }
 
@@ -168,10 +167,8 @@ impl<O: ErmOracle> OfflinePmw<O> {
                 None,
                 rng,
             );
-            // Drain before propagating a failure: a transactional
-            // backend preserves the escalations that caused the
-            // failure across its rollback, and they must reach the
-            // run's event log even when the round errors out.
+            // Drained on every round, a failed one included, so the
+            // backend's queue never carries a round's events past it.
             backend_events.extend(state.take_events());
             applied?;
         }

@@ -71,41 +71,14 @@ pub(crate) fn eval_query_on_histogram(
     Ok(value)
 }
 
-/// A health-maintenance action a state backend took on its own initiative
-/// while applying a round — pool refreshes triggered by measured health
-/// rather than the fixed cadence, and escalation-ladder rungs climbed to
-/// keep claimed read radii usable. The mechanisms drain these through
-/// [`StateBackend::take_events`] after every applied round and record them
-/// in the [`Transcript`](crate::Transcript), so a run's degradation
-/// history is observable without reaching into backend internals.
+/// A maintenance action a state backend took on its own while applying a
+/// round: a log compaction, or the rollback of a round that failed. The
+/// mechanisms drain these through [`StateBackend::take_events`] after
+/// every applied round and record them in the
+/// [`Transcript`](crate::Transcript), so a run's maintenance history is
+/// observable without reaching into backend internals.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendEvent {
-    /// The pool's effective sample size fell below the configured floor
-    /// and the backend refreshed the pool outside its fixed cadence.
-    AdaptiveResample {
-        /// Recorded round (0-based) after which the refresh fired.
-        round: usize,
-        /// Effective sample size measured before the refresh.
-        ess: f64,
-        /// The configured ESS-fraction floor that was violated.
-        floor: f64,
-    },
-    /// A read's claimed radius exceeded the usable threshold and the
-    /// backend performed an emergency refresh (escalation rung 1).
-    EmergencyResample {
-        /// Recorded round (0-based) at which the ladder fired.
-        round: usize,
-        /// The claimed read radius that triggered the escalation.
-        radius: f64,
-    },
-    /// The emergency refresh was not enough and the backend grew its pool
-    /// (escalation rung 2).
-    PoolGrowth {
-        /// Recorded round (0-based) at which the growth happened.
-        round: usize,
-        /// Pool size after growing.
-        new_size: usize,
-    },
     /// The backend folded the old prefix of its update log into a
     /// log-weight checkpoint ([`CompactionPolicy`] fired). Lossless for
     /// checkpointed pool points; any fresh candidate drawn later pays the
@@ -122,33 +95,19 @@ pub enum BackendEvent {
         /// Total drift envelope `Σ η·S` of **all** folded rounds so far.
         folded_drift: f64,
     },
-    /// The round's state change was rolled back after a post-round
-    /// failure (e.g. the escalation ladder exhausted itself and the
-    /// backend reported `Degraded`). Events preceding this one in the
-    /// same drain describe what was attempted *before* the rollback.
+    /// The round's state change was rolled back after a failure inside
+    /// the round (e.g. a pool refresh read a non-finite point).
     RoundRolledBack {
-        /// Recorded round (0-based) that was rolled back.
+        /// The round that was rolled back, counting recorded rounds from 1.
         round: usize,
     },
 }
 
 impl std::fmt::Display for BackendEvent {
     /// One-line event summary, e.g.
-    /// `round 7: adaptive resample (ESS 12.3 < floor 25%)`.
+    /// `round 7: rolled back after a failure inside the round`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendEvent::AdaptiveResample { round, ess, floor } => write!(
-                f,
-                "round {round}: adaptive resample (ESS {ess:.1} < floor {:.1}%)",
-                floor * 100.0
-            ),
-            BackendEvent::EmergencyResample { round, radius } => write!(
-                f,
-                "round {round}: emergency resample (claimed radius {radius:.4} unusable)"
-            ),
-            BackendEvent::PoolGrowth { round, new_size } => {
-                write!(f, "round {round}: pool grown to {new_size}")
-            }
             BackendEvent::Compaction {
                 round,
                 folded_rounds,
@@ -160,7 +119,10 @@ impl std::fmt::Display for BackendEvent {
                  {checkpoint_points}-point checkpoint (folded drift {folded_drift:.3})"
             ),
             BackendEvent::RoundRolledBack { round } => {
-                write!(f, "round {round}: rolled back after post-round failure")
+                write!(
+                    f,
+                    "round {round}: rolled back after a failure inside the round"
+                )
             }
         }
     }
@@ -404,11 +366,11 @@ pub trait StateBackend {
         false
     }
 
-    /// Drain the health-maintenance events accumulated since the last
-    /// drain ([`BackendEvent`]): adaptive refreshes, emergency refreshes,
-    /// pool growths. Backends without self-maintenance return nothing
-    /// (the default). The mechanisms call this after every applied round
-    /// and push the events into their transcript.
+    /// Drain the maintenance events accumulated since the last drain
+    /// ([`BackendEvent`]): compactions and rolled-back rounds. Backends
+    /// without self-maintenance return nothing (the default). The
+    /// mechanisms call this after every applied round and push the events
+    /// into their transcript.
     fn take_events(&mut self) -> Vec<BackendEvent> {
         Vec::new()
     }

@@ -81,10 +81,10 @@ impl Transcript {
         &self.records
     }
 
-    /// Health-maintenance events the state backend reported while rounds
-    /// were applied (adaptive/emergency refreshes, pool growths), in the
-    /// order they fired. Empty for exact backends and for sketched
-    /// backends whose health knobs are disabled.
+    /// Maintenance events the state backend reported while rounds were
+    /// applied (compactions, rolled-back rounds), in the order they fired.
+    /// Empty for exact backends, and for sketched backends that never
+    /// compact and never fail a round.
     pub fn backend_events(&self) -> &[crate::state::BackendEvent] {
         &self.backend_events
     }

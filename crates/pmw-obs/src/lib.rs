@@ -3,7 +3,7 @@
 //! The mechanisms and sketch backends expose their run-time signals —
 //! per-phase latency, per-round ε/δ spend, sparse-vector margins, claimed
 //! concentration radii and the bound that won them, effective-sample-size
-//! health, resamples/escalations — through one narrow seam: the
+//! health, resamples and compactions — through one narrow seam: the
 //! [`Probe`] trait. Every instrumented loop is generic over a
 //! `P: Probe`, and the default [`NoopProbe`] is a zero-sized type whose
 //! methods are empty and inline to nothing, so **probe-off builds are

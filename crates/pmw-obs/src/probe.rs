@@ -29,7 +29,7 @@ pub enum Phase {
     /// candidate while recording an update.
     PoolSweep,
     /// `O(m·t·d)` log replay: re-weighting a fresh pool through the whole
-    /// update log during a resample or pool growth.
+    /// update log during a resample.
     LogReplay,
     /// A mean/query estimate read off the sketched state.
     Estimate,
@@ -174,13 +174,17 @@ impl std::fmt::Display for Gauge {
 /// A monotone event count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Counter {
-    /// Scheduled (fixed-cadence) pool resamples.
+    /// Pool resamples, fixed-cadence and manual.
     Resamples,
-    /// ESS-floor-triggered adaptive resamples.
+    /// ESS-floor-triggered adaptive resamples. No backend emits it (pools
+    /// refresh only on their fixed cadence); it stays so v1 traces that
+    /// carry it parse.
     AdaptiveResamples,
-    /// Escalation rung 1: emergency resamples on an unusable radius.
+    /// Emergency resamples on an unusable radius. No backend emits it;
+    /// it stays so v1 traces that carry it parse.
     EmergencyResamples,
-    /// Escalation rung 2: pool growths.
+    /// Pool growths. No backend emits it (a pool keeps its construction
+    /// size); it stays so v1 traces that carry it parse.
     PoolGrowths,
     /// Private-oracle re-solves. No mechanism emits it (each update round
     /// calls the oracle once); it stays so v1 traces that carry it parse.
@@ -192,6 +196,8 @@ pub enum Counter {
     /// Rounds that failed (the error surfaced to the caller).
     FailedRounds,
     /// Failed rounds whose state change was rolled back transactionally.
+    /// Nothing emits it (a rollback is a `BackendEvent` in the
+    /// mechanism's transcript); it stays so v1 traces that carry it parse.
     RolledBackRounds,
     /// Update-log compaction folds (checkpoints taken).
     Compactions,

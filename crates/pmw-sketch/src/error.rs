@@ -22,10 +22,6 @@ pub enum SketchError {
     UnsupportedLoss(&'static str),
     /// A numeric invariant failed (non-finite payoff or weight).
     NonFinite(&'static str),
-    /// The backend's claimed accuracy has degraded past the configured
-    /// usable threshold and the escalation ladder (emergency resample,
-    /// pool growth) could not recover it. Loud by design.
-    Degraded(&'static str),
     /// A round failed mid-update and the pool could not be rolled back to
     /// a consistent pre-round state; the backend fails closed and refuses
     /// all further operations rather than serve half-updated state.
@@ -42,7 +38,6 @@ impl fmt::Display for SketchError {
             SketchError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             SketchError::UnsupportedLoss(msg) => write!(f, "unsupported loss: {msg}"),
             SketchError::NonFinite(msg) => write!(f, "non-finite value: {msg}"),
-            SketchError::Degraded(msg) => write!(f, "backend degraded: {msg}"),
             SketchError::Poisoned => write!(
                 f,
                 "backend poisoned: a failed round could not be rolled back"
@@ -63,7 +58,6 @@ impl From<SketchError> for PmwError {
             SketchError::InvalidParameter(msg) => PmwError::InvalidConfig(msg),
             SketchError::UnsupportedLoss(msg) => PmwError::LossMismatch(msg),
             SketchError::NonFinite(msg) => PmwError::LossMismatch(msg),
-            SketchError::Degraded(msg) => PmwError::Degraded(msg),
             SketchError::Poisoned => {
                 PmwError::Degraded("backend poisoned: a failed round could not be rolled back")
             }
@@ -93,10 +87,6 @@ mod tests {
         assert!(matches!(
             PmwError::from(SketchError::EmptyUniverse),
             PmwError::Data(pmw_data::DataError::EmptyUniverse)
-        ));
-        assert!(matches!(
-            PmwError::from(SketchError::Degraded("r")),
-            PmwError::Degraded("r")
         ));
         assert!(matches!(
             PmwError::from(SketchError::Poisoned),

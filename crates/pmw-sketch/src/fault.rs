@@ -17,8 +17,8 @@
 //!   on schedule (exercising the burn-the-round paths);
 //! * [`FaultySource`] — wraps any [`PointSource`], corrupting scheduled
 //!   point reads with a `NaN` coordinate — the deterministic way to make a
-//!   *resample* (or pool growth) fail mid-round, since refreshes re-read
-//!   points from the source.
+//!   *resample* fail mid-round, since refreshes re-read points from the
+//!   source.
 //!
 //! The chaos suite (`tests/chaos.rs`) drives the mechanisms over grids of
 //! seeded plans and asserts the invariants that must survive **any**

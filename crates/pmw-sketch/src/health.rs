@@ -6,10 +6,11 @@
 //! size** `ESS = 1/Σŵ²` collapses toward 1, and the claimed concentration
 //! radii blow up. [`PoolHealth`] is the per-round snapshot of those
 //! signals, computed in one `O(m)` pass over the cached pool log-weights.
-//! `SampledBackend` samples it after every recorded round to drive the
-//! adaptive-resample and escalation-ladder policies (see
-//! [`crate::sampled::SampledConfig::ess_floor`] and
-//! [`crate::sampled::SampledConfig::max_usable_radius`]).
+//! [`SampledBackend::health`](crate::SampledBackend::health) returns it on
+//! demand, and a backend with a live probe gauges it after every recorded
+//! round. Nothing acts on it: a pool refreshes only on its fixed cadence
+//! ([`SampledConfig::resample_every`](crate::SampledConfig::resample_every)),
+//! and a collapsing ESS shows up in every later read's claimed radius.
 //!
 //! The constructor is deliberately paranoid: pools whose weights have all
 //! underflowed to zero (or been corrupted to NaN) must yield a *sane*
@@ -27,8 +28,7 @@ pub struct PoolHealth {
     /// non-finite) reports the pessimistic floor `1`.
     pub ess: f64,
     /// `ess / m` — the fraction of the pool still effectively
-    /// contributing, in `[1/m, 1]`. This is the quantity compared against
-    /// `SampledConfig::ess_floor`.
+    /// contributing, in `[1/m, 1]`.
     pub ess_fraction: f64,
     /// Largest normalized weight `max_i ŵ_i`, clamped to `[1/m, 1]`: how
     /// much of every estimate rides on a single candidate. `1` means the

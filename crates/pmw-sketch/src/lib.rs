@@ -35,13 +35,13 @@
 //!
 //! The robustness layer keeps the sketch honest under stress:
 //!
-//! * [`PoolHealth`] — per-round pool diagnostics (ESS fraction,
-//!   max-weight share, drift since refresh) sampled through the backend
-//!   seam and driving adaptive resampling (module [`health`]);
-//! * [`SampledBackend`]'s escalation ladder — emergency resample → pool
-//!   growth → loud [`SketchError::Degraded`] when a claimed read radius
-//!   stops being usable, with every round applied transactionally
-//!   (complete or roll back, never half-updated);
+//! * [`PoolHealth`] — pool diagnostics (ESS fraction, max-weight share,
+//!   drift since refresh), read through [`SampledBackend::health`] and
+//!   gauged after every round under a live probe (module [`health`]);
+//! * transactional rounds — [`SampledBackend`] applies every round
+//!   completely or rolls it back, never half-updated, and fails closed
+//!   ([`SketchError::Poisoned`]) when a rollback cannot restore a
+//!   consistent pool;
 //! * [`FaultPlan`] and friends — a deterministic, seeded fault-injection
 //!   layer wrapping any backend, oracle, or point source, powering the
 //!   chaos suite (module [`fault`]).

@@ -364,19 +364,15 @@ pub enum CompactionPolicy {
     /// Fold whenever `k` (> 0) or more rounds are retained, bounding every
     /// replay to at most `k` rounds. `EveryK(0)` never fires.
     EveryK(usize),
-    /// Fold whenever the retained rounds' estimated memory footprint
-    /// exceeds this many bytes ([`UpdateLog::retained_bytes`]).
-    MemoryBound(usize),
 }
 
 impl CompactionPolicy {
-    /// True when a log with `retained_rounds` retained rounds occupying
-    /// roughly `retained_bytes` bytes is due for a fold.
-    pub fn due(&self, retained_rounds: usize, retained_bytes: usize) -> bool {
+    /// True when a log with `retained_rounds` retained rounds is due for a
+    /// fold.
+    pub fn due(&self, retained_rounds: usize) -> bool {
         match *self {
             CompactionPolicy::Never => false,
             CompactionPolicy::EveryK(k) => k > 0 && retained_rounds >= k,
-            CompactionPolicy::MemoryBound(bytes) => retained_rounds > 0 && retained_bytes > bytes,
         }
     }
 }
@@ -567,21 +563,6 @@ impl UpdateLog {
     /// Folds taken over the log's lifetime.
     pub fn checkpoints_taken(&self) -> usize {
         self.checkpoints_taken
-    }
-
-    /// Rough memory footprint of the retained rounds (round parameters
-    /// only; the `Arc`-shared loss/query payloads are excluded because
-    /// folding does not free them while any clone lives). Drives
-    /// [`CompactionPolicy::MemoryBound`].
-    pub fn retained_bytes(&self) -> usize {
-        self.rounds
-            .iter()
-            .map(|r| {
-                std::mem::size_of::<RoundUpdate>()
-                    + r.loss()
-                        .map_or(0, |l| 2 * std::mem::size_of::<f64>() * l.dim())
-            })
-            .sum()
     }
 
     /// The unnormalized log-weight `log w(x) = −Σ_r η_r·u_r(x)` of one
@@ -941,13 +922,10 @@ mod tests {
 
     #[test]
     fn compaction_policy_due_semantics() {
-        assert!(!CompactionPolicy::Never.due(1_000_000, usize::MAX));
-        assert!(!CompactionPolicy::EveryK(0).due(1_000_000, 0));
-        assert!(!CompactionPolicy::EveryK(8).due(7, 0));
-        assert!(CompactionPolicy::EveryK(8).due(8, 0));
-        assert!(!CompactionPolicy::MemoryBound(100).due(0, 200));
-        assert!(!CompactionPolicy::MemoryBound(100).due(3, 100));
-        assert!(CompactionPolicy::MemoryBound(100).due(3, 101));
+        assert!(!CompactionPolicy::Never.due(1_000_000));
+        assert!(!CompactionPolicy::EveryK(0).due(1_000_000));
+        assert!(!CompactionPolicy::EveryK(8).due(7));
+        assert!(CompactionPolicy::EveryK(8).due(8));
         assert_eq!(CompactionPolicy::default(), CompactionPolicy::Never);
     }
 
@@ -1045,13 +1023,10 @@ mod tests {
     }
 
     #[test]
-    fn retained_bytes_shrink_on_fold_and_drive_memory_bound() {
+    fn empty_panel_fold_retains_nothing_and_seeds_nothing() {
         let mut log = two_round_log();
-        let bytes = log.retained_bytes();
-        assert!(bytes > 0);
-        assert!(CompactionPolicy::MemoryBound(bytes - 1).due(log.retained_len(), bytes));
         log.compact(&[], &[], 0.0).unwrap();
-        assert_eq!(log.retained_bytes(), 0);
+        assert_eq!(log.retained_len(), 0);
         // Empty-panel checkpoints seed nothing: every lookup is unseeded.
         let mut grad = Vec::new();
         let (lw, seeded) = log.log_weight_seeded(0, &[1.0, 0.0], &mut grad).unwrap();

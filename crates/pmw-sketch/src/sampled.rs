@@ -56,8 +56,8 @@
 //! snapshots and the rollback checkpoint carry them together with the
 //! log-weights.
 //!
-//! The pool's indices and points change only when the pool is drawn,
-//! redrawn or grown, so they live in one shared support (`Arc`) that a
+//! The pool's indices and points change only when the pool is drawn or
+//! redrawn, so they live in one shared support (`Arc`) that a
 //! round, a rollback checkpoint and a published snapshot hold without
 //! copying. [`Mwem`](pmw_core::Mwem)'s batched read
 //! ([`StateBackend::expected_query_values`]) keys on that support: the
@@ -111,34 +111,6 @@ pub struct SampledConfig {
     /// independence at `O(m·t·d)` per refresh. Exhaustive pools never
     /// resample.
     pub resample_every: usize,
-    /// **Health-aware pool refresh**: after each recorded round, refresh
-    /// the pool whenever the measured effective-sample-size *fraction*
-    /// `ESS/m` falls below this floor — degradation-triggered, not
-    /// calendar-triggered like [`SampledConfig::resample_every`]. Must lie
-    /// in `[0, 1)`.
-    ///
-    /// The default is `0.0` (**disabled**), deliberately: an adaptive
-    /// refresh consumes `m` extra RNG draws at a data-dependent time, so
-    /// any nonzero default would silently change the random stream — and
-    /// therefore the answers — of every existing configuration. The
-    /// workspace's dense/exhaustive parity suites pin that stream
-    /// bit-for-bit; turning the floor on is an explicit per-run opt-in.
-    /// `0.1`–`0.3` are sensible operating points (refresh once fewer than
-    /// 10–30% of the pool still effectively contributes).
-    pub ess_floor: f64,
-    /// **Escalation threshold**: after each recorded round, if the
-    /// backend's claimed read radius (at the round's payoff scale) exceeds
-    /// this value, the escalation ladder runs — emergency resample, then
-    /// pool growth up to [`SampledConfig::growth_cap`], then a loud
-    /// [`SketchError::Degraded`] — instead of letting later reads serve
-    /// silently useless answers. Must be positive; `f64::INFINITY`
-    /// (the default) disables the ladder.
-    pub max_usable_radius: f64,
-    /// **Pool-growth cap** for escalation rung 2: the pool may double up
-    /// to this many candidates (values at or below `budget` — including
-    /// the default `0` — disable growth). Growing to the universe size
-    /// degrades gracefully all the way to an exhaustive (exact) pool.
-    pub growth_cap: usize,
     /// **Log compaction**: when to fold old rounds into a log-weight
     /// checkpoint ([`CompactionPolicy`]). [`CompactionPolicy::Never`]
     /// (the default) preserves the historical full-replay behavior
@@ -158,9 +130,6 @@ impl Default for SampledConfig {
             budget: 1024,
             beta: 1e-6,
             resample_every: 0,
-            ess_floor: 0.0,
-            max_usable_radius: f64::INFINITY,
-            growth_cap: 0,
             compaction: CompactionPolicy::Never,
         }
     }
@@ -217,7 +186,7 @@ pub struct MaxEstimate {
 
 /// The pool's support: its universe indices and their cached points. A
 /// round changes only the log-weights, so the support is replaced, never
-/// written, when the pool is drawn, redrawn or grown, and the live backend,
+/// written, when the pool is drawn or redrawn, and the live backend,
 /// its rollback checkpoint and its published snapshots share it through
 /// one `Arc` instead of copying `O(m·d)`. The `Arc`'s identity is the key
 /// of every [`IncidenceMemo`] entry built on it.
@@ -599,15 +568,15 @@ impl SketchReadView<'_> {
     /// one. `0` for a non-positive or NaN scale, and on exhaustive pools
     /// untouched by lossy folds. `O(m)` over the cached weights.
     ///
-    /// Given a `ledger`, any claim it makes is recorded as a
-    /// `"read-margin"` entry: a `⊥` screened against the widened margin
-    /// *rests* on it holding, so the union-bound totals must count it like
-    /// any estimate. On a sampled pool it also returns the winning bound
-    /// and the envelope candidate, which the live backend's probe gauges.
+    /// Any claim it makes is recorded in `ledger` as a `"read-margin"`
+    /// entry: a `⊥` screened against the widened margin *rests* on it
+    /// holding, so the union-bound totals must count it like any estimate.
+    /// On a sampled pool it also returns the winning bound and the envelope
+    /// candidate, which the live backend's probe gauges.
     fn read_margin(
         &self,
         scale: f64,
-        ledger: Option<&Mutex<SamplingAccountant>>,
+        ledger: &Mutex<SamplingAccountant>,
     ) -> (f64, Option<(RadiusBound, f64)>) {
         if scale <= 0.0 || scale.is_nan() {
             return (0.0, None);
@@ -636,8 +605,7 @@ impl SketchReadView<'_> {
             (radius, self.beta, bound, Some(envelope))
         };
         // An exhaustive pool no lossy fold has touched claims nothing.
-        let claims = !self.exhaustive || fold > 0.0;
-        if let (Some(ledger), true) = (ledger, claims) {
+        if !self.exhaustive || fold > 0.0 {
             lock_ledger(ledger).record("read-margin", self.pool_size(), radius, beta, bound);
         }
         (radius, envelope.map(|envelope| (bound, envelope)))
@@ -724,7 +692,7 @@ impl ReadSnapshot for SampledSnapshot {
     }
 
     fn read_radius(&self, scale: f64) -> f64 {
-        self.view().read_margin(scale, Some(&self.ledger)).0
+        self.view().read_margin(scale, &self.ledger).0
     }
 }
 
@@ -735,8 +703,8 @@ impl ReadSnapshot for SampledSnapshot {
 /// backend's two cost regimes as separate timed spans —
 /// [`Phase::PoolSweep`] for the `O(m·d)` per-round pool update,
 /// [`Phase::LogReplay`] for the `O(m·t·d)` refresh replay — plus
-/// [`Phase::Estimate`] spans, claimed-radius gauges, and health
-/// gauges/counters after every recorded round. Construct with
+/// [`Phase::Estimate`] spans, claimed-radius gauges, and health gauges
+/// after every recorded round. Construct with
 /// [`SampledBackend::with_probe`] (typically handing `&probe` so the same
 /// probe also observes the driving mechanism).
 #[derive(Debug)]
@@ -747,15 +715,9 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     log: UpdateLog,
     support: Arc<PoolSupport>,
     pool_log_w: LogWeights,
+    /// The budget covers the universe; fixed at construction.
     exhaustive: bool,
     resamples: usize,
-    /// Health-triggered refreshes ([`SampledConfig::ess_floor`]), a subset
-    /// of `resamples`.
-    adaptive_resamples: usize,
-    /// Escalation-ladder activations ([`SampledConfig::max_usable_radius`]).
-    escalations: usize,
-    /// Pool doublings performed by escalation rung 2.
-    pool_growths: usize,
     /// Checkpointed log compactions committed so far (see
     /// [`SampledConfig::compaction`]).
     compactions: usize,
@@ -773,14 +735,12 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
     /// Drift envelope at the last pool (re)draw — `drift_bound() − this`
     /// is the drift the current pool has absorbed without refreshing.
     drift_at_refresh: f64,
-    /// Minimum post-round effective sample size observed so far.
-    min_ess: f64,
     /// Fail-closed guard: set when a failed round could not be rolled back
     /// to a consistent pre-round state; every operation then errors with
     /// [`SketchError::Poisoned`] instead of serving half-updated state.
     poisoned: bool,
-    /// Health-maintenance events awaiting a [`StateBackend::take_events`]
-    /// drain.
+    /// Compaction and rollback events awaiting a
+    /// [`StateBackend::take_events`] drain.
     pending_events: Vec<BackendEvent>,
     /// (point, gradient) scratch buffers; `RefCell` because reads are
     /// logically `&self`.
@@ -797,23 +757,17 @@ pub struct SampledBackend<S: PointSource, P: Probe = NoopProbe> {
 
 /// Everything a failed round must restore: the pool support (shared, not
 /// copied), the log-weights with their SNIS weights if a read computed
-/// them, the log length, the exhaustive flag and every health counter.
-/// Taken before a round's first mutation, dropped on success.
+/// them, the log length and every health counter. Taken before a round's
+/// first mutation, dropped on success.
 struct PoolSnapshot {
     support: Arc<PoolSupport>,
     pool_log_w: LogWeights,
     log_len: usize,
-    exhaustive: bool,
     resamples: usize,
-    adaptive_resamples: usize,
-    escalations: usize,
-    pool_growths: usize,
     pool_missing_drift: f64,
     last_replay_depth: usize,
     rounds_since_refresh: usize,
     drift_at_refresh: f64,
-    min_ess: f64,
-    events_len: usize,
 }
 
 impl<S: PointSource> SampledBackend<S> {
@@ -842,16 +796,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         if !(config.beta > 0.0 && config.beta < 1.0) {
             return Err(SketchError::InvalidParameter("beta must be in (0, 1)"));
         }
-        if !(config.ess_floor >= 0.0 && config.ess_floor < 1.0) {
-            return Err(SketchError::InvalidParameter(
-                "ess_floor must lie in [0, 1)",
-            ));
-        }
-        if config.max_usable_radius <= 0.0 || config.max_usable_radius.is_nan() {
-            return Err(SketchError::InvalidParameter(
-                "max_usable_radius must be positive (infinity disables the ladder)",
-            ));
-        }
         let n = source.len();
         let exhaustive = config.budget >= n;
         let pool_indices: Vec<usize> = if exhaustive {
@@ -875,16 +819,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             pool_log_w: LogWeights::new(vec![0.0; m]),
             exhaustive,
             resamples: 0,
-            adaptive_resamples: 0,
-            escalations: 0,
-            pool_growths: 0,
             compactions: 0,
             pool_missing_drift: 0.0,
             last_replay_depth: 0,
             rounds_since_refresh: 0,
             drift_at_refresh: 0.0,
-            // The fresh pool is uniform: ESS starts at m exactly.
-            min_ess: m as f64,
             poisoned: false,
             pending_events: Vec::new(),
             bufs: RefCell::new((vec![0.0; dim], Vec::new())),
@@ -953,29 +892,9 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     }
 
     /// Total pool refreshes so far — fixed-cadence
-    /// ([`SampledConfig::resample_every`]), health-triggered
-    /// ([`SampledConfig::ess_floor`]), emergency (escalation rung 1) and
-    /// manual ones alike.
+    /// ([`SampledConfig::resample_every`]) and manual ones alike.
     pub fn resamples(&self) -> usize {
         self.resamples
-    }
-
-    /// Refreshes triggered by the measured ESS falling below
-    /// [`SampledConfig::ess_floor`] (a subset of
-    /// [`SampledBackend::resamples`]).
-    pub fn adaptive_resamples(&self) -> usize {
-        self.adaptive_resamples
-    }
-
-    /// Escalation-ladder activations: rounds whose claimed read radius
-    /// exceeded [`SampledConfig::max_usable_radius`].
-    pub fn escalations(&self) -> usize {
-        self.escalations
-    }
-
-    /// Pool doublings performed by escalation rung 2.
-    pub fn pool_growths(&self) -> usize {
-        self.pool_growths
     }
 
     /// Checkpointed log compactions committed so far — policy-triggered
@@ -997,12 +916,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// the quantity compaction keeps flat in `t` (`0` before any rebuild).
     pub fn last_replay_depth(&self) -> usize {
         self.last_replay_depth
-    }
-
-    /// The minimum post-round effective sample size observed so far
-    /// (`m` until a round has been recorded; exhaustive pools stay at `m`).
-    pub fn min_ess(&self) -> f64 {
-        self.min_ess
     }
 
     /// True once a failed round could not be rolled back and the backend
@@ -1056,15 +969,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         self.probe.span_end(Phase::PoolSweep);
         payoffs?;
         self.log.push(update);
-        // Health sampling: pure arithmetic over the cached log-weights —
-        // no RNG, no ledger entry, so default-config runs stay bit-for-bit.
         self.rounds_since_refresh += 1;
-        let ess = if self.exhaustive {
-            self.pool_size() as f64
-        } else {
-            self.health().ess
-        };
-        self.min_ess = self.min_ess.min(ess);
         Ok(())
     }
 
@@ -1125,72 +1030,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         Ok(())
     }
 
-    /// Escalation rung 2: double the pool (capped at `cap` and at `|X|`),
-    /// re-evaluating every fresh candidate from the retained log. Growing
-    /// to the whole universe degrades gracefully to an exhaustive (exact)
-    /// pool. The appended state is fully computed before anything is
-    /// swapped in.
-    fn grow_pool(&mut self, cap: usize, rng: &mut dyn Rng) -> Result<(), SketchError> {
-        let n = self.source.len();
-        let m = self.pool_size();
-        let target = m.saturating_mul(2).min(cap).min(n);
-        if target <= m {
-            return Ok(());
-        }
-        self.probe.span_begin(Phase::LogReplay);
-        let grown = self.grow_pool_to(target, rng);
-        self.probe.span_end(Phase::LogReplay);
-        grown?;
-        self.pool_growths += 1;
-        self.probe.counter(Counter::PoolGrowths, 1);
-        Ok(())
-    }
-
-    /// The replay-heavy body of [`Self::grow_pool`], separated so the
-    /// growth span stays balanced across its error returns.
-    fn grow_pool_to(&mut self, target: usize, rng: &mut dyn Rng) -> Result<(), SketchError> {
-        let n = self.source.len();
-        let dim = self.source.dim();
-        let m = self.pool_size();
-        if target >= n {
-            // The doubled pool would cover the universe: enumerate it once
-            // and become exhaustive — every later estimate is exact in
-            // sampling (any lossy-fold bias still applies, tracked below).
-            let indices: Vec<usize> = (0..n).collect();
-            let (flat, log_w, missing_drift) = self.replay_candidates(&indices)?;
-            self.support = PoolSupport::new(indices, flat, dim)?;
-            self.pool_log_w = LogWeights::new(log_w);
-            self.exhaustive = true;
-            self.pool_missing_drift = missing_drift;
-        } else {
-            // All RNG draws happen up front in the original order (the
-            // replay itself consumes none), keeping the rng stream
-            // identical to the historical interleaved loop.
-            let fresh: Vec<usize> = (m..target).map(|_| rng.random_range(0..n)).collect();
-            let (fresh_flat, fresh_log_w, fresh_missing) = self.replay_candidates(&fresh)?;
-            let mut flat = Vec::with_capacity(target * dim);
-            flat.extend_from_slice(self.support.points.as_flat());
-            flat.extend_from_slice(&fresh_flat);
-            let mut indices = Vec::with_capacity(target);
-            indices.extend_from_slice(&self.support.indices);
-            indices.extend_from_slice(&fresh);
-            let mut log_w = Vec::with_capacity(target);
-            log_w.extend_from_slice(self.pool_log_w.as_slice());
-            log_w.extend_from_slice(&fresh_log_w);
-            self.support = PoolSupport::new(indices, flat, dim)?;
-            self.pool_log_w = LogWeights::new(log_w);
-            // The existing slots keep their own distortion bound; the
-            // appended ones carry theirs — the pool-wide bound is the max.
-            self.pool_missing_drift = self.pool_missing_drift.max(fresh_missing);
-        }
-        self.last_replay_depth = self.log.retained_len();
-        if P::ENABLED {
-            self.probe
-                .gauge(Gauge::ReplayRounds, self.last_replay_depth as f64);
-        }
-        Ok(())
-    }
-
     /// Materialize the candidates at `indices` and replay each one's
     /// log-weight from the newest checkpoint plus the retained log
     /// ([`UpdateLog::log_weight_seeded`]) — `O(t_retained·d)` per
@@ -1239,11 +1078,7 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// [`Self::transactional_round`]), so it never moves a rollback
     /// boundary.
     fn maybe_compact(&mut self) -> Result<(), SketchError> {
-        if self
-            .config
-            .compaction
-            .due(self.log.retained_len(), self.log.retained_bytes())
-        {
+        if self.config.compaction.due(self.log.retained_len()) {
             self.compact_now()?;
         }
         Ok(())
@@ -1311,17 +1146,11 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             support: Arc::clone(&self.support),
             pool_log_w: self.pool_log_w.clone(),
             log_len: self.log.len(),
-            exhaustive: self.exhaustive,
             resamples: self.resamples,
-            adaptive_resamples: self.adaptive_resamples,
-            escalations: self.escalations,
-            pool_growths: self.pool_growths,
             pool_missing_drift: self.pool_missing_drift,
             last_replay_depth: self.last_replay_depth,
             rounds_since_refresh: self.rounds_since_refresh,
             drift_at_refresh: self.drift_at_refresh,
-            min_ess: self.min_ess,
-            events_len: self.pending_events.len(),
         }
     }
 
@@ -1336,22 +1165,16 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     fn restore(&mut self, snap: PoolSnapshot) {
         self.support = snap.support;
         self.pool_log_w = snap.pool_log_w;
-        self.exhaustive = snap.exhaustive;
         self.resamples = snap.resamples;
-        self.adaptive_resamples = snap.adaptive_resamples;
-        self.escalations = snap.escalations;
-        self.pool_growths = snap.pool_growths;
         self.pool_missing_drift = snap.pool_missing_drift;
         self.last_replay_depth = snap.last_replay_depth;
         self.rounds_since_refresh = snap.rounds_since_refresh;
         self.drift_at_refresh = snap.drift_at_refresh;
-        self.min_ess = snap.min_ess;
         // Compaction only ever folds rounds that were already committed
         // (it runs strictly after a successful round), so the snapshot's
         // log length can never fall inside the folded prefix — a truncate
         // failure here means the log itself is inconsistent.
         let truncated = self.log.truncate(snap.log_len);
-        self.pending_events.truncate(snap.events_len);
         let m = self.pool_size();
         if truncated.is_err()
             || self.pool_log_w.as_slice().len() != m
@@ -1363,10 +1186,13 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         }
     }
 
-    /// Run one full round — record, cadence refresh, health maintenance,
-    /// escalation ladder — **transactionally**: either every step completes
-    /// or the pool is rolled back to its exact pre-round state (and the
-    /// error surfaces loudly). A rollback that cannot restore consistency
+    /// Run one full round — record, cadence refresh, compaction —
+    /// **transactionally**: either every step completes or the pool is
+    /// rolled back to its exact pre-round state, a
+    /// [`BackendEvent::RoundRolledBack`] marks the failed round, and the
+    /// error surfaces loudly. A failing step queues no event of its own: a
+    /// fold validates before it mutates anything, and its event is the
+    /// round's last act. A rollback that cannot restore consistency
     /// poisons the backend (see [`SketchError::Poisoned`]).
     fn transactional_round(
         &mut self,
@@ -1375,55 +1201,36 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     ) -> Result<(), SketchError> {
         self.ensure_usable()?;
         let snap = self.pool_checkpoint();
-        let events_before = snap.events_len;
         // Compaction runs strictly *after* a fully successful round: a
         // fold can therefore never move the rollback boundary of the round
         // it rides on, and a failed fold (validation errors before any
         // mutation) rolls the round back like any other failure.
-        match self
+        let result = self
             .run_round(update, rng)
-            .and_then(|()| self.maybe_compact())
-        {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // The failed round's events (the escalations that *caused*
-                // the failure) must survive the rollback: carry them across
-                // the restore (which truncates to the snapshot) and close
-                // them with an explicit rollback marker, so the transcript
-                // records why the round failed, not just that it did.
-                let attempted: Vec<BackendEvent> =
-                    self.pending_events.drain(events_before..).collect();
-                let failed_round = snap.log_len + 1;
-                self.restore(snap);
-                self.pending_events.extend(attempted);
-                self.pending_events.push(BackendEvent::RoundRolledBack {
-                    round: failed_round,
-                });
-                Err(e)
-            }
+            .and_then(|()| self.maybe_compact());
+        if result.is_err() {
+            let round = snap.log_len + 1;
+            self.restore(snap);
+            self.pending_events
+                .push(BackendEvent::RoundRolledBack { round });
         }
+        result
     }
 
     fn run_round(&mut self, update: RoundUpdate, rng: &mut dyn Rng) -> Result<(), SketchError> {
-        let scale = update.scale();
         self.record(update)?;
         self.maybe_resample(rng)?;
-        self.post_round(scale, rng)
+        self.post_round_gauges();
+        Ok(())
     }
 
-    /// Post-round health maintenance: the adaptive refresh
-    /// ([`SampledConfig::ess_floor`]) and the escalation ladder
-    /// ([`SampledConfig::max_usable_radius`]) — emergency resample, pool
-    /// growth up to [`SampledConfig::growth_cap`], then a loud
-    /// [`SketchError::Degraded`]. Every action is ledgered and queued as a
-    /// [`BackendEvent`] for the mechanism's transcript. A no-op under the
-    /// default configuration (floor `0`, threshold `∞`): default runs stay
-    /// bit-for-bit identical.
-    fn post_round(&mut self, scale: f64, rng: &mut dyn Rng) -> Result<(), SketchError> {
-        let round = self.log.len();
-        // Health gauges for a live probe only: `health()` is an extra
-        // `O(m)` pass, so the noop build must not pay for it.
-        if P::ENABLED && !self.exhaustive {
+    /// Post-round health gauges, for a live probe only: `health()` is an
+    /// extra `O(m)` pass, so the noop build must not pay for it.
+    fn post_round_gauges(&self) {
+        if !P::ENABLED {
+            return;
+        }
+        if !self.exhaustive {
             let health = self.health();
             self.probe.gauge(Gauge::Ess, health.ess);
             self.probe.gauge(Gauge::EssFraction, health.ess_fraction);
@@ -1432,91 +1239,14 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
             self.probe.gauge(Gauge::DriftBound, health.drift_bound);
             self.probe.gauge(Gauge::PoolSize, self.pool_size() as f64);
         }
-        if P::ENABLED {
-            if let Some(at) = self.published_round.get() {
-                self.probe
-                    .gauge(Gauge::SnapshotAge, round.saturating_sub(at) as f64);
-            }
-            self.probe
-                .gauge(Gauge::LogLen, self.log.retained_len() as f64);
-            self.probe
-                .gauge(Gauge::CheckpointCount, self.log.checkpoints_taken() as f64);
+        if let Some(at) = self.published_round.get() {
+            let age = self.log.len().saturating_sub(at);
+            self.probe.gauge(Gauge::SnapshotAge, age as f64);
         }
-        if self.config.ess_floor > 0.0 && !self.exhaustive {
-            let health = self.health();
-            if health.ess_fraction < self.config.ess_floor {
-                self.resample(rng)?;
-                self.adaptive_resamples += 1;
-                self.probe.counter(Counter::AdaptiveResamples, 1);
-                self.ledger_mut().record(
-                    "adaptive-resample",
-                    self.pool_size(),
-                    0.0,
-                    0.0,
-                    RadiusBound::Exact,
-                );
-                self.pending_events.push(BackendEvent::AdaptiveResample {
-                    round,
-                    ess: health.ess,
-                    floor: self.config.ess_floor,
-                });
-            }
-        }
-        if self.config.max_usable_radius.is_finite() && !self.exhaustive && scale > 0.0 {
-            let mut radius = self.claimed_read_radius(scale);
-            if radius > self.config.max_usable_radius {
-                self.escalations += 1;
-                self.probe.counter(Counter::EmergencyResamples, 1);
-                // Rung 1: emergency refresh — collapse-driven blow-ups
-                // recover here.
-                self.resample(rng)?;
-                self.ledger_mut().record(
-                    "emergency-resample",
-                    self.pool_size(),
-                    radius,
-                    0.0,
-                    RadiusBound::Exact,
-                );
-                self.pending_events
-                    .push(BackendEvent::EmergencyResample { round, radius });
-                radius = self.claimed_read_radius(scale);
-                // Rung 2: double the pool toward the cap; reaching the
-                // universe size degrades gracefully to exact state.
-                let cap = self.config.growth_cap;
-                while radius > self.config.max_usable_radius
-                    && !self.exhaustive
-                    && self.pool_size() < cap
-                {
-                    let before = self.pool_size();
-                    self.grow_pool(cap, rng)?;
-                    if self.pool_size() == before {
-                        break;
-                    }
-                    self.ledger_mut().record(
-                        "pool-growth",
-                        self.pool_size(),
-                        radius,
-                        0.0,
-                        RadiusBound::Exact,
-                    );
-                    self.pending_events.push(BackendEvent::PoolGrowth {
-                        round,
-                        new_size: self.pool_size(),
-                    });
-                    radius = self.claimed_read_radius(scale);
-                }
-                // Rung 3: loud failure — the transactional wrapper rolls
-                // the round back, so the caller sees a consistent
-                // pre-round pool plus an explicit Degraded error.
-                if radius > self.config.max_usable_radius && !self.exhaustive {
-                    return Err(SketchError::Degraded(
-                        "claimed read radius exceeds the usable threshold \
-                         after emergency resample and pool growth",
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.probe
+            .gauge(Gauge::LogLen, self.log.retained_len() as f64);
+        self.probe
+            .gauge(Gauge::CheckpointCount, self.log.checkpoints_taken() as f64);
     }
 
     /// The borrowed read-state shared by the live backend and its
@@ -1577,14 +1307,6 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
         let result = sums(&view).map(|sums| view.claim(&self.ledger, label, scale, sums));
         self.probe.span_end(Phase::Estimate);
         let est = result?;
-        // Loud read failure: a claim wider than the configured usable
-        // threshold must not be served as if it were an answer. Never
-        // fires at the default threshold (infinity).
-        if est.radius > self.config.max_usable_radius {
-            return Err(SketchError::Degraded(
-                "estimate's claimed radius exceeds the usable threshold",
-            ));
-        }
         if P::ENABLED {
             self.probe.gauge(Gauge::ClaimedRadius, est.radius);
             self.probe.gauge(Gauge::EnvelopeRadius, est.envelope_radius);
@@ -1599,20 +1321,12 @@ impl<S: PointSource, P: Probe> SampledBackend<S, P> {
     /// now would claim (see [`ReadSnapshot::read_radius`]). A live probe
     /// also sees the envelope candidate and the winning bound.
     pub fn read_radius(&self, scale: f64) -> f64 {
-        let (radius, sampled) = self.view().read_margin(scale, Some(&self.ledger));
+        let (radius, sampled) = self.view().read_margin(scale, &self.ledger);
         if let (true, Some((bound, envelope))) = (P::ENABLED, sampled) {
             self.probe.gauge(Gauge::EnvelopeRadius, envelope);
             self.probe.note("read_bound", bound.name());
         }
         radius
-    }
-
-    /// [`Self::read_radius`] for the backend's own escalation policy: the
-    /// same claimed bound, but *not* ledgered — internal control flow
-    /// makes no β-claim a caller's answer rests on, so it must not inflate
-    /// the union-bound totals.
-    fn claimed_read_radius(&self, scale: f64) -> f64 {
-        self.view().read_margin(scale, None).0
     }
 
     /// Estimate the certificate expectation `⟨u, D̂_t⟩` for the payoff
@@ -1798,7 +1512,7 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
     /// [`SampledBackend::query_mean`], with the same span, ledger record
     /// and gauges in query order, but after a query's first read on a pool
     /// support it sums over that query's non-zero slots alone. `memo`
-    /// keeps them until the pool is redrawn or grown.
+    /// keeps them until the pool is redrawn.
     fn expected_query_values(
         &self,
         queries: &[&dyn PointQuery],
@@ -1855,6 +1569,7 @@ impl<S: PointSource, P: Probe> StateBackend for SampledBackend<S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultRule, FaultySource};
     use crate::source::UniversePoints;
     use pmw_core::update::dual_certificate;
     use pmw_data::{BooleanCube, Histogram, Universe};
@@ -1926,26 +1641,6 @@ mod tests {
             SampledConfig {
                 budget: 4,
                 beta: 0.0,
-                ..SampledConfig::default()
-            },
-            &mut rng
-        )
-        .is_err());
-        assert!(SampledBackend::new(
-            UniversePoints(cube.clone()),
-            SampledConfig {
-                budget: 4,
-                ess_floor: 1.0,
-                ..SampledConfig::default()
-            },
-            &mut rng
-        )
-        .is_err());
-        assert!(SampledBackend::new(
-            UniversePoints(cube.clone()),
-            SampledConfig {
-                budget: 4,
-                max_usable_radius: 0.0,
                 ..SampledConfig::default()
             },
             &mut rng
@@ -2478,167 +2173,6 @@ mod tests {
         assert!(sketch.health().ess >= 1.0);
     }
 
-    #[test]
-    fn ess_collapse_triggers_adaptive_resample_before_cadence() {
-        use pmw_data::workload::ImplicitQuery;
-        let cube = BooleanCube::new(10).unwrap();
-        let mut rng = StdRng::seed_from_u64(47);
-        // Fixed cadence far away (every 100 rounds); the ESS floor alone
-        // must trigger the refresh.
-        let mut sketch = SampledBackend::new(
-            UniversePoints(cube),
-            SampledConfig {
-                budget: 128,
-                resample_every: 100,
-                ess_floor: 0.9,
-                ..SampledConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        assert!(!sketch.is_exhaustive());
-        // One violent round: eta 8 on a marginal crushes half the pool's
-        // weight by e^{-8}, dropping ESS/m to ~0.5 < 0.9.
-        let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
-        StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 8.0, None, &mut rng).unwrap();
-        assert_eq!(sketch.adaptive_resamples(), 1);
-        assert_eq!(sketch.resamples(), 1, "triggered refresh, not cadence");
-        assert!(sketch.min_ess() < 0.9 * 128.0);
-        // The refresh is ledgered and reported as a backend event.
-        assert!(sketch
-            .ledger()
-            .records()
-            .iter()
-            .any(|r| r.label == "adaptive-resample"));
-        let events = StateBackend::take_events(&mut sketch);
-        assert!(matches!(
-            events.as_slice(),
-            [BackendEvent::AdaptiveResample { round: 1, ess, floor }]
-                if *ess < 0.9 * 128.0 && *floor == 0.9
-        ));
-        // Drained: a second take returns nothing.
-        assert!(StateBackend::take_events(&mut sketch).is_empty());
-        // Refreshed candidates match the exact from-scratch evaluation.
-        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
-            let exact = sketch.log_weight_of(idx).unwrap();
-            assert!(
-                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
-                "slot {slot}"
-            );
-        }
-    }
-
-    #[test]
-    fn escalation_ladder_degrades_loudly_and_rolls_back_at_the_cap() {
-        use pmw_data::workload::ImplicitQuery;
-        let cube = BooleanCube::new(10).unwrap();
-        let mut rng = StdRng::seed_from_u64(53);
-        // Unusably tight threshold, growth disabled: the ladder must run
-        // out of rungs and surface Degraded.
-        let mut sketch = SampledBackend::new(
-            UniversePoints(cube),
-            SampledConfig {
-                budget: 32,
-                max_usable_radius: 1e-9,
-                ..SampledConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let q = ImplicitQuery::marginal(vec![0], 10).unwrap();
-        let before_indices = sketch.support.indices.clone();
-        let before_log_w = sketch.pool_log_w.as_slice().to_vec();
-        let err = StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng)
-            .unwrap_err();
-        assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
-        // The failed round rolled back completely: no recorded round, the
-        // original pool, and the backend stays usable — but the events
-        // explaining the failure survive the rollback, closed by an
-        // explicit rollback marker.
-        assert_eq!(sketch.rounds(), 0);
-        assert_eq!(sketch.support.indices, before_indices);
-        assert_eq!(sketch.pool_log_w.as_slice(), before_log_w);
-        assert!(!sketch.is_poisoned());
-        let events = StateBackend::take_events(&mut sketch);
-        assert!(
-            matches!(
-                events.as_slice(),
-                [
-                    BackendEvent::EmergencyResample { round: 1, radius },
-                    BackendEvent::RoundRolledBack { round: 1 },
-                ] if *radius > 1e-9
-            ),
-            "{events:?}"
-        );
-        // Drained: a second take returns nothing.
-        assert!(StateBackend::take_events(&mut sketch).is_empty());
-        assert_eq!(sketch.log().drift_bound(), 0.0);
-        // The next (feasible) round still works after loosening nothing:
-        // reads with a finite threshold keep erroring loudly instead.
-        assert!(matches!(
-            sketch.query_mean(&q),
-            Err(SketchError::Degraded(_))
-        ));
-    }
-
-    #[test]
-    fn escalation_ladder_grows_the_pool_to_exhaustive_and_recovers() {
-        use pmw_data::workload::ImplicitQuery;
-        let cube = BooleanCube::new(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(59);
-        // |X| = 8, pool 4: one doubling reaches the universe, flips the
-        // pool to exhaustive (radius 0) and the round succeeds.
-        let mut sketch = SampledBackend::new(
-            UniversePoints(cube),
-            SampledConfig {
-                budget: 4,
-                max_usable_radius: 1e-9,
-                growth_cap: 64,
-                ..SampledConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        assert!(!sketch.is_exhaustive());
-        let q = ImplicitQuery::marginal(vec![0], 3).unwrap();
-        StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 0.4, None, &mut rng).unwrap();
-        assert!(sketch.is_exhaustive());
-        assert_eq!(sketch.pool_size(), 8);
-        assert_eq!(sketch.escalations(), 1);
-        assert_eq!(sketch.pool_growths(), 1);
-        assert_eq!(sketch.rounds(), 1);
-        let events = StateBackend::take_events(&mut sketch);
-        assert!(matches!(
-            events.as_slice(),
-            [
-                BackendEvent::EmergencyResample { round: 1, .. },
-                BackendEvent::PoolGrowth {
-                    round: 1,
-                    new_size: 8
-                }
-            ]
-        ));
-        // The grown (now exhaustive) pool agrees with the exact log.
-        for (slot, &idx) in sketch.support.indices.iter().enumerate() {
-            let exact = sketch.log_weight_of(idx).unwrap();
-            assert!(
-                (sketch.pool_log_w.as_slice()[slot] - exact).abs() < 1e-12,
-                "slot {slot}"
-            );
-        }
-        // Exact state: reads succeed with zero radius under the same
-        // tight threshold.
-        let est = sketch.query_mean(&q).unwrap();
-        assert_eq!((est.radius, est.beta), (0.0, 0.0));
-        // Ledger recorded the ladder's actions.
-        let ledger = sketch.ledger();
-        assert!(ledger
-            .records()
-            .iter()
-            .any(|r| r.label == "emergency-resample"));
-        assert!(ledger.records().iter().any(|r| r.label == "pool-growth"));
-    }
-
     /// The reads that depend on the pool's SNIS weights, as bits: the
     /// unit-scale read radius and the hypothesis minimizer.
     fn snapshot_read_bits(
@@ -2657,7 +2191,7 @@ mod tests {
     /// read and one published after the live reads must all read exactly
     /// what a fresh normalization of the current log-weights reads. The
     /// live reads also leave the weights cached for the next write.
-    fn assert_reads_fresh(sketch: &SampledBackend<UniversePoints<BooleanCube>>, step: &str) {
+    fn assert_reads_fresh<S: PointSource>(sketch: &SampledBackend<S>, step: &str) {
         use pmw_data::workload::ImplicitQuery;
         let dim = sketch.source.dim();
         let query = ImplicitQuery::marginal(vec![0], dim).unwrap();
@@ -2699,8 +2233,8 @@ mod tests {
     }
 
     /// One round of the bit-0 marginal through the backend seam.
-    fn marginal_round(
-        sketch: &mut SampledBackend<UniversePoints<BooleanCube>>,
+    fn marginal_round<S: PointSource>(
+        sketch: &mut SampledBackend<S>,
         coeff: f64,
         eta: f64,
         rng: &mut StdRng,
@@ -2710,28 +2244,54 @@ mod tests {
         StateBackend::apply_query_update(sketch, &q, None, coeff, eta, None, rng)
     }
 
+    /// A 64-slot sketch of the 10-bit cube, redrawn every second round.
+    fn cadence_sketch(seed: u64) -> SampledBackend<UniversePoints<BooleanCube>> {
+        let config = SampledConfig {
+            budget: 64,
+            resample_every: 2,
+            ..SampledConfig::default()
+        };
+        let cube = BooleanCube::new(10).unwrap();
+        SampledBackend::new(
+            UniversePoints(cube),
+            config,
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .unwrap()
+    }
+
+    /// A 32-slot sketch of the 10-bit cube, redrawn every second round,
+    /// whose source returns a NaN point on its first read after
+    /// construction (the chaos suite's `Once(init_reads + 1)`): the second
+    /// round's cadence resample fails and the round rolls back.
+    fn sketch_failing_its_first_refresh(
+        seed: u64,
+    ) -> SampledBackend<FaultySource<UniversePoints<BooleanCube>>> {
+        let budget = 32;
+        let source = FaultySource::new(
+            UniversePoints(BooleanCube::new(10).unwrap()),
+            FaultRule::Once(budget as u64 + 1),
+        );
+        let config = SampledConfig {
+            budget,
+            resample_every: 2,
+            ..SampledConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sketch = SampledBackend::new(source, config, &mut rng).unwrap();
+        assert_eq!(sketch.source.calls(), budget as u64, "one read a slot");
+        sketch
+    }
+
     #[test]
     fn cached_snis_weights_never_go_stale() {
         use pmw_data::workload::ImplicitQuery;
-        let sketch_on = |dim: usize, config: SampledConfig, seed: u64| {
-            let cube = BooleanCube::new(dim).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            SampledBackend::new(UniversePoints(cube), config, &mut rng).unwrap()
-        };
         // A stream apart from every construction seed below, so resamples
         // draw pools of their own.
         let mut rng = StdRng::seed_from_u64(5);
 
         // `record`, a manual resample, `compact_now`, a cadence resample.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 64,
-                resample_every: 2,
-                ..SampledConfig::default()
-            },
-            67,
-        );
+        let mut sketch = cadence_sketch(67);
         assert_reads_fresh(&sketch, "construction");
         let q = Arc::new(ImplicitQuery::marginal(vec![0], 10).unwrap()) as Arc<dyn PointQuery>;
         sketch
@@ -2747,78 +2307,14 @@ mod tests {
         assert_eq!(sketch.resamples(), 2);
         assert_reads_fresh(&sketch, "cadence resample");
 
-        // An adaptive resample: one violent round sinks ESS/m below 0.9.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 128,
-                ess_floor: 0.9,
-                ..SampledConfig::default()
-            },
-            47,
-        );
-        assert_reads_fresh(&sketch, "construction");
-        marginal_round(&mut sketch, 1.0, 8.0, &mut rng).unwrap();
-        assert_eq!(sketch.adaptive_resamples(), 1);
-        assert_reads_fresh(&sketch, "adaptive resample");
-
-        // An emergency resample, then one doubling that stops short of the
-        // universe. The claimed radius is linear in the round's scale
-        // |coeff|, so this coefficient puts the 32-slot pool 20% above the
-        // threshold and the 64-slot pool below it.
-        let threshold = 4.0;
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 32,
-                max_usable_radius: threshold,
-                growth_cap: 64,
-                ..SampledConfig::default()
-            },
-            71,
-        );
-        assert_reads_fresh(&sketch, "construction");
-        let coeff = 1.2 * threshold / sketch.claimed_read_radius(1.0);
-        marginal_round(&mut sketch, coeff, 0.01, &mut rng).unwrap();
-        assert_eq!((sketch.escalations(), sketch.pool_growths()), (1, 1));
-        assert_eq!(sketch.pool_size(), 64);
-        assert!(!sketch.is_exhaustive());
-        assert_reads_fresh(&sketch, "emergency resample and pool growth");
-
-        // Growth to exhaustive. Estimates fail loudly above the tiny
-        // threshold before the round, so only the margin read runs first.
-        let mut sketch = sketch_on(
-            3,
-            SampledConfig {
-                budget: 4,
-                max_usable_radius: 1e-9,
-                growth_cap: 64,
-                ..SampledConfig::default()
-            },
-            59,
-        );
-        sketch.read_radius(1.0);
-        marginal_round(&mut sketch, 1.0, 0.4, &mut rng).unwrap();
-        assert!(sketch.is_exhaustive());
-        assert_reads_fresh(&sketch, "growth to exhaustive");
-
-        // A round rolled back after the ladder read the radius: scale 100
-        // stays far above the threshold after the emergency resample.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 32,
-                max_usable_radius: threshold,
-                ..SampledConfig::default()
-            },
-            73,
-        );
+        // A round rolled back when its cadence resample reads a NaN point.
+        let mut sketch = sketch_failing_its_first_refresh(73);
         marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
         assert_reads_fresh(&sketch, "round before the rollback");
         let before = sketch.pool_log_w.as_slice().to_vec();
-        let err = marginal_round(&mut sketch, 100.0, 0.01, &mut rng).unwrap_err();
-        assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
-        assert_eq!(sketch.escalations(), 0, "the escalation rolled back");
+        let err = marginal_round(&mut sketch, -1.0, 0.5, &mut rng).unwrap_err();
+        assert!(matches!(err, PmwError::LossMismatch(_)), "{err:?}");
+        assert_eq!((sketch.rounds(), sketch.resamples()), (1, 0), "rolled back");
         assert_eq!(sketch.pool_log_w.as_slice(), before);
         assert_reads_fresh(&sketch, "rollback");
     }
@@ -2845,8 +2341,8 @@ mod tests {
     /// must read the same bits and append the same ledger records, and the
     /// memo must then hold a complete entry set on the current support —
     /// one slot per log-weight — which is returned.
-    fn assert_memo_reads_fresh(
-        sketch: &SampledBackend<UniversePoints<BooleanCube>>,
+    fn assert_memo_reads_fresh<S: PointSource>(
+        sketch: &SampledBackend<S>,
         memo: &mut QueryMemo,
         step: &str,
     ) -> Arc<PoolSupport> {
@@ -2897,24 +2393,11 @@ mod tests {
 
     #[test]
     fn query_memo_never_goes_stale() {
-        let sketch_on = |dim: usize, config: SampledConfig, seed: u64| {
-            let cube = BooleanCube::new(dim).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            SampledBackend::new(UniversePoints(cube), config, &mut rng).unwrap()
-        };
         let mut rng = StdRng::seed_from_u64(5);
 
         // A round and a fold keep the support and the memo's entries; a
         // manual and a cadence resample replace both.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 64,
-                resample_every: 2,
-                ..SampledConfig::default()
-            },
-            67,
-        );
+        let mut sketch = cadence_sketch(67);
         let mut memo = QueryMemo::new();
         let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
         marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
@@ -2932,88 +2415,19 @@ mod tests {
         let cadence = assert_memo_reads_fresh(&sketch, &mut memo, "cadence resample");
         assert!(!Arc::ptr_eq(&folded, &cadence));
 
-        // An adaptive resample.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 128,
-                ess_floor: 0.9,
-                ..SampledConfig::default()
-            },
-            47,
-        );
-        let mut memo = QueryMemo::new();
-        let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
-        marginal_round(&mut sketch, 1.0, 8.0, &mut rng).unwrap();
-        assert_eq!(sketch.adaptive_resamples(), 1);
-        let redrawn = assert_memo_reads_fresh(&sketch, &mut memo, "adaptive resample");
-        assert!(!Arc::ptr_eq(&built, &redrawn));
-
-        // An emergency resample, then one doubling short of the universe
-        // (the set-up of `cached_snis_weights_never_go_stale`).
-        let threshold = 4.0;
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 32,
-                max_usable_radius: threshold,
-                growth_cap: 64,
-                ..SampledConfig::default()
-            },
-            71,
-        );
-        let mut memo = QueryMemo::new();
-        let built = assert_memo_reads_fresh(&sketch, &mut memo, "construction");
-        let coeff = 1.2 * threshold / sketch.claimed_read_radius(1.0);
-        marginal_round(&mut sketch, coeff, 0.01, &mut rng).unwrap();
-        assert_eq!(sketch.pool_size(), 64);
-        let grown = assert_memo_reads_fresh(&sketch, &mut memo, "pool growth");
-        assert!(!Arc::ptr_eq(&built, &grown));
-
-        // Growth to exhaustive. Before the round every estimate is over
-        // the tiny threshold, so the batched read fails at its first
-        // query, after tabulating it on the 4-slot pool.
-        let mut sketch = sketch_on(
-            3,
-            SampledConfig {
-                budget: 4,
-                max_usable_radius: 1e-9,
-                growth_cap: 64,
-                ..SampledConfig::default()
-            },
-            59,
-        );
-        let mut memo = QueryMemo::new();
-        let q = pmw_data::workload::ImplicitQuery::marginal(vec![0], 3).unwrap();
-        let looped = sketch.query_mean(&q).map(|_| ()).unwrap_err();
-        let batched = StateBackend::expected_query_values(&sketch, &[&q], None, &mut memo)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(batched, PmwError::from(looped));
-        marginal_round(&mut sketch, 1.0, 0.4, &mut rng).unwrap();
-        assert!(sketch.is_exhaustive());
-        assert_memo_reads_fresh(&sketch, &mut memo, "growth to exhaustive");
-
-        // A round rolled back after its emergency resample brings back the
-        // pre-round support, and the memo's entries on it stay good.
-        let mut sketch = sketch_on(
-            10,
-            SampledConfig {
-                budget: 32,
-                max_usable_radius: threshold,
-                ..SampledConfig::default()
-            },
-            73,
-        );
+        // A round rolled back when its cadence resample reads a NaN point
+        // keeps the pre-round support, and the memo's entries on it stay
+        // good.
+        let mut sketch = sketch_failing_its_first_refresh(73);
         let mut memo = QueryMemo::new();
         marginal_round(&mut sketch, 1.0, 0.5, &mut rng).unwrap();
         let before = assert_memo_reads_fresh(&sketch, &mut memo, "round before the rollback");
-        let err = marginal_round(&mut sketch, 100.0, 0.01, &mut rng).unwrap_err();
-        assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
+        let err = marginal_round(&mut sketch, -1.0, 0.5, &mut rng).unwrap_err();
+        assert!(matches!(err, PmwError::LossMismatch(_)), "{err:?}");
         let restored = assert_memo_reads_fresh(&sketch, &mut memo, "rollback");
         assert!(
             Arc::ptr_eq(&before, &restored),
-            "the rollback restores the support"
+            "the rollback keeps the support"
         );
     }
 
@@ -3136,7 +2550,7 @@ mod tests {
         assert_eq!(h.rounds_since_refresh, 3);
         assert!(h.ess >= 1.0 && h.ess <= 256.0);
         assert!((h.drift_bound - sketch.log().drift_bound()).abs() < 1e-12);
-        assert!(sketch.min_ess() >= 1.0 && sketch.min_ess() <= 256.0);
+        assert_eq!(h.ess_fraction, h.ess / 256.0);
         // A refresh resets the since-refresh counters and re-bases drift.
         let mut rng = StdRng::seed_from_u64(62);
         sketch.resample(&mut rng).unwrap();

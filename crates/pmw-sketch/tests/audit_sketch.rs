@@ -40,14 +40,13 @@ fn sketch_backed_online_pmw_audit_stays_below_declared_epsilon() {
             .solver_iters(80)
             .build()
             .unwrap();
-        // A genuinely sketched pool (8 of 16 points), with the robustness
-        // machinery live so its extra public randomness is audited too.
+        // A genuinely sketched pool (8 of 16 points), redrawn after every
+        // round so the redraws' extra public randomness is audited too.
         let backend = SampledBackend::new(
             UniversePoints(cube.clone()),
             SampledConfig {
                 budget: 8,
                 resample_every: 1,
-                ess_floor: 0.25,
                 ..SampledConfig::default()
             },
             r,

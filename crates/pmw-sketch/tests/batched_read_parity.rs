@@ -9,9 +9,9 @@
 //! forwards every method except the batched read and so takes the default
 //! loop. Answers, selections, backend events, ledger records and every
 //! probe call (spans, radius gauges, bound notes, round outcomes) must
-//! match, across pool redraws, compaction folds, pool growth to exhaustive
-//! and a round the backend rolls back, on a query type that takes the
-//! trait's default batch and on `ImplicitQuery`, which overrides it.
+//! match, across pool redraws, compaction folds, an exhaustive pool and a
+//! round the backend rolls back, on a query type that takes the trait's
+//! default batch and on `ImplicitQuery`, which overrides it.
 
 use pmw_core::{BackendEvent, Mwem, MwemRun, PmwError, QueryEstimate, ReadSnapshot, StateBackend};
 use pmw_data::{
@@ -20,7 +20,10 @@ use pmw_data::{
 use pmw_dp::SamplingRecord;
 use pmw_losses::CmLoss;
 use pmw_obs::{Counter, Gauge, Phase, Probe};
-use pmw_sketch::{CompactionPolicy, FaultPlan, FaultyBackend, SampledBackend, SampledConfig};
+use pmw_sketch::{
+    CompactionPolicy, FaultPlan, FaultRule, FaultyBackend, FaultySource, SampledBackend,
+    SampledConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use std::cell::RefCell;
@@ -184,6 +187,8 @@ struct Case {
     config: SampledConfig,
     rounds: usize,
     range: f64,
+    /// When the sampled backend's point source returns a NaN point.
+    fault: FaultRule,
 }
 
 fn queries(dim: usize) -> Vec<BitShare> {
@@ -237,7 +242,8 @@ fn run<'t, Q: PointQuery, B: StateBackend>(
 ) -> Result<MwemRun<B>, PmwError> {
     let source = BigBitCube::new(case.dim).unwrap();
     let mut pool_rng = StdRng::seed_from_u64(23);
-    let backend = SampledBackend::with_probe(source, case.config, tape, &mut pool_rng).unwrap();
+    let faulty = FaultySource::new(source, case.fault);
+    let backend = SampledBackend::with_probe(faulty, case.config, tape, &mut pool_rng).unwrap();
     let mut rng = StdRng::seed_from_u64(29);
     Mwem::new(case.rounds, case.range)
         .unwrap()
@@ -268,7 +274,7 @@ fn record_bits(records: &[SamplingRecord]) -> Vec<(&'static str, usize, u64, u64
         .collect()
 }
 
-type Sampled<'t> = SampledBackend<BigBitCube, &'t Tape>;
+type Sampled<'t> = SampledBackend<FaultySource<BigBitCube>, &'t Tape>;
 
 /// Checks that `other` ran as `direct` did: the same probe tape, answers,
 /// selections, events and ledger records, or the same error.
@@ -354,6 +360,7 @@ fn batched_estimates_match_the_per_query_loop_bit_for_bit() {
         },
         rounds: 8,
         range: 1.0,
+        fault: FaultRule::Never,
     };
     let tape = Tape::default();
     let run = assert_parity(&reused, &queries(reused.dim), &tape).unwrap();
@@ -382,45 +389,33 @@ fn batched_estimates_match_the_per_query_loop_bit_for_bit() {
     assert_eq!(run.state.resamples(), 4);
     assert!(run.state.compactions() > 0);
 
-    // A tight usable radius against steep steps (range 0.02 makes |coeff|
-    // large): rounds 1 and 2 each take an emergency redraw and a doubling,
-    // the second to the whole 64-point universe.
-    let grown = Case {
+    // A pool that is the whole 64-point universe from construction, against
+    // steep steps (range 0.02 makes |coeff| large).
+    let exhaustive = Case {
         dim: 6,
-        config: SampledConfig {
-            budget: 16,
-            max_usable_radius: 6.0,
-            growth_cap: 64,
-            ..SampledConfig::default()
-        },
         rounds: 6,
         range: 0.02,
+        ..reused
     };
     let tape = Tape::default();
-    let run = assert_parity(&grown, &queries(grown.dim), &tape).unwrap();
+    let run = assert_parity(&exhaustive, &queries(exhaustive.dim), &tape).unwrap();
     assert!(run.state.is_exhaustive());
-    assert!(matches!(
-        run.backend_events.as_slice(),
-        [
-            BackendEvent::EmergencyResample { round: 1, .. },
-            BackendEvent::PoolGrowth { new_size: 32, .. },
-            BackendEvent::EmergencyResample { round: 2, .. },
-            BackendEvent::PoolGrowth { new_size: 64, .. },
-        ]
-    ));
+    assert!(run.backend_events.is_empty());
 
-    // Without growth the ladder runs out in round 1: the backend rolls
-    // the round back and the run fails.
+    // Redrawn after every round from a source that returns a NaN point on
+    // its first read after the 64 of construction: round 0's refresh
+    // fails, the backend rolls the round back and the run fails.
     let rolled_back = Case {
         config: SampledConfig {
-            growth_cap: 0,
-            ..grown.config
+            resample_every: 1,
+            ..reused.config
         },
-        ..grown
+        fault: FaultRule::Once(reused.config.budget as u64 + 1),
+        ..reused
     };
     let tape = Tape::default();
     let err = assert_parity(&rolled_back, &queries(rolled_back.dim), &tape).err();
-    assert!(matches!(err, Some(PmwError::Degraded(_))), "{err:?}");
+    assert!(matches!(err, Some(PmwError::LossMismatch(_))), "{err:?}");
     assert!(tape.0.borrow().contains(&"round 0 failed".to_string()));
 }
 
@@ -428,7 +423,7 @@ fn batched_estimates_match_the_per_query_loop_bit_for_bit() {
 fn implicit_query_tabulation_matches_the_per_query_loop_bit_for_bit() {
     // `ImplicitQuery` overrides the batch; the per-query loop reads it one
     // slot at a time. A reused pool, then one redrawn and folded every
-    // second round, then one grown to the whole universe.
+    // second round, then one that is the whole universe.
     let reused = Case {
         dim: 10,
         config: SampledConfig {
@@ -437,6 +432,7 @@ fn implicit_query_tabulation_matches_the_per_query_loop_bit_for_bit() {
         },
         rounds: 8,
         range: 1.0,
+        fault: FaultRule::Never,
     };
     let redrawn = Case {
         config: SampledConfig {
@@ -446,18 +442,13 @@ fn implicit_query_tabulation_matches_the_per_query_loop_bit_for_bit() {
         },
         ..reused
     };
-    let grown = Case {
+    let exhaustive = Case {
         dim: 6,
-        config: SampledConfig {
-            budget: 16,
-            max_usable_radius: 6.0,
-            growth_cap: 64,
-            ..SampledConfig::default()
-        },
         rounds: 6,
         range: 0.02,
+        ..reused
     };
-    for case in [&reused, &redrawn, &grown] {
+    for case in [&reused, &redrawn, &exhaustive] {
         let queries = implicit_queries(case.dim);
         assert_eq!(queries.len(), 12);
         let tape = Tape::default();

@@ -133,8 +133,6 @@ fn lossless_folds_are_bit_for_bit_invisible_across_thread_counts() {
             CompactionPolicy::Never,
             CompactionPolicy::EveryK(2),
             CompactionPolicy::EveryK(5),
-            // Small enough that a few retained rounds trip it.
-            CompactionPolicy::MemoryBound(256),
         ] {
             let (trace, compactions) = with_threads(threads, || {
                 let mut backend = drive(config(policy), 12, 42);
@@ -235,7 +233,7 @@ fn lossy_fold_realized_error_stays_within_the_claimed_radius() {
                 .unwrap();
                 exact.push(update.clone());
                 lossy.push(update);
-                if policy.due(lossy.retained_len(), lossy.retained_bytes()) {
+                if policy.due(lossy.retained_len()) {
                     lossy.compact(&[], &[], 0.0).unwrap();
                 }
             }

@@ -7,17 +7,16 @@
 //!   (mechanism and backend both reporting through a live
 //!   [`SummaryProbe`]) produces bit-for-bit the answers, transcript, and
 //!   rng stream of the unprobed run — the probe only listens.
-//! * **Transcript ordering**: backend self-maintenance events (adaptive
-//!   resamples, escalation rungs, rollbacks) arrive through
-//!   [`StateBackend::take_events`] in execution order, on successful and
-//!   failed rounds alike.
+//! * **Rollback reporting**: a failed round's rollback reaches
+//!   [`StateBackend::take_events`] as one marker, and the backend stays
+//!   usable.
 
 use pmw_core::{BackendEvent, DataSide, OnlinePmw, PmwConfig, PmwError, StateBackend};
 use pmw_data::{BooleanCube, Dataset, ImplicitQuery};
 use pmw_erm::ExactOracle;
 use pmw_losses::{LinearQueryLoss, PointPredicate};
 use pmw_obs::{Counter, Phase, SummaryProbe};
-use pmw_sketch::{SampledBackend, SampledConfig, UniversePoints};
+use pmw_sketch::{FaultRule, FaultySource, SampledBackend, SampledConfig, UniversePoints};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,14 +38,11 @@ fn config() -> PmwConfig {
 }
 
 fn sampled_config() -> SampledConfig {
-    // Non-exhaustive pool with every maintenance knob live, so the probed
-    // run crosses the instrumented resample/escalation paths too.
+    // Non-exhaustive pool redrawn every second round, so the probed run
+    // crosses the instrumented resample path too.
     SampledConfig {
         budget: 5,
         resample_every: 2,
-        ess_floor: 0.25,
-        max_usable_radius: 0.75,
-        growth_cap: 16,
         ..SampledConfig::default()
     }
 }
@@ -122,7 +118,7 @@ fn probed_run_is_bit_for_bit_identical_to_the_unprobed_run() {
         format!("{:?}", mech_b.transcript().backend_events())
     );
     assert_eq!(mech_a.accountant().len(), mech_b.accountant().len());
-    assert_eq!(mech_a.state().min_ess(), mech_b.state().min_ess());
+    assert_eq!(mech_a.state().health(), mech_b.state().health());
     assert_eq!(mech_a.state().resamples(), mech_b.state().resamples());
     drop(mech_a);
     drop(mech_b);
@@ -155,73 +151,24 @@ fn probed_run_is_bit_for_bit_identical_to_the_unprobed_run() {
         .any(|&(c, n)| c == Counter::UpdateRounds && n > 0));
 }
 
-/// Mixed maintenance sequences arrive in execution order: the adaptive
-/// (ESS-floor) resample first, then the escalation ladder's emergency
-/// resample, then each pool growth with strictly increasing sizes.
-#[test]
-fn maintenance_events_arrive_in_execution_order() {
-    let dim = 10;
-    let cube = BooleanCube::new(dim).unwrap();
-    let mut rng = StdRng::seed_from_u64(97);
-    let mut sketch = SampledBackend::new(
-        UniversePoints(cube),
-        SampledConfig {
-            budget: 16,
-            ess_floor: 0.9,
-            max_usable_radius: 1e-9,
-            growth_cap: 1 << dim,
-            ..SampledConfig::default()
-        },
-        &mut rng,
-    )
-    .unwrap();
-    // One hard round: the update collapses the pool's ESS (adaptive
-    // resample), the unusably tight radius threshold then runs the whole
-    // ladder, and growth only stops at the exhaustive pool.
-    let q = ImplicitQuery::marginal(vec![0], dim).unwrap();
-    StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 8.0, None, &mut rng).unwrap();
-    assert!(sketch.is_exhaustive(), "growth must reach the universe");
-
-    let events = StateBackend::take_events(&mut sketch);
-    assert!(
-        matches!(
-            events.as_slice(),
-            [
-                BackendEvent::AdaptiveResample { round: 1, .. },
-                BackendEvent::EmergencyResample { round: 1, .. },
-                BackendEvent::PoolGrowth { round: 1, .. },
-                ..
-            ]
-        ),
-        "{events:?}"
-    );
-    let sizes: Vec<usize> = events
-        .iter()
-        .filter_map(|e| match e {
-            BackendEvent::PoolGrowth { new_size, .. } => Some(*new_size),
-            _ => None,
-        })
-        .collect();
-    assert!(sizes.windows(2).all(|w| w[0] < w[1]), "{sizes:?}");
-    assert_eq!(sizes.last(), Some(&(1 << dim)));
-    assert_eq!(events.len(), 2 + sizes.len());
-}
-
-/// A failed round's maintenance events survive the transactional rollback
-/// in execution order, closed by the explicit rollback marker — the
-/// escalation that *caused* a `Degraded` failure is never lost.
+/// A round whose cadence resample reads a NaN point rolls back: the pool
+/// is restored, the backend is not poisoned, and the drain holds exactly
+/// the rollback marker — a failing round queues no event of its own.
 #[test]
 fn failed_round_keeps_its_events_in_order_before_the_rollback_marker() {
     let dim = 10;
+    let budget = 16;
     let cube = BooleanCube::new(dim).unwrap();
     let mut rng = StdRng::seed_from_u64(101);
+    // Construction reads one point a slot, so the fault lands on the first
+    // point the first resample reads (the chaos suite's
+    // `Once(init_reads + 1)`).
+    let source = FaultySource::new(UniversePoints(cube), FaultRule::Once(budget as u64 + 1));
     let mut sketch = SampledBackend::new(
-        UniversePoints(cube),
+        source,
         SampledConfig {
-            budget: 16,
-            ess_floor: 0.9,
-            max_usable_radius: 1e-9,
-            growth_cap: 0, // rung 2 disabled: the ladder must fail
+            budget,
+            resample_every: 1,
             ..SampledConfig::default()
         },
         &mut rng,
@@ -230,21 +177,12 @@ fn failed_round_keeps_its_events_in_order_before_the_rollback_marker() {
     let q = ImplicitQuery::marginal(vec![0], dim).unwrap();
     let err = StateBackend::apply_query_update(&mut sketch, &q, None, 1.0, 8.0, None, &mut rng)
         .unwrap_err();
-    assert!(matches!(err, PmwError::Degraded(_)), "{err:?}");
+    assert!(matches!(err, PmwError::LossMismatch(_)), "{err:?}");
     assert_eq!(sketch.rounds(), 0, "the failed round rolled back");
+    assert_eq!(sketch.resamples(), 0);
     assert!(!sketch.is_poisoned());
 
     let events = StateBackend::take_events(&mut sketch);
-    assert!(
-        matches!(
-            events.as_slice(),
-            [
-                BackendEvent::AdaptiveResample { round: 1, .. },
-                BackendEvent::EmergencyResample { round: 1, .. },
-                BackendEvent::RoundRolledBack { round: 1 },
-            ]
-        ),
-        "{events:?}"
-    );
+    assert_eq!(events, [BackendEvent::RoundRolledBack { round: 1 }]);
     assert!(StateBackend::take_events(&mut sketch).is_empty());
 }

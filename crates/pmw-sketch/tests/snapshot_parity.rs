@@ -6,7 +6,6 @@
 //! rolling back around it.
 
 use pmw_core::{DataSide, OnlinePmw, PmwConfig, PmwError, ReadSnapshot, StateBackend};
-use pmw_data::workload::ImplicitQuery;
 use pmw_data::{BooleanCube, Dataset, PointMatrix, Universe};
 use pmw_erm::ExactOracle;
 use pmw_losses::{CmLoss, LinearQueryLoss, PointPredicate};
@@ -159,8 +158,7 @@ fn sampled_snapshot_reads_are_bitwise_live_at_every_round() {
 
 /// Live-vs-snapshot parity at a real pool size: budget 2048 over a 2^12
 /// universe, so every SNIS sum runs over thousands of slots. Checked after
-/// each of several records, after an explicit resample, and after an
-/// escalation-ladder growth to the whole universe — the last two rebuild
+/// each of several records and after an explicit resample, which rebuilds
 /// the pool through the log replay.
 #[test]
 fn sampled_snapshot_reads_are_bitwise_live_at_budget_2048() {
@@ -186,7 +184,7 @@ fn sampled_snapshot_reads_are_bitwise_live_at_budget_2048() {
         budget: 2048,
         ..SampledConfig::default()
     };
-    let mut backend = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
+    let mut backend = SampledBackend::new(UniversePoints(cube), sk, &mut rng).unwrap();
     assert_eq!(backend.pool_size(), 2048);
     for (i, &(bit, t_o, t_h, eta)) in steps.iter().enumerate() {
         backend.record(update(bit, t_o, t_h, eta)).unwrap();
@@ -195,26 +193,6 @@ fn sampled_snapshot_reads_are_bitwise_live_at_budget_2048() {
     backend.resample(&mut rng).unwrap();
     assert_eq!(backend.resamples(), 1);
     assert_sampled_snapshot_matches_live(&backend, BIG, steps.len());
-
-    // The escalation ladder's config at this scale: an unusably tight
-    // threshold and a growth cap past |X|, so the round's emergency
-    // resample fails to help and one doubling reaches the whole universe.
-    let sk = SampledConfig {
-        budget: 2048,
-        max_usable_radius: 1e-9,
-        growth_cap: 1 << 13,
-        ..SampledConfig::default()
-    };
-    let mut ladder = SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng).unwrap();
-    for &(bit, t_o, t_h, eta) in &steps {
-        ladder.record(update(bit, t_o, t_h, eta)).unwrap();
-    }
-    let q = ImplicitQuery::marginal(vec![0], BIG).unwrap();
-    StateBackend::apply_query_update(&mut ladder, &q, None, 1.0, 0.4, None, &mut rng).unwrap();
-    assert_eq!((ladder.escalations(), ladder.pool_growths()), (1, 1));
-    assert!(ladder.is_exhaustive());
-    assert_eq!(ladder.pool_size(), cube.size());
-    assert_sampled_snapshot_matches_live(&ladder, BIG, steps.len() + 1);
 }
 
 /// 25 seeded fault plans: whatever the faulty writer does — injected
@@ -234,9 +212,6 @@ fn writer_faults_never_corrupt_published_snapshots() {
         let sk = SampledConfig {
             budget: 5,
             resample_every: 2,
-            ess_floor: 0.25,
-            max_usable_radius: 0.75,
-            growth_cap: 16,
             ..SampledConfig::default()
         };
         let backend = match SampledBackend::new(UniversePoints(cube.clone()), sk, &mut rng) {
