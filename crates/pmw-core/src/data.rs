@@ -215,8 +215,18 @@ impl DataSide {
                 points,
                 weights,
             } => {
-                // One batch call per stack tile of rows: the sum keeps its
-                // row order and allocates nothing.
+                // A query with a bit form reads 1 at its set rows and 0
+                // elsewhere, where `w·0` adds +0.0: the sum over the set
+                // rows alone, in row order, has the same bits.
+                if let Some(set) = q.incidence(points) {
+                    let mut value = 0.0;
+                    for r in set.rows() {
+                        value += weights[r];
+                    }
+                    return Ok(value);
+                }
+                // Otherwise one batch call per stack tile of rows: the sum
+                // keeps its row order and allocates nothing.
                 const TILE: usize = 256;
                 let mut tile = [0.0; TILE];
                 let mut value = 0.0;
@@ -286,14 +296,21 @@ mod tests {
         // Varying values, so a sum taken in another order would show.
         let dense =
             LinearQuery::new((0..source.len()).map(|i| (i % 17) as f64 / 16.0).collect()).unwrap();
+        // Marginals and parities sum over their bit form's set rows, the
+        // others over every row's value.
         let queries: Vec<Box<dyn PointQuery>> = vec![
             Box::new(ImplicitQuery::marginal(vec![2, 9], 12).unwrap()),
+            Box::new(ImplicitQuery::marginal(vec![0], 12).unwrap()),
+            Box::new(ImplicitQuery::marginal(vec![1, 4, 7], 12).unwrap()),
             Box::new(ImplicitQuery::parity(vec![0, 5, 11], 12).unwrap()),
+            Box::new(ImplicitQuery::parity(vec![6], 12).unwrap()),
             Box::new(ImplicitQuery::threshold(4, 0.5, 12).unwrap()),
             Box::new(dense),
         ];
         for query in &queries {
             let query = query.as_ref();
+            let bit_form = matches!(query.name(), "marginal" | "parity");
+            assert_eq!(query.incidence(points).is_some(), bit_form);
             let mut expected = 0.0;
             for ((&index, point), w) in indices.iter().zip(points.iter()).zip(weights) {
                 expected += w * query_value(query, index, point).unwrap();

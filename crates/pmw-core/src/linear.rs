@@ -532,8 +532,8 @@ impl Mwem {
                 let applied =
                     state.apply_query_update(queries[idx], retained, coeff, 1.0, points, rng);
                 probe.span_end(Phase::Update);
-                // Drained on every round, a failed one included, so the
-                // backend's queue never carries a round's events past it.
+                // Drained on every round. The engine owns `state`, so a
+                // failed run's events are dropped along with that state.
                 backend_events.extend(state.take_events());
                 applied?;
                 // Post-update estimates: next round's scores, and — on the

@@ -141,16 +141,22 @@ impl ScreenContext {
 /// 1024 points × 100 iterations): a 2^16 solve takes 350–480 µs, so the
 /// fork costs 8–14% of the solve it takes off the caller's thread.
 ///
-/// Quadratic objectives (squared links and linear queries, which
-/// `WeightedObjective` solves from sufficient statistics) count their
-/// point-iterations the same way, although their whole solve costs less
-/// than the spawn: over 1024 points at `d = 10` the statistics build in
-/// 23–45 µs and 100 iterations take 8–12 µs, as the host's speed varies. A
-/// variant that never forks a quadratic objective read a lower
+/// A loss with a [`CmLoss::quadratic_target`] (a linear query) counts one
+/// iteration: its objective reads the points once, to build `Σw`, `Σw·t`
+/// and `Σw·t²`, and each solver iteration then costs O(1), so a 1024-point
+/// solve takes a few µs. Counted as points × `solver_iters`, a dense
+/// 1024-point linear query at 100 iterations forked: `exp_runtime`'s
+/// linear-query free answers read 28.7–31.6 µs with two workers against
+/// 10.8–16.6 µs at `PMW_THREADS=1`.
+///
+/// Squared GLMs, which `WeightedObjective` also solves from sufficient
+/// statistics, keep points × `solver_iters`, although their whole solve
+/// costs less than the spawn: over 1024 points at `d = 10` the statistics
+/// build in 23–45 µs and 100 iterations take 8–12 µs, as the host's speed
+/// varies. A variant that never forks a quadratic objective read a lower
 /// `latency_p50_us` on perfbench online-glm in all of 10 alternating
 /// pairs × 30 s at seed 1, but won `answers_per_s` in only 3 of them
-/// (median 1,224 against 1,542 answers/s), so one rule serves every
-/// objective.
+/// (median 1,224 against 1,542 answers/s).
 const FORK_POINT_ITERS: usize = 1 << 16;
 
 /// The read phase: solve `θ̂` against the frozen hypothesis, evaluate the
@@ -162,7 +168,8 @@ const FORK_POINT_ITERS: usize = 1 << 16;
 /// `ℓ_D(θ̂)`.
 ///
 /// With more than one sweep worker ([`pmw_data::par::threads`]) and a
-/// data-side solve of at least [`FORK_POINT_ITERS`], the error query's
+/// data-side solve of at least [`FORK_POINT_ITERS`] (counted as that
+/// constant's doc says), the error query's
 /// objective is built and its `θ*` solved on a scoped second thread while
 /// this thread solves `θ̂`; the objective comes back through the join. The
 /// two solves are independent and deterministic, so the outcome is
@@ -194,8 +201,13 @@ fn screen_query<P: Probe>(
         let at_star = data_obj.solve(ctx.solver_iters)?.value;
         Ok((data_obj, at_star))
     };
-    let fork = pmw_data::par::threads() > 1
-        && points.len().saturating_mul(ctx.solver_iters) >= FORK_POINT_ITERS;
+    let iters = if loss.quadratic_target().is_some() {
+        1
+    } else {
+        ctx.solver_iters
+    };
+    let fork =
+        pmw_data::par::threads() > 1 && points.len().saturating_mul(iters) >= FORK_POINT_ITERS;
     probe.span_begin(Phase::HypothesisSolve);
     let (theta_hat, star) = if fork {
         std::thread::scope(|s| {
@@ -1451,9 +1463,10 @@ mod tests {
                 for task in regress.into_iter().chain(classify.unwrap()) {
                     tasks.push(Box::new(task));
                 }
-                // Linear queries take the objective's quadratic path. The
-                // cube's coordinates are ±1/√10, so bit b is set where
-                // x_b ≥ 0.
+                // Linear queries take the objective's quadratic path and
+                // count one pass over the 1024 points, so they are solved
+                // on the calling thread at either worker count. The cube's
+                // coordinates are ±1/√10, so bit b is set where x_b ≥ 0.
                 let linear = [
                     PointPredicate::Threshold {
                         coord: 0,

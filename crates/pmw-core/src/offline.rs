@@ -31,8 +31,9 @@ pub struct OfflineResult {
     pub answers: Vec<Vec<f64>>,
     /// Which loss was selected for measurement each round.
     pub selected: Vec<usize>,
-    /// Backend maintenance events (compactions) drained after each round,
-    /// in occurrence order. Empty on exact backends.
+    /// Backend maintenance events (compactions), drained after the last
+    /// round, in occurrence order. Empty on exact backends. A failed run
+    /// drains nothing: its events stay in the caller's backend.
     pub backend_events: Vec<BackendEvent>,
 }
 
@@ -110,7 +111,6 @@ impl<O: ErmOracle> OfflinePmw<O> {
         let em_sensitivity = 3.0 * self.config.scale_s / n as f64;
         let mut accountant = Accountant::new();
         let mut selected = Vec::with_capacity(rounds);
-        let mut backend_events = Vec::new();
 
         // Cache the per-loss optimal value on the true data (one solve per
         // loss, reused across rounds); the solve reports it.
@@ -157,7 +157,7 @@ impl<O: ErmOracle> OfflinePmw<O> {
                 rng,
             )?;
             accountant.spend("erm-oracle", derived.oracle_budget);
-            let applied = state.apply_update(
+            state.apply_update(
                 losses[idx],
                 retained.as_ref().map(|handles| handles[idx].clone()),
                 data_points,
@@ -166,12 +166,12 @@ impl<O: ErmOracle> OfflinePmw<O> {
                 derived.eta,
                 None,
                 rng,
-            );
-            // Drained on every round, a failed one included, so the
-            // backend's queue never carries a round's events past it.
-            backend_events.extend(state.take_events());
-            applied?;
+            )?;
         }
+        // Drained once, after the last round: a failed run returns before
+        // this, so the caller's backend keeps every round's events, the
+        // failed round's `RoundRolledBack` last.
+        let backend_events = state.take_events();
 
         // Answer everything from a snapshot of the final hypothesis.
         let snapshot = state.snapshot()?;

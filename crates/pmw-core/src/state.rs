@@ -73,10 +73,11 @@ pub(crate) fn eval_query_on_histogram(
 
 /// A maintenance action a state backend took on its own while applying a
 /// round: a log compaction, or the rollback of a round that failed. The
-/// mechanisms drain these through [`StateBackend::take_events`] after
-/// every applied round and record them in the
-/// [`Transcript`](crate::Transcript), so a run's maintenance history is
-/// observable without reaching into backend internals.
+/// mechanisms drain these through [`StateBackend::take_events`] (`OnlinePmw`
+/// and `Mwem` after every round, `OfflinePmw` after its last) and report
+/// them, `OnlinePmw` in its [`Transcript`](crate::Transcript), so a run's
+/// maintenance history is observable without reaching into backend
+/// internals.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendEvent {
     /// The backend folded the old prefix of its update log into a
@@ -368,9 +369,8 @@ pub trait StateBackend {
 
     /// Drain the maintenance events accumulated since the last drain
     /// ([`BackendEvent`]): compactions and rolled-back rounds. Backends
-    /// without self-maintenance return nothing (the default). The
-    /// mechanisms call this after every applied round and push the events
-    /// into their transcript.
+    /// without self-maintenance return nothing (the default). See
+    /// [`BackendEvent`] for when each mechanism drains.
     fn take_events(&mut self) -> Vec<BackendEvent> {
         Vec::new()
     }

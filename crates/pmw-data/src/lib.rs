@@ -46,7 +46,7 @@ pub use dataset::Dataset;
 pub use error::DataError;
 pub use histogram::Histogram;
 pub use logweight::{gumbel_max_index, standard_gumbel};
-pub use matrix::PointMatrix;
+pub use matrix::{PointMatrix, RowBits};
 pub use source::{BigBitCube, PointSource, UniversePoints};
 pub use universe::{BooleanCube, EnumeratedUniverse, GridUniverse, LabeledGridUniverse, Universe};
 pub use workload::{ImplicitQuery, LinearQuery, PointPredicate, PointQuery};

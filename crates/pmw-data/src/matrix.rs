@@ -8,22 +8,61 @@
 //! the same `|X| × p` data as a single flat `Vec<f64>` with stride `p`:
 //! rows are `chunks_exact(p)` views, sweeps are linear scans, and block
 //! decomposition for the parallel kernels is free.
+//!
+//! Conjunctions and parities read each coordinate only through the test
+//! `x_c ≥ ½`, so the matrix also serves that test as one bitset per
+//! coordinate ([`PointMatrix::set_bits`]), built on first request and
+//! cached; a query's incidence over the rows is then a few word-wide ANDs
+//! or XORs ([`RowBits`], [`crate::PointQuery::incidence`]).
 
 use crate::error::DataError;
 use crate::universe::Universe;
+use std::sync::OnceLock;
 
 /// A dense row-major `rows × dim` matrix of universe points.
 ///
 /// Invariants: `data.len() == rows * dim`, `dim >= 1`, and every entry is
 /// finite (constructors validate).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The matrix also caches its *set-bit columns* ([`PointMatrix::set_bits`])
+/// once something asks for them. They are derived from the entries, so
+/// equality and `Debug` ignore them, and a clone carries them along.
+#[derive(Clone)]
 pub struct PointMatrix {
     data: Vec<f64>,
     rows: usize,
     dim: usize,
+    /// Every coordinate's set-bit column, `words` words each, back to back
+    /// in coordinate order (`words = ⌈rows/64⌉`).
+    set_bits: OnceLock<Vec<u64>>,
+}
+
+impl PartialEq for PointMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.dim) == (other.rows, other.dim) && self.data == other.data
+    }
+}
+
+impl std::fmt::Debug for PointMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PointMatrix")
+            .field("data", &self.data)
+            .field("rows", &self.rows)
+            .field("dim", &self.dim)
+            .finish()
+    }
 }
 
 impl PointMatrix {
+    fn new(data: Vec<f64>, rows: usize, dim: usize) -> Self {
+        Self {
+            data,
+            rows,
+            dim,
+            set_bits: OnceLock::new(),
+        }
+    }
+
     /// Materialize every point of `universe`, in index order.
     pub fn from_universe<U: Universe + ?Sized>(universe: &U) -> Self {
         let (rows, dim) = (universe.size(), universe.point_dim());
@@ -35,7 +74,7 @@ impl PointMatrix {
             data.iter().all(|v| v.is_finite()),
             "universe produced a non-finite point coordinate"
         );
-        Self { data, rows, dim }
+        Self::new(data, rows, dim)
     }
 
     /// Build from explicit rows (test and workload construction); all rows
@@ -61,11 +100,7 @@ impl PointMatrix {
             }
             data.extend_from_slice(row);
         }
-        Ok(Self {
-            rows: rows.len(),
-            data,
-            dim,
-        })
+        Ok(Self::new(data, rows.len(), dim))
     }
 
     /// Build from an existing flat row-major buffer.
@@ -87,11 +122,8 @@ impl PointMatrix {
         if data.iter().any(|v| !v.is_finite()) {
             return Err(DataError::InvalidParameter("points must be finite"));
         }
-        Ok(Self {
-            rows: data.len() / dim,
-            data,
-            dim,
-        })
+        let rows = data.len() / dim;
+        Ok(Self::new(data, rows, dim))
     }
 
     /// Number of points `|X|`.
@@ -142,6 +174,83 @@ impl PointMatrix {
     /// hot paths should stay on the flat layout).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.iter().map(<[f64]>::to_vec).collect()
+    }
+
+    /// Coordinate `coord`'s set-bit column: [`RowBits::words`]' layout over
+    /// the rows, with row `r`'s bit set iff `row(r)[coord] ≥ 0.5`, the test
+    /// a conjunction or parity applies to a coordinate. The first call
+    /// builds every coordinate's column in one pass over the entries
+    /// (`dim` × ⌈len/64⌉ words) and caches them; later calls, on any
+    /// thread, read the cache. The entries are finite, so the test is
+    /// exact and no value needs a check.
+    ///
+    /// # Panics
+    /// Panics when `coord >= dim()`.
+    pub fn set_bits(&self, coord: usize) -> &[u64] {
+        assert!(coord < self.dim, "set-bit column of a coordinate past dim");
+        let words = self.rows.div_ceil(64);
+        let columns = self.set_bits.get_or_init(|| self.build_set_bits());
+        &columns[coord * words..][..words]
+    }
+
+    /// Every column, 64 rows at a time: each row's tests are or-ed into one
+    /// word per coordinate, then the words are stored column by column.
+    fn build_set_bits(&self) -> Vec<u64> {
+        let words = self.rows.div_ceil(64);
+        let mut columns = vec![0; self.dim * words];
+        let mut block = vec![0u64; self.dim];
+        for (word, rows) in self.data.chunks(64 * self.dim).enumerate() {
+            block.fill(0);
+            for (bit, row) in rows.chunks_exact(self.dim).enumerate() {
+                for (acc, &x) in block.iter_mut().zip(row) {
+                    *acc |= u64::from(x >= 0.5) << bit;
+                }
+            }
+            for (c, &acc) in block.iter().enumerate() {
+                columns[c * words + word] = acc;
+            }
+        }
+        columns
+    }
+}
+
+/// A set of rows of a [`PointMatrix`] as a bitset: row `r` is bit `r % 64`
+/// of word `r / 64`, and the bits past the last row are clear. What
+/// [`crate::PointQuery::incidence`] returns: the rows at which a query
+/// reads 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBits {
+    words: Vec<u64>,
+}
+
+impl RowBits {
+    /// Wrap `words` built over `rows` rows (`⌈rows/64⌉` words, tail clear).
+    pub(crate) fn new(words: Vec<u64>, rows: usize) -> Self {
+        debug_assert_eq!(words.len(), rows.div_ceil(64));
+        debug_assert!(
+            rows.is_multiple_of(64) || words.last().is_some_and(|w| w >> (rows % 64) == 0),
+            "bits past the last row are clear"
+        );
+        Self { words }
+    }
+
+    /// The words, row 0 at bit 0 of word 0.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The rows in the set, in ascending order.
+    pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    i * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -215,6 +324,59 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 8);
+    }
+
+    #[test]
+    fn set_bits_are_the_half_test_entry_by_entry() {
+        // Both sides of 0.5, signed zero, negatives and a huge value.
+        let values = [
+            0.5,
+            0.5_f64.next_down(),
+            -0.0,
+            0.0,
+            -0.5,
+            -1e300,
+            1e300,
+            1.0,
+            0.75,
+            0.25,
+        ];
+        let dim = 3;
+        for rows in [1, 63, 64, 65, 1000] {
+            let flat: Vec<f64> = (0..rows * dim)
+                .map(|i| values[(i * 7 + i / 5) % values.len()])
+                .collect();
+            let m = PointMatrix::from_flat(flat, dim).unwrap();
+            let (plain, debug) = (m.clone(), format!("{m:?}"));
+            for c in 0..dim {
+                let column = m.set_bits(c);
+                assert_eq!(column.len(), rows.div_ceil(64), "{rows} rows");
+                for r in 0..rows {
+                    let bit = column[r / 64] >> (r % 64) & 1 == 1;
+                    assert_eq!(bit, m.row(r)[c] >= 0.5, "row {r} coordinate {c}");
+                }
+                if !rows.is_multiple_of(64) {
+                    let tail = column[rows / 64] >> (rows % 64);
+                    assert_eq!(tail, 0, "bits past row {rows}");
+                }
+            }
+            // The cache is derived state: equality and `Debug` ignore it.
+            assert_eq!(m, plain);
+            assert_eq!(format!("{m:?}"), debug);
+            assert!(!debug.contains("set_bits"));
+        }
+    }
+
+    #[test]
+    fn row_bits_list_their_rows_in_order() {
+        let rows = [0, 5, 63, 64, 127, 128, 199];
+        let mut words = vec![0u64; 4];
+        for r in rows {
+            words[r / 64] |= 1 << (r % 64);
+        }
+        let set = RowBits::new(words, 200);
+        assert_eq!(set.rows().collect::<Vec<_>>(), rows);
+        assert_eq!(RowBits::new(vec![0; 2], 100).rows().count(), 0);
     }
 
     #[test]

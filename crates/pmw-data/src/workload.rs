@@ -21,6 +21,7 @@
 
 use crate::error::DataError;
 use crate::histogram::Histogram;
+use crate::matrix::{PointMatrix, RowBits};
 use crate::universe::{BooleanCube, GridUniverse, Universe};
 use rand::{Rng, RngExt};
 use std::sync::Arc;
@@ -218,6 +219,8 @@ pub fn threshold_queries(grid: &GridUniverse) -> Result<Vec<LinearQuery>, DataEr
 /// [`PointQuery::values_at_rows`]: one dispatch per block instead of two
 /// per row. Its default loops over the per-row routes; [`ImplicitQuery`]
 /// overrides it with row loops of its own that return the same bits.
+/// A query whose values are 0 or 1 by a test of `x_c ≥ ½` can also return
+/// the rows where it reads 1 as a bitset, [`PointQuery::incidence`].
 pub trait PointQuery: Send + Sync {
     /// Bounds `(lo, hi)` on `q(x)` over the universe; the sensitivity of
     /// `q(D)` on `n`-row datasets is `(hi − lo)/n` and sketched estimates
@@ -299,6 +302,20 @@ pub trait PointQuery: Send + Sync {
             *value = v.ok_or(r)?;
         }
         Ok(())
+    }
+
+    /// The rows of `points` at which `q` reads 1, as a bitset, when the
+    /// query has a bit form; `None`, the default, when it has none.
+    ///
+    /// Callers that sum over a query's non-zero rows try this before
+    /// [`PointQuery::values_at_rows`]. Its contract is the same: an
+    /// override may only be faster, never different. Its set rows are
+    /// exactly those at which `values_at_rows` over `points` writes a
+    /// non-zero value, by either route, and every such value is 1.0, so a
+    /// sum that skips the other rows skips only terms of `±0`.
+    /// [`ImplicitQuery`] overrides it for conjunctions and parities.
+    fn incidence(&self, _points: &PointMatrix) -> Option<RowBits> {
+        None
     }
 }
 
@@ -661,6 +678,38 @@ impl PointQuery for ImplicitQuery {
             }
         }
         Ok(())
+    }
+
+    /// A conjunction's incidence is the AND of its coordinates' set-bit
+    /// columns ([`PointMatrix::set_bits`]), which the matrix builds on the
+    /// first request and caches, and a parity's is their XOR. A coordinate
+    /// that short rows lack reads as unset, as [`PointPredicate`] states.
+    /// The other predicates have no bit form.
+    fn incidence(&self, points: &PointMatrix) -> Option<RowBits> {
+        let (coords, parity) = match &self.predicate {
+            PointPredicate::Conjunction { coords } => (coords, false),
+            PointPredicate::Parity { coords } => (coords, true),
+            _ => return None,
+        };
+        // `coords` is never empty, so a conjunction's all-ones start is
+        // always cut down to the rows.
+        let mut bits = vec![if parity { 0 } else { u64::MAX }; points.len().div_ceil(64)];
+        for &c in coords {
+            if c >= points.dim() {
+                if !parity {
+                    bits.fill(0);
+                }
+                continue;
+            }
+            for (bits, &column) in bits.iter_mut().zip(points.set_bits(c)) {
+                if parity {
+                    *bits ^= column;
+                } else {
+                    *bits &= column;
+                }
+            }
+        }
+        Some(RowBits::new(bits, points.len()))
     }
 
     fn value_bounds(&self) -> (f64, f64) {
@@ -1167,6 +1216,76 @@ mod tests {
             row[0] = row[0].abs();
         }
         assert_batch_matches_rows(&PointOnly, &indices, &lifted, dim);
+    }
+
+    #[test]
+    fn incidence_is_the_non_zero_pattern_of_values_at_rows() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let dim = 6;
+        let coordinate = |rng: &mut StdRng| match rng.random_range(0..6usize) {
+            0 => 0.5,
+            1 => 0.5_f64.next_down(),
+            2 => -0.0,
+            3 => rng.random::<f64>() * 2.0 - 0.5,
+            _ => f64::from(rng.random::<bool>()),
+        };
+        let mut predicates = vec![
+            PointPredicate::Parity {
+                coords: vec![1, 4, 5],
+            },
+            PointPredicate::Parity { coords: vec![0] },
+            PointPredicate::Parity { coords: vec![2, 0] },
+        ];
+        for width in 1..=3 {
+            predicates.push(PointPredicate::Conjunction {
+                coords: (0..width).map(|c| 5 - 2 * c).collect(),
+            });
+            predicates.push(PointPredicate::Conjunction {
+                coords: (0..width).collect(),
+            });
+        }
+        for rows in [1, 64, 130] {
+            let flat: Vec<f64> = (0..rows * dim).map(|_| coordinate(&mut rng)).collect();
+            let full = PointMatrix::from_flat(flat, dim).unwrap();
+            // Short rows lack coordinates 3..6, which read as unset.
+            let short: Vec<f64> = full.iter().flat_map(|row| &row[..3]).copied().collect();
+            let short = PointMatrix::from_flat(short, 3).unwrap();
+            for predicate in &predicates {
+                let query = ImplicitQuery::new(predicate.clone(), dim).unwrap();
+                for points in [&full, &short] {
+                    let mut out = vec![0.0; rows];
+                    query
+                        .values_at_rows(None, points.as_flat(), points.dim(), &mut out)
+                        .unwrap();
+                    let set: Vec<usize> = (0..rows).filter(|&r| out[r] != 0.0).collect();
+                    assert!(set.iter().all(|&r| out[r] == 1.0), "{predicate:?}");
+                    let bits = query.incidence(points).unwrap();
+                    assert_eq!(bits.rows().collect::<Vec<_>>(), set, "{predicate:?}");
+                    assert_eq!(bits.words().len(), rows.div_ceil(64));
+                    if !rows.is_multiple_of(64) {
+                        assert_eq!(bits.words()[rows / 64] >> (rows % 64), 0, "tail bits");
+                    }
+                }
+            }
+        }
+        // Thresholds, halfspaces, linear statistics and queries on the
+        // default have no bit form.
+        let points = PointMatrix::from_flat(vec![1.0; 12], dim).unwrap();
+        let threshold = ImplicitQuery::threshold(0, 0.5, dim).unwrap();
+        let halfspace = PointPredicate::Halfspace {
+            normal: vec![1.0; dim],
+            offset: 0.0,
+        };
+        let halfspace = ImplicitQuery::new(halfspace, dim).unwrap();
+        let dense = LinearQuery::new(vec![1.0, 0.0]).unwrap();
+        for query in [
+            &threshold as &dyn PointQuery,
+            &halfspace,
+            &dense,
+            &PointOnly,
+        ] {
+            assert!(query.incidence(&points).is_none(), "{}", query.name());
+        }
     }
 
     #[test]

@@ -122,15 +122,16 @@ pub trait CmLoss: Send + Sync {
     /// [`CmLoss::loss`] as `0.5 * r * r` and [`CmLoss::gradient`] as `r`,
     /// for `r = θ₀ − t(x)` with `t(x)` the bits of the query's point route.
     ///
-    /// [`WeightedObjective`] evaluates the query over all its points in one
-    /// [`PointQuery::values_at_rows`] call per objective and keeps only the
-    /// sufficient statistics `Σw`, `Σw·t` and `Σw·t²`, so each solver pass
-    /// costs O(1) whatever the number of points. This is the one-feature
-    /// case of a [`LinkFn::Squared`] GLM's statistics, at scale ½ where the
-    /// squared link's `(z − y)²/4` has ¼. A wrapper that changes the loss
-    /// must not forward this hook. The oracle choice and the GLM oracles
-    /// read only [`CmLoss::is_glm`], [`CmLoss::glm_link`] and
-    /// [`CmLoss::glm_label`].
+    /// [`WeightedObjective`] evaluates the query over all its points once
+    /// per objective, from its bit form ([`PointQuery::incidence`]) when it
+    /// has one and in one [`PointQuery::values_at_rows`] call otherwise,
+    /// and keeps only the sufficient statistics `Σw`, `Σw·t` and `Σw·t²`,
+    /// so each solver pass costs O(1) whatever the number of points. This
+    /// is the one-feature case of a [`LinkFn::Squared`] GLM's statistics,
+    /// at scale ½ where the squared link's `(z − y)²/4` has ¼. A wrapper
+    /// that changes the loss must not forward this hook. The oracle choice
+    /// and the GLM oracles read only [`CmLoss::is_glm`],
+    /// [`CmLoss::glm_link`] and [`CmLoss::glm_label`].
     fn quadratic_target(&self) -> Option<&dyn PointQuery> {
         None
     }
@@ -197,7 +198,9 @@ pub fn certificate_sweep(
 ///   [`CmLoss::glm_label`] sums `¼·w·(⟨θ, x⟩ − y)²`; a loss with a
 ///   [`CmLoss::quadratic_target`] (a linear query) sums `½·w·(θ₀ − t(x))²`,
 ///   the same form with the one feature 1 and the label `t(x)`, whose
-///   targets come from one [`PointQuery::values_at_rows`] call. Either sum
+///   targets come from the query's bit form ([`PointQuery::incidence`], a
+///   conjunction or parity) or else from one
+///   [`PointQuery::values_at_rows`] call. Either sum
 ///   is `s·(θᵀAθ − 2bᵀθ + c)` with `A = Σw·x xᵀ`, `b = Σw·y·x`, `c = Σw·y²`
 ///   and `s` = ¼ or ½. One serial pass over the kept points, in point
 ///   order, builds `A`, `b` and `c`; `value` and `gradient` (`2s·(Aθ − b)`)
@@ -377,11 +380,33 @@ impl Quadratic {
     /// A loss with a [`CmLoss::quadratic_target`] over its kept rows: the
     /// feature 1, the label the target. `None` unless the loss reports a
     /// target over a one-dimensional `θ` that evaluates every row.
+    ///
+    /// A target with a bit form ([`PointQuery::incidence`]) reads 1 at its
+    /// set rows and 0 elsewhere. Then `A = Σw` over the kept rows, and
+    /// `b = c = Σw` over the kept set rows: a clear row's `w·t` and `w·t²`
+    /// are `+0.0`, so both sums skip them and keep [`Quadratic::build`]'s
+    /// bits.
     fn target<L: CmLoss + ?Sized>(loss: &L, points: &PointMatrix, weights: &[f64]) -> Option<Self> {
         if loss.dim() != 1 {
             return None;
         }
         let query = loss.quadratic_target()?;
+        if let Some(set) = query.incidence(points) {
+            let mut a = 0.0;
+            for &w in weights.iter().filter(|&&w| w > 0.0) {
+                a += w;
+            }
+            let mut b = 0.0;
+            for w in set.rows().map(|r| weights[r]).filter(|&w| w > 0.0) {
+                b += w;
+            }
+            return Some(Self {
+                a: vec![a],
+                b: vec![b],
+                c: b,
+                scale: 0.5,
+            });
+        }
         let mut targets = vec![0.0; points.len()];
         query
             .values_at_rows(None, points.as_flat(), points.dim(), &mut targets)
@@ -1102,6 +1127,120 @@ mod tests {
                 assert_near_per_point(&fast, &per_point, &thetas, &case);
             }
         }
+    }
+
+    /// A linear query whose target hides its bit form
+    /// ([`PointQuery::incidence`]), so its objective takes the
+    /// `values_at_rows` pass. Everything else is forwarded.
+    struct ValuePass<'a> {
+        loss: &'a crate::linear_query::LinearQueryLoss,
+        target: HiddenBits<'a>,
+    }
+
+    struct HiddenBits<'a>(&'a pmw_data::ImplicitQuery);
+
+    impl PointQuery for HiddenBits<'_> {
+        fn value_bounds(&self) -> (f64, f64) {
+            self.0.value_bounds()
+        }
+        fn value_at_index(&self, index: usize) -> Option<f64> {
+            self.0.value_at_index(index)
+        }
+        fn value_at_point(&self, point: &[f64]) -> Option<f64> {
+            self.0.value_at_point(point)
+        }
+        fn point_dim(&self) -> Option<usize> {
+            self.0.point_dim()
+        }
+        fn values_at_rows(
+            &self,
+            indices: Option<&[usize]>,
+            points: &[f64],
+            dim: usize,
+            out: &mut [f64],
+        ) -> Result<(), usize> {
+            self.0.values_at_rows(indices, points, dim, out)
+        }
+    }
+
+    impl CmLoss for ValuePass<'_> {
+        fn dim(&self) -> usize {
+            self.loss.dim()
+        }
+        fn domain(&self) -> &Domain {
+            self.loss.domain()
+        }
+        fn point_dim(&self) -> usize {
+            self.loss.point_dim()
+        }
+        fn loss(&self, theta: &[f64], x: &[f64]) -> f64 {
+            self.loss.loss(theta, x)
+        }
+        fn gradient(&self, theta: &[f64], x: &[f64], out: &mut [f64]) {
+            self.loss.gradient(theta, x, out)
+        }
+        fn lipschitz(&self) -> f64 {
+            self.loss.lipschitz()
+        }
+        fn strong_convexity(&self) -> f64 {
+            self.loss.strong_convexity()
+        }
+        fn smoothness(&self) -> Option<f64> {
+            self.loss.smoothness()
+        }
+        fn quadratic_target(&self) -> Option<&dyn PointQuery> {
+            Some(&self.target)
+        }
+    }
+
+    /// Conjunction and parity objectives built from the query's bit form
+    /// have the bits of those built from its values: value and gradient at
+    /// four `θ`, and a 60-iteration solve's `θ` and value, on the binary
+    /// cube and on a grid whose coordinates fall on both sides of ½ (and
+    /// on it), under uneven weights with some zero.
+    #[test]
+    fn bit_targets_match_the_value_pass_bit_for_bit() {
+        use crate::linear_query::{LinearQueryLoss, PointPredicate};
+        use pmw_data::{BooleanCube, GridUniverse};
+
+        let mut uniform = uniform_source(29);
+        let cube = PointMatrix::from_universe(&BooleanCube::new(10).unwrap());
+        let grid = PointMatrix::from_universe(&GridUniverse::new(3, 9, -0.5, 1.5).unwrap());
+        assert!(grid.iter().any(|x| x.contains(&0.5)));
+        let thetas = [vec![0.0], vec![0.3], vec![0.77], vec![1.4]];
+        let mut cases = 0;
+        for rows in [&cube, &grid] {
+            let p = rows.dim();
+            let mut predicates = Vec::new();
+            for width in 1..=3 {
+                let coords: Vec<usize> = (0..width).map(|i| (2 * i + 1) % p).collect();
+                predicates.push(PointPredicate::Conjunction {
+                    coords: coords.clone(),
+                });
+                predicates.push(PointPredicate::Parity { coords });
+            }
+            let layouts = weight_layouts(rows.len(), &mut uniform);
+            for predicate in predicates {
+                let loss = LinearQueryLoss::new(predicate, p).unwrap();
+                let values = ValuePass {
+                    loss: &loss,
+                    target: HiddenBits(loss.query()),
+                };
+                for (n, w) in &layouts {
+                    let pts = PointMatrix::from_flat(rows.row_block(0, *n).to_vec(), p).unwrap();
+                    let bits_path = WeightedObjective::new(&loss, &pts, w).unwrap();
+                    let value_path = WeightedObjective::new(&values, &pts, w).unwrap();
+                    assert!(matches!(value_path.path, Path::Quadratic(_)));
+                    let case = format!("{:?}, {n} of {} rows", loss.query(), rows.len());
+                    assert_same_bits(&bits_path, &value_path, &thetas, &case);
+                    let (a, b) = (bits_path.solve(60).unwrap(), value_path.solve(60).unwrap());
+                    assert_eq!(bits(&a.theta), bits(&b.theta), "{case}: minimizer");
+                    assert_eq!(a.value.to_bits(), b.value.to_bits(), "{case}: minimum");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 6 * 8);
     }
 
     /// Statistics that overflow leave the quadratic path for the one the

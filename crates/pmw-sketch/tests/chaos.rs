@@ -829,3 +829,52 @@ fn offline_pmw_reads_its_snapshots_under_fault_plans() {
     assert_eq!(state.injected(), 1);
     assert_eq!(state.inner().updates_recorded(), 0);
 }
+
+/// A failed `OfflinePmw` run drains no backend event: the caller's backend
+/// keeps every round's events, the failed round's `RoundRolledBack` last.
+#[test]
+fn offline_pmw_leaves_a_failed_runs_events_in_the_backend() {
+    use pmw_core::OfflinePmw;
+    use pmw_losses::CmLoss;
+    use pmw_sketch::CompactionPolicy;
+    let cube = BooleanCube::new(DIM).unwrap();
+    let data = DataSide::from_universe(&cube, &dataset()).unwrap();
+    let losses: Vec<LinearQueryLoss> = (0..DIM)
+        .map(|b| {
+            LinearQueryLoss::new(PointPredicate::Conjunction { coords: vec![b] }, DIM).unwrap()
+        })
+        .collect();
+    let refs: Vec<&dyn CmLoss> = losses.iter().map(|l| l as &dyn CmLoss).collect();
+    let config = PmwConfig::builder(1.0, 1e-6, 0.2)
+        .scale(1.0)
+        .rounds_override(4)
+        .solver_iters(40)
+        .build()
+        .unwrap();
+    let off = OfflinePmw::with_oracle(config, ExactOracle::default());
+    let budget = 5;
+    // Construction reads one point a slot, so the NaN lands on the first
+    // point the round-2 cadence resample reads.
+    let source = FaultySource::new(
+        UniversePoints(cube.clone()),
+        FaultRule::Once(budget as u64 + 1),
+    );
+    let mut rng = StdRng::seed_from_u64(7000);
+    let config = SampledConfig {
+        budget,
+        resample_every: 2,
+        compaction: CompactionPolicy::EveryK(2),
+        ..SampledConfig::default()
+    };
+    let mut state = SampledBackend::new(source, config, &mut rng).unwrap();
+    let result = off.run_with_backend(&refs, &data, &mut state, &mut rng);
+    assert!(result.is_err(), "{:?}", result.map(|(r, _)| r.selected));
+    assert_eq!(state.updates_recorded(), 1, "round 2 rolled back");
+    let events = state.take_events();
+    assert_eq!(
+        events.last(),
+        Some(&BackendEvent::RoundRolledBack { round: 2 }),
+        "{events:?}"
+    );
+    assert!(state.take_events().is_empty());
+}
